@@ -159,6 +159,37 @@ fn active_stack_is_deterministic_across_worker_counts() {
     }
 }
 
+/// Digests of a live `hammer;press;drift` stack (default parameters),
+/// captured before the mechanism hashing was restructured. Pins the flip
+/// stream itself, not just agreement between parallel modes.
+const LIVE_STACK_GOLDEN: [(Vendor, u64, u64); 2] = [
+    (Vendor::A, 1, 0x485A_FB98_AFF8_BBBF),
+    (Vendor::B, 7, 0xCA84_48DC_968D_C8CF),
+];
+
+#[test]
+fn live_stack_matches_golden_digests() {
+    let specs = MechanismSpec::parse_stack("hammer;press;drift").expect("stack parses");
+    for (vendor, seed, want) in LIVE_STACK_GOLDEN {
+        for mode in [ParallelMode::Never, ParallelMode::Always] {
+            let mut module = ModuleConfig::new(vendor)
+                .geometry(ChipGeometry::new(1, ROWS, COLS).expect("geometry"))
+                .chips(2)
+                .seed(seed)
+                .module_id(ModuleId(7))
+                .mechanisms(specs.clone())
+                .build()
+                .expect("module");
+            module.set_parallel_mode(mode);
+            let got = scenario_digest(&mut module);
+            assert_eq!(
+                got, want,
+                "({vendor:?}, seed {seed}) live stack drifted from golden under {mode:?}"
+            );
+        }
+    }
+}
+
 /// Smaller scenario used by the property tests below (vendor C's 128-column
 /// tile span keeps the geometry cheap enough for 64 cases).
 fn small_digest(mut module: DramModule) -> u64 {
