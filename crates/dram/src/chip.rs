@@ -25,13 +25,6 @@ use crate::stencil::CouplingStencil;
 /// covers an entire bank of the paper-scale geometry.
 pub const DEFAULT_FAULT_MAP_CAPACITY: usize = 8192;
 
-/// Default bound on the per-chip `(row, data)` evaluation cache (entries).
-///
-/// Test rounds re-write the same few patterns into the same rows over and
-/// over (discovery runs each pattern twice, chip-wide rounds repeat
-/// per-polarity), so a small cache captures nearly all repeats.
-pub const DEFAULT_EVAL_CACHE_CAPACITY: usize = 512;
-
 /// One simulated DRAM chip.
 ///
 /// A chip owns its written row contents (system bit order) and evaluates the
@@ -40,10 +33,9 @@ pub const DEFAULT_EVAL_CACHE_CAPACITY: usize = 512;
 /// interval, read them back, and report every flipped bit — exactly what a
 /// system-level tester can do through the memory controller.
 ///
-/// Both internal caches are bounded: fault maps (deterministic, rebuildable)
-/// are evicted FIFO past [`DEFAULT_FAULT_MAP_CAPACITY`], and memoized
-/// coupling evaluations past [`DEFAULT_EVAL_CACHE_CAPACITY`]. Cache sizes are
-/// published as the `dram.fault_map_cache` / `dram.eval_cache` gauges.
+/// Fault maps (deterministic, rebuildable) and their compiled stencils are
+/// cached per row and evicted FIFO past [`DEFAULT_FAULT_MAP_CAPACITY`]; the
+/// cache size is published as the `dram.fault_map_cache` gauge.
 ///
 /// # Examples
 ///
@@ -69,8 +61,7 @@ pub struct DramChip {
     geometry: ChipGeometry,
     // The paper's data-dependent failure model (seed, scrambler + LUT,
     // fault rates, retention physics) as one composable mechanism. The
-    // chip's cached fast path (fault maps, stencils, eval memoization)
-    // evaluates through it.
+    // chip's cached fast path (fault maps, stencils) evaluates through it.
     coupling: CouplingMechanism,
     // Additional mechanisms (RowHammer, RowPress, retention drift, …)
     // composed on top of the coupling model; evaluated once per round over
@@ -86,15 +77,11 @@ pub struct DramChip {
     // Compiled per-row coupling stencils; populated lazily in Stencil mode,
     // invalidated with their fault maps and on margin-shift changes.
     stencils: HashMap<RowId, CouplingStencil>,
-    eval_cache: HashMap<(RowId, u64), (RowBits, Vec<u32>)>,
-    eval_order: VecDeque<(RowId, u64)>,
-    eval_cap: usize,
     kernel: KernelMode,
     round: u64,
     rec: RecorderHandle,
-    // Buffer pool closing the round cycle: replaced row images and evicted
-    // eval-cache entries go back in, pooled clones come out. Swapped for a
-    // shared handle by `set_arena`.
+    // Buffer pool closing the round cycle: replaced row images go back in,
+    // pooled clones come out. Swapped for a shared handle by `set_arena`.
     arena: RoundArena,
 }
 
@@ -167,9 +154,6 @@ impl DramChip {
             fault_map_order: VecDeque::new(),
             fault_map_cap: DEFAULT_FAULT_MAP_CAPACITY,
             stencils: HashMap::new(),
-            eval_cache: HashMap::new(),
-            eval_order: VecDeque::new(),
-            eval_cap: DEFAULT_EVAL_CACHE_CAPACITY,
             kernel: KernelMode::default(),
             round: 0,
             rec: RecorderHandle::null(),
@@ -262,8 +246,8 @@ impl DramChip {
     /// Switches between the compiled stencil kernel (default) and the
     /// retained scalar reference kernel. Results are bit-identical in both
     /// modes — this is a measurement/verification switch, not a behavior
-    /// switch — so caches survive the change; only compiled stencils are
-    /// dropped.
+    /// switch — so fault maps survive the change; only compiled stencils
+    /// are dropped.
     pub fn set_kernel_mode(&mut self, mode: KernelMode) {
         if self.kernel != mode {
             self.kernel = mode;
@@ -285,46 +269,16 @@ impl DramChip {
         self.evict_fault_maps();
     }
 
-    /// Current number of memoized `(row, data)` coupling evaluations (also
-    /// the `dram.eval_cache` gauge).
-    pub fn eval_cache_len(&self) -> usize {
-        self.eval_cache.len()
-    }
-
-    /// Bounds the coupling-evaluation cache to `cap` entries; `0` disables
-    /// memoization entirely. Entries are verified against the full row
-    /// content on every hit, so results never depend on the cache.
-    pub fn set_eval_cache_capacity(&mut self, cap: usize) {
-        self.eval_cap = cap;
-        if cap == 0 {
-            self.eval_cache.clear();
-            self.eval_order.clear();
-        } else {
-            while self.eval_cache.len() > cap {
-                if let Some(old) = self.eval_order.pop_front() {
-                    self.eval_cache.remove(&old);
-                } else {
-                    break;
-                }
-            }
-        }
-        self.rec
-            .gauge(metrics::dram::EVAL_CACHE, self.eval_cache.len() as i64);
-    }
-
     /// Changes operating temperature and refresh interval. Fault maps are
     /// seeded, not stateful, so only the margin shift changes — which
-    /// invalidates the memoized coupling evaluations.
+    /// invalidates the compiled stencils.
     pub fn set_conditions(&mut self, temperature: Celsius, refresh_interval: Seconds) {
         self.temperature = temperature;
         self.refresh_interval = refresh_interval;
         self.coupling.set_conditions(temperature, refresh_interval);
-        self.eval_cache.clear();
-        self.eval_order.clear();
         // Stencils are compiled against the margin shift, so they are stale
         // now; fault maps are shift-independent and survive.
         self.stencils.clear();
-        self.rec.gauge(metrics::dram::EVAL_CACHE, 0);
     }
 
     /// Writes a full row (system bit order).
@@ -391,8 +345,8 @@ impl DramChip {
     /// Returns [`DramError::RowNeverWritten`] if the row has no content, or
     /// an address error if the row is out of range.
     pub fn read_row(&mut self, row: RowId) -> Result<RowBits, DramError> {
-        let flips = self.row_flips(row)?;
-        let data = self.rows.get(&row).expect("checked by row_flips");
+        let flips = self.eval_rows(&[row], 1)?;
+        let data = self.rows.get(&row).expect("checked by eval_rows");
         let mut out = data.clone();
         for f in flips {
             out.flip(f.addr.col as usize);
@@ -415,14 +369,9 @@ impl DramChip {
     }
 
     /// [`run_round`](DramChip::run_round) with the read-back evaluation split
-    /// across `row_threads` scoped threads.
-    ///
-    /// Per-row evaluation is pure in the chip's immutable state (row
-    /// contents, fault maps, stencils, round counter), so rows evaluate
-    /// concurrently and only the cache insertions and counters are merged
-    /// serially afterwards — in first-occurrence row order, exactly as the
-    /// serial loop would produce them. Flips come back in write order, bit-
-    /// identical to `row_threads == 1`.
+    /// across `row_threads` scoped threads; see
+    /// [`eval_rows`](DramChip::eval_rows). Flips come back in write order,
+    /// bit-identical for any `row_threads`.
     pub(crate) fn run_round_split(
         &mut self,
         writes: Vec<(RowId, RowBits)>,
@@ -433,15 +382,7 @@ impl DramChip {
             self.write_row(row, data)?;
         }
         self.advance_round();
-        let mut flips = if row_threads <= 1 || rows.len() <= 1 {
-            let mut flips = Vec::new();
-            for &row in &rows {
-                flips.extend(self.row_flips(row)?);
-            }
-            flips
-        } else {
-            self.row_flips_batch(&rows, row_threads)?
-        };
+        let mut flips = self.eval_rows(&rows, row_threads)?;
         // Extra mechanisms observe the round's write set as a whole (they
         // need neighbor activations, not just this row), so they evaluate
         // once per round after the base model — serially, in stack order,
@@ -472,10 +413,13 @@ impl DramChip {
             )
         };
         self.rec.incr(metrics::mech::ROUNDS, 1);
+        // The stack already deduplicates its own flips by address, so only
+        // the base flips can suppress one.
+        let base: HashSet<BitAddr> = flips.iter().map(|f| f.addr).collect();
         let mut added = 0u64;
         let mut suppressed = 0u64;
         for flip in extra {
-            if flips.iter().any(|f| f.addr == flip.addr) {
+            if base.contains(&flip.addr) {
                 suppressed += 1;
             } else {
                 flips.push(flip);
@@ -490,263 +434,112 @@ impl DramChip {
         }
     }
 
-    /// Evaluates a round's read set across scoped threads; see
-    /// [`run_round_split`](DramChip::run_round_split) for the equivalence
-    /// argument.
-    fn row_flips_batch(
-        &mut self,
-        rows: &[RowId],
-        row_threads: usize,
-    ) -> Result<Vec<BitFlip>, DramError> {
-        // Unique rows in first-occurrence order; duplicates re-read the same
-        // final content and reuse the first occurrence's result.
+    /// Computes the flips a read of each of `rows` observes at the current
+    /// round, in `rows` order, splitting the work across `row_threads`
+    /// scoped threads (with one thread it runs inline and spawns nothing).
+    ///
+    /// Per-row evaluation is pure in the chip's state as of the call (row
+    /// contents, fault maps, stencils, round counter), so unique rows
+    /// evaluate concurrently in first-occurrence order; a duplicate re-reads
+    /// the same final content and repeats its first occurrence's flips.
+    /// Fault maps and stencils a row lacks are built on its evaluating
+    /// thread and installed serially afterwards in first-occurrence order,
+    /// so FIFO eviction and counters do not depend on `row_threads`, and no
+    /// install can evict a map the round still reads.
+    fn eval_rows(&mut self, rows: &[RowId], row_threads: usize) -> Result<Vec<BitFlip>, DramError> {
         let mut unique: Vec<RowId> = Vec::with_capacity(rows.len());
-        let mut seen: HashSet<RowId> = HashSet::with_capacity(rows.len());
+        let mut slot: HashMap<RowId, usize> = HashMap::with_capacity(rows.len());
         for &row in rows {
-            if seen.insert(row) {
-                unique.push(row);
+            if slot.contains_key(&row) {
+                continue;
             }
-        }
-        for &row in &unique {
             self.geometry.check_row(row)?;
             if !self.rows.contains_key(&row) {
                 return Err(DramError::RowNeverWritten {
                     row: row.to_string(),
                 });
             }
+            slot.insert(row, unique.len());
+            unique.push(row);
         }
 
-        // Fault-map builds are pure too: build missing maps (and their
-        // stencils) concurrently, then install serially in first-occurrence
-        // order so FIFO eviction and counters match the serial path.
-        let missing: Vec<RowId> = unique
-            .iter()
-            .copied()
-            .filter(|r| !self.fault_maps.contains_key(r))
-            .collect();
-        if missing.len() > 1 {
+        let results: Vec<RowEval> = {
             let this: &DramChip = self;
-            let chunk = missing.len().div_ceil(row_threads);
-            let built: Vec<(RowId, RowFaultMap, Option<CouplingStencil>)> =
+            let eval_chunk = move |rows: &[RowId]| -> Vec<RowEval> {
+                let mut coupled = this.arena.indices();
+                let out = rows
+                    .iter()
+                    .map(|&row| this.eval_row(row, &mut coupled))
+                    .collect();
+                this.arena.recycle_indices(coupled);
+                out
+            };
+            if row_threads <= 1 || unique.len() <= 1 {
+                eval_chunk(&unique)
+            } else {
+                let chunk = unique.len().div_ceil(row_threads);
                 crossbeam::thread::scope(|scope| {
-                    let handles: Vec<_> = missing
+                    let handles: Vec<_> = unique
                         .chunks(chunk)
-                        .map(|rows| {
-                            scope.spawn(move |_| {
-                                rows.iter()
-                                    .map(|&row| {
-                                        let map = this.build_fault_map(row);
-                                        let st = (this.kernel == KernelMode::Stencil).then(|| {
-                                            CouplingStencil::compile(
-                                                &map,
-                                                this.coupling.theta_shift(),
-                                            )
-                                        });
-                                        (row, map, st)
-                                    })
-                                    .collect::<Vec<_>>()
-                            })
-                        })
+                        .map(|rows| scope.spawn(move |_| eval_chunk(rows)))
                         .collect();
                     handles
                         .into_iter()
-                        .flat_map(|h| h.join().expect("fault-map build thread panicked"))
+                        .flat_map(|h| h.join().expect("row eval thread panicked"))
                         .collect()
                 })
-                .expect("scoped execution cannot fail to join");
-            for (row, map, st) in built {
-                self.install_fault_map(row, map);
-                if let Some(st) = st {
-                    self.stencils.insert(row, st);
-                }
+                .expect("scoped execution cannot fail to join")
             }
-        }
-        for &row in &unique {
-            self.ensure_fault_map(row);
-            self.ensure_stencil(row);
-        }
-
-        // Hit/miss is decided against the cache as of the round start (the
-        // serial loop would decide identically for distinct rows).
-        let jobs: Vec<((RowId, u64), bool)> = unique
-            .iter()
-            .map(|&row| {
-                let data = &self.rows[&row];
-                let key = (row, data.content_hash());
-                let hit = self.eval_cap > 0
-                    && self
-                        .eval_cache
-                        .get(&key)
-                        .is_some_and(|(stored, _)| stored == data);
-                (key, hit)
-            })
-            .collect();
-
-        // Parallel pure phase: evaluate every unique row's flips.
-        let results: Vec<(Vec<BitFlip>, Option<Vec<u32>>)> = {
-            let this: &DramChip = self;
-            let chunk = jobs.len().div_ceil(row_threads);
-            crossbeam::thread::scope(|scope| {
-                let handles: Vec<_> = jobs
-                    .chunks(chunk)
-                    .map(|jobs| {
-                        scope.spawn(move |_| {
-                            jobs.iter()
-                                .map(|&(key, hit)| this.eval_row_pure(key, hit))
-                                .collect::<Vec<_>>()
-                        })
-                    })
-                    .collect();
-                handles
-                    .into_iter()
-                    .flat_map(|h| h.join().expect("row eval thread panicked"))
-                    .collect()
-            })
-            .expect("scoped execution cannot fail to join")
         };
 
-        // Serial merge: counters and cache insertions in first-occurrence
-        // order, flips in write order.
         self.rec.incr(metrics::dram::ROW_READS, rows.len() as u64);
-        let mut per_row: HashMap<RowId, Vec<BitFlip>> = HashMap::with_capacity(unique.len());
-        for (&(key, hit), (flips, computed)) in jobs.iter().zip(results) {
-            if self.eval_cap > 0 {
-                if hit {
-                    self.rec.incr(metrics::dram::EVAL_CACHE_HITS, 1);
-                } else {
-                    self.rec.incr(metrics::dram::EVAL_CACHE_MISSES, 1);
-                    let data = self.rows[&key.0].clone_into_words(self.arena.take_words());
-                    self.insert_eval(key, data, computed.expect("miss was evaluated"));
-                }
-            } else if let Some(coupled) = computed {
-                self.arena.recycle_indices(coupled);
+        let mut flips: Vec<Vec<BitFlip>> = Vec::with_capacity(results.len());
+        for (&row, eval) in unique.iter().zip(results) {
+            if let Some(map) = eval.map {
+                self.install_fault_map(row, map);
             }
-            per_row.insert(key.0, flips);
+            // A later install in this loop may already have evicted a
+            // cached map; a stencil is only kept alongside its map.
+            if let Some(st) = eval.stencil.filter(|_| self.fault_maps.contains_key(&row)) {
+                self.stencils.insert(row, st);
+            }
+            flips.push(eval.flips);
         }
-        // Serially, every duplicate occurrence would hit the entry its first
-        // occurrence just inserted.
-        if self.eval_cap > 0 {
-            let dup = (rows.len() - unique.len()) as u64;
-            if dup > 0 {
-                self.rec.incr(metrics::dram::EVAL_CACHE_HITS, dup);
-            }
+        if unique.len() == rows.len() {
+            return Ok(flips.into_iter().flatten().collect());
         }
         let mut out = Vec::new();
         for row in rows {
-            out.extend(per_row[row].iter().copied());
+            out.extend_from_slice(&flips[slot[row]]);
         }
         Ok(out)
     }
 
-    /// Pure per-row evaluation: flips plus (on a cache miss) the computed
-    /// coupling indices for the serial merge to insert. Takes `&self` so a
-    /// round's rows can evaluate on concurrent threads.
-    fn eval_row_pure(&self, key: (RowId, u64), hit: bool) -> (Vec<BitFlip>, Option<Vec<u32>>) {
-        let row = key.0;
+    /// Pure per-row evaluation: the row's flips, plus the fault map and
+    /// stencil it had to build because none was cached. `coupled` is
+    /// scratch for the failing coupling indices. Takes `&self` so a round's
+    /// rows can evaluate on concurrent threads.
+    fn eval_row(&self, row: RowId, coupled: &mut Vec<u32>) -> RowEval {
         let data = &self.rows[&row];
-        let map = &self.fault_maps[&row];
-        if hit {
-            let (_, indices) = &self.eval_cache[&key];
-            (self.assemble_flips(map, data, indices, row), None)
-        } else {
-            let coupled = match self.kernel {
-                KernelMode::Stencil => {
-                    let mut out = self.arena.indices();
-                    self.stencils[&row].eval_into(data, &mut out);
-                    out
-                }
-                KernelMode::Reference => {
-                    map.coupling_fail_indices(data, self.coupling.theta_shift())
-                }
-            };
-            let flips = self.assemble_flips(map, data, &coupled, row);
-            (flips, Some(coupled))
-        }
-    }
-
-    /// Computes the flips a read of `row` would observe at the current round.
-    fn row_flips(&mut self, row: RowId) -> Result<Vec<BitFlip>, DramError> {
-        self.geometry.check_row(row)?;
-        self.ensure_fault_map(row);
-        self.ensure_stencil(row);
-        self.rec.incr(metrics::dram::ROW_READS, 1);
-        let data = self
-            .rows
-            .get(&row)
-            .ok_or_else(|| DramError::RowNeverWritten {
-                row: row.to_string(),
-            })?;
-        let map = self.fault_maps.get(&row).expect("just built");
-
-        // Coupling outcomes are pure in (data, theta_shift); look them up by
-        // content hash, verifying the stored row on a hit so hash collisions
-        // can never change results. Round-dependent kinds (marginal, VRT,
-        // soft noise) are re-evaluated every call below. The hit path
-        // borrows the cached indices in place — no per-read allocation.
-        let key = (row, data.content_hash());
-        let cached: Option<&Vec<u32>> = if self.eval_cap > 0 {
-            self.eval_cache
-                .get(&key)
-                .and_then(|(stored, indices)| (stored == data).then_some(indices))
-        } else {
-            None
-        };
-        let (flips, computed) = match cached {
-            Some(indices) => {
-                self.rec.incr(metrics::dram::EVAL_CACHE_HITS, 1);
-                (self.assemble_flips(map, data, indices, row), None)
-            }
-            None => {
-                let coupled = match self.kernel {
-                    KernelMode::Stencil => {
-                        let mut out = self.arena.indices();
-                        self.stencils[&row].eval_into(data, &mut out);
-                        out
-                    }
-                    KernelMode::Reference => {
-                        map.coupling_fail_indices(data, self.coupling.theta_shift())
-                    }
+        let built_map = (!self.fault_maps.contains_key(&row)).then(|| self.build_fault_map(row));
+        let map = built_map.as_ref().unwrap_or_else(|| &self.fault_maps[&row]);
+        let shift = self.coupling.theta_shift();
+        let mut built_stencil = None;
+        match self.kernel {
+            KernelMode::Stencil => {
+                let stencil = match self.stencils.get(&row) {
+                    Some(st) => st,
+                    None => built_stencil.insert(CouplingStencil::compile(map, shift)),
                 };
-                let flips = self.assemble_flips(map, data, &coupled, row);
-                let copy = data.clone_into_words(self.arena.take_words());
-                (flips, Some((coupled, copy)))
+                stencil.eval_into(data, coupled);
             }
-        };
-        if let Some((coupled, data)) = computed {
-            if self.eval_cap > 0 {
-                self.rec.incr(metrics::dram::EVAL_CACHE_MISSES, 1);
-                self.insert_eval(key, data, coupled);
-            } else {
-                self.arena.recycle_row(data);
-                self.arena.recycle_indices(coupled);
-            }
+            KernelMode::Reference => *coupled = map.coupling_fail_indices(data, shift),
         }
-        Ok(flips)
-    }
-
-    /// Inserts a memoized coupling evaluation with FIFO eviction. Evicted
-    /// entries feed their buffers back to the arena, so a churning cache
-    /// stops allocating once warm.
-    fn insert_eval(&mut self, key: (RowId, u64), data: RowBits, indices: Vec<u32>) {
-        if !self.eval_cache.contains_key(&key) {
-            self.eval_order.push_back(key);
+        RowEval {
+            flips: self.assemble_flips(map, data, coupled, row),
+            map: built_map,
+            stencil: built_stencil,
         }
-        if let Some((data, indices)) = self.eval_cache.insert(key, (data, indices)) {
-            self.arena.recycle_row(data);
-            self.arena.recycle_indices(indices);
-        }
-        while self.eval_cache.len() > self.eval_cap {
-            if let Some(old) = self.eval_order.pop_front() {
-                if let Some((data, indices)) = self.eval_cache.remove(&old) {
-                    self.arena.recycle_row(data);
-                    self.arena.recycle_indices(indices);
-                }
-            } else {
-                break;
-            }
-        }
-        self.rec
-            .gauge(metrics::dram::EVAL_CACHE, self.eval_cache.len() as i64);
     }
 
     /// Expands failing coupling indices plus the round-dependent populations
@@ -876,17 +669,6 @@ impl DramChip {
             .gauge(metrics::dram::FAULT_MAP_CACHE, self.fault_maps.len() as i64);
     }
 
-    /// Compiles the row's coupling stencil if the stencil kernel is active
-    /// and none is cached. Requires the fault map to be present.
-    fn ensure_stencil(&mut self, row: RowId) {
-        if self.kernel != KernelMode::Stencil || self.stencils.contains_key(&row) {
-            return;
-        }
-        let map = self.fault_maps.get(&row).expect("fault map built first");
-        let st = CouplingStencil::compile(map, self.coupling.theta_shift());
-        self.stencils.insert(row, st);
-    }
-
     fn evict_fault_maps(&mut self) {
         while self.fault_maps.len() > self.fault_map_cap {
             if let Some(old) = self.fault_map_order.pop_front() {
@@ -899,6 +681,15 @@ impl DramChip {
             }
         }
     }
+}
+
+/// One row's evaluation, plus the fault map and stencil it built because
+/// none was cached (installed by the serial merge in
+/// [`eval_rows`](DramChip::eval_rows)).
+struct RowEval {
+    flips: Vec<BitFlip>,
+    map: Option<RowFaultMap>,
+    stencil: Option<CouplingStencil>,
 }
 
 #[cfg(test)]
@@ -1060,40 +851,53 @@ mod tests {
     }
 
     #[test]
-    fn eval_cache_hits_do_not_change_results() {
-        let mut cached = test_chip(31);
-        let mut direct = test_chip(31);
-        direct.set_eval_cache_capacity(0);
-        // Repeat the same writes: round 2+ hit the cache on the cached chip.
-        let first_c = cached.run_round(stripe_writes(16)).unwrap();
-        let first_d = direct.run_round(stripe_writes(16)).unwrap();
-        assert_eq!(first_c, first_d);
+    fn threaded_eval_matches_inline_with_duplicate_rows() {
+        // Row 3 is written twice: both reads see its final content.
+        let mut writes = stripe_writes(16);
+        writes.push((
+            RowId::new(0, 3),
+            PatternKind::Random { seed: 9 }.row_bits(3, 8192),
+        ));
+        let mut inline = test_chip(31);
+        let mut threaded = test_chip(31);
         for _ in 0..3 {
-            let c = cached.run_round(stripe_writes(16)).unwrap();
-            let d = direct.run_round(stripe_writes(16)).unwrap();
-            assert_eq!(c, d);
+            let a = inline.run_round_split(writes.clone(), 1).unwrap();
+            let b = threaded.run_round_split(writes.clone(), 4).unwrap();
+            assert_eq!(a, b);
+            let row = RowId::new(0, 3);
+            let written = inline.written_row(row).unwrap().clone();
+            let once = written.diff_indices(&inline.read_row(row).unwrap());
+            assert!(!once.is_empty());
+            let mut got: Vec<usize> = a
+                .iter()
+                .filter(|f| f.addr.row == 3)
+                .map(|f| f.addr.col as usize)
+                .collect();
+            got.sort_unstable();
+            let mut want = [once.clone(), once].concat();
+            want.sort_unstable();
+            assert_eq!(got, want, "duplicate read did not repeat its flips");
         }
-        assert!(cached.eval_cache_len() > 0);
-        assert_eq!(direct.eval_cache_len(), 0);
     }
 
     #[test]
-    fn eval_cache_records_hits_and_misses() {
-        let recorder = InMemoryRecorder::handle();
-        let mut chip = test_chip(4).with_recorder(RecorderHandle::from(recorder.clone()));
-        chip.run_round(stripe_writes(8)).unwrap();
-        chip.run_round(stripe_writes(8)).unwrap();
-        assert_eq!(recorder.counter("dram.eval_cache_misses"), 8);
-        assert_eq!(recorder.counter("dram.eval_cache_hits"), 8);
-        assert_eq!(recorder.gauge_value("dram.eval_cache"), Some(8));
+    fn rounds_larger_than_the_fault_map_cache_keep_results() {
+        let mut roomy = test_chip(17);
+        let mut tight = test_chip(17);
+        tight.set_fault_map_capacity(2);
+        for _ in 0..3 {
+            let a = roomy.run_round(stripe_writes(16)).unwrap();
+            let b = tight.run_round(stripe_writes(16)).unwrap();
+            assert_eq!(a, b);
+            assert_eq!(tight.fault_map_cache_len(), 2);
+        }
     }
 
     #[test]
-    fn eval_cache_invalidated_by_condition_change() {
+    fn condition_change_recompiles_stencils() {
         let mut chip = test_chip(9);
         let before = chip.run_round(stripe_writes(16)).unwrap();
         chip.set_conditions(Celsius(75.0), Seconds(4.0));
-        assert_eq!(chip.eval_cache_len(), 0);
         let after = chip.run_round(stripe_writes(16)).unwrap();
         assert!(after.len() > before.len());
     }

@@ -74,7 +74,7 @@ pub use parbor_hal::{BitAddr, ChipGeometry, DramError, RowBits, RowId};
 
 pub use cell::{CellClass, CellFault, CellProfile, CellRef, FaultKind, FaultRates, RowFaultMap};
 pub use census::CellCensus;
-pub use chip::{DramChip, DEFAULT_EVAL_CACHE_CAPACITY, DEFAULT_FAULT_MAP_CAPACITY};
+pub use chip::{DramChip, DEFAULT_FAULT_MAP_CAPACITY};
 pub use config::{Celsius, ModuleConfig, ModuleSpec, Seconds};
 pub use mechanism::{oracle_cells, CouplingMechanism};
 pub use module::{DramModule, ModuleId};
