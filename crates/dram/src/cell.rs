@@ -29,11 +29,10 @@
 
 use serde::{Deserialize, Serialize};
 
-use crate::hash::{
-    cell_hash01, finish_tag, hash01, mix64, prefix_col, stream_prefix, unit_threshold,
-};
+use crate::hash::{cell_hash01, finish_tag, hash01, mix64, prefix_col, stream_prefix};
 use crate::retention::RetentionModel;
 use crate::scrambler::Scrambler;
+use parbor_hal::unit_threshold;
 use parbor_hal::DramError;
 use parbor_hal::RowBits;
 use parbor_hal::RowId;

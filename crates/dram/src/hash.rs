@@ -72,34 +72,6 @@ pub(crate) fn finish_tag(mid: u64, tag: u64) -> u64 {
     mix64(mid ^ tag)
 }
 
-/// Exact integer form of the Bernoulli screen `hash01(h) < rate`: returns the
-/// unique `t` with `hash01(h) < rate  ⟺  (h >> 11) < t`.
-///
-/// `hash01` maps `k = h >> 11` (at most 53 bits) to `k · 2⁻⁵³`; every such
-/// value is exactly representable in an `f64` (53-bit mantissa, power-of-two
-/// scale), so the float comparison partitions the `k` axis at one integer
-/// boundary. The fixup loops locate that boundary starting from a truncation
-/// of `rate · 2⁵³`, letting samplers replace three float conversions and
-/// compares per cell with shift-and-compare on the raw hash words.
-pub(crate) fn unit_threshold(rate: f64) -> u64 {
-    const ONE: u64 = 1u64 << 53;
-    const INV: f64 = 1.0 / ONE as f64;
-    if rate.is_nan() || rate <= 0.0 {
-        return 0;
-    }
-    if rate >= 1.0 {
-        return ONE;
-    }
-    let mut t = ((rate * ONE as f64) as u64).min(ONE);
-    while t < ONE && (t as f64 * INV) < rate {
-        t += 1;
-    }
-    while t > 0 && ((t - 1) as f64 * INV) >= rate {
-        t -= 1;
-    }
-    t
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -152,43 +124,6 @@ mod tests {
             let prefix = stream_prefix(seed, bank, row);
             let mid = prefix_col(prefix, col);
             assert_eq!(finish_tag(mid, tag), cell_hash(seed, bank, row, col, tag));
-        }
-    }
-
-    #[test]
-    fn unit_threshold_is_exact_boundary() {
-        let rates = [
-            0.0,
-            1.0,
-            2.0e-3,
-            4.0e-5,
-            1.5e-5,
-            0.12,
-            0.3,
-            0.5,
-            1.0e-9,
-            f64::NAN,
-            -0.5,
-            2.0,
-        ];
-        for rate in rates {
-            let t = unit_threshold(rate);
-            // The boundary property itself: k < t ⟺ hash01 value < rate.
-            for k in [t.wrapping_sub(2), t.wrapping_sub(1), t, t + 1] {
-                if k > (1u64 << 53) - 1 {
-                    continue;
-                }
-                let v = hash01(k << 11); // hash01 keeps exactly the top 53 bits
-                assert_eq!(v < rate, k < t, "rate {rate}, k {k}, t {t}");
-            }
-        }
-        // Exhaustive agreement on real hash outputs for the default rates.
-        for rate in [2.0e-3, 4.0e-5, 1.5e-5] {
-            let t = unit_threshold(rate);
-            for i in 0..50_000u64 {
-                let h = mix64(i);
-                assert_eq!(hash01(h) < rate, (h >> 11) < t, "rate {rate}, i {i}");
-            }
         }
     }
 }

@@ -1,8 +1,9 @@
-//! Content hashing for transcript framing (FNV-1a, 64-bit).
+//! Content hashing for transcript framing (FNV-1a, 64-bit), plus the
+//! SplitMix64 draws behind the seeded per-cell populations.
 //!
-//! The same construction the fleet journal uses: cheap, dependency-free, and
-//! good enough to detect torn or corrupted records — these are integrity
-//! checks against accidents, not an adversary.
+//! The framing hash is the same construction the fleet journal uses: cheap,
+//! dependency-free, and good enough to detect torn or corrupted records —
+//! these are integrity checks against accidents, not an adversary.
 
 /// FNV-1a offset basis (64-bit).
 const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
@@ -28,6 +29,41 @@ pub(crate) fn mix64(mut z: u64) -> u64 {
     z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
     z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
     z ^ (z >> 31)
+}
+
+/// Maps a hash to a uniform float in `[0, 1)` (its top 53 bits).
+#[inline]
+pub(crate) fn hash01(h: u64) -> f64 {
+    (h >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
+}
+
+/// Exact integer form of the Bernoulli screen `hash01(h) < rate`: returns the
+/// unique `t` with `hash01(h) < rate  ⟺  (h >> 11) < t`.
+///
+/// `hash01` maps `k = h >> 11` (at most 53 bits) to `k · 2⁻⁵³`; every such
+/// value is exactly representable in an `f64` (53-bit mantissa, power-of-two
+/// scale), so the float comparison partitions the `k` axis at one integer
+/// boundary. The fixup loops locate that boundary starting from a truncation
+/// of `rate · 2⁵³`, letting samplers replace three float conversions and
+/// compares per cell with shift-and-compare on the raw hash words. The
+/// device's fault-map sampler and the mechanism stack both screen with it.
+pub fn unit_threshold(rate: f64) -> u64 {
+    const ONE: u64 = 1u64 << 53;
+    const INV: f64 = 1.0 / ONE as f64;
+    if rate.is_nan() || rate <= 0.0 {
+        return 0;
+    }
+    if rate >= 1.0 {
+        return ONE;
+    }
+    let mut t = ((rate * ONE as f64) as u64).min(ONE);
+    while t < ONE && (t as f64 * INV) < rate {
+        t += 1;
+    }
+    while t > 0 && ((t - 1) as f64 * INV) >= rate {
+        t -= 1;
+    }
+    t
 }
 
 /// Folds a word sequence into one hash (order-sensitive).
@@ -187,5 +223,42 @@ mod tests {
         assert_ne!(hash_words_iter_x8([1, 2]), hash_words_iter_x8([2, 1]));
         assert_ne!(hash_words_iter_x8([1, 2]), hash_words_iter_x8([1, 2, 0]));
         assert_ne!(hash_bytes_x8(b"ab"), hash_bytes_x8(b"ab\0"));
+    }
+
+    #[test]
+    fn unit_threshold_is_exact_boundary() {
+        let rates = [
+            0.0,
+            1.0,
+            2.0e-3,
+            4.0e-5,
+            1.5e-5,
+            0.12,
+            0.3,
+            0.5,
+            1.0e-9,
+            f64::NAN,
+            -0.5,
+            2.0,
+        ];
+        for rate in rates {
+            let t = unit_threshold(rate);
+            // The boundary property itself: k < t ⟺ hash01 value < rate.
+            for k in [t.wrapping_sub(2), t.wrapping_sub(1), t, t + 1] {
+                if k > (1u64 << 53) - 1 {
+                    continue;
+                }
+                let v = hash01(k << 11); // hash01 keeps exactly the top 53 bits
+                assert_eq!(v < rate, k < t, "rate {rate}, k {k}, t {t}");
+            }
+        }
+        // Exhaustive agreement on real hash outputs for the default rates.
+        for rate in [2.0e-3, 4.0e-5, 1.5e-5] {
+            let t = unit_threshold(rate);
+            for i in 0..50_000u64 {
+                let h = mix64(i);
+                assert_eq!(hash01(h) < rate, (h >> 11) < t, "rate {rate}, i {i}");
+            }
+        }
     }
 }

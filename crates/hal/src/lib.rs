@@ -54,6 +54,7 @@ pub use bits::RowBits;
 pub use engine::{RoundExecutor, RoundPlan};
 pub use error::DramError;
 pub use geometry::{BitAddr, ChipGeometry, RowId};
+pub use hash::unit_threshold;
 pub use inject::{FaultInjectingPort, InjectionConfig, MechanismInjectingPort};
 pub use loopback::LoopbackPort;
 pub use mechanism::{

@@ -40,7 +40,7 @@ use serde::{Deserialize, Serialize};
 use crate::bits::RowBits;
 use crate::error::DramError;
 use crate::geometry::{BitAddr, RowId};
-use crate::hash::{hash_words, mix64};
+use crate::hash::{hash01, hash_words, mix64, unit_threshold};
 use crate::port::{BitFlip, Flip, RowWrite};
 
 /// Aggregate row-open time one port-level row write represents, in
@@ -65,8 +65,9 @@ const TAG_SIDE: u64 = 3;
 const TAG_AGGRESSOR: u64 = 4;
 const TAG_ONSET: u64 = 5;
 
-/// Deterministic per-cell hash in one mechanism's domain.
-#[inline]
+/// Deterministic per-cell hash in one mechanism's domain: the definition
+/// every per-cell draw here must reproduce.
+#[cfg(test)]
 fn cell_hash(seed: u64, salt: u64, tag: u64, bank: u32, row: u32, col: u32) -> u64 {
     hash_words(&[
         mix64(seed ^ salt),
@@ -77,10 +78,30 @@ fn cell_hash(seed: u64, salt: u64, tag: u64, bank: u32, row: u32, col: u32) -> u
     ])
 }
 
-/// Maps a hash to a uniform float in `[0, 1)`.
-#[inline]
-fn hash01(h: u64) -> f64 {
-    (h >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
+/// One `(mechanism, tag)` stream over the cells of one row.
+///
+/// `cell_hash` folds `[mix64(seed ^ salt), tag, bank, row, col]`; the
+/// first four words are row-constant, so the stream folds them once and
+/// each column costs one `mix64` — bit-identical to `cell_hash`. The
+/// device's fault-map sampler hoists its `[seed, bank, row]` prefix the
+/// same way.
+#[derive(Clone, Copy)]
+struct RowStream(u64);
+
+impl RowStream {
+    fn new(seed: u64, salt: u64, tag: u64, bank: u32, row: u32) -> Self {
+        RowStream(hash_words(&[
+            mix64(seed ^ salt),
+            tag,
+            u64::from(bank),
+            u64::from(row),
+        ]))
+    }
+
+    #[inline]
+    fn at(self, col: u32) -> u64 {
+        mix64(self.0 ^ u64::from(col))
+    }
 }
 
 /// What a mechanism observes about one row-address neighbor of a written
@@ -152,11 +173,15 @@ pub trait FailureMechanism: fmt::Debug + Send + Sync {
 /// Susceptible columns for the `hash01 < rate` populations all three
 /// mechanisms here draw from.
 fn susceptible_cols(seed: u64, salt: u64, rate: f64, bank: u32, row: u32, cols: u32) -> Vec<u32> {
-    if rate <= 0.0 {
+    // `(h >> 11) < t` is exactly `hash01(h) < rate`; `t == 0` covers
+    // `rate <= 0` (and NaN), which can never pass.
+    let t = unit_threshold(rate);
+    if t == 0 {
         return Vec::new();
     }
+    let stream = RowStream::new(seed, salt, TAG_SUSCEPT, bank, row);
     (0..cols)
-        .filter(|&col| hash01(cell_hash(seed, salt, TAG_SUSCEPT, bank, row, col)) < rate)
+        .filter(|&col| (stream.at(col) >> 11) < t)
         .collect()
 }
 
@@ -170,13 +195,16 @@ fn disturb_flips(view: &RowView<'_>, seed: u64, salt: u64, rate: f64, dist: u32)
     let bank = view.row.bank;
     let row = view.row.row;
     let width = view.data.len() as u32;
+    let polarity = RowStream::new(seed, salt, TAG_POLARITY, bank, row);
+    let side = RowStream::new(seed, salt, TAG_SIDE, bank, row);
+    let aggressor_stream = RowStream::new(seed, salt, TAG_AGGRESSOR, bank, row);
     let mut out = Vec::new();
     for col in susceptible_cols(seed, salt, rate, bank, row, width) {
-        let charged = cell_hash(seed, salt, TAG_POLARITY, bank, row, col) & 1 == 1;
+        let charged = polarity.at(col) & 1 == 1;
         if view.data.get(col as usize) != charged {
             continue;
         }
-        let prefer_left = cell_hash(seed, salt, TAG_SIDE, bank, row, col) & 1 == 0;
+        let prefer_left = side.at(col) & 1 == 0;
         let left = col.checked_sub(dist);
         let right = (col.saturating_add(dist) < width).then(|| col + dist);
         let aggressor = if prefer_left {
@@ -185,7 +213,7 @@ fn disturb_flips(view: &RowView<'_>, seed: u64, salt: u64, rate: f64, dist: u32)
             right.or(left)
         };
         let Some(aggressor) = aggressor else { continue };
-        let aggravating = cell_hash(seed, salt, TAG_AGGRESSOR, bank, row, col) & 1 == 1;
+        let aggravating = aggressor_stream.at(col) & 1 == 1;
         if view.data.get(aggressor as usize) != aggravating {
             continue;
         }
@@ -345,14 +373,14 @@ impl FailureMechanism for DriftMechanism {
         let bank = view.row.bank;
         let row = view.row.row;
         let width = view.data.len() as u32;
+        let onset = RowStream::new(self.seed, SALT_DRIFT, TAG_ONSET, bank, row);
+        let polarity = RowStream::new(self.seed, SALT_DRIFT, TAG_POLARITY, bank, row);
         let mut out = Vec::new();
         for col in susceptible_cols(self.seed, SALT_DRIFT, self.rate, bank, row, width) {
-            let onset =
-                hash01(cell_hash(self.seed, SALT_DRIFT, TAG_ONSET, bank, row, col)) * self.period_s;
-            if view.elapsed_s < onset {
+            if view.elapsed_s < hash01(onset.at(col)) * self.period_s {
                 continue;
             }
-            let charged = cell_hash(self.seed, SALT_DRIFT, TAG_POLARITY, bank, row, col) & 1 == 1;
+            let charged = polarity.at(col) & 1 == 1;
             if view.data.get(col as usize) != charged {
                 continue;
             }
@@ -805,6 +833,36 @@ mod tests {
         let owned = view_writes(rows, 4096);
         let refs: Vec<(RowId, &RowBits)> = owned.iter().map(|(r, d)| (*r, d)).collect();
         unit_stack_flips(mechanisms, &refs, 0, round, elapsed_s)
+    }
+
+    #[test]
+    fn row_stream_matches_cell_hash_oracle() {
+        let tags = [
+            TAG_SUSCEPT,
+            TAG_POLARITY,
+            TAG_SIDE,
+            TAG_AGGRESSOR,
+            TAG_ONSET,
+        ];
+        let salts = [SALT_HAMMER, SALT_PRESS, SALT_DRIFT];
+        let mut z = 0x0123_4567_89ab_cdefu64;
+        let mut next = || {
+            z = mix64(z);
+            z
+        };
+        for _ in 0..2_000 {
+            let (seed, salt, tag) = (
+                next(),
+                salts[next() as usize % 3],
+                tags[next() as usize % 5],
+            );
+            let (bank, row, col) = (next() as u32, next() as u32, next() as u32);
+            assert_eq!(
+                RowStream::new(seed, salt, tag, bank, row).at(col),
+                cell_hash(seed, salt, tag, bank, row, col),
+                "seed {seed}, salt {salt:#x}, tag {tag}, bank {bank}, row {row}, col {col}"
+            );
+        }
     }
 
     #[test]
