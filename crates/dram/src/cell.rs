@@ -506,9 +506,8 @@ impl RowFaultMap {
     /// content at this margin shift.
     ///
     /// Coupling outcomes are pure in `(row data, margin shift)` — unlike the
-    /// marginal/VRT/soft kinds they do not depend on the round counter —
-    /// which is what makes them memoizable across repeated writes of the
-    /// same data. The shipped hot path is the compiled
+    /// marginal/VRT/soft kinds they do not depend on the round counter.
+    /// The shipped hot path is the compiled
     /// [`CouplingStencil`](crate::CouplingStencil); this per-entry loop is
     /// retained as its correctness oracle and benchmark baseline.
     pub fn coupling_fail_indices(&self, data: &RowBits, theta_shift: f64) -> Vec<u32> {

@@ -498,21 +498,17 @@ impl DramChip {
             if let Some(map) = eval.map {
                 self.install_fault_map(row, map);
             }
-            // A later install in this loop may already have evicted a
+            // An earlier install in this loop may have evicted this row's
             // cached map; a stencil is only kept alongside its map.
             if let Some(st) = eval.stencil.filter(|_| self.fault_maps.contains_key(&row)) {
                 self.stencils.insert(row, st);
             }
             flips.push(eval.flips);
         }
-        if unique.len() == rows.len() {
-            return Ok(flips.into_iter().flatten().collect());
-        }
-        let mut out = Vec::new();
-        for row in rows {
-            out.extend_from_slice(&flips[slot[row]]);
-        }
-        Ok(out)
+        Ok(rows
+            .iter()
+            .flat_map(|row| flips[slot[row]].iter().copied())
+            .collect())
     }
 
     /// Pure per-row evaluation: the row's flips, plus the fault map and

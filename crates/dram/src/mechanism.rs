@@ -10,7 +10,7 @@
 //! "what flips do you emit?" and "which cells *can* you fail?".
 //!
 //! The chip still evaluates coupling through its own cached fast path
-//! (fault maps, compiled stencils, memoized evaluations) — the trait's
+//! (fault maps, compiled stencils) — the trait's
 //! [`flips`](FailureMechanism::flips) here is the uncached reference route,
 //! used by harnesses that evaluate mechanisms standalone. Both routes build
 //! the same [`RowFaultMap`], so they agree bit for bit.
@@ -106,8 +106,7 @@ impl CouplingMechanism {
 
     /// Re-derives the margin shift for new operating conditions. Fault maps
     /// are shift-independent and stay valid; anything compiled against the
-    /// shift (stencils, memoized evaluations) must be invalidated by the
-    /// caller.
+    /// shift (stencils) must be invalidated by the caller.
     pub fn set_conditions(&mut self, temperature: Celsius, refresh_interval: Seconds) {
         self.theta_shift = theta_shift_for(&self.retention, temperature, refresh_interval);
     }

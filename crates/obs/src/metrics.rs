@@ -72,11 +72,15 @@ pub mod dram {
     pub const ROW_READS: &str = "dram.row_reads";
     /// Counter: row writes served.
     pub const ROW_WRITES: &str = "dram.row_writes";
-    /// Gauge: rows currently resident in the evaluation cache.
+    /// Gauge: rows resident in the chip's evaluation cache. The cache was
+    /// removed and nothing emits this name any more; it stays registered
+    /// only because the benchmark still reads it.
     pub const EVAL_CACHE: &str = "dram.eval_cache";
-    /// Counter: evaluation-cache hits.
+    /// Counter: evaluation-cache hits. No longer emitted (the cache was
+    /// removed); kept registered for the benchmark.
     pub const EVAL_CACHE_HITS: &str = "dram.eval_cache_hits";
-    /// Counter: evaluation-cache misses.
+    /// Counter: evaluation-cache misses. No longer emitted (the cache was
+    /// removed); kept registered for the benchmark.
     pub const EVAL_CACHE_MISSES: &str = "dram.eval_cache_misses";
     /// Gauge: fault maps currently cached.
     pub const FAULT_MAP_CACHE: &str = "dram.fault_map_cache";
