@@ -197,7 +197,7 @@ fn disturb_flips(view: &RowView<'_>, seed: u64, salt: u64, rate: f64, dist: u32)
     let width = view.data.len() as u32;
     let polarity = RowStream::new(seed, salt, TAG_POLARITY, bank, row);
     let side = RowStream::new(seed, salt, TAG_SIDE, bank, row);
-    let aggressor_stream = RowStream::new(seed, salt, TAG_AGGRESSOR, bank, row);
+    let aggravation = RowStream::new(seed, salt, TAG_AGGRESSOR, bank, row);
     let mut out = Vec::new();
     for col in susceptible_cols(seed, salt, rate, bank, row, width) {
         let charged = polarity.at(col) & 1 == 1;
@@ -213,7 +213,7 @@ fn disturb_flips(view: &RowView<'_>, seed: u64, salt: u64, rate: f64, dist: u32)
             right.or(left)
         };
         let Some(aggressor) = aggressor else { continue };
-        let aggravating = aggressor_stream.at(col) & 1 == 1;
+        let aggravating = aggravation.at(col) & 1 == 1;
         if view.data.get(aggressor as usize) != aggravating {
             continue;
         }
