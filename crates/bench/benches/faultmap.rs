@@ -135,7 +135,6 @@ fn bench_rowbits_words(c: &mut Criterion) {
     group.bench_function("diff_indices", |b| {
         b.iter(|| black_box(&a).diff_indices(black_box(&b2)).len())
     });
-    group.bench_function("content_hash", |b| b.iter(|| black_box(&a).content_hash()));
     group.finish();
 }
 

@@ -402,8 +402,8 @@ impl DramChip {
             let writes: Vec<(RowId, &RowBits)> =
                 rows.iter().map(|&row| (row, &self.rows[&row])).collect();
             // `advance_round` already ran: `round - 1` is this round's
-            // 0-based index, matching `MechanismInjectingPort`'s keying, and
-            // the elapsed clock lands at the round's end.
+            // 0-based index (the port's round clock before the round ran),
+            // and the elapsed clock lands at the round's end.
             unit_stack_flips(
                 &self.extras,
                 &writes,

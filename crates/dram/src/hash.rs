@@ -5,37 +5,17 @@
 //! function of a seed and the cell coordinates, computed with the SplitMix64
 //! finalizer. This keeps the device stateless and perfectly reproducible: two
 //! reads of the same cell in the same round observe the same world.
+//!
+//! The primitives (`mix64`, `hash_words`, `hash01`) live in
+//! `parbor_hal::hash`; this module only defines the device's per-cell
+//! streams on top of them.
 
-/// SplitMix64 finalizer: a high-quality 64-bit mixing function.
-#[inline]
-pub(crate) fn mix64(mut z: u64) -> u64 {
-    z = z.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^ (z >> 31)
-}
-
-/// Combine a sequence of words into one hash value.
-#[inline]
-pub(crate) fn hash_words(words: &[u64]) -> u64 {
-    let mut acc = 0x51ab_dead_beef_0001u64;
-    for &w in words {
-        acc = mix64(acc ^ w);
-    }
-    acc
-}
+pub(crate) use parbor_hal::hash::{hash01, hash_words, mix64};
 
 /// Hash of a cell coordinate plus a stream tag, as a `u64`.
 #[inline]
 pub(crate) fn cell_hash(seed: u64, bank: u64, row: u64, col: u64, tag: u64) -> u64 {
     hash_words(&[seed, bank, row, col, tag])
-}
-
-/// Hash mapped to the unit interval `[0, 1)`.
-#[inline]
-pub(crate) fn hash01(h: u64) -> f64 {
-    // 53 significant bits, like rand's standard float conversion.
-    (h >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
 }
 
 /// Convenience: unit-interval hash of a cell coordinate.
@@ -77,29 +57,6 @@ mod tests {
     use super::*;
 
     #[test]
-    fn mix64_is_deterministic() {
-        assert_eq!(mix64(42), mix64(42));
-        assert_ne!(mix64(42), mix64(43));
-    }
-
-    #[test]
-    fn hash01_in_unit_interval() {
-        for i in 0..10_000u64 {
-            let v = hash01(mix64(i));
-            assert!((0.0..1.0).contains(&v), "hash01({i}) = {v} out of range");
-        }
-    }
-
-    #[test]
-    fn hash01_roughly_uniform() {
-        // Mean of many draws should be close to 0.5.
-        let n = 100_000u64;
-        let sum: f64 = (0..n).map(|i| hash01(mix64(i))).sum();
-        let mean = sum / n as f64;
-        assert!((mean - 0.5).abs() < 0.01, "mean = {mean}");
-    }
-
-    #[test]
     fn cell_hash_varies_with_every_coordinate() {
         let base = cell_hash(1, 2, 3, 4, 5);
         assert_ne!(base, cell_hash(9, 2, 3, 4, 5));
@@ -107,11 +64,6 @@ mod tests {
         assert_ne!(base, cell_hash(1, 2, 9, 4, 5));
         assert_ne!(base, cell_hash(1, 2, 3, 9, 5));
         assert_ne!(base, cell_hash(1, 2, 3, 4, 9));
-    }
-
-    #[test]
-    fn hash_words_sensitive_to_order() {
-        assert_ne!(hash_words(&[1, 2]), hash_words(&[2, 1]));
     }
 
     #[test]

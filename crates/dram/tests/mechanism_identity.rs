@@ -6,15 +6,9 @@
 //! threshold zero) must keep reproducing them bit for bit.
 
 use parbor_dram::{ChipGeometry, DramModule, ModuleConfig, ModuleId, PatternKind, Vendor};
+use parbor_hal::hash::mix64;
 use parbor_hal::{MechanismSpec, ParallelMode, RowId, RowWrite, TestPort};
 use proptest::prelude::*;
-
-fn mix64(mut z: u64) -> u64 {
-    z = z.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^ (z >> 31)
-}
 
 /// Order-sensitive fold over every flip a scenario produces.
 fn fold(digest: u64, words: &[u64]) -> u64 {

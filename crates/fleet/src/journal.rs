@@ -21,11 +21,11 @@ use std::path::{Path, PathBuf};
 use serde::{Deserialize, Serialize};
 
 use parbor_core::ScanState;
+use parbor_hal::hash::fnv1a64;
 use parbor_obs::{metrics, RecorderHandle};
 
 use crate::job::ScanJob;
 use crate::FleetError;
-use parbor_store::fnv1a64;
 
 /// File magic: identifies a parbor-fleet WAL, version 1.
 pub const MAGIC: &[u8; 8] = b"PBFLTWA1";

@@ -49,7 +49,7 @@ pub use orchestrator::{
     Fleet, FleetConfig, FleetReport, JobReport, JobState, JobStatus, PortFactory, CRASH_EXIT_CODE,
 };
 pub use parbor_store::{
-    fnv1a64, format_hash, ProfileStore, SegmentMeta, StoreError, StoredProfile, STORE_VERSION,
+    format_hash, ProfileStore, SegmentMeta, StoreError, StoredProfile, STORE_VERSION,
 };
 
 use std::fmt;
@@ -135,6 +135,10 @@ impl From<StoreError> for FleetError {
             StoreError::Corrupt { path, detail } => FleetError::Corrupt { path, detail },
             StoreError::Serde(msg) => FleetError::Serde(msg),
             StoreError::InvalidConfig(msg) => FleetError::InvalidConfig(msg),
+            StoreError::RetiredLayout { path } => FleetError::Corrupt {
+                path,
+                detail: "retired v1 store layout (index.json + JSONL segments)".into(),
+            },
         }
     }
 }

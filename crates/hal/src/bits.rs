@@ -273,18 +273,6 @@ impl RowBits {
         &self.words
     }
 
-    /// A cheap 64-bit content fingerprint (FNV-1a over the packed words,
-    /// seeded with the length). Equal rows always hash equal; unequal rows
-    /// may collide, so callers keying caches on this must verify the full
-    /// content on a hit.
-    pub fn content_hash(&self) -> u64 {
-        let mut h = 0xcbf2_9ce4_8422_2325u64 ^ (self.len as u64);
-        for &w in &self.words {
-            h = (h ^ w).wrapping_mul(0x0000_0100_0000_01b3);
-        }
-        h
-    }
-
     fn mask_tail(&mut self) {
         let rem = self.len % 64;
         if rem != 0 {

@@ -37,6 +37,13 @@ pub enum DramError {
     /// A backend-specific failure (corrupt transcript, replay divergence,
     /// device I/O) that no structured variant covers.
     Backend(String),
+    /// A file in an on-disk format this build no longer reads.
+    RetiredFormat {
+        /// The file, formatted for humans.
+        path: String,
+        /// The retired format's magic.
+        magic: &'static str,
+    },
 }
 
 impl fmt::Display for DramError {
@@ -53,6 +60,10 @@ impl fmt::Display for DramError {
             }
             DramError::InvalidConfig(msg) => write!(f, "invalid configuration: {msg}"),
             DramError::Backend(msg) => write!(f, "backend failure: {msg}"),
+            DramError::RetiredFormat { path, magic } => write!(
+                f,
+                "{path} is a {magic} file, a retired format this build no longer reads"
+            ),
         }
     }
 }

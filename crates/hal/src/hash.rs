@@ -1,9 +1,14 @@
-//! Content hashing for transcript framing (FNV-1a, 64-bit), plus the
-//! SplitMix64 draws behind the seeded per-cell populations.
+//! The workspace's one home for hashing: FNV-1a (64-bit) for store segment
+//! frames, index shard routing and the fleet journal; the SplitMix64
+//! finalizer and its word fold behind every seeded per-cell draw (device
+//! fault maps, the mechanism stack, the fault injector, memsim's row
+//! classifier); and the eight-lane word hasher behind the binary transcript.
 //!
-//! The framing hash is the same construction the fleet journal uses: cheap,
-//! dependency-free, and good enough to detect torn or corrupted records —
-//! these are integrity checks against accidents, not an adversary.
+//! Every function here is frozen: on-disk checksums, content hashes and
+//! seeded populations are defined by these exact bit patterns, so a change
+//! to any of them is a format change, not a refactor. The checksums are
+//! integrity checks against accidents (torn writes, bit rot), not against
+//! an adversary.
 
 /// FNV-1a offset basis (64-bit).
 const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
@@ -11,7 +16,8 @@ const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
 
 /// FNV-1a hash of `bytes`.
-pub(crate) fn fnv1a64(bytes: &[u8]) -> u64 {
+#[inline]
+pub fn fnv1a64(bytes: &[u8]) -> u64 {
     let mut hash = FNV_OFFSET;
     for &b in bytes {
         hash ^= u64::from(b);
@@ -20,11 +26,10 @@ pub(crate) fn fnv1a64(bytes: &[u8]) -> u64 {
     hash
 }
 
-/// SplitMix64 finalizer: mixes per-round / per-row coordinates into RNG
-/// seeds for the fault injector. Stateless, so injections are independent of
-/// batching and scheduling.
+/// SplitMix64 finalizer: a stateless 64-bit mixer, so every draw keyed off
+/// it is independent of batching and scheduling.
 #[inline]
-pub(crate) fn mix64(mut z: u64) -> u64 {
+pub fn mix64(mut z: u64) -> u64 {
     z = z.wrapping_add(0x9e37_79b9_7f4a_7c15);
     z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
     z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
@@ -33,7 +38,7 @@ pub(crate) fn mix64(mut z: u64) -> u64 {
 
 /// Maps a hash to a uniform float in `[0, 1)` (its top 53 bits).
 #[inline]
-pub(crate) fn hash01(h: u64) -> f64 {
+pub fn hash01(h: u64) -> f64 {
     (h >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
 }
 
@@ -66,10 +71,13 @@ pub fn unit_threshold(rate: f64) -> u64 {
     t
 }
 
-/// Folds a word sequence into one hash (order-sensitive).
+/// Folds a word sequence into one hash (order-sensitive): `mix64` over
+/// the running accumulator xor each word.
 #[inline]
-pub(crate) fn hash_words(words: &[u64]) -> u64 {
-    hash_words_iter(words.iter().copied())
+pub fn hash_words(words: &[u64]) -> u64 {
+    words
+        .iter()
+        .fold(0x51ab_dead_beef_0001u64, |acc, &w| mix64(acc ^ w))
 }
 
 /// Streaming eight-lane word hasher: words go round-robin into eight
@@ -82,7 +90,7 @@ pub(crate) fn hash_words(words: &[u64]) -> u64 {
 /// runs near one word per cycle — hashing megabytes of row data costs a
 /// fraction of the serial fold. Integrity quality, not cryptographic — same
 /// threat model as the rest of this module. **Different value** from
-/// [`hash_words_iter`] — only for freshly defined formats (the binary
+/// [`hash_words`] — only for freshly defined formats (the binary
 /// transcript), never to re-frame data the serial hash already shipped in.
 pub(crate) struct LaneHasher {
     lanes: [u64; 8],
@@ -157,10 +165,11 @@ pub(crate) fn hash_words_iter_x8(words: impl IntoIterator<Item = u64>) -> u64 {
     h.finish()
 }
 
-/// [`LaneHasher`] over raw bytes: little-endian 8-byte words with a
-/// zero-padded tail. The final length fold makes padding unambiguous.
+/// The eight-lane word hasher over raw bytes: little-endian 8-byte words
+/// with a zero-padded tail. The final length fold makes padding
+/// unambiguous. The binary transcript's frame checksum.
 #[inline]
-pub(crate) fn hash_bytes_x8(bytes: &[u8]) -> u64 {
+pub fn hash_bytes_x8(bytes: &[u8]) -> u64 {
     let chunks = bytes.chunks_exact(8);
     let tail = chunks.remainder();
     let tail_word = (!tail.is_empty()).then(|| {
@@ -178,15 +187,6 @@ pub(crate) fn hash_bytes_x8(bytes: &[u8]) -> u64 {
     mix64(h.finish() ^ bytes.len() as u64)
 }
 
-/// Streaming form of [`hash_words`] for word sequences not worth collecting
-/// into a slice (e.g. a whole round's write set on the transcript hot path).
-#[inline]
-pub(crate) fn hash_words_iter(words: impl IntoIterator<Item = u64>) -> u64 {
-    words
-        .into_iter()
-        .fold(0x51ab_dead_beef_0001u64, |acc, w| mix64(acc ^ w))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -195,6 +195,26 @@ mod tests {
     fn fnv_matches_known_vectors() {
         assert_eq!(fnv1a64(b""), 0xcbf2_9ce4_8422_2325);
         assert_eq!(fnv1a64(b"a"), 0xaf63_dc4c_8601_ec8c);
+        assert_eq!(fnv1a64(b"foobar"), 0x8594_4171_f739_67e8);
+    }
+
+    #[test]
+    fn mix64_is_deterministic() {
+        assert_eq!(mix64(42), mix64(42));
+        assert_ne!(mix64(42), mix64(43));
+    }
+
+    #[test]
+    fn hash01_is_roughly_uniform_on_the_unit_interval() {
+        let n = 100_000u64;
+        let mut sum = 0.0;
+        for i in 0..n {
+            let v = hash01(mix64(i));
+            assert!((0.0..1.0).contains(&v), "hash01({i}) = {v} out of range");
+            sum += v;
+        }
+        let mean = sum / n as f64;
+        assert!((mean - 0.5).abs() < 0.01, "mean = {mean}");
     }
 
     #[test]

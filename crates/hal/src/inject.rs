@@ -22,9 +22,6 @@
 //! independent of batching, chip scheduling, and resume points
 //! (`fast_forward` keeps the schedule aligned).
 
-use std::sync::Arc;
-
-use parbor_obs::metrics;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -32,7 +29,6 @@ use crate::engine::RoundPlan;
 use crate::error::DramError;
 use crate::geometry::{BitAddr, ChipGeometry};
 use crate::hash::hash_words;
-use crate::mechanism::{FailureMechanism, MechanismSpec};
 use crate::port::{BitFlip, Flip, KernelMode, ParallelMode, RowWrite, TestPort};
 
 /// Domain-separation salts so the random draw, the weak-column choice, and
@@ -326,193 +322,6 @@ impl<P: TestPort> TestPort for FaultInjectingPort<P> {
     }
 }
 
-/// A [`TestPort`] decorator that layers a [`FailureMechanism`] stack over an
-/// inner port — the mechanism-backed sibling of [`FaultInjectingPort`].
-///
-/// Where the fault injector models *content-independent* nuisance failures,
-/// this decorator applies real mechanism models (RowHammer, RowPress,
-/// retention drift) to the round's write set, so replayed transcripts,
-/// loopback substrates, and fleet runs compose with the same mechanism
-/// matrix the simulator chips support natively.
-///
-/// Mechanism flips are keyed off the inner round clock *before* each round
-/// executes, exactly like injection, so batched rounds, serial rounds, and
-/// `fast_forward`-resumed rounds produce identical results.
-///
-/// # Examples
-///
-/// ```
-/// use parbor_hal::{
-///     ChipGeometry, LoopbackPort, MechanismInjectingPort, MechanismSpec, RowBits, RowId,
-///     RowWrite, TestPort,
-/// };
-///
-/// # fn main() -> Result<(), parbor_hal::DramError> {
-/// let specs = MechanismSpec::parse_stack("hammer=rate:0.05,seed:3")?;
-/// let inner = LoopbackPort::new(ChipGeometry::tiny(), 1);
-/// let mut port = MechanismInjectingPort::from_specs(inner, &specs, 4.0);
-/// let writes: Vec<RowWrite> = (0..8)
-///     .map(|r| RowWrite {
-///         unit: 0,
-///         row: RowId::new(0, r),
-///         data: RowBits::ones(1024),
-///     })
-///     .collect();
-/// let flips = port.run_round(writes)?;
-/// assert_eq!(port.injected_flips(), flips.len() as u64);
-/// # Ok(())
-/// # }
-/// ```
-#[derive(Debug)]
-pub struct MechanismInjectingPort<P> {
-    inner: P,
-    mechanisms: Vec<Arc<dyn FailureMechanism>>,
-    refresh_s: f64,
-    injected: u64,
-    rec: parbor_obs::RecorderHandle,
-}
-
-impl<P: TestPort> MechanismInjectingPort<P> {
-    /// Wraps `inner` with a mechanism stack, using `refresh_s` seconds per
-    /// round to derive elapsed retention time.
-    pub fn new(inner: P, mechanisms: Vec<Arc<dyn FailureMechanism>>, refresh_s: f64) -> Self {
-        MechanismInjectingPort {
-            inner,
-            mechanisms,
-            refresh_s,
-            injected: 0,
-            rec: parbor_obs::RecorderHandle::null(),
-        }
-    }
-
-    /// Builds the stack from specs (see [`MechanismSpec::parse_stack`]).
-    pub fn from_specs(inner: P, specs: &[MechanismSpec], refresh_s: f64) -> Self {
-        Self::new(inner, MechanismSpec::build_stack(specs), refresh_s)
-    }
-
-    /// Total mechanism flips merged so far (after deduplication against the
-    /// inner port's genuine flips).
-    pub fn injected_flips(&self) -> u64 {
-        self.injected
-    }
-
-    /// The installed mechanism stack, in composition order.
-    pub fn mechanisms(&self) -> &[Arc<dyn FailureMechanism>] {
-        &self.mechanisms
-    }
-
-    /// The wrapped port.
-    pub fn inner(&self) -> &P {
-        &self.inner
-    }
-
-    /// Consumes the decorator, returning the wrapped port.
-    pub fn into_inner(self) -> P {
-        self.inner
-    }
-
-    fn mechanism_flips_for(&self, round: u64, writes: &[RowWrite]) -> Vec<Flip> {
-        crate::mechanism::stack_flips(
-            &self.mechanisms,
-            writes,
-            round,
-            (round + 1) as f64 * self.refresh_s,
-        )
-    }
-
-    /// Merges genuine flips (first) with mechanism flips, dropping mechanism
-    /// flips that duplicate a genuine failure at the same bit.
-    fn merge(&mut self, genuine: Vec<Flip>, extra: Vec<Flip>) -> Vec<Flip> {
-        let mut out = genuine;
-        let mut added = 0u64;
-        let mut suppressed = 0u64;
-        for flip in extra {
-            if out
-                .iter()
-                .any(|g| g.unit == flip.unit && g.flip.addr == flip.flip.addr)
-            {
-                suppressed += 1;
-            } else {
-                out.push(flip);
-                added += 1;
-            }
-        }
-        self.injected += added;
-        if added > 0 {
-            self.rec.incr(metrics::mech::FLIPS, added);
-        }
-        if suppressed > 0 {
-            self.rec.incr(metrics::mech::SUPPRESSED, suppressed);
-        }
-        out
-    }
-}
-
-impl<P: TestPort> TestPort for MechanismInjectingPort<P> {
-    fn geometry(&self) -> ChipGeometry {
-        self.inner.geometry()
-    }
-
-    fn units(&self) -> u32 {
-        self.inner.units()
-    }
-
-    fn run_round(&mut self, writes: Vec<RowWrite>) -> Result<Vec<Flip>, DramError> {
-        let round = self.inner.rounds_run();
-        let extra = self.mechanism_flips_for(round, &writes);
-        if !self.mechanisms.is_empty() {
-            self.rec.incr(metrics::mech::ROUNDS, 1);
-        }
-        let genuine = self.inner.run_round(writes)?;
-        Ok(self.merge(genuine, extra))
-    }
-
-    fn run_rounds(&mut self, plans: Vec<RoundPlan>) -> Result<Vec<Vec<Flip>>, DramError> {
-        // Like injection, mechanism flips are indexed off the inner round
-        // clock before the batch, so batched == serial.
-        let base = self.inner.rounds_run();
-        let extra: Vec<Vec<Flip>> = plans
-            .iter()
-            .enumerate()
-            .map(|(i, plan)| self.mechanism_flips_for(base + i as u64, plan.writes()))
-            .collect();
-        if !self.mechanisms.is_empty() {
-            self.rec.incr(metrics::mech::ROUNDS, plans.len() as u64);
-        }
-        let genuine = self.inner.run_rounds(plans)?;
-        Ok(genuine
-            .into_iter()
-            .zip(extra)
-            .map(|(g, e)| self.merge(g, e))
-            .collect())
-    }
-
-    fn rounds_run(&self) -> u64 {
-        self.inner.rounds_run()
-    }
-
-    fn fast_forward(&mut self, rounds: u64) {
-        self.inner.fast_forward(rounds);
-    }
-
-    fn set_parallel_mode(&mut self, mode: ParallelMode) {
-        self.inner.set_parallel_mode(mode);
-    }
-
-    fn set_kernel_mode(&mut self, mode: KernelMode) {
-        self.inner.set_kernel_mode(mode);
-    }
-
-    fn set_recorder(&mut self, rec: parbor_obs::RecorderHandle) {
-        self.rec = rec.clone();
-        self.inner.set_recorder(rec);
-    }
-
-    fn set_arena(&mut self, arena: crate::arena::RoundArena) {
-        self.inner.set_arena(arena);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -622,66 +431,5 @@ mod tests {
             .unwrap();
         assert!(!flips.is_empty());
         assert!(flips.iter().all(|f| f.flip.expected));
-    }
-
-    fn mech_port(spec: &str) -> MechanismInjectingPort<LoopbackPort> {
-        MechanismInjectingPort::from_specs(
-            LoopbackPort::new(ChipGeometry::tiny(), 1),
-            &MechanismSpec::parse_stack(spec).unwrap(),
-            4.0,
-        )
-    }
-
-    fn solid_writes(rows: u32) -> Vec<RowWrite> {
-        (0..rows)
-            .map(|r| RowWrite {
-                unit: 0,
-                row: RowId::new(0, r),
-                data: RowBits::ones(1024),
-            })
-            .collect()
-    }
-
-    #[test]
-    fn mechanism_port_empty_stack_is_transparent() {
-        let mut port = mech_port("");
-        for _ in 0..8 {
-            assert!(port.run_round(solid_writes(8)).unwrap().is_empty());
-        }
-        assert_eq!(port.injected_flips(), 0);
-        assert!(port.mechanisms().is_empty());
-    }
-
-    #[test]
-    fn mechanism_port_batched_and_serial_agree() {
-        let spec = "hammer=rate:0.05,seed:3;drift=rate:0.02,seed:4";
-        let plans: Vec<RoundPlan> = (0..12)
-            .map(|_| RoundPlan::from_writes(solid_writes(8)))
-            .collect();
-        let mut batched = mech_port(spec);
-        let got_batched = batched.run_rounds(plans.clone()).unwrap();
-        let mut serial = mech_port(spec);
-        let got_serial: Vec<Vec<Flip>> = plans
-            .into_iter()
-            .map(|p| serial.run_round(p.into_writes()).unwrap())
-            .collect();
-        assert_eq!(got_batched, got_serial);
-        assert!(batched.injected_flips() > 0);
-        assert_eq!(batched.injected_flips(), serial.injected_flips());
-    }
-
-    #[test]
-    fn mechanism_port_fast_forward_keeps_drift_clock_aligned() {
-        let spec = "drift=rate:0.02,period:60,seed:9";
-        let mut full = mech_port(spec);
-        let mut all = Vec::new();
-        for _ in 0..10 {
-            all.push(full.run_round(solid_writes(4)).unwrap());
-        }
-        let mut resumed = mech_port(spec);
-        resumed.fast_forward(6);
-        for expected in &all[6..] {
-            assert_eq!(&resumed.run_round(solid_writes(4)).unwrap(), expected);
-        }
     }
 }

@@ -21,16 +21,20 @@
 //!     intermittent bit flips (the paper's "random failure" adversary the
 //!     filtering stage must reject);
 //!   * [`RecordingPort`] — captures every round (writes digest + observed
-//!     flips) into a length+checksum-framed JSONL transcript;
+//!     flips) into a length+checksum-framed binary transcript;
 //!   * [`ReplayPort`] — replays a transcript bit-identically, no simulator
 //!     required (the hook for replaying real-hardware captures).
 //! * [`LoopbackPort`] — a trivial perfect-memory backend for tests and as a
 //!   flip-free substrate under the fault injector.
+//! * The workspace's codec primitives, one copy each: [`hash`] (FNV-1a,
+//!   the SplitMix64 finalizer and word folds, the eight-lane hasher),
+//!   [`varint`] (LEB128 + zigzag) and [`frame`] (the
+//!   `[u32 len][u64 checksum][payload]` record frame).
 //!
 //! ```text
 //! pipeline ─▶ RoundExecutor ─▶ RecordingPort ─▶ FaultInjectingPort ─▶ sim
 //!                                   │
-//!                                   ▼ transcript.jsonl
+//!                                   ▼ transcript.pbt
 //!                              ReplayPort  (later, without the sim)
 //! ```
 
@@ -41,13 +45,15 @@ mod arena;
 mod bits;
 mod engine;
 mod error;
+pub mod frame;
 mod geometry;
-mod hash;
+pub mod hash;
 mod inject;
 mod loopback;
 mod mechanism;
 mod port;
 mod transcript;
+pub mod varint;
 
 pub use arena::RoundArena;
 pub use bits::RowBits;
@@ -55,14 +61,13 @@ pub use engine::{RoundExecutor, RoundPlan};
 pub use error::DramError;
 pub use geometry::{BitAddr, ChipGeometry, RowId};
 pub use hash::unit_threshold;
-pub use inject::{FaultInjectingPort, InjectionConfig, MechanismInjectingPort};
+pub use inject::{FaultInjectingPort, InjectionConfig};
 pub use loopback::LoopbackPort;
 pub use mechanism::{
-    stack_flips, unit_stack_flips, DriftMechanism, FailureMechanism, HammerMechanism,
-    MechanismSpec, NeighborView, PressMechanism, RowView, ROW_OPEN_NS_PER_ACT,
+    unit_stack_flips, DriftMechanism, FailureMechanism, HammerMechanism, MechanismSpec,
+    NeighborView, PressMechanism, RowView, ROW_OPEN_NS_PER_ACT,
 };
 pub use port::{BitFlip, Flip, KernelMode, ParallelMode, RowWrite, TestPort};
 pub use transcript::{
-    RecordingPort, ReplayPort, TranscriptFormat, TranscriptInfo, TRANSCRIPT_MAGIC,
-    TRANSCRIPT_MAGIC_BINARY,
+    RecordingPort, ReplayPort, TranscriptInfo, TranscriptRound, TRANSCRIPT_MAGIC,
 };

@@ -22,9 +22,9 @@
 //!
 //! The simulator's bitline-coupling model is the fourth implementation
 //! (`parbor_dram::CouplingMechanism`); it stays the *base* model inside the
-//! device, while a stack of extras composes on top — installed on a chip
-//! (`DramChip::set_mechanisms`) or wrapped around any port
-//! ([`MechanismInjectingPort`](crate::MechanismInjectingPort)).
+//! device, while a stack of extras composes on top, installed on a chip
+//! (`DramChip::set_mechanisms`) and applied there at one point through
+//! [`unit_stack_flips`].
 //!
 //! Everything is a pure hash of `(mechanism seed, bank, row, column)` plus
 //! the observed round state, so a stack's flips are independent of batching,
@@ -41,7 +41,7 @@ use crate::bits::RowBits;
 use crate::error::DramError;
 use crate::geometry::{BitAddr, RowId};
 use crate::hash::{hash01, hash_words, mix64, unit_threshold};
-use crate::port::{BitFlip, Flip, RowWrite};
+use crate::port::BitFlip;
 
 /// Aggregate row-open time one port-level row write represents, in
 /// nanoseconds.
@@ -778,34 +778,6 @@ pub fn unit_stack_flips(
     out
 }
 
-/// Applies a mechanism stack to a whole port round (all units), returning
-/// flips in ascending unit order.
-pub fn stack_flips(
-    mechanisms: &[Arc<dyn FailureMechanism>],
-    writes: &[RowWrite],
-    round: u64,
-    elapsed_s: f64,
-) -> Vec<Flip> {
-    if mechanisms.is_empty() || writes.is_empty() {
-        return Vec::new();
-    }
-    let mut per_unit: HashMap<u32, Vec<(RowId, &RowBits)>> = HashMap::new();
-    for w in writes {
-        per_unit.entry(w.unit).or_default().push((w.row, &w.data));
-    }
-    let mut units: Vec<u32> = per_unit.keys().copied().collect();
-    units.sort_unstable();
-    let mut out = Vec::new();
-    for unit in units {
-        out.extend(
-            unit_stack_flips(mechanisms, &per_unit[&unit], unit, round, elapsed_s)
-                .into_iter()
-                .map(|flip| Flip { unit, flip }),
-        );
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1032,28 +1004,5 @@ mod tests {
         let single = run_stack(&[Arc::clone(&mech)], 16, 1, 4.0);
         let doubled = run_stack(&[Arc::clone(&mech), mech], 16, 1, 4.0);
         assert_eq!(single, doubled);
-    }
-
-    #[test]
-    fn port_stack_flips_cover_all_units() {
-        let mech: Arc<dyn FailureMechanism> = Arc::new(HammerMechanism {
-            rate: 0.05,
-            ..HammerMechanism::default()
-        });
-        let mut writes = Vec::new();
-        for unit in [1u32, 0] {
-            for (row, data) in view_writes(16, 4096) {
-                writes.push(RowWrite { unit, row, data });
-            }
-        }
-        let flips = stack_flips(&[mech], &writes, 1, 4.0);
-        assert!(!flips.is_empty());
-        // Ascending unit order regardless of write order.
-        let units: Vec<u32> = flips.iter().map(|f| f.unit).collect();
-        let mut sorted = units.clone();
-        sorted.sort_unstable();
-        assert_eq!(units, sorted);
-        assert!(flips.iter().any(|f| f.unit == 0));
-        assert!(flips.iter().any(|f| f.unit == 1));
     }
 }

@@ -1,5 +1,5 @@
-//! Record/replay port decorators: round transcripts as framed JSONL or a
-//! compact framed binary stream.
+//! Record/replay port decorators: round transcripts as a compact framed
+//! binary stream.
 //!
 //! [`RecordingPort`] wraps any inner [`TestPort`] and captures every round —
 //! a digest of what was written plus the exact flips observed — into a
@@ -11,287 +11,122 @@
 //! real-hardware backend would use to make a one-shot physical capture
 //! endlessly re-analyzable.
 //!
-//! # On-disk formats
+//! # On-disk format
 //!
-//! Two formats carry identical information and replay identically; the
-//! replay port auto-detects which one it was handed. The recording side
-//! picks via [`TranscriptFormat`].
-//!
-//! **JSONL** ([`TranscriptFormat::Json`], magic [`TRANSCRIPT_MAGIC`]): a
-//! text file of one framed JSON record per line, in the fleet journal's
-//! defend-the-tail style but line-oriented so transcripts stay `grep`-able:
-//!
-//! ```text
-//! <len>:<fnv64 hex>:<json>\n
-//! ```
-//!
-//! `len` is the byte length of `<json>`, the checksum is FNV-1a64 of the
-//! same bytes. The first record is a header carrying [`TRANSCRIPT_MAGIC`],
-//! the format version, and the port shape (units + per-unit geometry); every
-//! later record is one round with its write-set digest and flips.
-//!
-//! **Binary** ([`TranscriptFormat::Binary`], magic
-//! [`TRANSCRIPT_MAGIC_BINARY`]): the hot-path format — JSON flip
-//! serialization dominates recording cost, so the binary form packs the
-//! same records tightly. The file starts with the 8 magic bytes
-//! `PBHALTB1`, then a sequence of framed records:
+//! The file starts with the 8 magic bytes [`TRANSCRIPT_MAGIC`]
+//! (`PBHALTB1`), then a sequence of records in the shared
+//! [`frame`](crate::frame) layout:
 //!
 //! ```text
 //! [len: u32 LE] [checksum(payload): u64 LE] [payload: len bytes]
 //! ```
 //!
-//! The checksum is the eight-lane word fold (see `hash_bytes_x8`), not
-//! byte-wise FNV: the binary format exists to get transcript cost out of
-//! the round hot path, and a serial byte hash would put a dependency chain
-//! right back in. The same reasoning gives the binary format an eight-lane
-//! write-set digest, where the JSONL format keeps the serial fold it
-//! shipped with — each format verifies with the hash it was defined with.
+//! The checksum is the eight-lane word fold
+//! ([`hash_bytes_x8`](crate::hash::hash_bytes_x8)), not byte-wise FNV: a
+//! serial byte hash would put a dependency chain back on the round hot
+//! path. The write-set digest is eight-lane for the same reason.
 //!
 //! The header payload is LEB128 varints `version, units, banks,
 //! rows_per_bank, cols_per_row`. Each round payload is `writes` (varint),
 //! the raw 8-byte write-set digest (u64 LE), `flip_count` (varint), then
 //! per flip the varints `unit, bank, row, col << 1 | expected` — the
 //! expected bit rides in the column's low bit so a typical flip costs a
-//! handful of bytes instead of a JSON object. Both formats flush every
-//! record, so a transcript is valid up to the last completed round even if
-//! the recording process dies.
+//! handful of bytes. Every record is flushed, so a transcript is valid up to
+//! the last completed round even if the recording process dies.
+//!
+//! The original JSONL format (`PBHALTR1`) is retired: opening one fails
+//! with [`DramError::RetiredFormat`]. `parbor transcript dump` is the
+//! human-readable view.
 
 use std::fs::File;
 use std::io::{BufWriter, Write};
 use std::path::{Path, PathBuf};
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 use crate::engine::RoundPlan;
 use crate::error::DramError;
+use crate::frame;
 use crate::geometry::ChipGeometry;
-use crate::hash::{fnv1a64, hash_bytes_x8, hash_words_iter, LaneHasher};
+use crate::hash::{hash_bytes_x8, LaneHasher};
 use crate::port::{Flip, KernelMode, ParallelMode, RowWrite, TestPort};
+use crate::varint;
 
-/// Magic string identifying a parbor-hal JSONL round transcript, format
-/// version 1.
-pub const TRANSCRIPT_MAGIC: &str = "PBHALTR1";
+/// Magic bytes opening a parbor-hal round transcript, format version 1.
+pub const TRANSCRIPT_MAGIC: &[u8; 8] = b"PBHALTB1";
 
-/// Magic bytes opening a parbor-hal *binary* round transcript, format
-/// version 1. The replay port auto-detects the format from these first
-/// eight bytes.
-pub const TRANSCRIPT_MAGIC_BINARY: &[u8; 8] = b"PBHALTB1";
+/// Magic of the retired JSONL transcript format. Only recognized, so that
+/// opening an old capture names the format instead of failing as garbage.
+const RETIRED_JSONL_MAGIC: &[u8; 8] = b"PBHALTR1";
 
 /// Current transcript format version.
 const TRANSCRIPT_VERSION: u32 = 1;
 
-/// Which on-disk encoding a [`RecordingPort`] writes. See the
-/// module docs for both layouts; replay auto-detects, so the choice
-/// only affects transcript size and recording cost.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash)]
-pub enum TranscriptFormat {
-    /// Framed JSONL (`grep`-able, the original format and the default).
-    #[default]
-    Json,
-    /// Framed varint-packed binary (compact, cheap to write).
-    Binary,
-}
-
-impl std::str::FromStr for TranscriptFormat {
-    type Err = DramError;
-
-    fn from_str(s: &str) -> Result<Self, Self::Err> {
-        match s {
-            "json" => Ok(TranscriptFormat::Json),
-            "binary" => Ok(TranscriptFormat::Binary),
-            _ => Err(DramError::InvalidConfig(format!(
-                "unknown transcript format {s:?} (expected json|binary)"
-            ))),
-        }
-    }
-}
-
-impl std::fmt::Display for TranscriptFormat {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(match self {
-            TranscriptFormat::Json => "json",
-            TranscriptFormat::Binary => "binary",
-        })
-    }
-}
-
-impl TranscriptFormat {
-    /// Conventional file extension for transcripts in this format. Purely a
-    /// naming convention — [`ReplayPort::open`] ignores the extension and
-    /// sniffs the leading magic bytes instead.
-    pub fn extension(&self) -> &'static str {
-        match self {
-            TranscriptFormat::Json => "jsonl",
-            TranscriptFormat::Binary => "pbt",
-        }
-    }
-}
-
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-struct HeaderRecord {
-    magic: String,
-    version: u32,
-    units: u32,
-    geometry: ChipGeometry,
-}
-
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-struct RoundRecord {
-    /// Number of row writes issued this round.
-    writes: u64,
-    /// Digest of the full write set (`mix64:…`), see [`digest_writes_for`].
-    writes_digest: String,
-    /// Every flip the inner port reported, in report order.
-    flips: Vec<Flip>,
-}
-
-/// The word stream the JSON format's write-set digest covers: for each write
-/// in issue order, the unit/bank/row coordinates, the bit length, then every
-/// row word. All row *content* is covered, so replay catches any divergence
-/// in what the pipeline writes, not just where. (The binary format samples
-/// content instead — see [`digest_writes_for`].)
-fn digest_stream(writes: &[RowWrite]) -> impl Iterator<Item = u64> + '_ {
-    writes.iter().flat_map(|w| {
-        [
-            (u64::from(w.unit) << 32) | u64::from(w.row.bank),
-            u64::from(w.row.row),
-            w.data.len() as u64,
-        ]
-        .into_iter()
-        .chain(w.data.words().iter().copied())
-    })
-}
-
-/// Words per sampled content group in the binary digest: one 64-byte cache
-/// line's worth, hashed whole because loading any word of a line pays for
-/// all eight.
+/// Words per sampled content group in the digest: one 64-byte cache line's
+/// worth, hashed whole because loading any word of a line pays for all
+/// eight.
 const DIGEST_GROUP_WORDS: usize = 8;
 
 /// Stride between sampled groups, in words: every fourth cache line of row
 /// data. The digest's cost is memory traffic, not hashing — streaming every
 /// word re-reads the whole round's row data (~13 MB/run on the bench
-/// workload) and was the bulk of the binary record overhead, so the binary
-/// format samples content instead of exhaustively folding it.
+/// workload), so the digest samples content instead of exhaustively folding
+/// it.
 const DIGEST_SAMPLE_STRIDE_WORDS: usize = 32;
 
-/// Canonical write-set digest of a round, per format.
+/// Canonical write-set digest of a round.
 ///
-/// JSON keeps the serial word fold over [`digest_stream`] the format shipped
-/// with: every coordinate and every content word.
-///
-/// The binary format — defined together with this function — folds the same
-/// coordinates, lengths, and write count exactly, but *samples* row content:
-/// one cache-line-sized word group per [`DIGEST_SAMPLE_STRIDE_WORDS`], plus
-/// the row's final group. Rows up to 256 bits are still covered in full.
-/// Plan-level divergence (different rows, counts, or lengths — what a wrong
-/// config or code path actually produces) is caught exactly; a content
-/// mismatch is caught when it touches a sampled line, which includes every
-/// row's first and last line. Exhaustive content coverage remains available
-/// by recording JSONL. Recording and replay agree because both key off the
-/// transcript's format.
-fn digest_writes_for(format: TranscriptFormat, writes: &[RowWrite]) -> u64 {
-    match format {
-        TranscriptFormat::Json => hash_words_iter(digest_stream(writes)),
-        TranscriptFormat::Binary => {
-            let mut h = LaneHasher::new();
-            for w in writes {
-                h.push((u64::from(w.unit) << 32) | u64::from(w.row.bank));
-                h.push(u64::from(w.row.row));
-                h.push(w.data.len() as u64);
-                let words = w.data.words();
-                let mut i = 0;
-                while i < words.len() {
-                    h.extend_slice(&words[i..(i + DIGEST_GROUP_WORDS).min(words.len())]);
-                    i += DIGEST_SAMPLE_STRIDE_WORDS;
-                }
-                if !words.is_empty() {
-                    let tail = (words.len() - 1) / DIGEST_GROUP_WORDS * DIGEST_GROUP_WORDS;
-                    if !tail.is_multiple_of(DIGEST_SAMPLE_STRIDE_WORDS) {
-                        h.extend_slice(&words[tail..]);
-                    }
-                }
+/// Folds every write's coordinates and length, and the write count,
+/// exactly, but *samples* row content: one cache-line-sized word group per
+/// [`DIGEST_SAMPLE_STRIDE_WORDS`], plus the row's final group. Rows up to
+/// 256 bits are still covered in full. Plan-level divergence (different
+/// rows, counts, or lengths — what a wrong config or code path actually
+/// produces) is caught exactly; a content mismatch is caught when it touches
+/// a sampled line, which includes every row's first and last line.
+fn digest_writes(writes: &[RowWrite]) -> u64 {
+    let mut h = LaneHasher::new();
+    for w in writes {
+        h.push((u64::from(w.unit) << 32) | u64::from(w.row.bank));
+        h.push(u64::from(w.row.row));
+        h.push(w.data.len() as u64);
+        let words = w.data.words();
+        let mut i = 0;
+        while i < words.len() {
+            h.extend_slice(&words[i..(i + DIGEST_GROUP_WORDS).min(words.len())]);
+            i += DIGEST_SAMPLE_STRIDE_WORDS;
+        }
+        if !words.is_empty() {
+            let tail = (words.len() - 1) / DIGEST_GROUP_WORDS * DIGEST_GROUP_WORDS;
+            if !tail.is_multiple_of(DIGEST_SAMPLE_STRIDE_WORDS) {
+                h.extend_slice(&words[tail..]);
             }
-            h.finish()
         }
     }
+    h.finish()
 }
 
-/// The JSON rendering of a write-set digest (`mix64:<16 hex digits>`); the
-/// binary format stores the raw `u64` instead.
-fn format_digest(digest: u64) -> String {
-    format!("mix64:{digest:016x}")
-}
-
-/// Parses [`format_digest`]'s rendering back to the raw `u64`.
-fn parse_digest(s: &str) -> Option<u64> {
-    u64::from_str_radix(s.strip_prefix("mix64:")?, 16).ok()
-}
-
-fn frame(json: &str) -> String {
-    format!("{}:{:016x}:{json}\n", json.len(), fnv1a64(json.as_bytes()))
-}
-
-/// Appends `v` to `buf` as an LEB128 varint (7 value bits per byte, high
-/// bit marks continuation).
-fn put_varint(buf: &mut Vec<u8>, mut v: u64) {
-    while v >= 0x80 {
-        buf.push((v as u8) | 0x80);
-        v >>= 7;
-    }
-    buf.push(v as u8);
-}
-
-/// Reads one LEB128 varint at `*pos`, advancing it. `None` on truncation
-/// or a varint longer than a `u64`.
-fn get_varint(bytes: &[u8], pos: &mut usize) -> Option<u64> {
-    let mut v = 0u64;
-    let mut shift = 0u32;
-    loop {
-        let b = *bytes.get(*pos)?;
-        *pos += 1;
-        if shift >= 64 || (shift == 63 && b > 1) {
-            return None;
-        }
-        v |= u64::from(b & 0x7f) << shift;
-        if b & 0x80 == 0 {
-            return Some(v);
-        }
-        shift += 7;
-    }
-}
-
-/// Frames one binary record: `u32` LE payload length, `u64` LE four-lane
-/// checksum ([`hash_bytes_x8`]) of the payload, then the payload.
-fn frame_binary(payload: &[u8]) -> Vec<u8> {
-    let mut out = Vec::with_capacity(12 + payload.len());
-    out.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-    out.extend_from_slice(&hash_bytes_x8(payload).to_le_bytes());
-    out.extend_from_slice(payload);
-    out
-}
-
-fn encode_header_binary(units: u32, geometry: ChipGeometry) -> Vec<u8> {
+fn encode_header(units: u32, geometry: ChipGeometry) -> Vec<u8> {
     let mut payload = Vec::with_capacity(16);
-    put_varint(&mut payload, u64::from(TRANSCRIPT_VERSION));
-    put_varint(&mut payload, u64::from(units));
-    put_varint(&mut payload, u64::from(geometry.banks));
-    put_varint(&mut payload, u64::from(geometry.rows_per_bank));
-    put_varint(&mut payload, u64::from(geometry.cols_per_row));
+    varint::put(&mut payload, u64::from(TRANSCRIPT_VERSION));
+    varint::put(&mut payload, u64::from(units));
+    varint::put(&mut payload, u64::from(geometry.banks));
+    varint::put(&mut payload, u64::from(geometry.rows_per_bank));
+    varint::put(&mut payload, u64::from(geometry.cols_per_row));
     payload
 }
 
-fn encode_round_binary(n_writes: u64, digest: u64, flips: &[Flip]) -> Vec<u8> {
+fn encode_round(n_writes: u64, digest: u64, flips: &[Flip]) -> Vec<u8> {
     // Varints straight off the flip slice: no intermediate allocation, no
     // serde — this is the recording hot path.
     let mut payload = Vec::with_capacity(18 + flips.len() * 8);
-    put_varint(&mut payload, n_writes);
+    varint::put(&mut payload, n_writes);
     payload.extend_from_slice(&digest.to_le_bytes());
-    put_varint(&mut payload, flips.len() as u64);
+    varint::put(&mut payload, flips.len() as u64);
     for f in flips {
-        put_varint(&mut payload, u64::from(f.unit));
-        put_varint(&mut payload, u64::from(f.flip.addr.bank));
-        put_varint(&mut payload, u64::from(f.flip.addr.row));
-        put_varint(
+        varint::put(&mut payload, u64::from(f.unit));
+        varint::put(&mut payload, u64::from(f.flip.addr.bank));
+        varint::put(&mut payload, u64::from(f.flip.addr.row));
+        varint::put(
             &mut payload,
             (u64::from(f.flip.addr.col) << 1) | u64::from(f.flip.expected),
         );
@@ -303,9 +138,9 @@ fn io_err(path: &Path, what: &str, e: impl std::fmt::Display) -> DramError {
     DramError::Backend(format!("transcript {}: {what}: {e}", path.display()))
 }
 
-fn corrupt(path: &Path, line: usize, detail: impl Into<String>) -> DramError {
+fn corrupt(path: &Path, record: usize, detail: impl Into<String>) -> DramError {
     DramError::Backend(format!(
-        "transcript {} line {line}: {}",
+        "transcript {} record {record}: {}",
         path.display(),
         detail.into()
     ))
@@ -313,10 +148,8 @@ fn corrupt(path: &Path, line: usize, detail: impl Into<String>) -> DramError {
 
 /// Summary of a parsed transcript (header plus totals), for reporting and
 /// benchmarks.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
 pub struct TranscriptInfo {
-    /// On-disk encoding of the transcript.
-    pub format: TranscriptFormat,
     /// Transcript format version.
     pub version: u32,
     /// Number of units the capturing port exposed.
@@ -329,6 +162,17 @@ pub struct TranscriptInfo {
     pub total_writes: u64,
     /// Total flips across all rounds.
     pub total_flips: u64,
+}
+
+/// One recorded round, as [`ReplayPort::rounds`] exposes it.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct TranscriptRound {
+    /// Number of row writes issued in the round.
+    pub writes: u64,
+    /// The round's write-set digest.
+    pub digest: u64,
+    /// Every flip the capturing port reported, in report order.
+    pub flips: Vec<Flip>,
 }
 
 /// A [`TestPort`] decorator that records every round to a transcript file.
@@ -352,7 +196,7 @@ pub struct TranscriptInfo {
 /// };
 ///
 /// # fn main() -> Result<(), parbor_hal::DramError> {
-/// let path = std::env::temp_dir().join(format!("hal-doc-{}.jsonl", std::process::id()));
+/// let path = std::env::temp_dir().join(format!("hal-doc-{}.pbt", std::process::id()));
 /// let inner = LoopbackPort::new(ChipGeometry::tiny(), 1);
 /// let mut port = RecordingPort::create(inner, &path)?;
 /// let write = || vec![RowWrite { unit: 0, row: RowId::new(0, 0), data: RowBits::ones(1024) }];
@@ -369,72 +213,35 @@ pub struct RecordingPort<P> {
     inner: P,
     out: BufWriter<File>,
     path: PathBuf,
-    format: TranscriptFormat,
     recorded: u64,
 }
 
 impl<P: TestPort> RecordingPort<P> {
-    /// Wraps `inner` and starts a fresh JSONL transcript at `path`
-    /// (truncating any existing file), writing the header immediately.
+    /// Wraps `inner` and starts a fresh transcript at `path` (truncating
+    /// any existing file), writing the magic and header immediately.
     ///
     /// # Errors
     ///
     /// [`DramError::Backend`] on I/O failure.
     pub fn create(inner: P, path: impl Into<PathBuf>) -> Result<Self, DramError> {
-        Self::create_with_format(inner, path, TranscriptFormat::Json)
-    }
-
-    /// Like [`create`](RecordingPort::create), but choosing the on-disk
-    /// encoding.
-    ///
-    /// # Errors
-    ///
-    /// [`DramError::Backend`] on I/O failure.
-    pub fn create_with_format(
-        inner: P,
-        path: impl Into<PathBuf>,
-        format: TranscriptFormat,
-    ) -> Result<Self, DramError> {
         let path = path.into();
         let file = File::create(&path).map_err(|e| io_err(&path, "create", e))?;
         let mut port = RecordingPort {
             inner,
             out: BufWriter::new(file),
             path,
-            format,
             recorded: 0,
         };
-        match format {
-            TranscriptFormat::Json => {
-                let header = HeaderRecord {
-                    magic: TRANSCRIPT_MAGIC.into(),
-                    version: TRANSCRIPT_VERSION,
-                    units: port.inner.units(),
-                    geometry: port.inner.geometry(),
-                };
-                let json = serde_json::to_string(&header).map_err(|e| {
-                    DramError::Backend(format!("transcript header does not serialize: {}", e.0))
-                })?;
-                port.append(frame(&json).as_bytes())?;
-            }
-            TranscriptFormat::Binary => {
-                let header = encode_header_binary(port.inner.units(), port.inner.geometry());
-                let mut first = TRANSCRIPT_MAGIC_BINARY.to_vec();
-                first.extend_from_slice(&frame_binary(&header));
-                port.append(&first)?;
-            }
-        }
+        let header = encode_header(port.inner.units(), port.inner.geometry());
+        let mut first = TRANSCRIPT_MAGIC.to_vec();
+        frame::put(&mut first, &header, hash_bytes_x8);
+        port.append(&first)?;
         Ok(port)
     }
 
     /// The transcript path.
     pub fn path(&self) -> &Path {
         &self.path
-    }
-
-    /// The on-disk encoding this port writes.
-    pub fn format(&self) -> TranscriptFormat {
-        self.format
     }
 
     /// Number of rounds recorded so far.
@@ -465,23 +272,10 @@ impl<P: TestPort> RecordingPort<P> {
     }
 
     fn record(&mut self, n_writes: u64, digest: u64, flips: &[Flip]) -> Result<(), DramError> {
-        match self.format {
-            TranscriptFormat::Json => {
-                let record = RoundRecord {
-                    writes: n_writes,
-                    writes_digest: format_digest(digest),
-                    flips: flips.to_vec(),
-                };
-                let json = serde_json::to_string(&record).map_err(|e| {
-                    DramError::Backend(format!("transcript record does not serialize: {}", e.0))
-                })?;
-                self.append(frame(&json).as_bytes())?;
-            }
-            TranscriptFormat::Binary => {
-                let payload = encode_round_binary(n_writes, digest, flips);
-                self.append(&frame_binary(&payload))?;
-            }
-        }
+        let payload = encode_round(n_writes, digest, flips);
+        let mut framed = Vec::with_capacity(frame::HEADER_BYTES + payload.len());
+        frame::put(&mut framed, &payload, hash_bytes_x8);
+        self.append(&framed)?;
         self.recorded += 1;
         Ok(())
     }
@@ -497,7 +291,7 @@ impl<P: TestPort> TestPort for RecordingPort<P> {
     }
 
     fn run_round(&mut self, writes: Vec<RowWrite>) -> Result<Vec<Flip>, DramError> {
-        let digest = digest_writes_for(self.format, &writes);
+        let digest = digest_writes(&writes);
         let n_writes = writes.len() as u64;
         let flips = self.inner.run_round(writes)?;
         self.record(n_writes, digest, &flips)?;
@@ -509,7 +303,7 @@ impl<P: TestPort> TestPort for RecordingPort<P> {
         // inner port keep its batched (possibly parallel) execution path.
         let digests: Vec<(u64, u64)> = plans
             .iter()
-            .map(|p| (p.len() as u64, digest_writes_for(self.format, p.writes())))
+            .map(|p| (p.len() as u64, digest_writes(p.writes())))
             .collect();
         let rounds = self.inner.run_rounds(plans)?;
         for ((n_writes, digest), flips) in digests.into_iter().zip(&rounds) {
@@ -554,124 +348,69 @@ impl<P: TestPort> TestPort for RecordingPort<P> {
 /// for rounds that never happened.
 pub struct ReplayPort {
     path: PathBuf,
-    format: TranscriptFormat,
     units: u32,
     geometry: ChipGeometry,
-    rounds: Vec<ReplayRound>,
+    rounds: Vec<TranscriptRound>,
     cursor: u64,
 }
 
-/// One parsed round, format-independent: the digest is kept raw.
-struct ReplayRound {
-    writes: u64,
-    digest: u64,
-    flips: Vec<Flip>,
-}
-
 impl ReplayPort {
-    /// Opens and fully verifies a transcript, auto-detecting whether it is
-    /// JSONL or binary from the leading bytes.
+    /// Opens and fully verifies a transcript.
     ///
     /// # Errors
     ///
-    /// [`DramError::Backend`] on I/O failure, bad framing or checksums, a
-    /// missing/foreign header, or an unsupported version.
+    /// [`DramError::RetiredFormat`] for a JSONL (`PBHALTR1`) transcript;
+    /// [`DramError::Backend`] on I/O failure, a foreign file, bad framing or
+    /// checksums, a missing header, an unsupported version, or a record
+    /// whose counts exceed its bytes.
     pub fn open(path: impl Into<PathBuf>) -> Result<Self, DramError> {
         let path = path.into();
         let bytes = std::fs::read(&path).map_err(|e| io_err(&path, "read", e))?;
-        if bytes.starts_with(TRANSCRIPT_MAGIC_BINARY) {
-            Self::open_binary(path, &bytes)
-        } else {
-            Self::open_json(path, &bytes)
-        }
-    }
-
-    fn open_json(path: PathBuf, bytes: &[u8]) -> Result<Self, DramError> {
-        let text = std::str::from_utf8(bytes)
-            .map_err(|_| corrupt(&path, 1, "transcript is neither binary nor UTF-8 JSONL"))?;
-        let mut header: Option<HeaderRecord> = None;
-        let mut rounds = Vec::new();
-        for (i, line) in text.lines().enumerate() {
-            let n = i + 1;
-            let json = unframe(&path, n, line)?;
-            if i == 0 {
-                let h: HeaderRecord = serde_json::from_str(json)
-                    .map_err(|e| corrupt(&path, n, format!("header does not parse: {}", e.0)))?;
-                if h.magic != TRANSCRIPT_MAGIC {
-                    return Err(corrupt(&path, n, format!("bad magic {:?}", h.magic)));
-                }
-                if h.version != TRANSCRIPT_VERSION {
-                    return Err(corrupt(
-                        &path,
-                        n,
-                        format!("unsupported version {}", h.version),
-                    ));
-                }
-                header = Some(h);
-            } else {
-                let r: RoundRecord = serde_json::from_str(json).map_err(|e| {
-                    corrupt(&path, n, format!("round record does not parse: {}", e.0))
-                })?;
-                let digest = parse_digest(&r.writes_digest).ok_or_else(|| {
-                    corrupt(&path, n, format!("bad writes digest {:?}", r.writes_digest))
-                })?;
-                rounds.push(ReplayRound {
-                    writes: r.writes,
-                    digest,
-                    flips: r.flips,
+        if !bytes.starts_with(TRANSCRIPT_MAGIC) {
+            // A JSONL transcript opens with `<len>:<fnv64>:{"magic":"PBHALTR1"`.
+            let head = &bytes[..bytes.len().min(64)];
+            if head.windows(8).any(|w| w == RETIRED_JSONL_MAGIC) {
+                return Err(DramError::RetiredFormat {
+                    path: path.display().to_string(),
+                    magic: "PBHALTR1",
                 });
             }
+            return Err(corrupt(&path, 0, "not a PBHALTB1 transcript (bad magic)"));
         }
-        let header = header.ok_or_else(|| corrupt(&path, 1, "empty transcript (no header)"))?;
-        Ok(ReplayPort {
-            path,
-            format: TranscriptFormat::Json,
-            units: header.units,
-            geometry: header.geometry,
-            rounds,
-            cursor: 0,
-        })
-    }
-
-    fn open_binary(path: PathBuf, bytes: &[u8]) -> Result<Self, DramError> {
-        let mut pos = TRANSCRIPT_MAGIC_BINARY.len();
-        let mut n = 0usize;
         let mut header: Option<(u32, ChipGeometry)> = None;
         let mut rounds = Vec::new();
-        while pos < bytes.len() {
-            n += 1;
-            if bytes.len() - pos < 12 {
-                return Err(corrupt(&path, n, "truncated record frame"));
-            }
-            let len = u32::from_le_bytes(bytes[pos..pos + 4].try_into().expect("4 bytes")) as usize;
-            let sum = u64::from_le_bytes(bytes[pos + 4..pos + 12].try_into().expect("8 bytes"));
-            pos += 12;
-            if bytes.len() - pos < len {
+        let frames = frame::walk(
+            &bytes,
+            TRANSCRIPT_MAGIC.len(),
+            u64::from(u32::MAX),
+            hash_bytes_x8,
+        );
+        for (i, f) in frames.enumerate() {
+            let n = i + 1;
+            if f.truncated {
                 return Err(corrupt(
                     &path,
                     n,
                     format!(
-                        "truncated record payload: framed {len}, {} left",
-                        bytes.len() - pos
+                        "truncated record frame: framed {}, {} present",
+                        f.len,
+                        f.payload.len()
                     ),
                 ));
             }
-            let payload = &bytes[pos..pos + len];
-            pos += len;
-            if hash_bytes_x8(payload) != sum {
+            if !f.intact {
                 return Err(corrupt(&path, n, "checksum mismatch"));
             }
             if n == 1 {
-                header = Some(Self::parse_binary_header(&path, payload)?);
+                header = Some(Self::parse_header(&path, f.payload)?);
             } else {
-                rounds.push(Self::parse_binary_round(&path, n, payload)?);
+                rounds.push(Self::parse_round(&path, n, f.payload)?);
             }
         }
         let (units, geometry) =
             header.ok_or_else(|| corrupt(&path, 1, "empty transcript (no header)"))?;
         Ok(ReplayPort {
             path,
-            format: TranscriptFormat::Binary,
             units,
             geometry,
             rounds,
@@ -679,10 +418,10 @@ impl ReplayPort {
         })
     }
 
-    fn parse_binary_header(path: &Path, payload: &[u8]) -> Result<(u32, ChipGeometry), DramError> {
+    fn parse_header(path: &Path, payload: &[u8]) -> Result<(u32, ChipGeometry), DramError> {
         let mut pos = 0usize;
         let mut next =
-            |what: &str| get_varint(payload, &mut pos).ok_or_else(|| corrupt(path, 1, what));
+            |what: &str| varint::get(payload, &mut pos).ok_or_else(|| corrupt(path, 1, what));
         let version = next("header is missing the version")?;
         if version != u64::from(TRANSCRIPT_VERSION) {
             return Err(corrupt(path, 1, format!("unsupported version {version}")));
@@ -703,21 +442,33 @@ impl ReplayPort {
         Ok((dim(units, "units")?, geometry))
     }
 
-    fn parse_binary_round(path: &Path, n: usize, payload: &[u8]) -> Result<ReplayRound, DramError> {
+    fn parse_round(path: &Path, n: usize, payload: &[u8]) -> Result<TranscriptRound, DramError> {
         let mut pos = 0usize;
-        let writes = get_varint(payload, &mut pos)
+        let writes = varint::get(payload, &mut pos)
             .ok_or_else(|| corrupt(path, n, "round is missing the write count"))?;
-        if payload.len() - pos < 8 {
-            return Err(corrupt(path, n, "round is missing the writes digest"));
-        }
-        let digest = u64::from_le_bytes(payload[pos..pos + 8].try_into().expect("8 bytes"));
+        let digest = payload
+            .get(pos..pos + 8)
+            .and_then(|b| b.try_into().ok())
+            .map(u64::from_le_bytes)
+            .ok_or_else(|| corrupt(path, n, "round is missing the writes digest"))?;
         pos += 8;
-        let flip_count = get_varint(payload, &mut pos)
+        let flip_count = varint::get(payload, &mut pos)
             .ok_or_else(|| corrupt(path, n, "round is missing the flip count"))?;
+        // Every flip is four varints of at least one byte each, so a count
+        // the remaining bytes cannot hold is a lie — reject it before it
+        // sizes an allocation.
+        let remaining = (payload.len() - pos) as u64;
+        if flip_count > remaining / 4 {
+            return Err(corrupt(
+                path,
+                n,
+                format!("flip count {flip_count} exceeds the {remaining} bytes left"),
+            ));
+        }
         let mut flips = Vec::with_capacity(flip_count as usize);
         for _ in 0..flip_count {
             let mut next =
-                |what: &str| get_varint(payload, &mut pos).ok_or_else(|| corrupt(path, n, what));
+                |what: &str| varint::get(payload, &mut pos).ok_or_else(|| corrupt(path, n, what));
             let unit = next("flip is missing the unit")?;
             let bank = next("flip is missing the bank")?;
             let row = next("flip is missing the row")?;
@@ -740,7 +491,7 @@ impl ReplayPort {
         if pos != payload.len() {
             return Err(corrupt(path, n, "trailing bytes after the flip list"));
         }
-        Ok(ReplayRound {
+        Ok(TranscriptRound {
             writes,
             digest,
             flips,
@@ -750,7 +501,6 @@ impl ReplayPort {
     /// Header and totals of the opened transcript.
     pub fn info(&self) -> TranscriptInfo {
         TranscriptInfo {
-            format: self.format,
             version: TRANSCRIPT_VERSION,
             units: self.units,
             geometry: self.geometry,
@@ -760,9 +510,9 @@ impl ReplayPort {
         }
     }
 
-    /// The detected on-disk encoding.
-    pub fn format(&self) -> TranscriptFormat {
-        self.format
+    /// Every recorded round, in capture order.
+    pub fn rounds(&self) -> &[TranscriptRound] {
+        &self.rounds
     }
 
     /// Recorded rounds not yet replayed.
@@ -780,31 +530,6 @@ impl std::fmt::Debug for ReplayPort {
             .field("cursor", &self.cursor)
             .finish()
     }
-}
-
-fn unframe<'a>(path: &Path, n: usize, line: &'a str) -> Result<&'a str, DramError> {
-    let (len_s, rest) = line
-        .split_once(':')
-        .ok_or_else(|| corrupt(path, n, "missing length frame"))?;
-    let (sum_s, json) = rest
-        .split_once(':')
-        .ok_or_else(|| corrupt(path, n, "missing checksum frame"))?;
-    let len: usize = len_s
-        .parse()
-        .map_err(|_| corrupt(path, n, format!("bad length field {len_s:?}")))?;
-    if json.len() != len {
-        return Err(corrupt(
-            path,
-            n,
-            format!("length mismatch: framed {len}, got {}", json.len()),
-        ));
-    }
-    let sum = u64::from_str_radix(sum_s, 16)
-        .map_err(|_| corrupt(path, n, format!("bad checksum field {sum_s:?}")))?;
-    if fnv1a64(json.as_bytes()) != sum {
-        return Err(corrupt(path, n, "checksum mismatch"));
-    }
-    Ok(json)
 }
 
 impl TestPort for ReplayPort {
@@ -826,15 +551,14 @@ impl TestPort for ReplayPort {
                 self.rounds.len()
             ))
         })?;
-        let digest = digest_writes_for(self.format, &writes);
+        let digest = digest_writes(&writes);
         if digest != record.digest {
             return Err(DramError::Backend(format!(
-                "transcript {} diverged at round {}: issued writes digest {} != recorded {} \
-                 (the replaying pipeline is not the one that was captured)",
+                "transcript {} diverged at round {}: issued writes digest {digest:016x} != \
+                 recorded {:016x} (the replaying pipeline is not the one that was captured)",
                 self.path.display(),
                 idx + 1,
-                format_digest(digest),
-                format_digest(record.digest)
+                record.digest
             )));
         }
         let flips = record.flips.clone();
@@ -864,7 +588,7 @@ mod tests {
         static NEXT: AtomicU64 = AtomicU64::new(0);
         let n = NEXT.fetch_add(1, Ordering::Relaxed);
         std::env::temp_dir().join(format!(
-            "parbor-hal-transcript-{}-{tag}-{n}.jsonl",
+            "parbor-hal-transcript-{}-{tag}-{n}.pbt",
             std::process::id()
         ))
     }
@@ -887,6 +611,7 @@ mod tests {
         let recorded: Vec<Vec<Flip>> = (0..5).map(|i| rec.run_round(writes(i)).unwrap()).collect();
         assert_eq!(rec.rounds_recorded(), 5);
         rec.finish().unwrap();
+        assert!(std::fs::read(&path).unwrap().starts_with(TRANSCRIPT_MAGIC));
 
         let mut replay = ReplayPort::open(&path).unwrap();
         assert_eq!(replay.units(), 2);
@@ -894,6 +619,7 @@ mod tests {
         let info = replay.info();
         assert_eq!(info.rounds, 5);
         assert_eq!(info.total_writes, 15);
+        assert_eq!(replay.rounds().len(), 5);
         for (i, expected) in recorded.iter().enumerate() {
             assert_eq!(&replay.run_round(writes(i as u32)).unwrap(), expected);
         }
@@ -903,8 +629,31 @@ mod tests {
     }
 
     #[test]
-    fn replay_rejects_diverging_writes() {
-        let path = temp_transcript("diverge");
+    fn replay_preserves_flips_exactly() {
+        // Drive flips through the fault injector so the flip packing
+        // (varints + expected bit) is exercised with nonzero payloads.
+        use crate::inject::{FaultInjectingPort, InjectionConfig};
+        let path = temp_transcript("flips");
+        let inner = FaultInjectingPort::new(
+            LoopbackPort::new(ChipGeometry::tiny(), 2),
+            InjectionConfig::new(1.0, 99).unwrap(),
+        );
+        let mut rec = RecordingPort::create(inner, &path).unwrap();
+        let live: Vec<Vec<Flip>> = (0..6).map(|i| rec.run_round(writes(i)).unwrap()).collect();
+        rec.finish().unwrap();
+        assert!(live.iter().any(|f| !f.is_empty()), "flips were injected");
+
+        let mut replay = ReplayPort::open(&path).unwrap();
+        for (i, expected) in live.iter().enumerate() {
+            assert_eq!(&replay.rounds()[i].flips, expected);
+            assert_eq!(&replay.run_round(writes(i as u32)).unwrap(), expected);
+        }
+        std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn replay_rejects_divergence_exhaustion_corruption_and_truncation() {
+        let path = temp_transcript("corrupt");
         let mut rec =
             RecordingPort::create(LoopbackPort::new(ChipGeometry::tiny(), 1), &path).unwrap();
         rec.run_round(writes(0)).unwrap();
@@ -914,169 +663,12 @@ mod tests {
         let err = replay.run_round(writes(1)).unwrap_err();
         assert!(matches!(err, DramError::Backend(_)));
         assert!(err.to_string().contains("diverged"));
-        std::fs::remove_file(&path).ok();
-    }
-
-    #[test]
-    fn replay_rejects_exhaustion_and_corruption() {
-        let path = temp_transcript("exhaust");
-        let mut rec =
-            RecordingPort::create(LoopbackPort::new(ChipGeometry::tiny(), 1), &path).unwrap();
-        rec.run_round(writes(0)).unwrap();
-        rec.finish().unwrap();
-
-        let mut replay = ReplayPort::open(&path).unwrap();
         replay.run_round(writes(0)).unwrap();
         assert!(replay
-            .run_round(writes(1))
+            .run_round(writes(0))
             .unwrap_err()
             .to_string()
             .contains("exhausted"));
-
-        // Flip one byte inside the last line's JSON payload.
-        let mut bytes = std::fs::read(&path).unwrap();
-        let at = bytes.len() - 4;
-        bytes[at] ^= 0x01;
-        std::fs::write(&path, &bytes).unwrap();
-        assert!(ReplayPort::open(&path)
-            .unwrap_err()
-            .to_string()
-            .contains("checksum mismatch"));
-        std::fs::remove_file(&path).ok();
-    }
-
-    #[test]
-    fn empty_and_foreign_files_are_rejected() {
-        let path = temp_transcript("foreign");
-        std::fs::write(&path, "").unwrap();
-        assert!(ReplayPort::open(&path).is_err());
-        std::fs::write(&path, "hello world\n").unwrap();
-        assert!(ReplayPort::open(&path).is_err());
-        std::fs::remove_file(&path).ok();
-    }
-
-    #[test]
-    fn format_flag_round_trips_through_strings() {
-        for format in [TranscriptFormat::Json, TranscriptFormat::Binary] {
-            assert_eq!(
-                format.to_string().parse::<TranscriptFormat>().unwrap(),
-                format
-            );
-        }
-        assert!("yaml".parse::<TranscriptFormat>().is_err());
-    }
-
-    #[test]
-    fn varints_round_trip() {
-        let values = [
-            0u64,
-            1,
-            127,
-            128,
-            300,
-            u64::from(u32::MAX),
-            u64::MAX - 1,
-            u64::MAX,
-        ];
-        let mut buf = Vec::new();
-        for &v in &values {
-            put_varint(&mut buf, v);
-        }
-        let mut pos = 0;
-        for &v in &values {
-            assert_eq!(get_varint(&buf, &mut pos), Some(v));
-        }
-        assert_eq!(pos, buf.len());
-        assert_eq!(get_varint(&buf, &mut pos), None, "exhausted input");
-    }
-
-    #[test]
-    fn binary_record_then_replay_is_bit_identical() {
-        let path = temp_transcript("bin-roundtrip");
-        let mut rec = RecordingPort::create_with_format(
-            LoopbackPort::new(ChipGeometry::tiny(), 2),
-            &path,
-            TranscriptFormat::Binary,
-        )
-        .unwrap();
-        assert_eq!(rec.format(), TranscriptFormat::Binary);
-        let recorded: Vec<Vec<Flip>> = (0..5).map(|i| rec.run_round(writes(i)).unwrap()).collect();
-        rec.finish().unwrap();
-
-        let mut replay = ReplayPort::open(&path).unwrap();
-        assert_eq!(replay.format(), TranscriptFormat::Binary);
-        assert_eq!(replay.units(), 2);
-        assert_eq!(replay.geometry(), ChipGeometry::tiny());
-        let info = replay.info();
-        assert_eq!(info.format, TranscriptFormat::Binary);
-        assert_eq!(info.rounds, 5);
-        assert_eq!(info.total_writes, 15);
-        for (i, expected) in recorded.iter().enumerate() {
-            assert_eq!(&replay.run_round(writes(i as u32)).unwrap(), expected);
-        }
-        assert_eq!(replay.remaining(), 0);
-        std::fs::remove_file(&path).ok();
-    }
-
-    #[test]
-    fn binary_replay_preserves_flips_exactly() {
-        // Drive flips through the fault injector so the binary flip packing
-        // (varints + expected bit) is exercised with nonzero payloads and
-        // compared against the JSON encoding of the same run.
-        use crate::inject::{FaultInjectingPort, InjectionConfig};
-        let inner = || {
-            FaultInjectingPort::new(
-                LoopbackPort::new(ChipGeometry::tiny(), 2),
-                InjectionConfig::new(1.0, 99).unwrap(),
-            )
-        };
-        let run = |path: &Path, format: TranscriptFormat| -> Vec<Vec<Flip>> {
-            let mut rec = RecordingPort::create_with_format(inner(), path, format).unwrap();
-            let flips = (0..6).map(|i| rec.run_round(writes(i)).unwrap()).collect();
-            rec.finish().unwrap();
-            flips
-        };
-        let json_path = temp_transcript("flips-json");
-        let bin_path = temp_transcript("flips-bin");
-        let live_json = run(&json_path, TranscriptFormat::Json);
-        let live_bin = run(&bin_path, TranscriptFormat::Binary);
-        assert_eq!(live_json, live_bin, "injection is deterministic");
-        assert!(
-            live_bin.iter().any(|f| !f.is_empty()),
-            "flips were injected"
-        );
-
-        for (path, live) in [(&json_path, &live_json), (&bin_path, &live_bin)] {
-            let mut replay = ReplayPort::open(path).unwrap();
-            for (i, expected) in live.iter().enumerate() {
-                assert_eq!(&replay.run_round(writes(i as u32)).unwrap(), expected);
-            }
-        }
-        let json_bytes = std::fs::metadata(&json_path).unwrap().len();
-        let bin_bytes = std::fs::metadata(&bin_path).unwrap().len();
-        assert!(
-            bin_bytes * 5 < json_bytes * 2,
-            "binary ({bin_bytes} B) should be well under 40% of JSON ({json_bytes} B)"
-        );
-        std::fs::remove_file(&json_path).ok();
-        std::fs::remove_file(&bin_path).ok();
-    }
-
-    #[test]
-    fn binary_rejects_divergence_corruption_and_truncation() {
-        let path = temp_transcript("bin-corrupt");
-        let mut rec = RecordingPort::create_with_format(
-            LoopbackPort::new(ChipGeometry::tiny(), 1),
-            &path,
-            TranscriptFormat::Binary,
-        )
-        .unwrap();
-        rec.run_round(writes(0)).unwrap();
-        rec.finish().unwrap();
-
-        let mut replay = ReplayPort::open(&path).unwrap();
-        let err = replay.run_round(writes(1)).unwrap_err();
-        assert!(err.to_string().contains("diverged"));
 
         let good = std::fs::read(&path).unwrap();
         // Flip one payload byte of the last record.
@@ -1095,7 +687,7 @@ mod tests {
             .to_string()
             .contains("truncated"));
         // Magic alone is an empty transcript.
-        std::fs::write(&path, TRANSCRIPT_MAGIC_BINARY).unwrap();
+        std::fs::write(&path, TRANSCRIPT_MAGIC).unwrap();
         assert!(ReplayPort::open(&path)
             .unwrap_err()
             .to_string()
@@ -1104,7 +696,64 @@ mod tests {
     }
 
     #[test]
-    fn binary_digest_samples_content_at_line_granularity() {
+    fn empty_and_foreign_files_are_rejected() {
+        let path = temp_transcript("foreign");
+        std::fs::write(&path, "").unwrap();
+        assert!(ReplayPort::open(&path).is_err());
+        std::fs::write(&path, "hello world\n").unwrap();
+        assert!(ReplayPort::open(&path)
+            .unwrap_err()
+            .to_string()
+            .contains("bad magic"));
+        std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn retired_jsonl_transcript_is_rejected_by_name() {
+        // The first line of a transcript the JSONL recorder wrote.
+        let path = temp_transcript("jsonl");
+        let json = r#"{"magic":"PBHALTR1","version":1,"units":1,"geometry":{"banks":1,"rows_per_bank":8,"cols_per_row":1024}}"#;
+        let line = format!(
+            "{}:{:016x}:{json}\n",
+            json.len(),
+            crate::hash::fnv1a64(json.as_bytes())
+        );
+        std::fs::write(&path, line).unwrap();
+        let err = ReplayPort::open(&path).unwrap_err();
+        assert!(
+            matches!(
+                err,
+                DramError::RetiredFormat {
+                    magic: "PBHALTR1",
+                    ..
+                }
+            ),
+            "{err:?}"
+        );
+        assert!(err.to_string().contains("PBHALTR1"), "{err}");
+        std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn lying_flip_count_is_rejected_not_allocated() {
+        // A well-framed transcript whose one round claims 2^63 - 1 flips in
+        // a payload of 18 bytes.
+        let mut bytes = TRANSCRIPT_MAGIC.to_vec();
+        frame::put(&mut bytes, &[1, 1, 1, 1, 1], hash_bytes_x8);
+        let mut round = vec![0u8];
+        round.extend_from_slice(&0u64.to_le_bytes());
+        varint::put(&mut round, u64::MAX >> 1);
+        frame::put(&mut bytes, &round, hash_bytes_x8);
+        assert_eq!(bytes.len(), 55);
+        let path = temp_transcript("lying-count");
+        std::fs::write(&path, &bytes).unwrap();
+        let err = ReplayPort::open(&path).unwrap_err();
+        assert!(err.to_string().contains("flip count"), "{err}");
+        std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn digest_samples_content_at_line_granularity() {
         let row = |flip: Option<usize>| -> Vec<RowWrite> {
             vec![RowWrite {
                 unit: 0,
@@ -1112,18 +761,13 @@ mod tests {
                 data: RowBits::from_fn(8192, move |i| i.is_multiple_of(7) ^ (flip == Some(i))),
             }]
         };
-        let digest = |w: &[RowWrite]| digest_writes_for(TranscriptFormat::Binary, w);
-        let base = digest(&row(None));
+        let base = digest_writes(&row(None));
         // A row's first and last cache lines are always sampled.
-        assert_ne!(digest(&row(Some(3))), base);
-        assert_ne!(digest(&row(Some(8191))), base);
-        // Word 20 falls between sampled groups: the binary digest trades it
-        // away by design; the exhaustive JSON digest still sees it.
-        assert_eq!(digest(&row(Some(20 * 64))), base);
-        assert_ne!(
-            digest_writes_for(TranscriptFormat::Json, &row(Some(20 * 64))),
-            digest_writes_for(TranscriptFormat::Json, &row(None)),
-        );
+        assert_ne!(digest_writes(&row(Some(3))), base);
+        assert_ne!(digest_writes(&row(Some(8191))), base);
+        // Word 20 falls between sampled groups: the digest trades it away by
+        // design.
+        assert_eq!(digest_writes(&row(Some(20 * 64))), base);
     }
 
     #[test]

@@ -17,6 +17,7 @@
 
 use std::collections::HashMap;
 
+use parbor_hal::hash::{hash01, mix64};
 use parbor_obs::metrics;
 use parbor_obs::RecorderHandle;
 use serde::{Deserialize, Serialize};
@@ -59,17 +60,12 @@ impl RowClassifier {
 
     /// Whether the row at (rank, bank, row) is weak.
     pub fn is_weak(&self, rank: u32, bank: u32, row: u32) -> bool {
-        let mut z = self
+        let z = self
             .seed
             .wrapping_add(u64::from(rank) << 40)
             .wrapping_add(u64::from(bank) << 32)
             .wrapping_add(u64::from(row));
-        // SplitMix64 finalizer.
-        z = z.wrapping_add(0x9e37_79b9_7f4a_7c15);
-        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-        z ^= z >> 31;
-        (z >> 11) as f64 * (1.0 / (1u64 << 53) as f64) < self.weak_fraction
+        hash01(mix64(z)) < self.weak_fraction
     }
 }
 

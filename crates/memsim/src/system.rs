@@ -1,6 +1,7 @@
 //! The full simulated system: cores, channels, and the simulation loop
 //! (paper Table 2).
 
+use parbor_hal::hash::{hash01, mix64};
 use parbor_obs::RecorderHandle;
 use serde::{Deserialize, Serialize};
 
@@ -115,15 +116,11 @@ fn decode_addr(config: &SystemConfig, core: u32, addr: u64) -> DramAddress {
 /// Deterministic per-(core, row) draw: does the data this core writes into
 /// this row match the row's worst-case coupling pattern?
 fn content_matches(match_prob: f64, core: u32, addr: DramAddress) -> bool {
-    let mut z = (u64::from(core) << 56)
+    let z = (u64::from(core) << 56)
         ^ (u64::from(addr.rank) << 48)
         ^ (u64::from(addr.bank) << 40)
         ^ u64::from(addr.row);
-    z = z.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^= z >> 31;
-    ((z >> 11) as f64) * (1.0 / (1u64 << 53) as f64) < match_prob
+    hash01(mix64(z)) < match_prob
 }
 
 /// One multiprogrammed simulation run.

@@ -258,14 +258,12 @@ pub mod store {
     /// Counter: stale files collected — retired compaction inputs, orphan
     /// chunks from a crashed compaction, leftover temp files.
     pub const GC_FILES: &str = "store.gc_files";
-    /// Counter: reads served from v1 JSONL segments awaiting migration.
-    pub const LEGACY_READS: &str = "store.legacy_reads";
     /// Counter: bytes written through `put`/`stage` (magic and framing
     /// included).
     pub const PUT_BYTES: &str = "store.put_bytes";
     /// Counter: profiles written through `put`/`stage`.
     pub const PUTS: &str = "store.puts";
-    /// Counter: profile reads served (columnar and legacy).
+    /// Counter: profile reads served.
     pub const READS: &str = "store.reads";
     /// Counter: recovery events — a record needed salvage, a torn manifest
     /// was rebuilt from segments, or a crashed compaction was rolled
@@ -359,7 +357,6 @@ pub const ALL: &[&str] = &[
     store::COMPACT_RECORDS,
     store::COMPACTIONS,
     store::GC_FILES,
-    store::LEGACY_READS,
     store::PUT_BYTES,
     store::PUTS,
     store::READS,

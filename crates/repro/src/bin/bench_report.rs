@@ -32,7 +32,7 @@ use parbor_dram::{
     RetentionModel, RowBits, RowFaultMap, RowId, Scrambler, ScramblerLut, Vendor,
 };
 use parbor_fleet::{Fleet, FleetConfig, ScanJob};
-use parbor_hal::{KernelMode, ParallelMode, RecordingPort, ReplayPort, TestPort, TranscriptFormat};
+use parbor_hal::{KernelMode, ParallelMode, RecordingPort, ReplayPort, TestPort};
 use parbor_memsim::{Density, RefreshPolicyKind, Simulation, SystemConfig};
 use parbor_obs::{
     metrics, null_recorder, InMemoryRecorder, RecorderHandle, RunSummary, ShardedRecorder,
@@ -41,7 +41,7 @@ use parbor_serve::{
     Engine, InlineServer, LoadConfig, LoadMode, LoadReport, Response, SendOutcome, ServeConfig,
     ServeSnapshot,
 };
-use parbor_store::{legacy, ProfileStore};
+use parbor_store::ProfileStore;
 use parbor_workloads::paper_mixes;
 use serde::Serialize;
 
@@ -174,33 +174,23 @@ struct HalBench {
     replay_identical: bool,
 }
 
-/// The zero-copy data plane: binary-vs-JSON transcript cost and size, the
-/// compiled scrambler LUT against the arithmetic reference, and round-arena
-/// pool effectiveness on the shipped pipeline. CI gates
-/// `binary_record_overhead_pct`, `binary_bytes_pct_of_json`, and
-/// `lut_speedup`.
+/// The zero-copy data plane: binary transcript cost and size, the compiled
+/// scrambler LUT against the arithmetic reference, and round-arena pool
+/// effectiveness on the shipped pipeline. CI gates
+/// `binary_record_overhead_pct` and `lut_speedup`.
 #[derive(Debug, Serialize)]
 struct DataplaneBench {
     /// Best-of wall-clock of the undecorated single-chip run, ms (the same
     /// baseline `hal.bare_ms` uses).
     bare_ms: f64,
-    /// Best-of wall-clock recording a JSONL transcript, ms.
-    json_record_ms: f64,
     /// Best-of wall-clock recording a binary transcript, ms.
     binary_record_ms: f64,
-    /// JSONL recording cost relative to the bare run, in percent: the
-    /// lower-quartile within-repetition paired ratio (see [`hal_bench`]).
-    json_record_overhead_pct: f64,
-    /// Binary recording cost relative to the bare run, in percent — same
-    /// paired measurement (CI gate: under 10).
+    /// Binary recording cost relative to the bare run, in percent: the
+    /// lower-quartile within-repetition paired ratio (see [`hal_bench`])
+    /// (CI gate: under 10).
     binary_record_overhead_pct: f64,
-    /// JSONL transcript size on disk.
-    json_transcript_bytes: u64,
     /// Binary transcript size on disk.
     binary_transcript_bytes: u64,
-    /// Binary transcript size as a percentage of the JSONL one
-    /// (CI gate: at most 40).
-    binary_bytes_pct_of_json: f64,
     /// Arithmetic reference scrambler, ns per `physical_to_system` call.
     reference_ns_per_translation: f64,
     /// Compiled LUT, ns per `physical_to_system` call.
@@ -299,9 +289,8 @@ struct ServeBench {
 }
 
 /// Columnar profile-store benchmark (`parbor-store`): bulk ingest of
-/// synthetic module profiles, generational compaction, cold-query latency
-/// from a fresh process image, and a JSONL-to-columnar migration identity
-/// check.
+/// synthetic module profiles, generational compaction, and cold-query
+/// latency from a fresh process image.
 #[derive(Debug, Serialize)]
 struct StoreBench {
     /// Synthetic module profiles ingested (CI gate: at least 100 000).
@@ -333,9 +322,6 @@ struct StoreBench {
     /// Whether the stats ledger balanced after ingest + compaction
     /// (`live + dead + corrupt` accounts for every decoded record).
     store_ledger_balanced: bool,
-    /// Whether a legacy JSONL store decodes to the same profiles before and
-    /// after migration through `compact` (CI gate: must be `true`).
-    migration_identical: bool,
 }
 
 /// One density point of the memory-system benchmark: refresh work and
@@ -784,13 +770,10 @@ fn synth_profile(i: u64) -> FailureProfile {
 /// stages `MODULES` synthetic profiles into L0 segments (one durable
 /// append each) and flushes the sharded index once, compacts everything
 /// into generation 1, then measures cold queries — each sample opens the
-/// store fresh so nothing is warm except the page cache. A separate small
-/// fixture written in the legacy single-`index.json` JSONL format is read
-/// back and compacted to prove migration changes no profile.
+/// store fresh so nothing is warm except the page cache.
 fn store_bench() -> Result<StoreBench, String> {
     const MODULES: usize = 100_000;
     const COLD_SAMPLES: usize = 32;
-    const LEGACY_MODULES: usize = 512;
     let scratch = std::env::temp_dir().join(format!("parbor-bench-store-{}", std::process::id()));
     std::fs::remove_dir_all(&scratch).ok();
     let root = scratch.join("store");
@@ -838,29 +821,6 @@ fn store_bench() -> Result<StoreBench, String> {
         cold_max_us = cold_max_us.max(us);
     }
 
-    // Migration identity: a store written in the v1 JSONL layout must read
-    // back the same profiles through the new engine, and compacting it
-    // (which rewrites everything columnar) must change none of them.
-    let legacy_root = scratch.join("legacy");
-    let fixture: Vec<(String, FailureProfile)> = (0..LEGACY_MODULES)
-        .map(|i| (name_of(i), synth_profile(0xC0FFEE + i as u64)))
-        .collect();
-    legacy::write_legacy_store(&legacy_root, &fixture).map_err(|e| e.to_string())?;
-    let mut expected: Vec<(String, FailureProfile)> = fixture;
-    expected.sort_by(|a, b| a.0.cmp(&b.0));
-    let as_profiles = |store: &ProfileStore| -> Result<Vec<(String, FailureProfile)>, String> {
-        Ok(store
-            .load_all()
-            .map_err(|e| e.to_string())?
-            .into_iter()
-            .map(|(name, stored)| (name, stored.profile))
-            .collect())
-    };
-    let mut migrated = ProfileStore::open(&legacy_root).map_err(|e| e.to_string())?;
-    let mut migration_identical = as_profiles(&migrated)? == expected;
-    migrated.compact().map_err(|e| e.to_string())?;
-    migration_identical &= as_profiles(&migrated)? == expected;
-
     std::fs::remove_dir_all(&scratch).ok();
     let gen_segments = after.generation_segments.iter().map(|(_, n)| n).sum();
     Ok(StoreBench {
@@ -877,7 +837,6 @@ fn store_bench() -> Result<StoreBench, String> {
         store_cold_query_us: cold_total_us / COLD_SAMPLES as f64,
         store_cold_query_max_us: cold_max_us,
         store_ledger_balanced: after.ledger_balanced,
-        migration_identical,
     })
 }
 
@@ -938,10 +897,9 @@ fn dataplane_counters() -> Result<(u64, u64, u64, u64), String> {
 }
 
 /// Times the transcript decorators on a single-chip pipeline run: bare vs.
-/// recorded wall-clock (both on-disk formats), then replay throughput from
-/// the recorded files. Every recorded and replayed report must match the
-/// live one bit for bit. Returns the JSON-format `hal` section plus the
-/// format-comparison `dataplane` section.
+/// recorded wall-clock, then replay throughput from the recorded file. Every
+/// recorded and replayed report must match the live one bit for bit.
+/// Returns the `hal` section plus the `dataplane` section.
 fn hal_bench() -> Result<(HalBench, DataplaneBench), String> {
     // More repetitions than the other sections: the gated binary-record
     // overhead is a few percent of a ~25 ms run on a host whose noise
@@ -960,30 +918,27 @@ fn hal_bench() -> Result<(HalBench, DataplaneBench), String> {
     let scratch = std::env::temp_dir().join(format!("parbor-bench-hal-{}", std::process::id()));
     std::fs::create_dir_all(&scratch).map_err(|e| e.to_string())?;
 
-    // Bare and both on-disk formats, interleaved per repetition so scheduler
-    // drift hits all three equally, and every arm run through the same
-    // `&mut dyn TestPort` instantiation of the pipeline (how the CLI and
-    // fleet drive ports) so all three execute identical pipeline code and
-    // the deltas are recording cost, not per-monomorphization codegen luck.
-    // The gated overhead percentages are the *lower-quartile*
-    // within-repetition ratio against that repetition's bare run. Pairing
-    // cancels machine-wide drift that a ratio of independent best-of
-    // minimums would read as recording cost. Host noise arrives as
-    // one-sided bursts (steal time, scheduler) that inflate whichever arm
-    // they land on, so the clean repetitions sit at the low end of the
-    // ratio distribution — but the raw minimum latches onto the one pair
-    // whose *bare* side ate the burst and reads a large negative
-    // overhead, and the median fails whenever a burst covers half the
-    // window. The lower quartile keeps a clean pair without trusting any
-    // single one. Best-of ms are still reported for the absolute columns.
-    let json_transcript = scratch.join("pipeline.jsonl");
-    let binary_transcript = scratch.join("pipeline.pbt");
+    // Bare and recorded runs, interleaved per repetition so scheduler drift
+    // hits both equally, and both run through the same `&mut dyn TestPort`
+    // instantiation of the pipeline (how the CLI and fleet drive ports) so
+    // they execute identical pipeline code and the delta is recording
+    // cost, not per-monomorphization codegen luck. The gated overhead
+    // percentage is the *lower-quartile* within-repetition ratio against
+    // that repetition's bare run. Pairing cancels machine-wide drift that a
+    // ratio of independent best-of minimums would read as recording cost.
+    // Host noise arrives as one-sided bursts (steal time, scheduler) that
+    // inflate whichever arm they land on, so the clean repetitions sit at
+    // the low end of the ratio distribution — but the raw minimum latches
+    // onto the one pair whose *bare* side ate the burst and reads a large
+    // negative overhead, and the median fails whenever a burst covers half
+    // the window. The lower quartile keeps a clean pair without trusting
+    // any single one. Best-of ms are still reported for the absolute
+    // columns.
+    let transcript = scratch.join("pipeline.pbt");
     let mut bare_ms = f64::INFINITY;
     let mut bare_report = None;
     let mut record_ms = f64::INFINITY;
-    let mut binary_record_ms = f64::INFINITY;
-    let mut json_ratios = Vec::with_capacity(REPS);
-    let mut binary_ratios = Vec::with_capacity(REPS);
+    let mut ratios = Vec::with_capacity(REPS);
     // Untimed warmup so first-touch effects (page faults, frequency
     // ramp-up) land outside every repetition.
     {
@@ -1003,61 +958,35 @@ fn hal_bench() -> Result<(HalBench, DataplaneBench), String> {
         if *bare_report.get_or_insert_with(|| report.clone()) != report {
             return Err("bare hal-bench runs disagree between repetitions".into());
         }
-        let bare_report = bare_report.as_ref().expect("just inserted");
-        // Binary directly after bare: the JSON arm churns the allocator and
-        // page cache (a megabyte of serde output), which measurably taxes
-        // whatever runs next — the arm being gated shouldn't inherit that.
-        for (format, path, best, ratios) in [
-            (
-                TranscriptFormat::Binary,
-                &binary_transcript,
-                &mut binary_record_ms,
-                &mut binary_ratios,
-            ),
-            (
-                TranscriptFormat::Json,
-                &json_transcript,
-                &mut record_ms,
-                &mut json_ratios,
-            ),
-        ] {
-            let mut port = RecordingPort::create_with_format(
-                spec()?.build().map_err(|e| e.to_string())?,
-                path,
-                format,
-            )
-            .map_err(|e| e.to_string())?;
-            let start = Instant::now();
-            let report = pipeline
-                .run(&mut port as &mut dyn TestPort)
+
+        let mut port =
+            RecordingPort::create(spec()?.build().map_err(|e| e.to_string())?, &transcript)
                 .map_err(|e| e.to_string())?;
-            let ms = start.elapsed().as_secs_f64() * 1e3;
-            *best = best.min(ms);
-            ratios.push(ms / rep_bare_ms);
-            port.finish().map_err(|e| e.to_string())?;
-            if &report != bare_report {
-                return Err(format!(
-                    "recorded ({format}) hal-bench run disagrees with the bare run"
-                ));
-            }
+        let start = Instant::now();
+        let recorded = pipeline
+            .run(&mut port as &mut dyn TestPort)
+            .map_err(|e| e.to_string())?;
+        let ms = start.elapsed().as_secs_f64() * 1e3;
+        record_ms = record_ms.min(ms);
+        ratios.push(ms / rep_bare_ms);
+        port.finish().map_err(|e| e.to_string())?;
+        if Some(&recorded) != bare_report.as_ref() {
+            return Err("recorded hal-bench run disagrees with the bare run".into());
         }
     }
     let bare_report = bare_report.expect("at least one bare repetition ran");
-    let transcript_bytes = std::fs::metadata(&json_transcript)
-        .map_err(|e| e.to_string())?
-        .len();
-    let binary_transcript_bytes = std::fs::metadata(&binary_transcript)
+    let transcript_bytes = std::fs::metadata(&transcript)
         .map_err(|e| e.to_string())?
         .len();
 
-    let info = ReplayPort::open(&json_transcript)
+    let info = ReplayPort::open(&transcript)
         .map_err(|e| e.to_string())?
         .info();
     let total_writes = info.total_writes;
     let mut replay_ms = f64::INFINITY;
     let mut replay_identical = true;
     for _ in 0..REPS {
-        let mut port = ReplayPort::open(&json_transcript).map_err(|e| e.to_string())?;
+        let mut port = ReplayPort::open(&transcript).map_err(|e| e.to_string())?;
         let start = Instant::now();
         let report = pipeline
             .run(&mut port as &mut dyn TestPort)
@@ -1065,13 +994,8 @@ fn hal_bench() -> Result<(HalBench, DataplaneBench), String> {
         replay_ms = replay_ms.min(start.elapsed().as_secs_f64() * 1e3);
         replay_identical &= report == bare_report;
     }
-    let mut binary_replay = ReplayPort::open(&binary_transcript).map_err(|e| e.to_string())?;
-    let binary_replay_identical = pipeline
-        .run(&mut binary_replay)
-        .map_err(|e| e.to_string())?
-        == bare_report;
     std::fs::remove_dir_all(&scratch).ok();
-    if !replay_identical || !binary_replay_identical {
+    if !replay_identical {
         return Err("replayed hal-bench run disagrees with the live run".into());
     }
 
@@ -1081,12 +1005,11 @@ fn hal_bench() -> Result<(HalBench, DataplaneBench), String> {
     // which is why `record_overhead_pct` dwarfs it.
     const REFRESH_WAIT_MS: f64 = 64.0;
     let record_ms_per_round = (record_ms - bare_ms).max(0.0) / info.rounds.max(1) as f64;
-    let json_ratio = lower_quartile(json_ratios);
-    let binary_ratio = lower_quartile(binary_ratios);
+    let record_overhead_pct = (lower_quartile(ratios) - 1.0) * 100.0;
     let hal = HalBench {
         bare_ms,
         record_ms,
-        record_overhead_pct: (json_ratio - 1.0) * 100.0,
+        record_overhead_pct,
         record_ms_per_round,
         record_overhead_vs_refresh_pct: record_ms_per_round / REFRESH_WAIT_MS * 100.0,
         replay_ms,
@@ -1099,13 +1022,9 @@ fn hal_bench() -> Result<(HalBench, DataplaneBench), String> {
     let (arena_hits, arena_misses, arena_recycled, scrambler_lut_lookups) = dataplane_counters()?;
     let dataplane = DataplaneBench {
         bare_ms,
-        json_record_ms: record_ms,
-        binary_record_ms,
-        json_record_overhead_pct: (json_ratio - 1.0) * 100.0,
-        binary_record_overhead_pct: (binary_ratio - 1.0) * 100.0,
-        json_transcript_bytes: transcript_bytes,
-        binary_transcript_bytes,
-        binary_bytes_pct_of_json: binary_transcript_bytes as f64 * 100.0 / transcript_bytes as f64,
+        binary_record_ms: record_ms,
+        binary_record_overhead_pct: record_overhead_pct,
+        binary_transcript_bytes: transcript_bytes,
         reference_ns_per_translation: reference_ns,
         lut_ns_per_translation: lut_ns,
         lut_speedup,
@@ -1115,7 +1034,7 @@ fn hal_bench() -> Result<(HalBench, DataplaneBench), String> {
         arena_hit_rate: arena_hits as f64 / (arena_hits + arena_misses).max(1) as f64,
         scrambler_lut_lookups,
         results_identical: true,
-        replay_identical: replay_identical && binary_replay_identical,
+        replay_identical,
     };
     Ok((hal, dataplane))
 }
@@ -1574,16 +1493,12 @@ fn run() -> Result<BenchDoc, String> {
         hal.transcript_bytes,
     );
     println!(
-        "dataplane: record json {:.1} ms ({:+.1}%) vs binary {:.1} ms ({:+.1}%), \
-         transcript {} -> {} bytes ({:.1}% of json); scrambler {:.2} ns -> {:.2} ns \
-         per translation ({:.1}x); arena {} hits / {} misses ({:.1}% hit rate, {} recycled)",
-        dataplane.json_record_ms,
-        dataplane.json_record_overhead_pct,
+        "dataplane: record binary {:.1} ms ({:+.1}%), transcript {} bytes; \
+         scrambler {:.2} ns -> {:.2} ns per translation ({:.1}x); \
+         arena {} hits / {} misses ({:.1}% hit rate, {} recycled)",
         dataplane.binary_record_ms,
         dataplane.binary_record_overhead_pct,
-        dataplane.json_transcript_bytes,
         dataplane.binary_transcript_bytes,
-        dataplane.binary_bytes_pct_of_json,
         dataplane.reference_ns_per_translation,
         dataplane.lut_ns_per_translation,
         dataplane.lut_speedup,
@@ -1615,7 +1530,7 @@ fn run() -> Result<BenchDoc, String> {
     println!(
         "store ({} modules): ingest {:.0} ms ({:.0} writes/s), compact {:.0} ms \
          ({:.0} records/s, {:.1} MB/s, {} L0 -> {} gen chunks, {:.1} B/module), \
-         cold query {:.0} us mean / {:.0} us max, migration identical: {}",
+         cold query {:.0} us mean / {:.0} us max",
         store.store_modules,
         store.store_ingest_ms,
         store.store_writes_per_s,
@@ -1627,7 +1542,6 @@ fn run() -> Result<BenchDoc, String> {
         store.store_bytes_per_module,
         store.store_cold_query_us,
         store.store_cold_query_max_us,
-        store.migration_identical,
     );
     for d in &memsim.densities {
         println!(

@@ -9,6 +9,7 @@
 //! parbor dcref   [--cycles N] [--mixes N] [--density 8|16|32]
 //! parbor fleet   <run|resume|status|show|top> [--dir D] [--flag value]...
 //! parbor store   <stats|compact|aggregate> [--dir D] [--flag value]...
+//! parbor transcript dump PATH
 //! parbor serve   [--store D] [--workers N] [--engine inline|threads]
 //!                [--mode open|closed] [--rate R] [--inflight N] [--seconds S]
 //! parbor obs     report [--trace F] [--out F]
@@ -17,12 +18,13 @@
 //! `--parallel auto|always|never` and `--kernel stencil|reference` apply to
 //! every device-building subcommand. `detect` and `fleet run`/`fleet resume`
 //! additionally accept `--backend sim|replay:<path>`, `--record <path>`,
-//! `--record-format json|binary`, and `--inject rate=<p>,seed=<s>` to swap
-//! or decorate the test-port backend.
+//! and `--inject rate=<p>,seed=<s>` to swap or decorate the test-port
+//! backend.
 //! Every subcommand defaults to the simulated devices; see the fig*/table*
 //! binaries for the exact paper reproductions.
 
 use std::collections::HashMap;
+use std::io::Write;
 use std::path::PathBuf;
 use std::process::ExitCode;
 
@@ -34,7 +36,7 @@ use parbor_dram::{
 use parbor_fleet::{Fleet, FleetConfig, ProfileStore, ScanJob, CRASH_EXIT_CODE};
 use parbor_hal::{
     FaultInjectingPort, InjectionConfig, KernelMode, MechanismSpec, ParallelMode, RecordingPort,
-    ReplayPort, TestPort, TranscriptFormat,
+    ReplayPort, TestPort,
 };
 use parbor_memsim::{Density, RefreshPolicyKind, Simulation, SystemConfig};
 use parbor_obs::{
@@ -121,13 +123,6 @@ impl Args {
         }
     }
 
-    fn record_format(&self) -> Result<TranscriptFormat, String> {
-        match self.flags.get("record-format") {
-            None => Ok(TranscriptFormat::default()),
-            Some(v) => v.parse().map_err(|e: parbor_dram::DramError| e.to_string()),
-        }
-    }
-
     fn inject(&self) -> Result<Option<InjectionConfig>, String> {
         match self.flags.get("inject") {
             None => Ok(None),
@@ -152,7 +147,7 @@ enum Backend {
     /// The deterministic DRAM simulator (the default).
     Sim,
     /// A recorded transcript — a file for `detect`, a directory of
-    /// `<job>.jsonl`/`<job>.pbt` transcripts for `fleet`.
+    /// `<job>.pbt` transcripts for `fleet`.
     Replay(PathBuf),
 }
 
@@ -183,10 +178,7 @@ fn build_port(args: &Args, default_chips: u64) -> Result<Box<dyn TestPort>, Stri
         port = Box::new(FaultInjectingPort::new(port, config));
     }
     if let Some(path) = args.flags.get("record") {
-        port = Box::new(
-            RecordingPort::create_with_format(port, path, args.record_format()?)
-                .map_err(|e| e.to_string())?,
-        );
+        port = Box::new(RecordingPort::create(port, path).map_err(|e| e.to_string())?);
     }
     Ok(port)
 }
@@ -536,15 +528,12 @@ fn fleet_print_report(report: &parbor_fleet::FleetReport, store_dir: &std::path:
 
 /// Builds the per-job port factory for `fleet run`/`fleet resume` when any
 /// backend flag is present; `None` keeps the orchestrator's built-in
-/// simulator factory. Transcripts live at `<dir>/<job-name>.jsonl` (JSON) or
-/// `<dir>/<job-name>.pbt` (binary, per `--record-format`) for `--record`;
-/// `--backend replay:<dir>` accepts either extension and auto-detects the
-/// encoding from the file itself.
+/// simulator factory. Transcripts live at `<dir>/<job-name>.pbt`, both for
+/// `--record <dir>` and for `--backend replay:<dir>`.
 fn fleet_port_factory(args: &Args) -> Result<Option<parbor_fleet::PortFactory>, String> {
     let backend = args.backend()?;
     let inject = args.inject()?;
     let record = args.flags.get("record").map(PathBuf::from);
-    let format = args.record_format()?;
     if matches!(backend, Backend::Sim) && inject.is_none() && record.is_none() {
         return Ok(None);
     }
@@ -556,25 +545,16 @@ fn fleet_port_factory(args: &Args) -> Result<Option<parbor_fleet::PortFactory>, 
         let mut port: Box<dyn TestPort> = match &backend {
             Backend::Sim => Box::new(job.module.build()?),
             Backend::Replay(dir) => {
-                // Whichever extension the recording run used; the replay
-                // port sniffs the actual encoding either way.
-                let json = dir.join(format!("{}.jsonl", job.name));
-                let path = if json.exists() {
-                    json
-                } else {
-                    dir.join(format!("{}.pbt", job.name))
-                };
-                Box::new(ReplayPort::open(path)?)
+                Box::new(ReplayPort::open(dir.join(format!("{}.pbt", job.name)))?)
             }
         };
         if let Some(config) = inject {
             port = Box::new(FaultInjectingPort::new(port, config));
         }
         if let Some(dir) = &record {
-            port = Box::new(RecordingPort::create_with_format(
+            port = Box::new(RecordingPort::create(
                 port,
-                dir.join(format!("{}.{}", job.name, format.extension())),
-                format,
+                dir.join(format!("{}.pbt", job.name)),
             )?);
         }
         Ok(port)
@@ -782,7 +762,6 @@ fn cmd_store(argv: &[String]) -> Result<(), String> {
             let stats = store.stats().map_err(|e| e.to_string())?;
             println!("store            : {dir}");
             println!("modules          : {}", stats.modules);
-            println!("legacy modules   : {}", stats.legacy_modules);
             println!("l0 segments      : {}", stats.l0_segments);
             for (gen, chunks) in &stats.generation_segments {
                 println!("generation {gen:>2}    : {chunks} chunk file(s)");
@@ -878,8 +857,46 @@ fn cmd_store(argv: &[String]) -> Result<(), String> {
     }
 }
 
+/// `transcript dump PATH`: the human-readable view of a binary transcript,
+/// read through [`ReplayPort::open`] (the one decoder) — the header summary
+/// as one JSON line, then one JSON line per recorded round.
+fn cmd_transcript(argv: &[String]) -> Result<(), String> {
+    #[derive(serde::Serialize)]
+    struct DumpRound {
+        round: usize,
+        writes: u64,
+        writes_digest: String,
+        flips: Vec<parbor_hal::Flip>,
+    }
+    let path = match argv {
+        [sub, path] if sub == "dump" => path,
+        _ => return Err("transcript needs: dump PATH".into()),
+    };
+    let replay = ReplayPort::open(path).map_err(|e| e.to_string())?;
+    let mut lines = vec![serde_json::to_string(&replay.info()).map_err(|e| e.to_string())?];
+    for (i, r) in replay.rounds().iter().enumerate() {
+        let round = DumpRound {
+            round: i + 1,
+            writes: r.writes,
+            writes_digest: format!("{:016x}", r.digest),
+            flips: r.flips.clone(),
+        };
+        lines.push(serde_json::to_string(&round).map_err(|e| e.to_string())?);
+    }
+    let mut out = std::io::BufWriter::new(std::io::stdout().lock());
+    let written = lines
+        .iter()
+        .try_for_each(|line| writeln!(out, "{line}"))
+        .and_then(|()| out.flush());
+    match written {
+        // A closed pipe (`| head`) is the reader being done, not an error.
+        Err(e) if e.kind() != std::io::ErrorKind::BrokenPipe => Err(e.to_string()),
+        _ => Ok(()),
+    }
+}
+
 const USAGE: &str =
-    "usage: parbor <detect|census|compare|profile|dcref|efficacy|serve|fleet|store|obs> [--flag value]...
+    "usage: parbor <detect|census|compare|profile|dcref|efficacy|serve|fleet|store|transcript|obs> [--flag value]...
   detect   run the full PARBOR pipeline on a simulated module
   efficacy score pipeline detection against mechanism ground truth:
              efficacy [--vendors A,B,C] [--rows N] [--cols N] [--chips N]
@@ -917,8 +934,8 @@ const USAGE: &str =
              store stats     --dir D    segment/index ledger; non-zero exit
                                         when the ledger does not balance
              store compact   --dir D [--crash-after-phase 1|2|3]
-                                        merge L0 appends, older generations,
-                                        and legacy JSONL into one sorted
+                                        merge L0 appends and older
+                                        generations into one sorted
                                         deduplicated generation; the crash
                                         flag simulates a mid-compaction kill
                                         (exits 42) for recovery testing
@@ -926,6 +943,10 @@ const USAGE: &str =
                                         streaming fleet-wide rollups: distance
                                         histogram, per-vendor failure rates
              --dir defaults to results/fleet/store
+  transcript record/replay transcript inspection:
+             transcript dump PATH       the header, then one JSON line per
+                                        recorded round (writes, digest,
+                                        flips)
   obs      telemetry post-processing:
              obs report   [--trace results/trace.jsonl]
                           [--out results/profile.folded]
@@ -937,12 +958,10 @@ common flags: --vendor A|B|C  --seed N  --rows N  --chips N
 backend flags (detect, fleet run/resume):
               --backend sim|replay:PATH      test-port backend; replay reads a
                                              transcript (detect: file, fleet:
-                                             directory of <job>.jsonl files)
+                                             directory of <job>.pbt files)
               --record PATH                  record a transcript while running
-                                             (detect: file, fleet: directory)
-              --record-format json|binary    transcript encoding for --record;
-                                             json is grep-able, binary is
-                                             compact (replay detects either)
+                                             (detect: file, fleet: directory
+                                             of <job>.pbt files)
               --inject rate=P,seed=S[,intermittent=Q]
                                              decorate the port with seeded
                                              random + intermittent bit flips
@@ -972,6 +991,8 @@ fn main() -> ExitCode {
         cmd_fleet(&argv[1..])
     } else if cmd == "store" {
         cmd_store(&argv[1..])
+    } else if cmd == "transcript" {
+        cmd_transcript(&argv[1..])
     } else if cmd == "obs" {
         cmd_obs(&argv[1..])
     } else {

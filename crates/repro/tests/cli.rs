@@ -121,7 +121,7 @@ fn help_documents_the_backend_flags() {
 #[test]
 fn detect_record_then_replay_reproduces_the_report() {
     let cwd = scratch_cwd("detect-replay");
-    let transcript = cwd.join("run.jsonl");
+    let transcript = cwd.join("run.pbt");
     let base = &["detect", "--vendor", "B", "--rows", "32", "--chips", "1"][..];
 
     let mut args = base.to_vec();
@@ -129,8 +129,8 @@ fn detect_record_then_replay_reproduces_the_report() {
     args.extend_from_slice(&["--record", &t]);
     let recorded = run_in(&cwd, &args);
     assert!(recorded.status.success(), "record run failed: {recorded:?}");
-    let header = fs::read_to_string(&transcript).expect("transcript written");
-    assert!(header.contains("PBHALTR1"), "transcript missing magic");
+    let bytes = fs::read(&transcript).expect("transcript written");
+    assert!(bytes.starts_with(b"PBHALTB1"), "transcript missing magic");
 
     let replay_backend = format!("replay:{t}");
     let mut args = base.to_vec();
@@ -145,6 +145,21 @@ fn detect_record_then_replay_reproduces_the_report() {
         head(&replayed),
         "replayed report differs from the recorded run"
     );
+
+    // The human-readable view: a header line, then one line per round.
+    let dump = run_in(&cwd, &["transcript", "dump", &t]);
+    assert!(dump.status.success(), "transcript dump failed: {dump:?}");
+    let text = stdout(&dump);
+    let lines: Vec<&str> = text.lines().collect();
+    let rounds: u64 = lines[0]
+        .split("\"rounds\":")
+        .nth(1)
+        .and_then(|rest| rest.split(|c: char| !c.is_ascii_digit()).next())
+        .and_then(|n| n.parse().ok())
+        .expect("rounds field in the header line");
+    assert!(rounds > 0);
+    assert_eq!(lines.len() as u64, rounds + 1, "{text}");
+    assert!(lines[1].contains("\"writes_digest\""), "{}", lines[1]);
 
     fs::remove_dir_all(&cwd).ok();
 }
@@ -178,8 +193,8 @@ fn fleet_record_then_replay_produces_a_byte_identical_store() {
         .output()
         .expect("recorded fleet run");
     assert!(out.status.success(), "recorded run failed: {out:?}");
-    assert!(transcripts.join("A0.jsonl").is_file());
-    assert!(transcripts.join("B0.jsonl").is_file());
+    assert!(transcripts.join("A0.pbt").is_file());
+    assert!(transcripts.join("B0.pbt").is_file());
 
     let mut args = base("replayed");
     args.extend([

@@ -21,24 +21,24 @@
 //! - **Streaming aggregation** ([`ProfileStore::aggregate`]): fleet-wide
 //!   rollups (distance histograms, per-vendor failure rates) stream one
 //!   segment at a time.
-//! - **Transparent migration** ([`legacy`]): v1 JSONL stores open in
-//!   place; the first compaction rewrites them columnar.
 //!
-//! The crate depends only on `parbor-core` (profile types) and
-//! `parbor-obs` (metrics) — no I/O framework, no database.
+//! The v1 layout (`index.json` + one JSONL file per module) is retired: a
+//! root holding one opens as [`StoreError::RetiredLayout`] and is left
+//! untouched.
+//!
+//! The crate depends only on `parbor-core` (profile types), `parbor-hal`
+//! (hash, varint and frame codecs) and `parbor-obs` (metrics) — no I/O
+//! framework, no database.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 mod aggregate;
-pub mod hash;
-pub mod legacy;
 pub mod segment;
 mod store;
-mod varint;
 
 pub use aggregate::{AggregateBuilder, FleetAggregate, HistSummary, VendorRollup};
-pub use hash::{fnv1a64, format_hash};
+pub use segment::format_hash;
 pub use store::{
     shard_file, shard_of, CompactPhase, CompactReport, GenSegmentMeta, GenerationMeta,
     ProfileStore, SegmentMeta, StoreStats, StoredProfile, CHUNK_RECORDS, COMPACTING_MARKER,
@@ -63,6 +63,11 @@ pub enum StoreError {
     Serde(String),
     /// A caller-supplied name or parameter the store cannot accept.
     InvalidConfig(String),
+    /// A root in the retired v1 layout (`index.json`, no `manifest.json`).
+    RetiredLayout {
+        /// The store root.
+        path: PathBuf,
+    },
 }
 
 impl std::fmt::Display for StoreError {
@@ -74,6 +79,12 @@ impl std::fmt::Display for StoreError {
             }
             StoreError::Serde(msg) => write!(f, "store serialization error: {msg}"),
             StoreError::InvalidConfig(msg) => write!(f, "invalid store request: {msg}"),
+            StoreError::RetiredLayout { path } => write!(
+                f,
+                "{} holds a v1 store (index.json + JSONL segments), a retired layout \
+                 this build no longer reads",
+                path.display()
+            ),
         }
     }
 }

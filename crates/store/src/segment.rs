@@ -24,9 +24,11 @@
 //! valid-prefix salvage.
 
 use parbor_core::{FailingCell, FailureProfile};
+use parbor_hal::frame;
+use parbor_hal::hash::fnv1a64;
+use parbor_hal::varint::{get as get_varint, put as put_varint, unzigzag, zigzag};
 
-use crate::hash::fnv1a64;
-use crate::varint::{get_varint, put_varint, unzigzag, zigzag};
+pub use parbor_hal::frame::Frame;
 
 /// Magic bytes opening every columnar segment file.
 pub const SEGMENT_MAGIC: &[u8; 8] = b"PBSTSEG1";
@@ -36,7 +38,7 @@ pub const SEGMENT_MAGIC: &[u8; 8] = b"PBSTSEG1";
 pub const MAX_RECORD_BYTES: u64 = 1 << 30;
 
 /// Bytes of framing around every payload (`u32` length + `u64` checksum).
-pub const FRAME_HEADER_BYTES: u64 = 12;
+pub const FRAME_HEADER_BYTES: u64 = frame::HEADER_BYTES as u64;
 
 /// Encodes the profile *body* (everything except the module name): the
 /// canonical byte form the content hash covers.
@@ -87,6 +89,11 @@ pub fn content_hash(profile: &FailureProfile) -> u64 {
     fnv1a64(&encode_body(profile))
 }
 
+/// Renders a hash the way the store index records it (`fnv64:<16 hex>`).
+pub fn format_hash(hash: u64) -> String {
+    format!("fnv64:{hash:016x}")
+}
+
 /// Encodes a full record payload: varint name length, name bytes, body.
 pub fn encode_payload(name: &str, profile: &FailureProfile) -> Vec<u8> {
     let body = encode_body(profile);
@@ -97,13 +104,15 @@ pub fn encode_payload(name: &str, profile: &FailureProfile) -> Vec<u8> {
     payload
 }
 
-/// Wraps a payload in the `[u32 len][u64 checksum]` frame.
-pub fn frame_payload(payload: &[u8]) -> Vec<u8> {
-    let mut out = Vec::with_capacity(payload.len() + FRAME_HEADER_BYTES as usize);
-    out.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-    out.extend_from_slice(&fnv1a64(payload).to_le_bytes());
-    out.extend_from_slice(payload);
-    out
+/// Appends a payload to `out` in the `[u32 len][u64 fnv1a64]` frame.
+pub fn put_frame(out: &mut Vec<u8>, payload: &[u8]) {
+    frame::put(out, payload, fnv1a64);
+}
+
+/// Reads the frame at `pos` (see [`frame::read_at`]), capping lengths at
+/// [`MAX_RECORD_BYTES`].
+pub fn read_frame(bytes: &[u8], pos: usize) -> Frame<'_> {
+    frame::read_at(bytes, pos, MAX_RECORD_BYTES, fnv1a64)
 }
 
 /// A record decoded from a segment frame.
@@ -258,21 +267,6 @@ pub fn decode_payload(payload: &[u8], strict: bool) -> Result<DecodedRecord, Str
     })
 }
 
-/// One frame read out of a segment byte stream.
-#[derive(Debug, Clone)]
-pub struct Frame<'a> {
-    /// Byte offset of the frame header within the file.
-    pub offset: u64,
-    /// The payload slice.
-    pub payload: &'a [u8],
-    /// Whether the payload matched its frame checksum (a failed checksum
-    /// with a full-length payload is a bit flip; a short payload is a torn
-    /// tail).
-    pub intact: bool,
-    /// Whether the payload was cut short by the end of the file.
-    pub truncated: bool,
-}
-
 /// Walks every frame in a segment byte buffer (after the magic), stopping
 /// at the end or at the first frame whose header itself is unreadable.
 /// The final element may be a torn frame (`intact: false`).
@@ -282,49 +276,10 @@ pub struct Frame<'a> {
 /// `Err(detail)` when the file is shorter than the magic or opens with the
 /// wrong magic.
 pub fn walk_frames(bytes: &[u8]) -> Result<Vec<Frame<'_>>, String> {
-    if bytes.len() < SEGMENT_MAGIC.len() || &bytes[..SEGMENT_MAGIC.len()] != SEGMENT_MAGIC {
+    if !bytes.starts_with(SEGMENT_MAGIC) {
         return Err("bad segment magic".into());
     }
-    let mut frames = Vec::new();
-    let mut pos = SEGMENT_MAGIC.len();
-    while pos < bytes.len() {
-        if bytes.len() - pos < FRAME_HEADER_BYTES as usize {
-            // A torn frame header: nothing recoverable past this point.
-            frames.push(Frame {
-                offset: pos as u64,
-                payload: &[],
-                intact: false,
-                truncated: true,
-            });
-            break;
-        }
-        let len = u32::from_le_bytes(bytes[pos..pos + 4].try_into().unwrap()) as u64;
-        let sum = u64::from_le_bytes(bytes[pos + 4..pos + 12].try_into().unwrap());
-        if len > MAX_RECORD_BYTES {
-            frames.push(Frame {
-                offset: pos as u64,
-                payload: &[],
-                intact: false,
-                truncated: true,
-            });
-            break;
-        }
-        let start = pos + FRAME_HEADER_BYTES as usize;
-        let end = start + len as usize;
-        let truncated = end > bytes.len();
-        let payload = &bytes[start..end.min(bytes.len())];
-        frames.push(Frame {
-            offset: pos as u64,
-            payload,
-            intact: !truncated && fnv1a64(payload) == sum,
-            truncated,
-        });
-        if truncated {
-            break;
-        }
-        pos = end;
-    }
-    Ok(frames)
+    Ok(frame::walk(bytes, SEGMENT_MAGIC.len(), MAX_RECORD_BYTES, fnv1a64).collect())
 }
 
 #[cfg(test)]
@@ -399,11 +354,16 @@ mod tests {
     }
 
     #[test]
+    fn format_is_stable() {
+        assert_eq!(format_hash(0xdead_beef), "fnv64:00000000deadbeef");
+    }
+
+    #[test]
     fn frame_walk_flags_torn_tail() {
         let profile = sample();
         let mut bytes = SEGMENT_MAGIC.to_vec();
-        bytes.extend_from_slice(&frame_payload(&encode_payload("A1", &profile)));
-        bytes.extend_from_slice(&frame_payload(&encode_payload("B2", &profile)));
+        put_frame(&mut bytes, &encode_payload("A1", &profile));
+        put_frame(&mut bytes, &encode_payload("B2", &profile));
         let full = walk_frames(&bytes).expect("walk");
         assert_eq!(full.len(), 2);
         assert!(full.iter().all(|f| f.intact));

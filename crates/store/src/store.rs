@@ -12,9 +12,8 @@
 //! ```
 //!
 //! Appends land as single-record L0 segments; [`ProfileStore::compact`]
-//! merges every live record — L0, older generations, and any legacy v1
-//! JSONL segments — into a fresh generation of sorted, deduplicated chunk
-//! files. Precedence is latest-write-wins: L0 over everything, then higher
+//! merges every live record — L0 and older generations — into a fresh
+//! generation of sorted, deduplicated chunk files. Precedence is latest-write-wins: L0 over everything, then higher
 //! generation numbers. Every file is written with the temp + rename idiom
 //! and the manifest swap is the commit point, so a compaction killed at
 //! any instant recovers to a store byte-identical to either the pre- or
@@ -35,12 +34,13 @@ use serde::{Deserialize, Serialize};
 use parbor_core::FailureProfile;
 use parbor_obs::{metrics, span, RecorderHandle};
 
+use parbor_hal::frame;
+use parbor_hal::hash::fnv1a64;
+
 use crate::aggregate::{AggregateBuilder, FleetAggregate};
-use crate::hash::{fnv1a64, format_hash};
-use crate::legacy::{self, LegacyMeta};
 use crate::segment::{
-    decode_payload, encode_payload, frame_payload, walk_frames, Frame, FRAME_HEADER_BYTES,
-    MAX_RECORD_BYTES, SEGMENT_MAGIC,
+    decode_payload, encode_payload, format_hash, put_frame, read_frame, walk_frames, Frame,
+    FRAME_HEADER_BYTES, MAX_RECORD_BYTES, SEGMENT_MAGIC,
 };
 use crate::StoreError;
 
@@ -64,15 +64,14 @@ pub const COMPACTING_MARKER: &str = "COMPACTING";
 pub struct SegmentMeta {
     /// Segment file name, relative to `segments/`.
     pub file: String,
-    /// Byte offset of the record's frame within the file (0 for legacy
-    /// JSONL segments, which hold exactly one profile).
+    /// Byte offset of the record's frame within the file.
     pub offset: u64,
     /// Content hash of the profile's canonical body bytes (`fnv64:…`) —
-    /// stable across segments, generations, and formats.
+    /// stable across segments and generations.
     pub hash: String,
     /// Number of failing cells the record stores.
     pub failures: usize,
-    /// Framed record size in bytes (file size for legacy segments).
+    /// Framed record size in bytes.
     pub bytes: u64,
 }
 
@@ -152,7 +151,7 @@ pub enum CompactPhase {
 /// What a compaction did.
 #[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct CompactReport {
-    /// Input segment files merged (L0 + older generations + legacy).
+    /// Input segment files merged (L0 + older generations).
     pub input_segments: usize,
     /// Live records merged in.
     pub input_records: usize,
@@ -179,8 +178,6 @@ pub struct CompactReport {
 pub struct StoreStats {
     /// Modules the index serves.
     pub modules: usize,
-    /// Modules still served from legacy v1 JSONL segments.
-    pub legacy_modules: usize,
     /// Modules served from single-record L0 segments.
     pub l0_segments: usize,
     /// `(generation, chunk files)` per compacted generation.
@@ -203,11 +200,6 @@ pub struct StoreStats {
     pub ledger_balanced: bool,
 }
 
-enum Source {
-    V2(SegmentMeta),
-    Legacy(LegacyMeta),
-}
-
 /// The profile store.
 #[derive(Debug)]
 pub struct ProfileStore {
@@ -215,7 +207,6 @@ pub struct ProfileStore {
     manifest: ManifestDoc,
     shards: RefCell<Vec<Option<BTreeMap<String, SegmentMeta>>>>,
     dirty: Vec<bool>,
-    legacy: Option<BTreeMap<String, LegacyMeta>>,
     rec: RecorderHandle,
 }
 
@@ -223,12 +214,12 @@ impl ProfileStore {
     /// Opens (or initialises) the store rooted at `root`, running crash
     /// recovery if a previous process died mid-compaction (orphan chunk
     /// collection, index roll-forward) and rebuilding the manifest from
-    /// the segment files when it is torn. A v1 (`index.json` + JSONL)
-    /// store opens in place and keeps serving until the first compaction
-    /// migrates it.
+    /// the segment files when it is torn.
     ///
     /// # Errors
     ///
+    /// [`StoreError::RetiredLayout`] for a root in the retired v1 layout
+    /// (`index.json`, no `manifest.json`), which is left untouched;
     /// [`StoreError::Corrupt`] on an unsupported version or damage beyond
     /// salvage; I/O errors.
     pub fn open(root: impl Into<PathBuf>) -> Result<Self, StoreError> {
@@ -247,15 +238,12 @@ impl ProfileStore {
         rec: RecorderHandle,
     ) -> Result<Self, StoreError> {
         let root = root.into();
-        fs::create_dir_all(root.join("segments"))?;
-        let legacy_path = root.join("index.json");
-        let legacy = if legacy_path.exists() {
-            Some(legacy::load_index(&legacy_path)?)
-        } else {
-            None
-        };
-
         let manifest_path = root.join("manifest.json");
+        if root.join("index.json").exists() && !manifest_path.exists() {
+            return Err(StoreError::RetiredLayout { path: root });
+        }
+        fs::create_dir_all(root.join("segments"))?;
+
         let manifest = if manifest_path.exists() {
             match fs::read_to_string(&manifest_path)
                 .map_err(StoreError::Io)
@@ -287,12 +275,10 @@ impl ProfileStore {
                 epoch: 0,
                 generations: Vec::new(),
             };
-            if legacy.is_none() {
-                write_atomic(
-                    &manifest_path,
-                    serde_json::to_string_pretty(&doc)?.as_bytes(),
-                )?;
-            }
+            write_atomic(
+                &manifest_path,
+                serde_json::to_string_pretty(&doc)?.as_bytes(),
+            )?;
             doc
         };
 
@@ -301,7 +287,6 @@ impl ProfileStore {
             manifest,
             shards: RefCell::new(vec![None; SHARD_COUNT]),
             dirty: vec![false; SHARD_COUNT],
-            legacy,
             rec,
         };
         if store.root.join(COMPACTING_MARKER).exists() {
@@ -336,42 +321,29 @@ impl ProfileStore {
             let shards = self.shards.borrow();
             names.extend(shards[id].as_ref().unwrap().keys().cloned());
         }
-        if let Some(legacy) = &self.legacy {
-            names.extend(legacy.keys().cloned());
-        }
         names.sort();
-        names.dedup();
         Ok(names)
     }
 
-    /// Index entry for `name`, if stored (legacy entries are converted:
-    /// offset 0, file-level hash).
+    /// Index entry for `name`, if stored.
     ///
     /// # Errors
     ///
     /// Index shard read errors.
     pub fn meta(&self, name: &str) -> Result<Option<SegmentMeta>, StoreError> {
-        if let Some(meta) = self.v2_meta(name)? {
-            return Ok(Some(meta));
-        }
-        Ok(self
-            .legacy
+        let id = shard_of(name);
+        self.ensure_shard(id)?;
+        Ok(self.shards.borrow()[id]
             .as_ref()
-            .and_then(|l| l.get(name))
-            .map(|m| SegmentMeta {
-                file: m.file.clone(),
-                offset: 0,
-                hash: m.hash.clone(),
-                failures: m.failures,
-                bytes: m.bytes,
-            }))
+            .unwrap()
+            .get(name)
+            .cloned())
     }
 
     /// Whether a profile for `name` is stored. An unreadable index shard
     /// counts as absent (the caller re-scans and overwrites).
     pub fn contains(&self, name: &str) -> bool {
-        matches!(self.v2_meta(name), Ok(Some(_)))
-            || self.legacy.as_ref().is_some_and(|l| l.contains_key(name))
+        matches!(self.meta(name), Ok(Some(_)))
     }
 
     /// Writes `profile` as a new L0 record for `name` (replacing any
@@ -412,18 +384,18 @@ impl ProfileStore {
         }
         let payload = encode_payload(name, profile);
         let body_hash = fnv1a64(payload_body(&payload));
-        let framed = frame_payload(&payload);
         let file = format!("L0-{name}.pbs");
-        let mut bytes = Vec::with_capacity(SEGMENT_MAGIC.len() + framed.len());
+        let mut bytes =
+            Vec::with_capacity(SEGMENT_MAGIC.len() + frame::HEADER_BYTES + payload.len());
         bytes.extend_from_slice(SEGMENT_MAGIC);
-        bytes.extend_from_slice(&framed);
+        put_frame(&mut bytes, &payload);
         write_atomic(&self.root.join("segments").join(&file), &bytes)?;
         let meta = SegmentMeta {
             file,
             offset: SEGMENT_MAGIC.len() as u64,
             hash: format_hash(body_hash),
             failures: profile.failures.len(),
-            bytes: framed.len() as u64,
+            bytes: (bytes.len() - SEGMENT_MAGIC.len()) as u64,
         };
         let id = shard_of(name);
         self.ensure_shard(id)?;
@@ -432,13 +404,6 @@ impl ProfileStore {
             .unwrap()
             .insert(name.to_string(), meta.clone());
         self.dirty[id] = true;
-        if !self.root.join("manifest.json").exists() {
-            // A legacy-only store gains its v2 manifest on first write.
-            write_atomic(
-                &self.root.join("manifest.json"),
-                serde_json::to_string_pretty(&self.manifest)?.as_bytes(),
-            )?;
-        }
         self.rec.incr(metrics::store::PUTS, 1);
         self.rec.incr(metrics::store::PUT_BYTES, bytes.len() as u64);
         Ok(meta)
@@ -481,49 +446,34 @@ impl ProfileStore {
     /// [`StoreError::Corrupt`] when not even the record's name survives;
     /// I/O errors.
     pub fn get(&self, name: &str) -> Result<StoredProfile, StoreError> {
-        if let Some(meta) = self.v2_meta(name)? {
-            self.rec.incr(metrics::store::READS, 1);
-            let (payload, intact) = self.read_frame(&meta)?;
-            if !intact {
-                self.rec.incr(metrics::store::RECOVERY, 1);
-            }
-            let decoded =
-                decode_payload(&payload, intact).map_err(|detail| StoreError::Corrupt {
-                    path: self.root.join("segments").join(&meta.file),
-                    detail,
-                })?;
-            if decoded.name != name {
-                return Err(StoreError::Corrupt {
-                    path: self.root.join("segments").join(&meta.file),
-                    detail: format!(
-                        "record claims module '{}' but is indexed as '{name}'",
-                        decoded.name
-                    ),
-                });
-            }
-            return Ok(StoredProfile {
-                profile: decoded.profile,
-                complete: decoded.complete,
-                recovered: !intact,
+        let Some(meta) = self.meta(name)? else {
+            return Err(StoreError::InvalidConfig(format!(
+                "module '{name}' not in store index"
+            )));
+        };
+        self.rec.incr(metrics::store::READS, 1);
+        let (payload, intact) = self.read_frame(&meta)?;
+        if !intact {
+            self.rec.incr(metrics::store::RECOVERY, 1);
+        }
+        let decoded = decode_payload(&payload, intact).map_err(|detail| StoreError::Corrupt {
+            path: self.root.join("segments").join(&meta.file),
+            detail,
+        })?;
+        if decoded.name != name {
+            return Err(StoreError::Corrupt {
+                path: self.root.join("segments").join(&meta.file),
+                detail: format!(
+                    "record claims module '{}' but is indexed as '{name}'",
+                    decoded.name
+                ),
             });
         }
-        if let Some(meta) = self.legacy.as_ref().and_then(|l| l.get(name)) {
-            self.rec.incr(metrics::store::READS, 1);
-            self.rec.incr(metrics::store::LEGACY_READS, 1);
-            let seg_path = self.root.join("segments").join(&meta.file);
-            let (profile, complete, intact) = legacy::read_segment(&seg_path, name, meta)?;
-            if !intact {
-                self.rec.incr(metrics::store::RECOVERY, 1);
-            }
-            return Ok(StoredProfile {
-                profile,
-                complete,
-                recovered: !intact,
-            });
-        }
-        Err(StoreError::InvalidConfig(format!(
-            "module '{name}' not in store index"
-        )))
+        Ok(StoredProfile {
+            profile: decoded.profile,
+            complete: decoded.complete,
+            recovered: !intact,
+        })
     }
 
     /// Reads every stored profile, sorted by module name. The snapshot
@@ -556,8 +506,8 @@ impl ProfileStore {
     pub fn verify(&self) -> Result<Vec<(String, bool)>, StoreError> {
         let mut out = Vec::new();
         for name in self.modules()? {
-            let intact = if let Some(meta) = self.v2_meta(&name)? {
-                match self.read_frame(&meta) {
+            let intact = match self.meta(&name)? {
+                Some(meta) => match self.read_frame(&meta) {
                     Ok((payload, true)) => {
                         format_hash(fnv1a64(payload_body(&payload))) == meta.hash
                     }
@@ -565,15 +515,8 @@ impl ProfileStore {
                     Err(StoreError::Io(e)) if e.kind() == std::io::ErrorKind::NotFound => false,
                     Err(StoreError::Corrupt { .. }) => false,
                     Err(e) => return Err(e),
-                }
-            } else if let Some(meta) = self.legacy.as_ref().and_then(|l| l.get(&name)) {
-                match fs::read(self.root.join("segments").join(&meta.file)) {
-                    Ok(bytes) => format_hash(fnv1a64(&bytes)) == meta.hash,
-                    Err(e) if e.kind() == std::io::ErrorKind::NotFound => false,
-                    Err(e) => return Err(e.into()),
-                }
-            } else {
-                false
+                },
+                None => false,
             };
             out.push((name, intact));
         }
@@ -590,14 +533,7 @@ impl ProfileStore {
     /// Index shard read and I/O errors (missing segment files count as
     /// corrupt records instead of erroring).
     pub fn stats(&self) -> Result<StoreStats, StoreError> {
-        let entries = self.all_v2_entries()?;
-        let legacy_only: Vec<&String> = self
-            .legacy
-            .iter()
-            .flat_map(|l| l.keys())
-            .filter(|name| !entries.contains_key(*name))
-            .collect();
-
+        let entries = self.all_entries()?;
         let mut live = 0usize;
         let mut dead = 0usize;
         let mut corrupt = 0usize;
@@ -652,34 +588,14 @@ impl ProfileStore {
                 scan(&meta.file)?;
             }
         }
-        for name in &legacy_only {
-            let meta = &self.legacy.as_ref().unwrap()[*name];
-            match fs::read(self.root.join("segments").join(&meta.file)) {
-                Ok(bytes) => {
-                    seg_bytes += bytes.len() as u64;
-                    if format_hash(fnv1a64(&bytes)) == meta.hash {
-                        live += 1;
-                    } else {
-                        corrupt += 1;
-                    }
-                }
-                Err(e) if e.kind() == std::io::ErrorKind::NotFound => corrupt += 1,
-                Err(e) => return Err(e.into()),
-            }
-        }
 
-        let modules = entries.len() + legacy_only.len();
-        let total_failures = entries.values().map(|m| m.failures).sum::<usize>()
-            + legacy_only
-                .iter()
-                .map(|n| self.legacy.as_ref().unwrap()[*n].failures)
-                .sum::<usize>();
+        let modules = entries.len();
+        let total_failures = entries.values().map(|m| m.failures).sum::<usize>();
         let index_shards = (0..SHARD_COUNT)
             .filter(|&id| self.root.join(shard_file(id)).exists())
             .count();
         Ok(StoreStats {
             modules,
-            legacy_modules: legacy_only.len(),
             l0_segments,
             generation_segments: self
                 .manifest
@@ -705,7 +621,7 @@ impl ProfileStore {
     ///
     /// Index shard read and I/O errors.
     pub fn aggregate(&self) -> Result<FleetAggregate, StoreError> {
-        let entries = self.all_v2_entries()?;
+        let entries = self.all_entries()?;
         let mut builder = AggregateBuilder::new();
 
         let mut stream = |file: &str| -> Result<(), StoreError> {
@@ -740,22 +656,11 @@ impl ProfileStore {
                 stream(&meta.file)?;
             }
         }
-        if let Some(legacy) = &self.legacy {
-            for (name, meta) in legacy {
-                if entries.contains_key(name) {
-                    continue;
-                }
-                let seg_path = self.root.join("segments").join(&meta.file);
-                let (profile, _, _) = legacy::read_segment(&seg_path, name, meta)?;
-                builder.add(name, &profile);
-                self.rec.incr(metrics::store::AGG_RECORDS, 1);
-            }
-        }
         Ok(builder.finish())
     }
 
-    /// Merges every live record — L0 appends, older generations, legacy
-    /// JSONL — into one fresh generation of sorted, deduplicated
+    /// Merges every live record — L0 appends and older generations — into
+    /// one fresh generation of sorted, deduplicated
     /// (latest-write-wins) chunk files, then retires the inputs. The
     /// manifest swap is atomic; a crash at any point recovers to exactly
     /// the pre- or post-compaction store.
@@ -783,25 +688,10 @@ impl ProfileStore {
         self.flush()?;
         let _span = span!(self.rec, metrics::store::COMPACT_SPAN);
 
-        // Gather the live record set: v2 index first, legacy fills gaps.
-        let v2 = self.all_v2_entries()?;
-        let mut sources: BTreeMap<String, Source> = BTreeMap::new();
-        if let Some(legacy) = &self.legacy {
-            for (name, meta) in legacy {
-                sources.insert(name.clone(), Source::Legacy(meta.clone()));
-            }
-        }
-        let mut input_files: std::collections::BTreeSet<String> = sources
-            .values()
-            .map(|s| match s {
-                Source::Legacy(m) => m.file.clone(),
-                Source::V2(m) => m.file.clone(),
-            })
-            .collect();
-        for (name, meta) in &v2 {
-            input_files.insert(meta.file.clone());
-            sources.insert(name.clone(), Source::V2(meta.clone()));
-        }
+        // The live record set is exactly what the index points at.
+        let sources = self.all_entries()?;
+        let input_files: std::collections::BTreeSet<&str> =
+            sources.values().map(|m| m.file.as_str()).collect();
         let input_records = sources.len();
         let new_gen = self
             .manifest
@@ -868,57 +758,35 @@ impl ProfileStore {
             Ok(())
         };
 
-        for (name, source) in &sources {
-            let payload: Option<Vec<u8>> = match source {
-                Source::V2(meta) => {
-                    let (payload, intact) = match self.read_frame_cached(meta, &mut last_file) {
-                        Ok(v) => v,
-                        Err(StoreError::Io(e)) if e.kind() == std::io::ErrorKind::NotFound => {
-                            (Vec::new(), false)
-                        }
-                        Err(e) => return Err(e),
-                    };
-                    if intact {
-                        Some(payload)
-                    } else {
-                        self.rec.incr(metrics::store::RECOVERY, 1);
-                        match decode_payload(&payload, false) {
-                            Ok(rec) => {
-                                report.salvaged += 1;
-                                Some(encode_payload(name, &rec.profile))
-                            }
-                            Err(_) => {
-                                report.dropped += 1;
-                                None
-                            }
-                        }
-                    }
+        for (name, meta) in &sources {
+            let (payload, intact) = match self.read_frame_cached(meta, &mut last_file) {
+                Ok(v) => v,
+                Err(StoreError::Io(e)) if e.kind() == std::io::ErrorKind::NotFound => {
+                    (Vec::new(), false)
                 }
-                Source::Legacy(meta) => {
-                    let seg_path = self.root.join("segments").join(&meta.file);
-                    match legacy::read_segment(&seg_path, name, meta) {
-                        Ok((profile, _, intact)) => {
-                            if !intact {
-                                self.rec.incr(metrics::store::RECOVERY, 1);
-                                report.salvaged += 1;
-                            }
-                            Some(encode_payload(name, &profile))
-                        }
-                        Err(_) => {
-                            self.rec.incr(metrics::store::RECOVERY, 1);
-                            report.dropped += 1;
-                            None
-                        }
+                Err(e) => return Err(e),
+            };
+            let payload = if intact {
+                payload
+            } else {
+                self.rec.incr(metrics::store::RECOVERY, 1);
+                match decode_payload(&payload, false) {
+                    Ok(rec) => {
+                        report.salvaged += 1;
+                        encode_payload(name, &rec.profile)
+                    }
+                    Err(_) => {
+                        report.dropped += 1;
+                        continue;
                     }
                 }
             };
-            let Some(payload) = payload else { continue };
             if chunk.is_empty() {
                 chunk.extend_from_slice(SEGMENT_MAGIC);
             }
             let offset = chunk.len() as u64;
-            let framed = frame_payload(&payload);
-            chunk.extend_from_slice(&framed);
+            put_frame(&mut chunk, &payload);
+            let framed_len = chunk.len() as u64 - offset;
             let decoded = decode_payload(&payload, true).map_err(|detail| StoreError::Corrupt {
                 path: self.root.join("segments"),
                 detail,
@@ -930,11 +798,11 @@ impl ProfileStore {
                     offset,
                     hash: format_hash(fnv1a64(payload_body(&payload))),
                     failures: decoded.profile.failures.len(),
-                    bytes: framed.len() as u64,
+                    bytes: framed_len,
                 },
             ));
             report.output_records += 1;
-            report.output_bytes += framed.len() as u64;
+            report.output_bytes += framed_len;
             if chunk_records.len() >= CHUNK_RECORDS {
                 finalize_chunk(
                     &mut chunk,
@@ -997,9 +865,6 @@ impl ProfileStore {
                 self.rec.incr(metrics::store::GC_FILES, 1);
             }
         }
-        if fs::remove_file(self.root.join("index.json")).is_ok() {
-            self.rec.incr(metrics::store::GC_FILES, 1);
-        }
         if abort_after == Some(CompactPhase::Cleanup) {
             report.aborted = true;
             return Ok(report);
@@ -1011,7 +876,6 @@ impl ProfileStore {
         fs::remove_file(self.root.join(COMPACTING_MARKER)).ok();
 
         self.manifest = new_manifest;
-        self.legacy = None;
         let mut shards: Vec<Option<BTreeMap<String, SegmentMeta>>> =
             vec![Some(BTreeMap::new()); SHARD_COUNT];
         for (name, meta) in new_entries {
@@ -1024,16 +888,6 @@ impl ProfileStore {
     }
 
     // ------------------------------------------------------------ internals
-
-    fn v2_meta(&self, name: &str) -> Result<Option<SegmentMeta>, StoreError> {
-        let id = shard_of(name);
-        self.ensure_shard(id)?;
-        Ok(self.shards.borrow()[id]
-            .as_ref()
-            .unwrap()
-            .get(name)
-            .cloned())
-    }
 
     fn ensure_shard(&self, id: usize) -> Result<(), StoreError> {
         if self.shards.borrow()[id].is_some() {
@@ -1063,7 +917,7 @@ impl ProfileStore {
         Ok(())
     }
 
-    fn all_v2_entries(&self) -> Result<BTreeMap<String, SegmentMeta>, StoreError> {
+    fn all_entries(&self) -> Result<BTreeMap<String, SegmentMeta>, StoreError> {
         let mut all = BTreeMap::new();
         for id in 0..SHARD_COUNT {
             self.ensure_shard(id)?;
@@ -1097,20 +951,9 @@ impl ProfileStore {
             *last = Some((meta.file.clone(), fs::read(&path)?));
         }
         let bytes = &last.as_ref().unwrap().1;
-        let start = meta.offset as usize;
-        if start + FRAME_HEADER_BYTES as usize > bytes.len() {
-            return Ok((Vec::new(), false));
-        }
-        let len = u32::from_le_bytes(bytes[start..start + 4].try_into().unwrap()) as u64;
-        let sum = u64::from_le_bytes(bytes[start + 4..start + 12].try_into().unwrap());
-        if len > MAX_RECORD_BYTES {
-            return Ok((Vec::new(), false));
-        }
-        let pstart = start + FRAME_HEADER_BYTES as usize;
-        let pend = (pstart + len as usize).min(bytes.len());
-        let payload = bytes[pstart..pend].to_vec();
-        let intact = payload.len() as u64 == len && fnv1a64(&payload) == sum;
-        Ok((payload, intact))
+        let offset = usize::try_from(meta.offset).unwrap_or(usize::MAX);
+        let frame = read_frame(bytes, offset);
+        Ok((frame.payload.to_vec(), frame.intact))
     }
 
     /// A previous compaction died in flight (the `COMPACTING` marker is
@@ -1140,20 +983,15 @@ impl ProfileStore {
         });
         if stale {
             // The manifest committed: its generation holds every live
-            // record. Everything else — L0s, legacy JSONL, the legacy
-            // index — was merged in and is stale.
+            // record. Every L0 was merged in and is stale.
             for entry in fs::read_dir(self.root.join("segments"))? {
                 let entry = entry?;
                 let name = entry.file_name().to_string_lossy().into_owned();
-                if name.starts_with("L0-") || name.ends_with(".jsonl") {
+                if name.starts_with("L0-") {
                     fs::remove_file(entry.path()).ok();
                     self.rec.incr(metrics::store::GC_FILES, 1);
                 }
             }
-            if fs::remove_file(self.root.join("index.json")).is_ok() {
-                self.rec.incr(metrics::store::GC_FILES, 1);
-            }
-            self.legacy = None;
             let entries = scan_generations(&self.root, &self.manifest)?;
             write_shards(&self.root, &entries, self.manifest.epoch)?;
             self.shards = RefCell::new(vec![None; SHARD_COUNT]);
@@ -1344,12 +1182,11 @@ fn read_frame_from(
     path: &Path,
 ) -> Result<(Vec<u8>, bool), StoreError> {
     f.seek(SeekFrom::Start(offset))?;
-    let mut hdr = [0u8; FRAME_HEADER_BYTES as usize];
-    if read_up_to(f, &mut hdr)? < hdr.len() {
+    let mut hdr = [0u8; frame::HEADER_BYTES];
+    let got = read_up_to(f, &mut hdr)?;
+    let Some((len, sum)) = frame::header(&hdr[..got]) else {
         return Ok((Vec::new(), false));
-    }
-    let len = u32::from_le_bytes(hdr[0..4].try_into().unwrap()) as u64;
-    let sum = u64::from_le_bytes(hdr[4..12].try_into().unwrap());
+    };
     if len > MAX_RECORD_BYTES {
         return Err(StoreError::Corrupt {
             path: path.to_path_buf(),
@@ -1381,7 +1218,7 @@ fn read_up_to(f: &mut fs::File, buf: &mut [u8]) -> Result<usize, StoreError> {
 /// malformed name field (only reachable on corrupt input).
 pub(crate) fn payload_body(payload: &[u8]) -> &[u8] {
     let mut pos = 0;
-    match crate::varint::get_varint(payload, &mut pos) {
+    match parbor_hal::varint::get(payload, &mut pos) {
         Some(name_len) if pos as u64 + name_len <= payload.len() as u64 => {
             &payload[pos + name_len as usize..]
         }

@@ -86,6 +86,41 @@ fn invalid_names_are_rejected() {
 }
 
 #[test]
+fn retired_v1_layout_fails_open_and_is_left_untouched() {
+    // The v1 layout: one `index.json` plus one JSONL segment per module,
+    // and no `manifest.json`.
+    let root = temp_store("v1");
+    std::fs::create_dir_all(root.join("segments")).unwrap();
+    let index = r#"{"version":1,"segments":{"M0":{"file":"M0.jsonl","hash":"fnv64:0000000000000000","failures":0,"bytes":2}}}"#;
+    std::fs::write(root.join("index.json"), index).unwrap();
+    std::fs::write(root.join("segments").join("M0.jsonl"), "{}").unwrap();
+    let listing = |root: &PathBuf| -> Vec<(PathBuf, Vec<u8>)> {
+        let mut out = Vec::new();
+        for dir in [root.clone(), root.join("segments")] {
+            for entry in std::fs::read_dir(&dir).unwrap() {
+                let path = entry.unwrap().path();
+                if path.is_file() {
+                    out.push((path.clone(), std::fs::read(&path).unwrap()));
+                }
+            }
+        }
+        out.sort();
+        out
+    };
+    let before = listing(&root);
+
+    match ProfileStore::open(&root) {
+        Err(e @ StoreError::RetiredLayout { .. }) => {
+            assert!(e.to_string().contains("v1 store"), "{e}");
+        }
+        other => panic!("v1 root must fail open with RetiredLayout, got {other:?}"),
+    }
+    assert_eq!(listing(&root), before, "open must not touch a v1 root");
+    assert!(!root.join("manifest.json").exists());
+    std::fs::remove_dir_all(&root).ok();
+}
+
+#[test]
 fn identical_writes_are_byte_identical() {
     let snapshot = |root: &PathBuf| -> Vec<(String, Vec<u8>)> {
         let mut out = Vec::new();

@@ -1,13 +1,10 @@
-//! Property tests for the columnar segment codec and the legacy-JSONL
-//! migration path: any profile the scanner can produce must survive an
-//! encode/decode roundtrip bit for bit, and a store written in the v1
-//! JSONL layout must read and compact to exactly the same profiles.
+//! Property tests for the columnar segment codec: any profile the scanner
+//! can produce must survive an encode/decode roundtrip bit for bit.
 
 use proptest::prelude::*;
 
 use parbor_core::{FailingCell, FailureProfile};
 use parbor_store::segment::{decode_payload, encode_payload};
-use parbor_store::{legacy, ProfileStore};
 
 /// A seed-derived profile with the full range of shapes the codec must
 /// carry: empty columns, negative and wide distances, dense and sparse
@@ -63,49 +60,5 @@ proptest! {
         prop_assert_eq!(decoded.name, name);
         prop_assert!(decoded.complete);
         prop_assert_eq!(decoded.profile, profile);
-    }
-
-    /// A legacy v1 store (single `index.json`, JSONL segments) must serve
-    /// the same profiles through the v2 engine, before and after the
-    /// compaction that migrates it to the columnar layout.
-    #[test]
-    fn legacy_migration_preserves_profiles(
-        seed in any::<u64>(),
-        n_profiles in 1usize..6,
-        n_cells in 0usize..24,
-    ) {
-        let root = std::env::temp_dir().join(format!(
-            "parbor-store-prop-{}-{}",
-            std::process::id(),
-            seed % 1_000_000,
-        ));
-        std::fs::remove_dir_all(&root).ok();
-        let mut expected: Vec<(String, FailureProfile)> = (0..n_profiles)
-            .map(|i| {
-                (
-                    format!("legacy-{i}"),
-                    synth_profile(seed.wrapping_add(i as u64), n_cells, 4, 3),
-                )
-            })
-            .collect();
-        legacy::write_legacy_store(&root, &expected).expect("write fixture");
-        expected.sort_by(|a, b| a.0.cmp(&b.0));
-
-        let as_profiles = |store: &ProfileStore| -> Vec<(String, FailureProfile)> {
-            store
-                .load_all()
-                .expect("load_all")
-                .into_iter()
-                .map(|(name, stored)| {
-                    assert!(stored.complete && !stored.recovered, "degraded {name}");
-                    (name, stored.profile)
-                })
-                .collect()
-        };
-        let mut store = ProfileStore::open(&root).expect("open legacy");
-        prop_assert_eq!(as_profiles(&store), expected.clone());
-        store.compact().expect("migrating compaction");
-        prop_assert_eq!(as_profiles(&store), expected);
-        std::fs::remove_dir_all(&root).ok();
     }
 }

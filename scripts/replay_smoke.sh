@@ -1,11 +1,11 @@
 #!/usr/bin/env bash
-# Record/replay determinism smoke, run once per transcript format: run a
-# fleet campaign while recording per-job transcripts, replay the same
-# campaign from those transcripts with no simulator behind the port, and
-# fail if the replayed profile store differs byte-for-byte from the
-# recorded run's — or if the stores of the two formats differ from each
-# other. A `detect` record/replay pair is head-compared the same way.
-# Run from the repo root after `cargo build --release`.
+# Record/replay determinism smoke: run a fleet campaign while recording
+# per-job transcripts, replay the same campaign from those transcripts with
+# no simulator behind the port, and fail if the replayed profile store
+# differs byte-for-byte from the recorded run's. A `detect` record/replay
+# pair is head-compared the same way, and `parbor transcript dump` must
+# render the detect transcript as one header line plus one line per round.
+# Run from the repo root after `cargo build --release --workspace`.
 set -euo pipefail
 
 BIN=$(pwd)/target/release/parbor
@@ -14,39 +14,29 @@ trap 'rm -rf "$work"' EXIT
 
 common=(--vendors A,B --modules 1 --rows 48 --workers 2)
 
-for format in json binary; do
-  echo "-- fleet record ($format) --"
-  "$BIN" fleet run --dir "$work/recorded-$format" "${common[@]}" \
-    --record "$work/transcripts-$format" --record-format "$format"
-  echo "-- fleet replay ($format) --"
-  "$BIN" fleet run --dir "$work/replayed-$format" "${common[@]}" \
-    --backend "replay:$work/transcripts-$format"
+echo "-- fleet record --"
+"$BIN" fleet run --dir "$work/recorded" "${common[@]}" --record "$work/transcripts"
+echo "-- fleet replay --"
+"$BIN" fleet run --dir "$work/replayed" "${common[@]}" --backend "replay:$work/transcripts"
 
-  diff -r "$work/recorded-$format/store" "$work/replayed-$format/store"
-  echo "replay smoke OK: replayed $format store is byte-identical to the recorded run"
-done
-
-diff -r "$work/recorded-json/store" "$work/recorded-binary/store"
-echo "replay smoke OK: json and binary campaigns produced byte-identical stores"
+diff -r "$work/recorded/store" "$work/replayed/store"
+echo "replay smoke OK: replayed store is byte-identical to the recorded run"
 
 mkdir -p "$work/cwd/results"
 detect=(detect --vendor B --rows 48 --chips 1)
 # Capture to files first: piping straight into `head` would close the
 # binary's stdout early and kill it with SIGPIPE.
-for format in json binary; do
-  (cd "$work/cwd" && "$BIN" "${detect[@]}" --record "$work/detect.$format" \
-    --record-format "$format" > "$work/recorded-$format.out")
-  (cd "$work/cwd" && "$BIN" "${detect[@]}" --backend "replay:$work/detect.$format" \
-    > "$work/replayed-$format.out")
+(cd "$work/cwd" && "$BIN" "${detect[@]}" --record "$work/detect.pbt" > "$work/recorded.out")
+(cd "$work/cwd" && "$BIN" "${detect[@]}" --backend "replay:$work/detect.pbt" > "$work/replayed.out")
 
-  diff <(head -7 "$work/recorded-$format.out") <(head -7 "$work/replayed-$format.out")
-  echo "replay smoke OK: replayed $format detect report matches the recorded run"
-done
+diff <(head -7 "$work/recorded.out") <(head -7 "$work/replayed.out")
+echo "replay smoke OK: replayed detect report matches the recorded run"
 
-json_bytes=$(wc -c < "$work/detect.json")
-binary_bytes=$(wc -c < "$work/detect.binary")
-echo "transcript sizes: json $json_bytes B, binary $binary_bytes B"
-if [ "$binary_bytes" -ge "$json_bytes" ]; then
-  echo "binary transcript ($binary_bytes B) is not smaller than json ($json_bytes B)"
+"$BIN" transcript dump "$work/detect.pbt" > "$work/dump.jsonl"
+rounds=$(head -1 "$work/dump.jsonl" | sed -E 's/.*"rounds": ?([0-9]+).*/\1/')
+lines=$(wc -l < "$work/dump.jsonl")
+if [ "$lines" -ne $((rounds + 1)) ]; then
+  echo "transcript dump printed $lines lines for $rounds rounds"
   exit 1
 fi
+echo "replay smoke OK: transcript dump renders $rounds rounds"
