@@ -59,11 +59,15 @@ pub const DEFAULT_FAULT_MAP_CAPACITY: usize = 8192;
 #[derive(Debug)]
 pub struct DramChip {
     geometry: ChipGeometry,
+    // The chip's index in its module (0 for a standalone chip): the unit
+    // the mechanism stack sees in each `RowView`.
+    unit: u32,
     // The paper's data-dependent failure model (seed, scrambler + LUT,
-    // fault rates, retention physics) as one composable mechanism. The
-    // chip's cached fast path (fault maps, stencils) evaluates through it.
+    // fault rates, retention physics) in one struct. The chip's cached
+    // fast path (fault maps, stencils) evaluates through it.
     coupling: CouplingMechanism,
-    // Additional mechanisms (RowHammer, RowPress, retention drift, …)
+    // Additional mechanisms (RowHammer, RowPress, retention drift, random
+    // injection, …)
     // composed on top of the coupling model; evaluated once per round over
     // the round's write set, after the base model.
     extras: Vec<Arc<dyn FailureMechanism>>,
@@ -144,6 +148,7 @@ impl DramChip {
         let noise = NoiseModel::new(rates.soft_per_bit_per_round);
         Ok(DramChip {
             geometry,
+            unit: 0,
             coupling,
             extras: Vec::new(),
             temperature,
@@ -159,6 +164,12 @@ impl DramChip {
             rec: RecorderHandle::null(),
             arena: RoundArena::new(),
         })
+    }
+
+    /// Places the chip at index `unit` of its module; set once at assembly.
+    pub(crate) fn in_unit(mut self, unit: u32) -> Self {
+        self.unit = unit;
+        self
     }
 
     /// Attaches a metrics recorder (`dram.*` counters). The default is the
@@ -191,11 +202,6 @@ impl DramChip {
     /// The scrambler compiled into dense lookup tables at construction.
     pub fn scrambler_lut(&self) -> &Arc<ScramblerLut> {
         self.coupling.lut()
-    }
-
-    /// The chip's base failure model as a mechanism.
-    pub fn coupling(&self) -> &CouplingMechanism {
-        &self.coupling
     }
 
     /// The extra mechanisms composed on top of the coupling model.
@@ -407,7 +413,7 @@ impl DramChip {
             unit_stack_flips(
                 &self.extras,
                 &writes,
-                0,
+                self.unit,
                 self.round - 1,
                 self.round as f64 * self.refresh_interval.0,
             )

@@ -1,23 +1,21 @@
-//! The bitline-coupling failure model as a composable [`FailureMechanism`].
+//! The bitline-coupling failure model, gathered behind one struct.
 //!
 //! PARBOR's device model — seeded per-cell coupling profiles, scrambled
 //! neighborhoods, retention-margin physics — used to live spread across
 //! [`DramChip`](crate::DramChip)'s fields. [`CouplingMechanism`] gathers
 //! that state (seed, scrambler + compiled LUT, fault rates, retention
-//! model, derived margin shift) behind one struct so the chip composes it
-//! like any other mechanism, and so efficacy harnesses can ask it the same
-//! questions they ask a [`HammerMechanism`](parbor_hal::HammerMechanism):
-//! "what flips do you emit?" and "which cells *can* you fail?".
+//! model, derived margin shift) so the chip owns one base model and
+//! composes the extra [`FailureMechanism`](parbor_hal::FailureMechanism)
+//! stack on top of it.
 //!
-//! The chip still evaluates coupling through its own cached fast path
-//! (fault maps, compiled stencils) — the trait's
-//! [`flips`](FailureMechanism::flips) here is the uncached reference route,
-//! used by harnesses that evaluate mechanisms standalone. Both routes build
-//! the same [`RowFaultMap`], so they agree bit for bit.
+//! Coupling is evaluated only through the chip's cached fast path (fault
+//! maps, compiled stencils); efficacy harnesses take its ground truth from
+//! [`oracle_cells`] via
+//! [`DramChip::oracle_data_dependent`](crate::DramChip::oracle_data_dependent).
 
 use std::sync::Arc;
 
-use parbor_hal::{BitAddr, BitFlip, DramError, FailureMechanism, KernelMode, RowId, RowView};
+use parbor_hal::{DramError, KernelMode, RowId};
 
 use crate::cell::{CellClass, FaultKind, FaultRates, RowFaultMap};
 use crate::config::{Celsius, Seconds};
@@ -94,11 +92,6 @@ impl CouplingMechanism {
         &self.rates
     }
 
-    /// The retention model.
-    pub fn retention(&self) -> &RetentionModel {
-        &self.retention
-    }
-
     /// Current effective margin shift (`κ · log2(stress factor)`).
     pub fn theta_shift(&self) -> f64 {
         self.theta_shift
@@ -170,63 +163,11 @@ pub fn oracle_cells(map: &RowFaultMap, theta_shift: f64) -> Vec<(u32, CellClass)
         .collect()
 }
 
-impl FailureMechanism for CouplingMechanism {
-    fn name(&self) -> &'static str {
-        "coupling"
-    }
-
-    /// The uncached reference route: build the row's fault map and evaluate
-    /// the coupling population against the row content. Deliberately limited
-    /// to the *data-dependent* kinds — marginal, VRT, and soft-noise draws
-    /// key on a round clock this standalone view does not model.
-    fn flips(&self, view: &RowView<'_>) -> Vec<BitFlip> {
-        let map = self.build_fault_map(view.row, KernelMode::Stencil);
-        let coupled = map.coupling_fail_indices(view.data, self.theta_shift);
-        let mut flips = Vec::with_capacity(coupled.len());
-        let mut ci = 0usize;
-        for (idx, e) in map.entries.iter().enumerate() {
-            if !matches!(e.kind, FaultKind::Coupling(_)) {
-                continue;
-            }
-            if coupled.get(ci) == Some(&(idx as u32)) {
-                ci += 1;
-                flips.push(BitFlip {
-                    addr: BitAddr::new(view.row.bank, view.row.row, e.sys),
-                    expected: view.data.get(e.sys as usize),
-                });
-            }
-        }
-        flips
-    }
-
-    /// Every coupling cell that can fail at the current margin shift under
-    /// *some* content — the data-dependent classes plus retention-weak cells
-    /// (which fail whenever charged). A superset of
-    /// [`oracle_cells`], which keeps only the data-dependent classes.
-    fn truth(&self, bank: u32, row: u32, _cols: u32) -> Vec<u32> {
-        let map = self.build_fault_map(RowId::new(bank, row), KernelMode::Stencil);
-        map.entries
-            .iter()
-            .filter_map(|e| match &e.kind {
-                FaultKind::Coupling(p) => {
-                    (p.classify(self.theta_shift) != CellClass::Robust).then_some(e.sys)
-                }
-                _ => None,
-            })
-            .collect()
-    }
-
-    fn is_inert(&self) -> bool {
-        self.rates.interesting <= 0.0
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::pattern::PatternKind;
     use crate::vendor::Vendor;
-    use parbor_hal::{ChipGeometry, RowBits};
+    use parbor_hal::ChipGeometry;
 
     fn mech(seed: u64) -> CouplingMechanism {
         let geometry = ChipGeometry::new(1, 16, 8192).unwrap();
@@ -239,53 +180,6 @@ mod tests {
             Seconds(4.0),
         )
         .unwrap()
-    }
-
-    fn view<'a>(row: RowId, data: &'a RowBits) -> RowView<'a> {
-        RowView {
-            unit: 0,
-            row,
-            data,
-            activations: 1,
-            open_ns: 0.0,
-            round: 0,
-            elapsed_s: 4.0,
-            left: None,
-            right: None,
-        }
-    }
-
-    #[test]
-    fn standalone_flips_match_fault_map_eval() {
-        let m = mech(11);
-        let mut seen = 0usize;
-        for r in 0..16u32 {
-            let row = RowId::new(0, r);
-            let data = PatternKind::ColStripe { period: 1 }.row_bits(r, 8192);
-            let flips = m.flips(&view(row, &data));
-            let map = m.build_fault_map(row, KernelMode::Stencil);
-            let direct = map.coupling_fail_indices(&data, m.theta_shift());
-            assert_eq!(flips.len(), direct.len(), "row {r}");
-            seen += flips.len();
-        }
-        assert!(seen > 0, "no coupling flips across 16 striped rows");
-    }
-
-    #[test]
-    fn truth_contains_every_emitted_flip() {
-        let m = mech(7);
-        for r in 0..8u32 {
-            let row = RowId::new(0, r);
-            let data = PatternKind::ColStripe { period: 1 }.row_bits(r, 8192);
-            let truth: std::collections::HashSet<u32> = m.truth(0, r, 8192).into_iter().collect();
-            for f in m.flips(&view(row, &data)) {
-                assert!(
-                    truth.contains(&f.addr.col),
-                    "flip at col {} outside truth set",
-                    f.addr.col
-                );
-            }
-        }
     }
 
     #[test]
@@ -306,24 +200,5 @@ mod tests {
         let base = m.theta_shift();
         m.set_conditions(Celsius(75.0), Seconds(4.0));
         assert!(m.theta_shift() > base, "hotter must raise the shift");
-    }
-
-    #[test]
-    fn inert_only_at_zero_interesting_rate() {
-        let m = mech(1);
-        assert!(!m.is_inert());
-        let zero = CouplingMechanism::new(
-            1,
-            Vendor::A.scrambler(8192),
-            FaultRates {
-                interesting: 0.0,
-                ..Vendor::A.default_rates()
-            },
-            RetentionModel::default(),
-            Celsius(45.0),
-            Seconds(4.0),
-        )
-        .unwrap();
-        assert!(zero.is_inert());
     }
 }

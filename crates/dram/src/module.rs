@@ -182,6 +182,7 @@ impl DramModule {
                     temperature,
                     refresh_interval,
                 )
+                .map(|chip| chip.in_unit(i as u32))
             })
             .collect::<Result<Vec<_>, _>>()?;
         Ok(DramModule {
@@ -645,5 +646,60 @@ mod tests {
         m.run_rounds(vec![plan.clone(), plan]).unwrap();
         assert_eq!(DramChip::rounds_run(&m.chips()[0]), 2);
         assert_eq!(DramChip::rounds_run(&m.chips()[1]), 2);
+    }
+
+    /// A 2-chip module whose only failures come from an `inject=` stack.
+    fn injected_module(spec: &str) -> DramModule {
+        let silent = crate::cell::FaultRates {
+            interesting: 0.0,
+            marginal: 0.0,
+            vrt: 0.0,
+            soft_per_bit_per_round: 0.0,
+            ..Vendor::A.default_rates()
+        };
+        ModuleConfig::new(Vendor::A)
+            .geometry(ChipGeometry::new(1, 16, 8192).unwrap())
+            .chips(2)
+            .seed(9)
+            .fault_rates(silent)
+            .mechanisms(parbor_hal::MechanismSpec::parse_stack(spec).unwrap())
+            .build()
+            .unwrap()
+    }
+
+    #[test]
+    fn injected_fast_forward_keeps_the_schedule_aligned() {
+        let plans = stripe_plans(2, 10);
+        let mut full = injected_module("inject=rate:0.5,seed:11");
+        let all = full.run_rounds(plans.clone()).unwrap();
+        let mut resumed = injected_module("inject=rate:0.5,seed:11");
+        resumed.fast_forward(6);
+        let tail = resumed.run_rounds(plans[6..].to_vec()).unwrap();
+        assert!(
+            tail.iter().any(|flips| !flips.is_empty()),
+            "nothing injected"
+        );
+        assert_eq!(tail, all[6..]);
+    }
+
+    #[test]
+    fn injected_chips_get_independent_weak_columns() {
+        // Only the weak column fires; each chip must have its own.
+        let mut m = injected_module("inject=rate:0,seed:5,intermittent:1");
+        let mut plan = RoundPlan::new();
+        for unit in 0..2 {
+            plan.write(unit, RowId::new(0, 0), RowBits::zeros(8192));
+        }
+        let mut cols = [
+            std::collections::HashSet::new(),
+            std::collections::HashSet::new(),
+        ];
+        for flips in m.run_rounds(vec![plan; 8]).unwrap() {
+            for f in flips {
+                cols[f.unit as usize].insert(f.flip.addr.col);
+            }
+        }
+        assert_eq!((cols[0].len(), cols[1].len()), (1, 1));
+        assert_ne!(cols[0], cols[1], "chips share a weak column");
     }
 }

@@ -329,7 +329,6 @@ impl<'p, P: TestPort + ?Sized> RoundExecutor<'p, P> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::inject::{FaultInjectingPort, InjectionConfig};
     use crate::loopback::LoopbackPort;
     use parbor_obs::InMemoryRecorder;
 
@@ -386,28 +385,5 @@ mod tests {
         let flips = exec.run(RoundPlan::new()).unwrap();
         assert!(flips.is_empty());
         assert_eq!(port.rounds_run(), 1);
-    }
-
-    #[test]
-    fn batch_results_preserve_plan_order() {
-        // The injector flips different bits per round index, so this checks
-        // flips are attributed to the right round even when batched.
-        let flipping =
-            || FaultInjectingPort::new(loopback(), InjectionConfig::new(1.0, 17).unwrap());
-        let plan = |i: u32| {
-            RoundPlan::broadcast(1, &rows(4), |row| {
-                RowBits::from_fn(1024, |c| (c as u32 ^ row.row).is_multiple_of(i + 2))
-            })
-        };
-        let mut batched = flipping();
-        let batch = RoundExecutor::new(&mut batched)
-            .run_batch(vec![plan(1), plan(2)])
-            .unwrap();
-        let mut serial = flipping();
-        let mut exec = RoundExecutor::new(&mut serial);
-        let one = exec.run(plan(1)).unwrap();
-        let two = exec.run(plan(2)).unwrap();
-        assert!(!one.is_empty());
-        assert_eq!(batch, vec![one, two]);
     }
 }

@@ -16,23 +16,23 @@
 //! * Shared data vocabulary: [`RowBits`], [`RowId`], [`BitAddr`],
 //!   [`RowWrite`], [`BitFlip`], [`Flip`], and the execution-mode knobs
 //!   [`ParallelMode`] / [`KernelMode`].
-//! * Composable **port decorators**, each wrapping any inner [`TestPort`]:
-//!   * [`FaultInjectingPort`] — seeded, rate-parameterized random and
-//!     intermittent bit flips (the paper's "random failure" adversary the
-//!     filtering stage must reject);
-//!   * [`RecordingPort`] — captures every round (writes digest + observed
-//!     flips) into a length+checksum-framed binary transcript;
-//!   * [`ReplayPort`] — replays a transcript bit-identically, no simulator
-//!     required (the hook for replaying real-hardware captures).
-//! * [`LoopbackPort`] — a trivial perfect-memory backend for tests and as a
-//!   flip-free substrate under the fault injector.
+//! * [`RecordingPort`] — a port decorator that captures every round
+//!   (writes digest + observed flips) into a length+checksum-framed binary
+//!   transcript — and [`ReplayPort`], which replays one bit-identically, no
+//!   simulator required (the hook for replaying real-hardware captures).
+//! * [`FailureMechanism`] — the composable failure-mechanism stack a
+//!   simulated chip applies once per round: RowHammer, RowPress, retention
+//!   drift, and [`InjectMechanism`], the seeded random and intermittent
+//!   flips that are the paper's "random failure" adversary the filtering
+//!   stage must reject. [`MechanismSpec`] is its serializable form.
+//! * [`LoopbackPort`] — a trivial perfect-memory backend for tests.
 //! * The workspace's codec primitives, one copy each: [`hash`] (FNV-1a,
 //!   the SplitMix64 finalizer and word folds, the eight-lane hasher),
 //!   [`varint`] (LEB128 + zigzag) and [`frame`] (the
 //!   `[u32 len][u64 checksum][payload]` record frame).
 //!
 //! ```text
-//! pipeline ─▶ RoundExecutor ─▶ RecordingPort ─▶ FaultInjectingPort ─▶ sim
+//! pipeline ─▶ RoundExecutor ─▶ RecordingPort ─▶ sim (coupling + mechanism stack)
 //!                                   │
 //!                                   ▼ transcript.pbt
 //!                              ReplayPort  (later, without the sim)
@@ -48,7 +48,6 @@ mod error;
 pub mod frame;
 mod geometry;
 pub mod hash;
-mod inject;
 mod loopback;
 mod mechanism;
 mod port;
@@ -61,11 +60,10 @@ pub use engine::{RoundExecutor, RoundPlan};
 pub use error::DramError;
 pub use geometry::{BitAddr, ChipGeometry, RowId};
 pub use hash::unit_threshold;
-pub use inject::{FaultInjectingPort, InjectionConfig};
 pub use loopback::LoopbackPort;
 pub use mechanism::{
-    unit_stack_flips, DriftMechanism, FailureMechanism, HammerMechanism, MechanismSpec,
-    NeighborView, PressMechanism, RowView, ROW_OPEN_NS_PER_ACT,
+    unit_stack_flips, DriftMechanism, FailureMechanism, HammerMechanism, InjectMechanism,
+    MechanismSpec, NeighborView, PressMechanism, RowView, ROW_OPEN_NS_PER_ACT,
 };
 pub use port::{BitFlip, Flip, KernelMode, ParallelMode, RowWrite, TestPort};
 pub use transcript::{

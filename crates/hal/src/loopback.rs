@@ -2,9 +2,7 @@
 //!
 //! [`LoopbackPort`] is the trivial [`TestPort`]: it validates and stores row
 //! writes, never flips a bit, and counts rounds. It exists for tests and
-//! doctests that need a real port without the device model, and as the
-//! flip-free substrate under [`FaultInjectingPort`](crate::FaultInjectingPort)
-//! when a test wants *only* the injected failures.
+//! doctests that need a real port without the device model.
 
 use std::collections::HashMap;
 

@@ -8,7 +8,7 @@
 //! time, elapsed retention time, and the content of the row and its
 //! row-address neighbors — and deterministically emits extra bit flips.
 //!
-//! Three literature mechanisms ship here:
+//! Three literature mechanisms and one adversary ship here:
 //!
 //! * [`HammerMechanism`] — RowHammer-style read disturb: flips trigger once
 //!   the neighbor rows' activation count crosses a threshold (Kim et al.,
@@ -19,22 +19,26 @@
 //! * [`DriftMechanism`] — time-varying retention drift: susceptible cells
 //!   come online over the first `period_s` seconds of elapsed retention
 //!   time, then leak whenever they hold their charged polarity.
+//! * [`InjectMechanism`] — random and intermittent failures that do not
+//!   depend on data: the adversary PARBOR's filtering stage must reject.
 //!
-//! The simulator's bitline-coupling model is the fourth implementation
-//! (`parbor_dram::CouplingMechanism`); it stays the *base* model inside the
-//! device, while a stack of extras composes on top, installed on a chip
-//! (`DramChip::set_mechanisms`) and applied there at one point through
-//! [`unit_stack_flips`].
+//! The simulator's bitline-coupling model (`parbor_dram::CouplingMechanism`)
+//! stays the *base* model inside the device, evaluated through the chip's
+//! cached fast path; a stack of these mechanisms composes on top, installed
+//! on a chip (`DramChip::set_mechanisms`) and applied there at one point
+//! through [`unit_stack_flips`].
 //!
-//! Everything is a pure hash of `(mechanism seed, bank, row, column)` plus
-//! the observed round state, so a stack's flips are independent of batching,
-//! scheduling, and worker counts, and an empty stack is bit-identical to no
-//! stack at all.
+//! Everything is a pure hash of the mechanism seed, the cell coordinates
+//! and the observed round state, so a stack's flips are independent of
+//! batching, scheduling, and worker counts, and an empty stack is
+//! bit-identical to no stack at all.
 
 use std::collections::{HashMap, HashSet};
 use std::fmt;
 use std::sync::Arc;
 
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
 
 use crate::bits::RowBits;
@@ -57,6 +61,10 @@ pub const ROW_OPEN_NS_PER_ACT: f64 = 30_000_000.0;
 const SALT_HAMMER: u64 = 0x4d45_4348_4841_4d01;
 const SALT_PRESS: u64 = 0x4d45_4348_5052_4501;
 const SALT_DRIFT: u64 = 0x4d45_4348_4452_4601;
+// The injector's per-round draw and its weak-column choice; the values are
+// part of the injection schedule, so changing them changes every run.
+const SALT_INJECT_ROUND: u64 = 0x5261_6e64_0000_0001;
+const SALT_INJECT_WEAK_COL: u64 = 0x5765_616b_0000_0002;
 
 // Per-property streams within one mechanism's domain.
 const TAG_SUSCEPT: u64 = 1;
@@ -120,10 +128,10 @@ pub struct NeighborView<'a> {
 
 /// What a mechanism observes about one written row in one round.
 ///
-/// Views are built per round from the round's write set alone, so a
-/// mechanism's output is a pure function of `(writes, round counter)` — the
-/// same invariance contract the fault injector keeps (batched rounds, serial
-/// rounds, and resumed-after-`fast_forward` rounds all see identical views).
+/// Views are built per round from the round's write set, the chip's unit
+/// index and its round clock alone, so a mechanism's output is a pure
+/// function of `(writes, unit, round counter)`: batched rounds, serial
+/// rounds, and resumed-after-`fast_forward` rounds all see identical views.
 #[derive(Debug)]
 pub struct RowView<'a> {
     /// Unit (chip) index the row belongs to.
@@ -154,7 +162,7 @@ pub struct RowView<'a> {
 /// thread schedule. That is what keeps the whole stack bit-identical across
 /// [`ParallelMode`](crate::ParallelMode)s, batching, and checkpoint/resume.
 pub trait FailureMechanism: fmt::Debug + Send + Sync {
-    /// Short stable name (`"hammer"`, `"press"`, `"drift"`, `"coupling"`).
+    /// Short stable name (`"hammer"`, `"press"`, `"drift"`, `"inject"`).
     fn name(&self) -> &'static str;
 
     /// The flips this mechanism adds to one observed row this round.
@@ -401,6 +409,82 @@ impl FailureMechanism for DriftMechanism {
     }
 }
 
+/// Random and intermittent failures that do not depend on data: the
+/// "random failure" adversary PARBOR's filtering stage exists to reject.
+///
+/// * **Random flips** — each written row flips one uniformly drawn column
+///   with probability `rate` per round. Uncorrelated with row content or
+///   neighbors, so a correct filter must reject them.
+/// * **Intermittent flips** — each written row has one fixed, seed-derived
+///   weak column that flips with probability `intermittent` per round: a
+///   marginal cell that fails *repeatedly at the same address* regardless
+///   of data. Repetition mimics a real coupling victim until the distance
+///   filter notices the failure does not track neighbor content.
+///
+/// The per-row draw keys on `(seed, round, unit, bank, row)` alone, so the
+/// schedule is independent of batching and chip scheduling, and a chip
+/// fast-forwarded to a resume point injects what the uninterrupted run
+/// would have. [`truth`](FailureMechanism::truth) is empty: this noise is
+/// not a population PARBOR should report, so every detection of it is a
+/// false positive.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct InjectMechanism {
+    /// Per-row, per-round probability of one random uniform-column flip.
+    pub rate: f64,
+    /// Per-row, per-round probability that the row's weak column flips.
+    pub intermittent: f64,
+    /// Injection seed; same seed, same flips.
+    pub seed: u64,
+}
+
+impl FailureMechanism for InjectMechanism {
+    fn name(&self) -> &'static str {
+        "inject"
+    }
+
+    fn flips(&self, view: &RowView<'_>) -> Vec<BitFlip> {
+        let cols = view.data.len() as u64;
+        if self.is_inert() || cols == 0 {
+            return Vec::new();
+        }
+        let (unit, bank, row) = (
+            u64::from(view.unit),
+            u64::from(view.row.bank),
+            u64::from(view.row.row),
+        );
+        let mut rng = StdRng::seed_from_u64(hash_words(&[
+            self.seed ^ SALT_INJECT_ROUND,
+            view.round,
+            unit,
+            bank,
+            row,
+        ]));
+        // Fixed draw order (random first, then intermittent) keeps the
+        // schedule stable as the two rates change independently.
+        let random_col =
+            (self.rate > 0.0 && rng.gen_bool(self.rate)).then(|| rng.gen_range(0..cols));
+        let weak_col = (self.intermittent > 0.0 && rng.gen_bool(self.intermittent))
+            .then(|| hash_words(&[self.seed ^ SALT_INJECT_WEAK_COL, unit, bank, row]) % cols)
+            .filter(|&col| Some(col) != random_col);
+        [random_col, weak_col]
+            .into_iter()
+            .flatten()
+            .map(|col| BitFlip {
+                addr: BitAddr::new(view.row.bank, view.row.row, col as u32),
+                expected: view.data.get(col as usize),
+            })
+            .collect()
+    }
+
+    fn truth(&self, _bank: u32, _row: u32, _cols: u32) -> Vec<u32> {
+        Vec::new()
+    }
+
+    fn is_inert(&self) -> bool {
+        self.rate <= 0.0 && self.intermittent <= 0.0
+    }
+}
+
 /// A serializable description of one mechanism — the CLI / spec form of the
 /// stack, so fleet journals and checkpoints can rebuild identical devices.
 ///
@@ -410,7 +494,11 @@ impl FailureMechanism for DriftMechanism {
 ///
 /// ```text
 /// hammer=thresh:50k,seed:7;press=thresh_ns:25m;drift=rate:1e-3,period:120
+/// inject=rate:0.002,seed:11
 /// ```
+///
+/// `inject` has no defaults for `rate` and `seed`; its `intermittent`
+/// defaults to `rate / 2`.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub enum MechanismSpec {
     /// [`HammerMechanism`] parameters.
@@ -446,6 +534,15 @@ pub enum MechanismSpec {
         /// Mechanism seed.
         seed: u64,
     },
+    /// [`InjectMechanism`] parameters.
+    Inject {
+        /// Random-flip rate.
+        rate: f64,
+        /// Intermittent (weak-column) flip rate.
+        intermittent: f64,
+        /// Injection seed.
+        seed: u64,
+    },
 }
 
 /// Parses a `u64` with optional `k`/`m`/`g` suffix.
@@ -460,14 +557,22 @@ fn parse_scaled_u64(key: &str, value: &str) -> Result<u64, DramError> {
         })
 }
 
-/// Parses an `f64` with optional `k`/`m`/`g` suffix.
+/// Parses a `u32` with optional `k`/`m`/`g` suffix.
+fn parse_scaled_u32(key: &str, value: &str) -> Result<u32, DramError> {
+    u32::try_from(parse_scaled_u64(key, value)?).map_err(|_| {
+        DramError::InvalidConfig(format!("mechanism {key} must be at most {}", u32::MAX))
+    })
+}
+
+/// Parses an `f64` with optional `k`/`m`/`g` suffix; the scaled value must
+/// be finite.
 fn parse_scaled_f64(key: &str, value: &str) -> Result<f64, DramError> {
     let (digits, scale) = split_suffix(value);
     digits
         .parse::<f64>()
         .ok()
-        .filter(|v| v.is_finite())
         .map(|v| v * scale as f64)
+        .filter(|v| v.is_finite())
         .ok_or_else(|| DramError::InvalidConfig(format!("mechanism {key} must be a finite number")))
 }
 
@@ -491,12 +596,14 @@ fn check_rate(rate: f64) -> Result<f64, DramError> {
 }
 
 impl MechanismSpec {
-    /// The spec's mechanism name (`"hammer"` / `"press"` / `"drift"`).
+    /// The spec's mechanism name (`"hammer"` / `"press"` / `"drift"` /
+    /// `"inject"`).
     pub fn name(&self) -> &'static str {
         match self {
             MechanismSpec::Hammer { .. } => "hammer",
             MechanismSpec::Press { .. } => "press",
             MechanismSpec::Drift { .. } => "drift",
+            MechanismSpec::Inject { .. } => "inject",
         }
     }
 
@@ -505,13 +612,28 @@ impl MechanismSpec {
     /// # Errors
     ///
     /// Returns [`DramError::InvalidConfig`] on unknown names or keys,
-    /// unparsable values, or out-of-range rates.
+    /// unparsable values, out-of-range rates, or an `inject` spec missing
+    /// `rate` or `seed`.
     pub fn parse(s: &str) -> Result<Self, DramError> {
         let s = s.trim();
         let (name, params) = match s.split_once('=') {
             Some((name, params)) => (name.trim(), params.trim()),
             None => (s, ""),
         };
+        let params = params
+            .split(',')
+            .filter(|kv| !kv.trim().is_empty())
+            .map(|kv| {
+                kv.split_once(':')
+                    .map(|(key, value)| (key.trim(), value.trim()))
+                    .ok_or_else(|| {
+                        DramError::InvalidConfig(format!(
+                            "mechanism parameter {kv:?} is not key:value syntax"
+                        ))
+                    })
+            })
+            .collect::<Result<Vec<_>, _>>()?;
+        let given = |key: &str| params.iter().any(|&(k, _)| k == key);
         let mut spec = match name {
             "hammer" => {
                 let d = HammerMechanism::default();
@@ -540,20 +662,34 @@ impl MechanismSpec {
                     seed: d.seed,
                 }
             }
+            "inject" => {
+                if let Some(missing) = ["rate", "seed"].into_iter().find(|&key| !given(key)) {
+                    return Err(DramError::InvalidConfig(format!(
+                        "inject needs {missing}:<value>"
+                    )));
+                }
+                MechanismSpec::Inject {
+                    rate: 0.0,
+                    intermittent: 0.0,
+                    seed: 0,
+                }
+            }
             other => {
                 return Err(DramError::InvalidConfig(format!(
-                    "unknown mechanism {other:?} (expected hammer|press|drift)"
+                    "unknown mechanism {other:?} (expected hammer|press|drift|inject)"
                 )))
             }
         };
-        for kv in params.split(',').filter(|kv| !kv.trim().is_empty()) {
-            let (key, value) = kv.split_once(':').ok_or_else(|| {
-                DramError::InvalidConfig(format!(
-                    "mechanism parameter {kv:?} is not key:value syntax"
-                ))
-            })?;
-            let (key, value) = (key.trim(), value.trim());
+        for &(key, value) in &params {
             spec.set_param(key, value)?;
+        }
+        if let MechanismSpec::Inject {
+            rate, intermittent, ..
+        } = &mut spec
+        {
+            if !given("intermittent") {
+                *intermittent = *rate / 2.0;
+            }
         }
         spec.validate()?;
         Ok(spec)
@@ -577,7 +713,7 @@ impl MechanismSpec {
                 "thresh" => *thresh = parse_scaled_u64(key, value)?,
                 "acts" => *acts = parse_scaled_u64(key, value)?,
                 "rate" => *rate = check_rate(parse_scaled_f64(key, value)?)?,
-                "dist" => *dist = parse_scaled_u64(key, value)? as u32,
+                "dist" => *dist = parse_scaled_u32(key, value)?,
                 "seed" => *seed = parse_scaled_u64(key, value)?,
                 _ => return unknown("thresh|acts|rate|dist|seed"),
             },
@@ -589,7 +725,7 @@ impl MechanismSpec {
             } => match key {
                 "thresh_ns" | "thresh" => *thresh_ns = parse_scaled_f64(key, value)?,
                 "rate" => *rate = check_rate(parse_scaled_f64(key, value)?)?,
-                "dist" => *dist = parse_scaled_u64(key, value)? as u32,
+                "dist" => *dist = parse_scaled_u32(key, value)?,
                 "seed" => *seed = parse_scaled_u64(key, value)?,
                 _ => return unknown("thresh_ns|rate|dist|seed"),
             },
@@ -602,6 +738,16 @@ impl MechanismSpec {
                 "period" | "period_s" => *period_s = parse_scaled_f64(key, value)?,
                 "seed" => *seed = parse_scaled_u64(key, value)?,
                 _ => return unknown("rate|period|seed"),
+            },
+            MechanismSpec::Inject {
+                rate,
+                intermittent,
+                seed,
+            } => match key {
+                "rate" => *rate = check_rate(parse_scaled_f64(key, value)?)?,
+                "intermittent" => *intermittent = check_rate(parse_scaled_f64(key, value)?)?,
+                "seed" => *seed = parse_scaled_u64(key, value)?,
+                _ => return unknown("rate|seed|intermittent"),
             },
         }
         Ok(())
@@ -674,6 +820,15 @@ impl MechanismSpec {
                 period_s,
                 seed,
             }),
+            MechanismSpec::Inject {
+                rate,
+                intermittent,
+                seed,
+            } => Arc::new(InjectMechanism {
+                rate,
+                intermittent,
+                seed,
+            }),
         }
     }
 
@@ -710,6 +865,14 @@ impl fmt::Display for MechanismSpec {
                 period_s,
                 seed,
             } => write!(f, "drift=rate:{rate},period:{period_s},seed:{seed}"),
+            MechanismSpec::Inject {
+                rate,
+                intermittent,
+                seed,
+            } => write!(
+                f,
+                "inject=rate:{rate},seed:{seed},intermittent:{intermittent}"
+            ),
         }
     }
 }
@@ -807,6 +970,65 @@ mod tests {
         unit_stack_flips(mechanisms, &refs, 0, round, elapsed_s)
     }
 
+    fn inject(params: &str) -> Arc<dyn FailureMechanism> {
+        MechanismSpec::parse(&format!("inject={params}"))
+            .unwrap()
+            .build()
+    }
+
+    /// Sixteen rounds of `mech` over `rows` zero rows of `unit`.
+    fn inject_rounds(mech: &Arc<dyn FailureMechanism>, unit: u32, rows: u32) -> Vec<Vec<BitFlip>> {
+        let zeros = RowBits::zeros(1024);
+        let writes: Vec<(RowId, &RowBits)> =
+            (0..rows).map(|r| (RowId::new(0, r), &zeros)).collect();
+        (0..16)
+            .map(|round| unit_stack_flips(&[Arc::clone(mech)], &writes, unit, round, 0.0))
+            .collect()
+    }
+
+    #[test]
+    fn same_injection_seed_same_flips_different_seed_different_flips() {
+        let run = |seed| inject_rounds(&inject(&format!("rate:0.5,seed:{seed}")), 0, 8);
+        assert!(run(7).iter().any(|f| !f.is_empty()));
+        assert_eq!(run(7), run(7));
+        assert_ne!(run(7), run(8));
+        // Injected noise is never a population to report.
+        assert!(inject("rate:0.5,seed:7").truth(0, 0, 1024).is_empty());
+    }
+
+    #[test]
+    fn intermittent_flips_hit_one_fixed_column_per_unit_and_row() {
+        let mech = inject("rate:0,seed:5,intermittent:1");
+        let cols = |unit| -> HashSet<u32> {
+            inject_rounds(&mech, unit, 1)
+                .into_iter()
+                .flatten()
+                .map(|f| f.addr.col)
+                .collect()
+        };
+        let (zero, one) = (cols(0), cols(1));
+        assert_eq!(zero.len(), 1);
+        assert_eq!(one.len(), 1);
+        assert_ne!(zero, one, "units share a weak column");
+    }
+
+    #[test]
+    fn injected_expected_value_is_the_final_written_bit() {
+        // Row 0 is written as zeros, then as ones: the read-back (and so
+        // every flip's expected bit) sees the final content.
+        let (zeros, ones) = (RowBits::zeros(1024), RowBits::ones(1024));
+        let writes = [(RowId::new(0, 0), &zeros), (RowId::new(0, 0), &ones)];
+        let flips = unit_stack_flips(
+            &[inject("rate:1,seed:2,intermittent:1")],
+            &writes,
+            0,
+            0,
+            0.0,
+        );
+        assert!(!flips.is_empty());
+        assert!(flips.iter().all(|f| f.expected));
+    }
+
     #[test]
     fn row_stream_matches_cell_hash_oracle() {
         let tags = [
@@ -899,12 +1121,16 @@ mod tests {
                 rate: 0.0,
                 ..DriftMechanism::default()
             }),
+            inject("rate:0,seed:1,intermittent:0"),
         ];
         for mech in &stack {
             assert!(mech.is_inert());
             assert!(mech.truth(0, 0, 8192).is_empty());
         }
         assert!(run_stack(&stack, 16, 5, 20.0).is_empty());
+        // Injection is live while either of its rates is.
+        assert!(!inject("rate:0,seed:1,intermittent:0.5").is_inert());
+        assert!(!inject("rate:0.5,seed:1,intermittent:0").is_inert());
     }
 
     #[test]
@@ -950,9 +1176,11 @@ mod tests {
 
     #[test]
     fn spec_grammar_round_trips() {
-        let specs = MechanismSpec::parse_stack("hammer=thresh:50k,seed:7; press=thresh:25m ;drift")
-            .unwrap();
-        assert_eq!(specs.len(), 3);
+        let specs = MechanismSpec::parse_stack(
+            "hammer=thresh:50k,seed:7; press=thresh:25m ;drift;inject=seed:7,rate:0.01",
+        )
+        .unwrap();
+        assert_eq!(specs.len(), 4);
         assert_eq!(
             specs[0],
             MechanismSpec::Hammer {
@@ -967,6 +1195,11 @@ mod tests {
             specs[1],
             MechanismSpec::Press { thresh_ns, .. } if thresh_ns == 25_000_000.0
         ));
+        // `intermittent` defaults to half the random rate.
+        assert_eq!(
+            specs[3].to_string(),
+            "inject=rate:0.01,seed:7,intermittent:0.005"
+        );
         // Display emits the canonical grammar, which parses back identically.
         for spec in &specs {
             assert_eq!(&MechanismSpec::parse(&spec.to_string()).unwrap(), spec);
@@ -983,11 +1216,23 @@ mod tests {
         assert!(MechanismSpec::parse("hammer=dist:0").is_err());
         assert!(MechanismSpec::parse("drift=period:0").is_err());
         assert!(MechanismSpec::parse("hammer=thresh:4x").is_err());
+        // Out-of-range values must not wrap or overflow to infinity.
+        assert!(MechanismSpec::parse("hammer=dist:4294967297").is_err());
+        assert!(MechanismSpec::parse("press=thresh_ns:1e308k").is_err());
+        // `inject` requires rate and seed, and checks both rates.
+        assert!(MechanismSpec::parse("inject").is_err());
+        assert!(MechanismSpec::parse("inject=rate:0.25").is_err());
+        assert!(MechanismSpec::parse("inject=seed:9").is_err());
+        assert!(MechanismSpec::parse("inject=rate:2,seed:1").is_err());
+        assert!(MechanismSpec::parse("inject=rate:0.1,seed:1,intermittent:1.5").is_err());
+        assert!(MechanismSpec::parse("inject=rate:0.1,seed:1,volume:9").is_err());
     }
 
     #[test]
     fn spec_serde_round_trips() {
-        let specs = MechanismSpec::parse_stack("hammer;press;drift=rate:0.002").unwrap();
+        let specs =
+            MechanismSpec::parse_stack("hammer;press;drift=rate:0.002;inject=rate:0.1,seed:3")
+                .unwrap();
         let json = serde_json::to_string(&specs).unwrap();
         let back: Vec<MechanismSpec> = serde_json::from_str(&json).unwrap();
         assert_eq!(back, specs);

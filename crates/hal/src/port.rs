@@ -137,9 +137,8 @@ impl fmt::Display for KernelMode {
 /// Implemented by the simulator backend (`parbor_dram::DramChip` as one
 /// unit, `parbor_dram::DramModule` as one unit per chip), by
 /// [`ReplayPort`](crate::ReplayPort) for captured transcripts, by
-/// [`LoopbackPort`](crate::LoopbackPort) for tests, and by the decorators
-/// [`RecordingPort`](crate::RecordingPort) /
-/// [`FaultInjectingPort`](crate::FaultInjectingPort) over any of the above.
+/// [`LoopbackPort`](crate::LoopbackPort) for tests, and by the
+/// [`RecordingPort`](crate::RecordingPort) decorator over any of the above.
 /// PARBOR is written against this trait, mirroring the paper's host-side
 /// test harness talking to the memory controller.
 pub trait TestPort {

@@ -136,16 +136,15 @@ pub mod engine {
     pub const BATCH_ROUNDS: &str = "engine.batch_rounds";
 }
 
-/// Names recorded by the composable failure-mechanism layer — the chip's
-/// extra-mechanism stack (`crates/dram`) and the mechanism-backed port
-/// injector (`crates/hal/src/inject.rs`).
+/// Names recorded by the composable failure-mechanism layer: the chip's
+/// extra-mechanism stack (`crates/dram`), injected noise included.
 pub mod mech {
     /// Counter: mechanism flips merged into round results.
     pub const FLIPS: &str = "mech.flips";
     /// Counter: rounds evaluated against a non-empty mechanism stack.
     pub const ROUNDS: &str = "mech.rounds";
-    /// Counter: mechanism flips dropped because the base model (or inner
-    /// port) already flipped the same bit.
+    /// Counter: mechanism flips dropped because the base model already
+    /// flipped the same bit.
     pub const SUPPRESSED: &str = "mech.suppressed";
 }
 

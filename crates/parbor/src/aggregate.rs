@@ -221,27 +221,28 @@ mod tests {
         assert_eq!(r.kept(), &[1]);
     }
 
-    /// End-to-end filter efficacy: drive the pipeline through a
-    /// [`FaultInjectingPort`](parbor_hal::FaultInjectingPort) at several
-    /// noise rates and score the surviving distance set against the vendor's
-    /// ground-truth neighbor distances.
+    /// End-to-end filter efficacy: drive the pipeline over a module with an
+    /// [`InjectMechanism`](parbor_hal::InjectMechanism) in its stack at
+    /// several noise rates and score the surviving distance set against the
+    /// vendor's ground-truth neighbor distances.
     mod filter_efficacy {
         use crate::{Parbor, ParborConfig};
         use parbor_dram::{ChipGeometry, ModuleConfig, ModuleId, Vendor};
-        use parbor_hal::{FaultInjectingPort, InjectionConfig};
+        use parbor_hal::MechanismSpec;
 
         fn detected_distances(rate: f64, seed: u64) -> Vec<i64> {
-            let module = ModuleConfig::new(Vendor::A)
+            let spec = MechanismSpec::parse(&format!("inject=rate:{rate},seed:{seed}"))
+                .expect("inject spec");
+            let mut module = ModuleConfig::new(Vendor::A)
                 .geometry(ChipGeometry::new(1, 128, 1024).expect("geometry"))
                 .chips(1)
                 .seed(5)
                 .module_id(ModuleId(1))
+                .mechanisms(vec![spec])
                 .build()
                 .expect("module");
-            let mut port =
-                FaultInjectingPort::new(module, InjectionConfig::new(rate, seed).expect("config"));
             let report = Parbor::new(ParborConfig::default())
-                .run(&mut port)
+                .run(&mut module)
                 .expect("pipeline");
             report.distances().to_vec()
         }

@@ -17,9 +17,10 @@
 //!
 //! `--parallel auto|always|never` and `--kernel stencil|reference` apply to
 //! every device-building subcommand. `detect` and `fleet run`/`fleet resume`
-//! additionally accept `--backend sim|replay:<path>`, `--record <path>`,
-//! and `--inject rate=<p>,seed=<s>` to swap or decorate the test-port
-//! backend.
+//! additionally accept `--backend sim|replay:<path>` and `--record <path>`
+//! to swap or decorate the test-port backend, and `--mechanisms SPEC` to
+//! compose extra failure mechanisms (including `inject=rate:<p>,seed:<s>`
+//! random noise) into the simulated device.
 //! Every subcommand defaults to the simulated devices; see the fig*/table*
 //! binaries for the exact paper reproductions.
 
@@ -34,10 +35,7 @@ use parbor_dram::{
     RowId, Seconds, Vendor,
 };
 use parbor_fleet::{Fleet, FleetConfig, ProfileStore, ScanJob, CRASH_EXIT_CODE};
-use parbor_hal::{
-    FaultInjectingPort, InjectionConfig, KernelMode, MechanismSpec, ParallelMode, RecordingPort,
-    ReplayPort, TestPort,
-};
+use parbor_hal::{KernelMode, MechanismSpec, ParallelMode, RecordingPort, ReplayPort, TestPort};
 use parbor_memsim::{Density, RefreshPolicyKind, Simulation, SystemConfig};
 use parbor_obs::{
     folded_stacks, trace, FleetStatus, InMemoryRecorder, Profile, RecorderHandle, RunSummary,
@@ -58,6 +56,12 @@ impl Args {
             let name = flag
                 .strip_prefix("--")
                 .ok_or_else(|| format!("expected --flag, got {flag}"))?;
+            if name == "inject" {
+                return Err(
+                    "--inject was removed; use --mechanisms inject=rate:P,seed:S[,intermittent:Q]"
+                        .into(),
+                );
+            }
             let value = it
                 .next()
                 .ok_or_else(|| format!("flag --{name} needs a value"))?;
@@ -113,23 +117,26 @@ impl Args {
         }
     }
 
+    /// The `--backend` selection. A replay backend re-serves recorded
+    /// flips with no device behind it, so `--mechanisms` (which only the
+    /// simulated device applies) is rejected alongside it rather than
+    /// silently ignored.
     fn backend(&self) -> Result<Backend, String> {
-        match self.flags.get("backend").map(String::as_str) {
-            None | Some("sim") => Ok(Backend::Sim),
+        let backend = match self.flags.get("backend").map(String::as_str) {
+            None | Some("sim") => Backend::Sim,
             Some(v) => match v.strip_prefix("replay:") {
-                Some(path) if !path.is_empty() => Ok(Backend::Replay(PathBuf::from(path))),
-                _ => Err(format!("unknown backend {v} (use sim or replay:<path>)")),
+                Some(path) if !path.is_empty() => Backend::Replay(PathBuf::from(path)),
+                _ => return Err(format!("unknown backend {v} (use sim or replay:<path>)")),
             },
+        };
+        if matches!(backend, Backend::Replay(_)) && self.flags.contains_key("mechanisms") {
+            return Err(
+                "--mechanisms cannot be combined with --backend replay: (a transcript \
+                 replays recorded flips; record the run with --mechanisms instead)"
+                    .into(),
+            );
         }
-    }
-
-    fn inject(&self) -> Result<Option<InjectionConfig>, String> {
-        match self.flags.get("inject") {
-            None => Ok(None),
-            Some(spec) => InjectionConfig::parse(spec)
-                .map(Some)
-                .map_err(|e| e.to_string()),
-        }
+        Ok(backend)
     }
 
     /// The `--mechanisms` stack (`hammer=thresh:50k,seed:7;press;drift`),
@@ -166,17 +173,13 @@ fn build(args: &Args, default_chips: u64) -> Result<parbor_dram::DramModule, Str
     Ok(module)
 }
 
-/// Builds the stack of port decorators selected by `--backend`, `--inject`,
-/// and `--record` around the base backend (innermost to outermost:
-/// backend → fault injection → recording).
+/// Builds the backend selected by `--backend`, wrapped in a recorder when
+/// `--record` is given.
 fn build_port(args: &Args, default_chips: u64) -> Result<Box<dyn TestPort>, String> {
     let mut port: Box<dyn TestPort> = match args.backend()? {
         Backend::Sim => Box::new(build(args, default_chips)?),
         Backend::Replay(path) => Box::new(ReplayPort::open(path).map_err(|e| e.to_string())?),
     };
-    if let Some(config) = args.inject()? {
-        port = Box::new(FaultInjectingPort::new(port, config));
-    }
     if let Some(path) = args.flags.get("record") {
         port = Box::new(RecordingPort::create(port, path).map_err(|e| e.to_string())?);
     }
@@ -532,9 +535,8 @@ fn fleet_print_report(report: &parbor_fleet::FleetReport, store_dir: &std::path:
 /// `--record <dir>` and for `--backend replay:<dir>`.
 fn fleet_port_factory(args: &Args) -> Result<Option<parbor_fleet::PortFactory>, String> {
     let backend = args.backend()?;
-    let inject = args.inject()?;
     let record = args.flags.get("record").map(PathBuf::from);
-    if matches!(backend, Backend::Sim) && inject.is_none() && record.is_none() {
+    if matches!(backend, Backend::Sim) && record.is_none() {
         return Ok(None);
     }
     if let Some(dir) = &record {
@@ -548,9 +550,6 @@ fn fleet_port_factory(args: &Args) -> Result<Option<parbor_fleet::PortFactory>, 
                 Box::new(ReplayPort::open(dir.join(format!("{}.pbt", job.name)))?)
             }
         };
-        if let Some(config) = inject {
-            port = Box::new(FaultInjectingPort::new(port, config));
-        }
         if let Some(dir) = &record {
             port = Box::new(RecordingPort::create(
                 port,
@@ -623,10 +622,11 @@ fn cmd_fleet(argv: &[String]) -> Result<(), String> {
             } else {
                 Vec::new()
             };
+            let factory = fleet_port_factory(&args)?;
             let mut fleet = Fleet::new(&dir, fleet_config(&args)?)
                 .map_err(|e| e.to_string())?
                 .with_recorder(RecorderHandle::from(InMemoryRecorder::handle()));
-            if let Some(factory) = fleet_port_factory(&args)? {
+            if let Some(factory) = factory {
                 fleet = fleet.with_port_factory(factory);
             }
             println!(
@@ -962,14 +962,14 @@ backend flags (detect, fleet run/resume):
               --record PATH                  record a transcript while running
                                              (detect: file, fleet: directory
                                              of <job>.pbt files)
-              --inject rate=P,seed=S[,intermittent=Q]
-                                             decorate the port with seeded
-                                             random + intermittent bit flips
               --mechanisms SPEC              compose extra failure mechanisms
                                              into the simulated device, e.g.
                                              hammer=thresh:50k,rate:1e-3;press;
-                                             drift=rate:1e-3,period:120
-                                             (also: efficacy's matrix)
+                                             drift=rate:1e-3,period:120;
+                                             inject=rate:P,seed:S[,intermittent:Q]
+                                             for seeded random + intermittent
+                                             flips (also: efficacy's matrix;
+                                             not with --backend replay:)
 dcref flags : --cycles N  --mixes N  --density 8|16|32
 help        : parbor --help (or -h) prints this message";
 

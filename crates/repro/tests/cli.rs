@@ -115,7 +115,7 @@ fn help_documents_the_backend_flags() {
     let text = stdout(&out);
     assert!(text.contains("--backend sim|replay:PATH"), "{text}");
     assert!(text.contains("--record PATH"), "{text}");
-    assert!(text.contains("--inject rate=P,seed=S"), "{text}");
+    assert!(text.contains("inject=rate:P,seed:S"), "{text}");
 }
 
 #[test]
@@ -167,45 +167,17 @@ fn detect_record_then_replay_reproduces_the_report() {
 #[test]
 fn fleet_record_then_replay_produces_a_byte_identical_store() {
     let cwd = scratch_cwd("fleet-replay");
-    let transcripts = cwd.join("transcripts");
-    let base = |dir: &str| -> Vec<String> {
-        [
-            "fleet",
-            "run",
-            "--dir",
-            dir,
-            "--vendors",
-            "A,B",
-            "--rows",
-            "32",
-            "--workers",
-            "1",
-        ]
-        .map(String::from)
-        .to_vec()
-    };
+    let base = "fleet run --vendors A,B --rows 32 --workers 1 --dir";
 
-    let mut args = base("recorded");
-    args.extend(["--record".to_string(), transcripts.display().to_string()]);
-    let out = Command::new(BIN)
-        .args(&args)
-        .current_dir(&cwd)
-        .output()
-        .expect("recorded fleet run");
+    let out = run_line(&cwd, &format!("{base} recorded --record transcripts"));
     assert!(out.status.success(), "recorded run failed: {out:?}");
-    assert!(transcripts.join("A0.pbt").is_file());
-    assert!(transcripts.join("B0.pbt").is_file());
+    assert!(cwd.join("transcripts/A0.pbt").is_file());
+    assert!(cwd.join("transcripts/B0.pbt").is_file());
 
-    let mut args = base("replayed");
-    args.extend([
-        "--backend".to_string(),
-        format!("replay:{}", transcripts.display()),
-    ]);
-    let out = Command::new(BIN)
-        .args(&args)
-        .current_dir(&cwd)
-        .output()
-        .expect("replayed fleet run");
+    let out = run_line(
+        &cwd,
+        &format!("{base} replayed --backend replay:transcripts"),
+    );
     assert!(out.status.success(), "replayed run failed: {out:?}");
 
     assert_eq!(
@@ -225,7 +197,7 @@ fn inject_changes_results_deterministically() {
     assert!(clean.status.success());
 
     let mut args = base.to_vec();
-    args.extend_from_slice(&["--inject", "rate=0.002,seed=11"]);
+    args.extend_from_slice(&["--mechanisms", "inject=rate:0.002,seed:11"]);
     let injected = run_in(&cwd, &args);
     assert!(
         injected.status.success(),
@@ -255,62 +227,69 @@ fn inject_changes_results_deterministically() {
     fs::remove_dir_all(&cwd).ok();
 }
 
-#[test]
-fn bad_backend_and_inject_specs_are_rejected() {
-    for args in [
-        &["detect", "--rows", "32", "--backend", "fpga"][..],
-        &["detect", "--rows", "32", "--backend", "replay:"],
-        &["detect", "--rows", "32", "--inject", "rate=2,seed=1"],
-        &["detect", "--rows", "32", "--inject", "seed=1"],
-        &[
-            "detect",
-            "--rows",
-            "32",
-            "--inject",
-            "rate=0.1,seed=1,volume=9",
-        ],
-    ] {
-        let out = run(args);
-        assert!(!out.status.success(), "{args:?} must fail");
-    }
+/// Runs `line`, space-separated arguments, in `cwd`.
+fn run_line(cwd: &Path, line: &str) -> Output {
+    run_in(cwd, &line.split(' ').collect::<Vec<_>>())
 }
 
 #[test]
-fn fleet_crash_resume_store_is_byte_identical_to_clean_run() {
-    let clean = temp_dir("fleet-clean");
-    let crashed = temp_dir("fleet-crash");
-    let jobs = |dir: &Path| {
-        vec![
-            "fleet".to_string(),
-            "run".to_string(),
-            "--dir".to_string(),
-            dir.display().to_string(),
-            "--vendors".to_string(),
-            "A,B".to_string(),
-            "--modules".to_string(),
-            "1".to_string(),
-            "--rows".to_string(),
-            "48".to_string(),
-            "--workers".to_string(),
-            "1".to_string(),
-            "--checkpoint-every".to_string(),
-            "16".to_string(),
-        ]
-    };
+fn bad_backend_and_inject_specs_are_rejected() {
+    let cwd = scratch_cwd("bad-specs");
+    for line in [
+        "detect --rows 32 --backend fpga",
+        "detect --rows 32 --backend replay:",
+        "detect --rows 32 --mechanisms inject=rate:2,seed:1",
+        "detect --rows 32 --mechanisms inject=seed:1",
+        "detect --rows 32 --mechanisms inject=rate:0.1,seed:1,volume:9",
+        // The retired flag fails loudly instead of being ignored.
+        "detect --rows 32 --inject rate=0.1,seed=1",
+    ] {
+        assert!(!run_line(&cwd, line).status.success(), "{line} must fail");
+    }
+    // A transcript replays recorded flips, so a mechanism stack next to a
+    // replay backend would be silently dropped: an error names both flags.
+    for line in [
+        "detect --rows 32 --backend replay:x.pbt --mechanisms inject=rate:0.1,seed:1",
+        "fleet run --dir unused --backend replay:x --mechanisms hammer",
+        "fleet resume --dir unused --backend replay:x --mechanisms hammer",
+    ] {
+        let out = run_line(&cwd, line);
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert!(!out.status.success(), "{line} must fail");
+        assert!(
+            err.contains("--mechanisms") && err.contains("--backend replay:"),
+            "{line}: {err}"
+        );
+    }
+    assert!(
+        !cwd.join("unused").exists(),
+        "a rejected fleet touched its dir"
+    );
+    fs::remove_dir_all(&cwd).ok();
+}
 
-    let out = Command::new(BIN)
-        .args(jobs(&clean))
-        .output()
-        .expect("clean run");
+/// `fleet run` of one module per vendor A and B into `cwd/<dir>`, plus the
+/// `extra` flags (each with a leading space).
+fn fleet_run(cwd: &Path, dir: &str, extra: &str) -> Output {
+    run_line(
+        cwd,
+        &format!(
+            "fleet run --dir {dir} --vendors A,B --modules 1 --rows 48 --workers 1 \
+             --checkpoint-every 16{extra}"
+        ),
+    )
+}
+
+const FLEET_RESUME: &str = "fleet resume --dir crashed --workers 1 --checkpoint-every 16";
+
+#[test]
+fn fleet_crash_resume_store_is_byte_identical_to_clean_run() {
+    let cwd = scratch_cwd("fleet-crash");
+    let out = fleet_run(&cwd, "clean", "");
     assert!(out.status.success(), "clean run failed: {out:?}");
 
     // Kill the fleet after two checkpoints, mid-scan.
-    let mut crash_args = jobs(&crashed);
-    crash_args.extend(["--crash-after".to_string(), "2".to_string()]);
-    let out = Command::new(BIN)
-        .args(crash_args)
-        .output()
-        .expect("crash run");
+    let out = fleet_run(&cwd, "crashed", " --crash-after 2");
     assert_eq!(
         out.status.code(),
         Some(42),
@@ -318,44 +297,51 @@ fn fleet_crash_resume_store_is_byte_identical_to_clean_run() {
     );
 
     // The journal survives and status sees the in-flight jobs.
-    let out = run(&["fleet", "status", "--dir", &crashed.display().to_string()]);
+    let out = run_line(&cwd, "fleet status --dir crashed");
     assert!(out.status.success());
     assert!(stdout(&out).contains("in-flight"), "{}", stdout(&out));
 
     // Resume and compare the stores byte for byte.
-    let out = run(&[
-        "fleet",
-        "resume",
-        "--dir",
-        &crashed.display().to_string(),
-        "--workers",
-        "1",
-        "--checkpoint-every",
-        "16",
-    ]);
+    let out = run_line(&cwd, FLEET_RESUME);
     assert!(out.status.success(), "resume failed: {out:?}");
     assert!(stdout(&out).contains("(resumed)"));
 
     assert_eq!(
-        dir_snapshot(&crashed.join("store")),
-        dir_snapshot(&clean.join("store")),
+        dir_snapshot(&cwd.join("crashed").join("store")),
+        dir_snapshot(&cwd.join("clean").join("store")),
         "resumed store differs from the uninterrupted run"
     );
 
     // Show reads a stored profile back.
-    let out = run(&[
-        "fleet",
-        "show",
-        "--dir",
-        &crashed.display().to_string(),
-        "--module",
-        "A0",
-    ]);
+    let out = run_line(&cwd, "fleet show --dir crashed --module A0");
     assert!(out.status.success());
     assert!(stdout(&out).contains("total budget"));
 
-    fs::remove_dir_all(&clean).ok();
-    fs::remove_dir_all(&crashed).ok();
+    fs::remove_dir_all(&cwd).ok();
+}
+
+#[test]
+fn injected_fleet_resumes_its_noise_from_the_journal() {
+    // The injection lives in the journaled module spec, so a crashed run
+    // resumed with no mechanism flag still finishes with its noise.
+    let cwd = scratch_cwd("fleet-inject");
+    let inject = " --mechanisms inject=rate:0.01,seed:3";
+    assert!(fleet_run(&cwd, "plain", "").status.success());
+    assert!(fleet_run(&cwd, "clean", inject).status.success());
+    let out = fleet_run(&cwd, "crashed", &format!("{inject} --crash-after 2"));
+    assert_eq!(out.status.code(), Some(42), "crash hook must fire: {out:?}");
+    let out = run_line(&cwd, FLEET_RESUME);
+    assert!(out.status.success(), "resume failed: {out:?}");
+    assert!(stdout(&out).contains("(resumed)"));
+
+    let store = |dir: &str| dir_snapshot(&cwd.join(dir).join("store"));
+    assert_ne!(store("plain"), store("clean"), "injection changed nothing");
+    assert_eq!(
+        store("crashed"),
+        store("clean"),
+        "resumed injected store differs from the uninterrupted injected run"
+    );
+    fs::remove_dir_all(&cwd).ok();
 }
 
 #[test]

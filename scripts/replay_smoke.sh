@@ -5,6 +5,8 @@
 # differs byte-for-byte from the recorded run's. A `detect` record/replay
 # pair is head-compared the same way, and `parbor transcript dump` must
 # render the detect transcript as one header line plus one line per round.
+# A second fleet pass records with an `inject=` mechanism stack and replays
+# without it, so injected noise is checked end to end too.
 # Run from the repo root after `cargo build --release --workspace`.
 set -euo pipefail
 
@@ -21,6 +23,16 @@ echo "-- fleet replay --"
 
 diff -r "$work/recorded/store" "$work/replayed/store"
 echo "replay smoke OK: replayed store is byte-identical to the recorded run"
+
+echo "-- fleet record (injected) --"
+"$BIN" fleet run --dir "$work/inj-recorded" "${common[@]}" \
+  --mechanisms "inject=rate:0.01,seed:3" --record "$work/inj-transcripts"
+echo "-- fleet replay (injected) --"
+"$BIN" fleet run --dir "$work/inj-replayed" "${common[@]}" \
+  --backend "replay:$work/inj-transcripts"
+
+diff -r "$work/inj-recorded/store" "$work/inj-replayed/store"
+echo "replay smoke OK: injected store replays byte-identically"
 
 mkdir -p "$work/cwd/results"
 detect=(detect --vendor B --rows 48 --chips 1)

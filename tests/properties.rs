@@ -583,3 +583,76 @@ mod hal_transcripts {
         }
     }
 }
+
+// ---------------------------------------------------------------------------
+// Round-engine and transcript invariants over a module whose `inject=`
+// stack flips different bits every round, so a misattributed round or a
+// mispacked flip cannot hide behind an empty flip list.
+// ---------------------------------------------------------------------------
+
+mod injected_rounds {
+    use super::*;
+    use parbor_dram::{ChipGeometry, DramModule, ModuleConfig, RowId};
+    use parbor_hal::{
+        Flip, MechanismSpec, ParallelMode, RecordingPort, ReplayPort, RoundExecutor, RoundPlan,
+        TestPort,
+    };
+
+    fn module(chips: usize) -> DramModule {
+        ModuleConfig::new(Vendor::B)
+            .geometry(ChipGeometry::new(1, 16, 1024).unwrap())
+            .chips(chips)
+            .seed(3)
+            .mechanisms(MechanismSpec::parse_stack("inject=rate:1,seed:17").unwrap())
+            .build()
+            .unwrap()
+    }
+
+    fn plan(units: u32, i: u32) -> RoundPlan {
+        let rows: Vec<RowId> = (0..4).map(|r| RowId::new(0, r)).collect();
+        RoundPlan::broadcast(units, &rows, |row| {
+            RowBits::from_fn(1024, |c| (c as u32 ^ row.row).is_multiple_of(i + 2))
+        })
+    }
+
+    #[test]
+    fn batch_results_preserve_plan_order() {
+        // Threaded chips in one batch against one serial round at a time.
+        let mut batched = module(2);
+        batched.set_parallel_mode(ParallelMode::Always);
+        let batch = RoundExecutor::new(&mut batched)
+            .run_batch(vec![plan(2, 1), plan(2, 2)])
+            .unwrap();
+        let mut serial = module(2);
+        serial.set_parallel_mode(ParallelMode::Never);
+        let mut exec = RoundExecutor::new(&mut serial);
+        let one = exec.run(plan(2, 1)).unwrap();
+        let two = exec.run(plan(2, 2)).unwrap();
+        assert!(!one.is_empty());
+        assert_eq!(batch, vec![one, two]);
+    }
+
+    #[test]
+    fn replay_preserves_flips_exactly() {
+        let path = std::env::temp_dir().join(format!(
+            "parbor-prop-{}-injected-flips.pbt",
+            std::process::id()
+        ));
+        let mut rec = RecordingPort::create(module(2), &path).unwrap();
+        let live: Vec<Vec<Flip>> = (0..6)
+            .map(|i| rec.run_round(plan(2, i).into_writes()).unwrap())
+            .collect();
+        rec.finish().unwrap();
+        assert!(live.iter().all(|f| !f.is_empty()), "flips were injected");
+
+        let mut replay = ReplayPort::open(&path).unwrap();
+        for (i, expected) in live.iter().enumerate() {
+            assert_eq!(&replay.rounds()[i].flips, expected);
+            assert_eq!(
+                &replay.run_round(plan(2, i as u32).into_writes()).unwrap(),
+                expected
+            );
+        }
+        std::fs::remove_file(&path).ok();
+    }
+}
