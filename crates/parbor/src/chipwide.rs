@@ -16,7 +16,7 @@
 //! inverses) and often fewer; coverage is equivalent — every cell is a
 //! victim exactly once per polarity.
 
-use std::collections::{HashMap, HashSet};
+use std::collections::{BTreeMap, HashMap, HashSet};
 
 use serde::{Deserialize, Serialize};
 
@@ -25,7 +25,8 @@ use parbor_hal::{RoundArena, RoundExecutor, RoundPlan, TestPort};
 use parbor_obs::metrics;
 use parbor_obs::RecorderHandle;
 
-use crate::error::ParborError;
+use crate::error::{check_round, ParborError};
+use crate::victim::CellKey;
 
 /// A schedule of parallel-victim rounds with a repeating chunk period.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
@@ -256,22 +257,11 @@ impl ChipwideTest {
         self.schedule.rounds_per_polarity() * 2
     }
 
-    /// The full round batch — the true-cell polarity pass followed by the
-    /// inverse pass, fixed up front and mutually independent.
-    /// [`run`](ChipwideTest::run) submits the whole batch; a checkpointed
-    /// scan ([`ScanMachine`](crate::ScanMachine)) re-derives it on resume
-    /// and runs the remaining suffix.
-    pub fn round_plans(&self, units: u32, rows: &[RowId], width: usize) -> Vec<RoundPlan> {
-        let arena = RoundArena::new();
-        (0..self.rounds())
-            .map(|i| self.round_plan_in(i, units, rows, width, &arena))
-            .collect()
-    }
-
-    /// Builds round `index` of [`round_plans`](ChipwideTest::round_plans)
-    /// alone, drawing row images from the arena pool — a checkpointed scan
-    /// resumes mid-batch without materializing the prefix it already ran.
-    pub fn round_plan_in(
+    /// Builds round `index` of the test — the true-cell polarity pass
+    /// first, then the inverse pass — drawing row images from the arena
+    /// pool, so a checkpointed scan resumes mid-stage without materializing
+    /// the prefix it already ran.
+    fn round_plan_in(
         &self,
         index: usize,
         units: u32,
@@ -301,35 +291,79 @@ impl ChipwideTest {
         port: &mut P,
         rows: &[RowId],
     ) -> Result<ChipwideOutcome, ParborError> {
+        let mut state = ChipwideState::default();
+        state.step(self, port, rows, &RoundArena::new(), usize::MAX)?;
+        Ok(state.into_outcome(self))
+    }
+}
+
+/// Checkpointable progress of the chip-wide test: the only place its rounds
+/// run. [`ChipwideTest::run`] steps one of these to completion in a single
+/// call; a checkpointed scan ([`ScanMachine`](crate::ScanMachine))
+/// serializes it between steps.
+#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+pub struct ChipwideState {
+    next_round: usize,
+    /// First-failure polarity per failing cell. Only rounds executed so far
+    /// contribute, and stepping preserves round order, so the "first
+    /// failure wins" rule matches the batched run exactly.
+    failing: BTreeMap<CellKey, bool>,
+}
+
+impl ChipwideState {
+    /// Executes up to `budget` of the test's remaining rounds as one batch
+    /// and returns the number executed.
+    pub(crate) fn step<P: TestPort + ?Sized>(
+        &mut self,
+        test: &ChipwideTest,
+        port: &mut P,
+        rows: &[RowId],
+        arena: &RoundArena,
+        budget: usize,
+    ) -> Result<usize, ParborError> {
+        let total = test.rounds();
+        check_round("chipwide next_round", self.next_round, total)?;
         let width = port.geometry().cols_per_row as usize;
         let units = port.units();
-        // The whole schedule is fixed up front — both polarities — so it is
-        // submitted to the engine as one independent batch, built from (and
-        // recycled back into) one shared arena.
-        let arena = RoundArena::new();
-        let plans: Vec<RoundPlan> = (0..self.rounds())
-            .map(|i| self.round_plan_in(i, units, rows, width, &arena))
+        let end = self.next_round.saturating_add(budget).min(total);
+        let batch: Vec<RoundPlan> = (self.next_round..end)
+            .map(|i| test.round_plan_in(i, units, rows, width, arena))
             .collect();
         let mut exec = RoundExecutor::new(port)
-            .with_recorder(self.rec.clone())
-            .with_arena(arena)
+            .with_recorder(test.rec.clone())
+            .with_arena(arena.clone())
             .count_rounds_as(metrics::chipwide::ROUNDS)
             .observe_flips_as(metrics::chipwide::ROUND_FLIPS);
-        let mut failing: HashMap<(u32, BitAddr), bool> = HashMap::new();
-        for flips in exec.run_batch(plans)? {
+        for flips in exec.run_batch(batch)? {
             for flip in flips {
-                failing
-                    .entry((flip.unit, flip.flip.addr))
+                self.failing
+                    .entry(CellKey::new(flip.unit, flip.flip.addr))
                     .or_insert(flip.flip.expected);
             }
         }
-        let rounds_run = exec.rounds_executed();
-        self.rec
-            .incr(metrics::chipwide::FAILURES, failing.len() as u64);
-        Ok(ChipwideOutcome {
-            rounds: rounds_run,
-            failing,
-        })
+        let executed = end - self.next_round;
+        self.next_round = end;
+        Ok(executed)
+    }
+
+    /// Whether every round of the test has run.
+    pub(crate) fn is_done(&self, test: &ChipwideTest) -> bool {
+        self.next_round >= test.rounds()
+    }
+
+    /// The finished outcome; records the failure count on the test's
+    /// recorder.
+    pub(crate) fn into_outcome(self, test: &ChipwideTest) -> ChipwideOutcome {
+        test.rec
+            .incr(metrics::chipwide::FAILURES, self.failing.len() as u64);
+        ChipwideOutcome {
+            rounds: self.next_round,
+            failing: self
+                .failing
+                .into_iter()
+                .map(|(k, v)| ((k.unit, k.addr()), v))
+                .collect(),
+        }
     }
 }
 

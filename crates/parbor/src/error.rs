@@ -44,6 +44,22 @@ impl Error for ParborError {
     }
 }
 
+/// Checks a checkpointed round cursor against its stage's round count, so a
+/// corrupted checkpoint fails with an error naming the field instead of
+/// underflowing.
+pub(crate) fn check_round(
+    field: &str,
+    next_round: usize,
+    rounds: usize,
+) -> Result<(), ParborError> {
+    if next_round > rounds {
+        return Err(ParborError::InvalidConfig(format!(
+            "checkpoint {field} is {next_round}, past the stage's {rounds} rounds"
+        )));
+    }
+    Ok(())
+}
+
 impl From<DramError> for ParborError {
     fn from(e: DramError) -> Self {
         ParborError::Device(e)

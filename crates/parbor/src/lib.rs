@@ -23,7 +23,12 @@
 //!
 //! The [`Parbor`] orchestrator runs all five against any
 //! [`TestPort`](parbor_hal::TestPort) — the write / wait-one-refresh-interval
-//! / read-back primitive of a system-level tester.
+//! / read-back primitive of a system-level tester. [`ScanMachine`] runs the
+//! same rounds in bounded, checkpointable batches; `advance(port, 1)` runs
+//! one round per call, for systems that stay in service between rounds.
+//! Both drive the same per-stage states ([`DiscoverState`],
+//! [`RecursionState`], [`ChipwideState`]), each the only code that runs its
+//! stage's rounds.
 //!
 //! ## Example
 //!
@@ -51,7 +56,6 @@ mod content;
 mod efficacy;
 mod error;
 mod mitigation;
-mod online;
 mod pipeline;
 mod recursion;
 mod region;
@@ -65,21 +69,17 @@ pub use baseline::{
     exhaustive_neighbor_search, linear_neighbor_search, random_pattern_test, solid_pattern_test,
     walking_pattern_test, BaselineOutcome,
 };
-pub use chipwide::{ChipwideOutcome, ChipwideTest, RoundSchedule};
+pub use chipwide::{ChipwideOutcome, ChipwideState, ChipwideTest, RoundSchedule};
 pub use content::{DcRefMonitor, VulnerableCell};
 pub use efficacy::{run_efficacy, EfficacyConfig, EfficacyReport, MechanismScore};
 pub use error::ParborError;
 pub use mitigation::{FailureDirectory, MitigationPlan};
-pub use online::{OnlinePhase, OnlineProgress, OnlineTester};
 pub use pipeline::{Parbor, ParborConfig, ParborReport};
 pub use recursion::{
     LevelOutcome, NeighborRecursion, RecursionConfig, RecursionOutcome, RecursionState,
 };
 pub use region::LevelPlan;
 pub use report::{naive_test_time, parbor_module_time, ReductionReport, TestTime};
-pub use scan::{
-    CellKey, ChipwideState, DiscoverState, FailingCell, FailureProfile, ScanMachine, ScanState,
-    SeenCell, StageState,
-};
+pub use scan::{FailingCell, FailureProfile, ScanMachine, ScanState, StageState};
 pub use snapshot::StencilSnapshot;
-pub use victim::{Victim, VictimKey, VictimScout, VictimSet};
+pub use victim::{CellKey, DiscoverState, SeenCell, Victim, VictimKey, VictimScout, VictimSet};

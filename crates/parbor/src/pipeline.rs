@@ -37,6 +37,17 @@ impl Default for ParborConfig {
     }
 }
 
+impl ParborConfig {
+    /// The rows a run tests on `port`: the configured subset, or every row
+    /// of the port's geometry.
+    pub(crate) fn rows_for<P: TestPort + ?Sized>(&self, port: &P) -> Vec<RowId> {
+        match &self.rows {
+            Some(rows) => rows.clone(),
+            None => port.geometry().rows().collect(),
+        }
+    }
+}
+
 /// Orchestrates discovery → recursion → aggregation/filtering → chip-wide
 /// testing against any [`TestPort`].
 ///
@@ -80,13 +91,6 @@ impl Parbor {
         &self.config
     }
 
-    fn rows_for<P: TestPort + ?Sized>(&self, port: &P) -> Vec<RowId> {
-        match &self.config.rows {
-            Some(rows) => rows.clone(),
-            None => port.geometry().rows().collect(),
-        }
-    }
-
     /// Step 1: victim discovery (10 rounds).
     ///
     /// # Errors
@@ -94,7 +98,7 @@ impl Parbor {
     /// Propagates device errors.
     pub fn discover<P: TestPort + ?Sized>(&self, port: &mut P) -> Result<VictimSet, ParborError> {
         let _span = span!(self.rec, metrics::pipeline::DISCOVER);
-        let rows = self.rows_for(port);
+        let rows = self.config.rows_for(port);
         VictimScout::new(self.config.discovery_seed)
             .with_recorder(self.rec.clone())
             .discover(port, &rows)
@@ -128,7 +132,7 @@ impl Parbor {
         distances: &[i64],
     ) -> Result<ChipwideOutcome, ParborError> {
         let _span = span!(self.rec, metrics::pipeline::CHIPWIDE);
-        let rows = self.rows_for(port);
+        let rows = self.config.rows_for(port);
         ChipwideTest::new(distances, port.geometry().cols_per_row as usize)?
             .with_recorder(self.rec.clone())
             .run(port, &rows)

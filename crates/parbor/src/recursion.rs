@@ -20,7 +20,7 @@ use parbor_obs::metrics;
 use parbor_obs::{span, RecorderHandle};
 
 use crate::aggregate::DistanceHistogram;
-use crate::error::ParborError;
+use crate::error::{check_round, ParborError};
 use crate::region::LevelPlan;
 use crate::victim::{Victim, VictimKey};
 
@@ -226,12 +226,6 @@ impl RecursionState {
         self.done
     }
 
-    /// Rounds executed so far (completed levels plus the current level's
-    /// progress).
-    pub fn rounds_done(&self) -> usize {
-        self.total_tests + self.next_round
-    }
-
     /// The finished outcome. Meaningful only once [`is_done`](Self::is_done)
     /// returns true (levels completed so far otherwise).
     pub fn outcome(&self) -> RecursionOutcome {
@@ -378,11 +372,13 @@ impl RecursionState {
         }
         let width = port.geometry().cols_per_row as usize;
         let plan = Self::resolve_plan(config, width)?;
+        self.check_shape(&plan, victims)?;
         let level = self.level;
         let size = plan.sizes()[level];
         let _level_span = span!(*rec, metrics::recursion::LEVEL, size);
         let geometry = self.level_geometry(&plan, victims);
         let rounds_at_level = geometry.round_regions.len();
+        check_round("recursion next_round", self.next_round, rounds_at_level)?;
 
         let end = self.next_round.saturating_add(budget).min(rounds_at_level);
         let plans: Vec<RoundPlan> = geometry.round_regions[self.next_round..end]
@@ -429,6 +425,32 @@ impl RecursionState {
             )?;
         }
         Ok(executed)
+    }
+
+    /// Checks that a (possibly deserialized) unfinished state fits the plan
+    /// and the victim list, so a corrupted checkpoint fails with an error
+    /// naming the field instead of indexing out of bounds.
+    fn check_shape(&self, plan: &LevelPlan, victims: &[Victim]) -> Result<(), ParborError> {
+        if self.level >= plan.levels() {
+            return Err(ParborError::InvalidConfig(format!(
+                "checkpoint recursion level is {}, past the plan's {} levels",
+                self.level,
+                plan.levels()
+            )));
+        }
+        for (field, len) in [
+            ("alive", self.alive.len()),
+            ("fails", self.fails.len()),
+            ("observed", self.observed.len()),
+        ] {
+            if len != victims.len() {
+                return Err(ParborError::InvalidConfig(format!(
+                    "checkpoint recursion {field} has {len} entries for {} selected victims",
+                    victims.len()
+                )));
+            }
+        }
+        Ok(())
     }
 
     /// The discard/aggregate/rank step at the end of a level.

@@ -1,17 +1,25 @@
 //! A checkpointable, resumable form of the PARBOR pipeline.
 //!
 //! [`Parbor::run`](crate::Parbor::run) drives the five steps to completion
-//! inside one process. A *deployed* profiler (paper §VII) instead runs as a
-//! long campaign that must survive interruption: the orchestrator in
-//! `parbor-fleet` periodically persists a [`ScanState`] and, after a crash,
-//! rebuilds the device from its spec, fast-forwards its round clock, and
-//! continues from the exact round where the checkpoint was taken.
+//! inside one process. A *deployed* profiler instead runs where memory
+//! stays in service (paper §1, §3, §VII): between test rounds the system
+//! serves traffic, and a long campaign must survive interruption. The
+//! orchestrator in `parbor-fleet` periodically persists a [`ScanState`]
+//! and, after a crash, rebuilds the device from its spec, fast-forwards its
+//! round clock, and continues from the exact round where the checkpoint
+//! was taken.
 //!
 //! [`ScanMachine`] makes that possible by exposing the pipeline as a state
-//! machine advanced in bounded round batches. Resume is bit-identical
-//! because every round's content is a pure function of the config and the
-//! state accumulated so far, and the simulated device's behavior is a pure
-//! function of its spec plus the round counter (see
+//! machine advanced in bounded round batches; `advance(port, 1)` runs one
+//! write→wait→read round per call, one maintenance slot at a time. Each
+//! stage's checkpointable state — [`DiscoverState`](crate::DiscoverState),
+//! [`RecursionState`], [`ChipwideState`](crate::ChipwideState) — lives next
+//! to its stage and is the only code that runs that stage's rounds; the
+//! one-shot stage entry points step the same states with an unbounded
+//! budget. Resume is bit-identical because every round's content is a pure
+//! function of the config and the state accumulated so far, and the
+//! simulated device's behavior is a pure function of its spec plus the
+//! round counter (see
 //! [`DramModule::fast_forward`](parbor_dram::DramModule::fast_forward)).
 //!
 //! ```
@@ -29,194 +37,18 @@
 //! # }
 //! ```
 
-use std::collections::{BTreeMap, HashMap};
+use std::collections::HashMap;
 
 use serde::{Deserialize, Serialize};
 
-use parbor_dram::{BitAddr, RowId};
-use parbor_hal::{RoundArena, RoundExecutor, RoundPlan, TestPort};
-use parbor_obs::metrics;
+use parbor_hal::{RoundArena, TestPort};
 use parbor_obs::RecorderHandle;
 
-use crate::chipwide::{ChipwideOutcome, ChipwideTest};
+use crate::chipwide::{ChipwideState, ChipwideTest};
 use crate::error::ParborError;
 use crate::pipeline::{ParborConfig, ParborReport};
 use crate::recursion::{RecursionOutcome, RecursionState};
-use crate::victim::{Victim, VictimKey, VictimScout};
-
-/// Address of one cell across the whole port: unit (chip) plus bit address.
-///
-/// Orderable and usable as a serialized map key, so checkpointed per-cell
-/// accumulations serialize deterministically.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
-pub struct CellKey {
-    /// Unit (chip) index within the test port.
-    pub unit: u32,
-    /// Bank index.
-    pub bank: u32,
-    /// Row index within the bank.
-    pub row: u32,
-    /// System column (bit) index within the row.
-    pub col: u32,
-}
-
-impl CellKey {
-    /// Builds the key of one flip location.
-    pub fn new(unit: u32, addr: BitAddr) -> Self {
-        CellKey {
-            unit,
-            bank: addr.bank,
-            row: addr.row,
-            col: addr.col,
-        }
-    }
-
-    /// The bit address part of the key.
-    pub fn addr(&self) -> BitAddr {
-        BitAddr::new(self.bank, self.row, self.col)
-    }
-}
-
-// Lets `CellKey` key serialized maps (JSON object keys must be strings).
-impl serde::MapKey for CellKey {
-    fn to_key(&self) -> String {
-        format!("{}:{}:{}:{}", self.unit, self.bank, self.row, self.col)
-    }
-
-    fn from_key(s: &str) -> Result<Self, serde::Error> {
-        let bad = || serde::Error::msg(format!("invalid CellKey map key {s:?}"));
-        let mut parts = s.splitn(4, ':');
-        let mut next = || parts.next().and_then(|p| p.parse().ok()).ok_or_else(bad);
-        Ok(CellKey {
-            unit: next()?,
-            bank: next()?,
-            row: next()?,
-            col: next()?,
-        })
-    }
-}
-
-/// Per-cell accumulation of the discovery stage: how often the cell failed
-/// and the value written at its first failure.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub struct SeenCell {
-    /// Rounds in which the cell flipped.
-    pub fails: usize,
-    /// The value written at the first observed failure (the cell's charged
-    /// polarity).
-    pub value: bool,
-}
-
-/// Checkpointable progress of the discovery stage.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
-pub struct DiscoverState {
-    next_round: usize,
-    seen: BTreeMap<CellKey, SeenCell>,
-}
-
-impl DiscoverState {
-    /// Executes up to `budget` of the scout's remaining rounds; returns the
-    /// number executed. Complete when it returns less than asked and
-    /// [`is_done`](Self::is_done) is true.
-    fn step<P: TestPort + ?Sized>(
-        &mut self,
-        scout: &VictimScout,
-        rec: &RecorderHandle,
-        port: &mut P,
-        rows: &[RowId],
-        arena: &RoundArena,
-        budget: usize,
-    ) -> Result<usize, ParborError> {
-        let width = port.geometry().cols_per_row as usize;
-        let units = port.units();
-        let end = self.next_round.saturating_add(budget).min(scout.rounds());
-        // Only the rounds actually executed this step are materialized —
-        // the already-run prefix is never rebuilt on resume.
-        let batch: Vec<RoundPlan> = (self.next_round..end)
-            .map(|i| scout.round_plan_in(i, units, rows, width, arena))
-            .collect();
-        let mut exec = RoundExecutor::new(port)
-            .with_recorder(rec.clone())
-            .with_arena(arena.clone())
-            .count_rounds_as(metrics::discover::ROUNDS)
-            .observe_flips_as(metrics::discover::ROUND_FLIPS);
-        for flips in exec.run_batch(batch)? {
-            for flip in flips {
-                self.seen
-                    .entry(CellKey::new(flip.unit, flip.flip.addr))
-                    .or_insert(SeenCell {
-                        fails: 0,
-                        value: flip.flip.expected,
-                    })
-                    .fails += 1;
-            }
-        }
-        let executed = end - self.next_round;
-        self.next_round = end;
-        Ok(executed)
-    }
-
-    fn is_done(&self, scout: &VictimScout) -> bool {
-        self.next_round >= scout.rounds()
-    }
-}
-
-/// Checkpointable progress of the chip-wide test.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
-pub struct ChipwideState {
-    next_round: usize,
-    /// First-failure polarity per failing cell. Only rounds executed so far
-    /// contribute, and stepping preserves round order, so the "first
-    /// failure wins" rule matches the batched run exactly.
-    failing: BTreeMap<CellKey, bool>,
-}
-
-impl ChipwideState {
-    fn step<P: TestPort + ?Sized>(
-        &mut self,
-        test: &ChipwideTest,
-        rec: &RecorderHandle,
-        port: &mut P,
-        rows: &[RowId],
-        arena: &RoundArena,
-        budget: usize,
-    ) -> Result<usize, ParborError> {
-        let width = port.geometry().cols_per_row as usize;
-        let units = port.units();
-        let end = self.next_round.saturating_add(budget).min(test.rounds());
-        // Only the rounds actually executed this step are materialized —
-        // the already-run prefix is never rebuilt on resume.
-        let batch: Vec<RoundPlan> = (self.next_round..end)
-            .map(|i| test.round_plan_in(i, units, rows, width, arena))
-            .collect();
-        let mut exec = RoundExecutor::new(port)
-            .with_recorder(rec.clone())
-            .with_arena(arena.clone())
-            .count_rounds_as(metrics::chipwide::ROUNDS)
-            .observe_flips_as(metrics::chipwide::ROUND_FLIPS);
-        for flips in exec.run_batch(batch)? {
-            for flip in flips {
-                self.failing
-                    .entry(CellKey::new(flip.unit, flip.flip.addr))
-                    .or_insert(flip.flip.expected);
-            }
-        }
-        let executed = end - self.next_round;
-        self.next_round = end;
-        Ok(executed)
-    }
-
-    fn into_outcome(self) -> ChipwideOutcome {
-        ChipwideOutcome {
-            rounds: self.next_round,
-            failing: self
-                .failing
-                .into_iter()
-                .map(|(k, v)| ((k.unit, k.addr()), v))
-                .collect(),
-        }
-    }
-}
+use crate::victim::{DiscoverState, Victim, VictimKey, VictimScout};
 
 /// One failing cell of a finished scan, with the polarity it failed under.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Serialize, Deserialize)]
@@ -391,12 +223,7 @@ pub struct ScanMachine {
 impl ScanMachine {
     /// A machine at the start of a fresh scan.
     pub fn new(config: ParborConfig) -> Self {
-        ScanMachine {
-            state: ScanState::new(config),
-            rec: RecorderHandle::null(),
-            arena: RoundArena::new(),
-            lookup: None,
-        }
+        Self::from_state(ScanState::new(config))
     }
 
     /// A machine resuming from a checkpointed state.
@@ -426,11 +253,6 @@ impl ScanMachine {
         &self.state
     }
 
-    /// Consumes the machine, returning the state.
-    pub fn into_state(self) -> ScanState {
-        self.state
-    }
-
     /// Port rounds executed so far.
     pub fn rounds_done(&self) -> u64 {
         self.state.rounds_done
@@ -449,13 +271,6 @@ impl ScanMachine {
         }
     }
 
-    fn rows_for<P: TestPort + ?Sized>(&self, port: &P) -> Vec<RowId> {
-        match &self.state.config.rows {
-            Some(rows) => rows.clone(),
-            None => port.geometry().rows().collect(),
-        }
-    }
-
     /// Executes up to `budget` rounds of the active stage; when a stage's
     /// last round completes, transitions to the next stage (transitions
     /// cost zero rounds, so the checkpoint after a transition already holds
@@ -466,25 +281,23 @@ impl ScanMachine {
     ///
     /// * [`ParborError::NoVictims`] when discovery completes empty.
     /// * [`ParborError::NoDistances`] when the recursion filters everything.
+    /// * [`ParborError::InvalidConfig`] naming the field when a resumed
+    ///   state contradicts its stage (a round cursor or recursion level out
+    ///   of range, or per-victim vectors that do not match the selection).
     /// * Device errors from the port. The state is dead after an error.
     pub fn advance<P: TestPort + ?Sized>(
         &mut self,
         port: &mut P,
         budget: usize,
     ) -> Result<usize, ParborError> {
-        let rows = self.rows_for(port);
+        let rows = self.state.config.rows_for(port);
         let executed = match &mut self.state.stage {
             StageState::Discover { state } => {
                 let scout = VictimScout::new(self.state.config.discovery_seed)
                     .with_recorder(self.rec.clone());
-                let executed = state.step(&scout, &self.rec, port, &rows, &self.arena, budget)?;
+                let executed = state.step(&scout, port, &rows, &self.arena, budget)?;
                 if state.is_done(&scout) {
-                    let victims = scout.finish(
-                        state
-                            .seen
-                            .iter()
-                            .map(|(k, s)| ((k.unit, k.addr()), (s.fails, s.value))),
-                    );
+                    let victims = state.finish(&scout);
                     if victims.is_empty() {
                         return Err(ParborError::NoVictims);
                     }
@@ -537,12 +350,9 @@ impl ScanMachine {
                 let width = port.geometry().cols_per_row as usize;
                 let test =
                     ChipwideTest::new(&recursion.distances, width)?.with_recorder(self.rec.clone());
-                let executed = state.step(&test, &self.rec, port, &rows, &self.arena, budget)?;
-                let total = test.rounds();
-                if state.next_round >= total {
-                    let chipwide = std::mem::take(state).into_outcome();
-                    self.rec
-                        .incr(metrics::chipwide::FAILURES, chipwide.failure_count() as u64);
+                let executed = state.step(&test, port, &rows, &self.arena, budget)?;
+                if state.is_done(&test) {
+                    let chipwide = std::mem::take(state).into_outcome(&test);
                     let report = ParborReport {
                         victim_count: *victim_count,
                         discovery_rounds: VictimScout::new(self.state.config.discovery_seed)
@@ -576,13 +386,6 @@ impl ScanMachine {
         }
         Ok(self.profile().expect("machine is done"))
     }
-}
-
-// Compile-time guard: checkpoint lookups key on `CellKey`, whose `HashMap`
-// twin in reports keys on `(u32, BitAddr)`; keep the conversion total.
-#[allow(dead_code)]
-fn _cellkey_roundtrip(map: HashMap<(u32, BitAddr), bool>) -> Vec<CellKey> {
-    map.keys().map(|&(u, a)| CellKey::new(u, a)).collect()
 }
 
 #[cfg(test)]
@@ -684,25 +487,128 @@ mod tests {
         assert_eq!(serde_json::to_string(&back).unwrap(), json);
     }
 
+    /// Steps one round at a time until `target` rounds have run or the
+    /// scan is done.
+    fn advance_to(machine: &mut ScanMachine, chip: &mut DramChip, target: u64) {
+        while machine.rounds_done() < target && !machine.is_done() {
+            machine.advance(chip, 1).unwrap();
+        }
+    }
+
+    #[test]
+    fn checkpoint_format_is_pinned() {
+        // Fleet journals persist this JSON; a changed digest means old
+        // journals may no longer resume. Vendor A seed 1 runs 10 discovery,
+        // 90 recursion and 32 chip-wide rounds.
+        let mut machine = ScanMachine::new(ParborConfig::default());
+        let mut chip = fresh_chip(Vendor::A, 1);
+        let mut digests = Vec::new();
+        for (target, stage) in [
+            (5, "discover"),
+            (40, "recursion"),
+            (110, "chipwide"),
+            (u64::MAX, "done"),
+        ] {
+            advance_to(&mut machine, &mut chip, target);
+            assert_eq!(machine.state().stage_name(), stage);
+            let json = serde_json::to_string(machine.state()).unwrap();
+            digests.push(parbor_hal::hash::fnv1a64(json.as_bytes()));
+        }
+        assert_eq!(
+            digests,
+            [
+                0x4865_9d03_2027_05c1,
+                0x2b9a_5bbc_b635_9eeb,
+                0x46ca_482e_30c8_dac1,
+                0x3b33_c526_4047_3d97,
+            ],
+            "{digests:#018x?}"
+        );
+    }
+
+    #[test]
+    fn inconsistent_checkpoints_are_rejected_not_panicking() {
+        use serde::{Deserialize, Value};
+
+        // Applies `f` to the first entry named `key` under the stage.
+        fn edit(v: &mut Value, key: &str, f: fn(&mut Value)) -> bool {
+            match v {
+                Value::Map(entries) => entries.iter_mut().any(|(k, v)| {
+                    if k == key {
+                        f(v);
+                        true
+                    } else {
+                        edit(v, key, f)
+                    }
+                }),
+                Value::Seq(items) => items.iter_mut().any(|v| edit(v, key, f)),
+                _ => false,
+            }
+        }
+        fn set_99(v: &mut Value) {
+            *v = Value::I64(99);
+        }
+        fn drop_last(v: &mut Value) {
+            if let Value::Seq(items) = v {
+                items.pop();
+            }
+        }
+
+        // Checkpoints mid-discover, mid-recursion (level 3 of 5) and
+        // mid-chipwide of vendor A seed 1.
+        let mut machine = ScanMachine::new(ParborConfig::default());
+        let mut chip = fresh_chip(Vendor::A, 1);
+        let mut checkpoints = Vec::new();
+        for target in [5, 40, 110] {
+            advance_to(&mut machine, &mut chip, target);
+            let json = serde_json::to_string(machine.state()).unwrap();
+            checkpoints.push(serde_json::parse_value(&json).unwrap());
+        }
+        type Edit = fn(&mut Value);
+        let cases: [(usize, &str, Edit, &str); 7] = [
+            (0, "next_round", set_99, "discover next_round"),
+            (1, "next_round", set_99, "recursion next_round"),
+            (1, "level", set_99, "recursion level"),
+            (1, "alive", drop_last, "recursion alive"),
+            (1, "fails", drop_last, "recursion fails"),
+            (1, "observed", drop_last, "recursion observed"),
+            (2, "next_round", set_99, "chipwide next_round"),
+        ];
+        for (at, key, f, field) in cases {
+            let Value::Map(mut top) = checkpoints[at].clone() else {
+                panic!("state is a map")
+            };
+            let stage = top.iter_mut().find(|(k, _)| k == "stage").unwrap();
+            assert!(edit(&mut stage.1, key, f), "no {key} in checkpoint {at}");
+            let state = ScanState::from_value(&Value::Map(top)).unwrap();
+            let mut resumed = ScanMachine::from_state(state);
+            match resumed.advance(&mut fresh_chip(Vendor::A, 1), 1) {
+                Err(ParborError::InvalidConfig(msg)) => {
+                    assert!(msg.contains(field), "{field}: {msg}")
+                }
+                other => panic!("{field}: expected InvalidConfig, got {other:?}"),
+            }
+        }
+    }
+
     #[test]
     fn empty_discovery_reports_no_victims() {
-        // A single row cannot produce victims on a clean geometry with an
-        // absurd config? Use rows: a region with no faults is unlikely on
-        // simulated chips, so instead check the machine surfaces NoVictims
-        // by scanning one row (too few cells for discovery on vendor B's
-        // sparse rates at this seed).
+        // With no rows to test no cell can fail, so discovery finds no
+        // victims on either driver.
         let config = ParborConfig {
-            rows: Some(vec![RowId::new(0, 0)]),
+            rows: Some(vec![]),
             ..ParborConfig::default()
         };
+        let one_shot = Parbor::new(config.clone()).run(&mut fresh_chip(Vendor::B, 1));
+        assert!(
+            matches!(one_shot, Err(ParborError::NoVictims)),
+            "{one_shot:?}"
+        );
         let mut machine = ScanMachine::new(config);
-        let mut chip = fresh_chip(Vendor::B, 1);
-        let result = machine.run_to_completion(&mut chip);
-        if let Err(e) = result {
-            assert!(matches!(
-                e,
-                ParborError::NoVictims | ParborError::NoDistances
-            ));
-        }
+        let scanned = machine.run_to_completion(&mut fresh_chip(Vendor::B, 1));
+        assert!(
+            matches!(scanned, Err(ParborError::NoVictims)),
+            "{scanned:?}"
+        );
     }
 }

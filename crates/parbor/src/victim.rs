@@ -8,7 +8,7 @@
 //! Such cells are *likely* data-dependent; cells that are actually marginal
 //! or VRT sneak in and are filtered later (§5.2.4).
 
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 
 use serde::{Deserialize, Serialize};
 
@@ -17,7 +17,7 @@ use parbor_hal::{RoundArena, RoundExecutor, RoundPlan, TestPort};
 use parbor_obs::metrics;
 use parbor_obs::RecorderHandle;
 
-use crate::error::ParborError;
+use crate::error::{check_round, ParborError};
 
 /// Identifies the row-space a victim lives in: a unit (chip) and a row.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
@@ -135,14 +135,6 @@ impl VictimScout {
         }
     }
 
-    /// A scout with a custom pattern family.
-    pub fn with_patterns(patterns: PatternSet) -> Self {
-        VictimScout {
-            patterns,
-            rec: RecorderHandle::null(),
-        }
-    }
-
     /// Attaches a metrics recorder (`discover.*` counters).
     pub fn with_recorder(mut self, rec: RecorderHandle) -> Self {
         self.rec = rec;
@@ -154,22 +146,11 @@ impl VictimScout {
         self.patterns.round_count()
     }
 
-    /// The scout's full round batch: every pattern and its inverse, fixed up
-    /// front and mutually independent. [`discover`](VictimScout::discover)
-    /// runs the whole batch; a checkpointed scan
-    /// ([`ScanMachine`](crate::ScanMachine)) re-derives it on resume and
-    /// runs the remaining suffix.
-    pub fn round_plans(&self, units: u32, rows: &[RowId], width: usize) -> Vec<RoundPlan> {
-        let arena = RoundArena::new();
-        (0..self.rounds())
-            .map(|i| self.round_plan_in(i, units, rows, width, &arena))
-            .collect()
-    }
-
-    /// Builds round `index` of [`round_plans`](VictimScout::round_plans)
-    /// alone, drawing row images from the arena pool — a checkpointed scan
-    /// resumes mid-batch without materializing the prefix it already ran.
-    pub fn round_plan_in(
+    /// Builds discovery round `index` — the `index / 2`-th pattern, or its
+    /// inverse for odd indices — drawing row images from the arena pool, so
+    /// a checkpointed scan resumes mid-stage without materializing the
+    /// prefix it already ran.
+    fn round_plan_in(
         &self,
         index: usize,
         units: u32,
@@ -188,29 +169,6 @@ impl VictimScout {
         })
     }
 
-    /// Turns the accumulated per-cell observations — (fail count, value
-    /// written at first failure) per cell — into the victim set: a cell
-    /// qualifies if it failed under *some* pattern but passed under another.
-    pub fn finish(
-        &self,
-        seen: impl IntoIterator<Item = ((u32, BitAddr), (usize, bool))>,
-    ) -> VictimSet {
-        let total_rounds = self.rounds();
-        let victims = seen
-            .into_iter()
-            .filter(|&(_, (fails, _))| fails >= 1 && fails < total_rounds)
-            .map(|((unit, addr), (_, fail_value))| Victim {
-                unit,
-                row: addr.row(),
-                col: addr.col,
-                fail_value,
-            })
-            .collect();
-        let set = VictimSet::from_victims(victims);
-        self.rec.incr(metrics::discover::VICTIMS, set.len() as u64);
-        set
-    }
-
     /// Runs discovery over the given rows of every unit.
     ///
     /// A cell becomes a victim if it failed in at least one round *and*
@@ -225,34 +183,150 @@ impl VictimScout {
         port: &mut P,
         rows: &[RowId],
     ) -> Result<VictimSet, ParborError> {
+        let mut state = DiscoverState::default();
+        state.step(self, port, rows, &RoundArena::new(), usize::MAX)?;
+        Ok(state.finish(self))
+    }
+}
+
+/// Address of one cell across the whole port: unit (chip) plus bit address.
+///
+/// Orderable and usable as a serialized map key, so checkpointed per-cell
+/// accumulations serialize deterministically.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+pub struct CellKey {
+    /// Unit (chip) index within the test port.
+    pub unit: u32,
+    /// Bank index.
+    pub bank: u32,
+    /// Row index within the bank.
+    pub row: u32,
+    /// System column (bit) index within the row.
+    pub col: u32,
+}
+
+impl CellKey {
+    /// Builds the key of one flip location.
+    pub fn new(unit: u32, addr: BitAddr) -> Self {
+        CellKey {
+            unit,
+            bank: addr.bank,
+            row: addr.row,
+            col: addr.col,
+        }
+    }
+
+    /// The bit address part of the key.
+    pub fn addr(&self) -> BitAddr {
+        BitAddr::new(self.bank, self.row, self.col)
+    }
+}
+
+// Lets `CellKey` key serialized maps (JSON object keys must be strings).
+impl serde::MapKey for CellKey {
+    fn to_key(&self) -> String {
+        format!("{}:{}:{}:{}", self.unit, self.bank, self.row, self.col)
+    }
+
+    fn from_key(s: &str) -> Result<Self, serde::Error> {
+        let bad = || serde::Error::msg(format!("invalid CellKey map key {s:?}"));
+        let mut parts = s.splitn(4, ':');
+        let mut next = || parts.next().and_then(|p| p.parse().ok()).ok_or_else(bad);
+        Ok(CellKey {
+            unit: next()?,
+            bank: next()?,
+            row: next()?,
+            col: next()?,
+        })
+    }
+}
+
+/// Per-cell accumulation of the discovery stage: how often the cell failed
+/// and the value written at its first failure.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+pub struct SeenCell {
+    /// Rounds in which the cell flipped.
+    pub fails: usize,
+    /// The value written at the first observed failure (the cell's charged
+    /// polarity).
+    pub value: bool,
+}
+
+/// Checkpointable progress of the discovery stage: the only place its
+/// rounds run. [`VictimScout::discover`] steps one of these to completion
+/// in a single call; a checkpointed scan ([`ScanMachine`](crate::ScanMachine))
+/// serializes it between steps.
+#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+pub struct DiscoverState {
+    next_round: usize,
+    seen: BTreeMap<CellKey, SeenCell>,
+}
+
+impl DiscoverState {
+    /// Executes up to `budget` of the scout's remaining rounds as one batch
+    /// (a multi-chip module runs it chip-parallel) and returns the number
+    /// executed. The arena is shared with the port, so replaced row images
+    /// come back as the next rounds' backing buffers.
+    pub(crate) fn step<P: TestPort + ?Sized>(
+        &mut self,
+        scout: &VictimScout,
+        port: &mut P,
+        rows: &[RowId],
+        arena: &RoundArena,
+        budget: usize,
+    ) -> Result<usize, ParborError> {
+        let total = scout.rounds();
+        check_round("discover next_round", self.next_round, total)?;
         let width = port.geometry().cols_per_row as usize;
         let units = port.units();
-
-        // The scout's rounds are all fixed up front and mutually
-        // independent, so they go to the port as one batch — a multi-chip
-        // module runs them chip-parallel across the whole batch. The arena
-        // is shared with the port, so replaced row images come back as the
-        // next rounds' backing buffers.
-        let arena = RoundArena::new();
-        let plans: Vec<RoundPlan> = (0..self.rounds())
-            .map(|i| self.round_plan_in(i, units, rows, width, &arena))
+        let end = self.next_round.saturating_add(budget).min(total);
+        let batch: Vec<RoundPlan> = (self.next_round..end)
+            .map(|i| scout.round_plan_in(i, units, rows, width, arena))
             .collect();
         let mut exec = RoundExecutor::new(port)
-            .with_recorder(self.rec.clone())
-            .with_arena(arena)
+            .with_recorder(scout.rec.clone())
+            .with_arena(arena.clone())
             .count_rounds_as(metrics::discover::ROUNDS)
             .observe_flips_as(metrics::discover::ROUND_FLIPS);
-
-        // (fail count, value written at first failure)
-        let mut seen: HashMap<(u32, BitAddr), (usize, bool)> = HashMap::new();
-        for flips in exec.run_batch(plans)? {
+        for flips in exec.run_batch(batch)? {
             for flip in flips {
-                seen.entry((flip.unit, flip.flip.addr))
-                    .or_insert((0, flip.flip.expected))
-                    .0 += 1;
+                self.seen
+                    .entry(CellKey::new(flip.unit, flip.flip.addr))
+                    .or_insert(SeenCell {
+                        fails: 0,
+                        value: flip.flip.expected,
+                    })
+                    .fails += 1;
             }
         }
-        Ok(self.finish(seen))
+        let executed = end - self.next_round;
+        self.next_round = end;
+        Ok(executed)
+    }
+
+    /// Whether every discovery round has run.
+    pub(crate) fn is_done(&self, scout: &VictimScout) -> bool {
+        self.next_round >= scout.rounds()
+    }
+
+    /// Turns the accumulated observations into the victim set: a cell
+    /// qualifies if it failed under *some* pattern but passed under another.
+    pub(crate) fn finish(&self, scout: &VictimScout) -> VictimSet {
+        let total_rounds = scout.rounds();
+        let victims = self
+            .seen
+            .iter()
+            .filter(|(_, s)| s.fails >= 1 && s.fails < total_rounds)
+            .map(|(k, s)| Victim {
+                unit: k.unit,
+                row: RowId::new(k.bank, k.row),
+                col: k.col,
+                fail_value: s.value,
+            })
+            .collect();
+        let set = VictimSet::from_victims(victims);
+        scout.rec.incr(metrics::discover::VICTIMS, set.len() as u64);
+        set
     }
 }
 

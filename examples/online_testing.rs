@@ -1,36 +1,38 @@
 //! In-the-field deployment: run PARBOR one maintenance slot at a time with
-//! the resumable [`OnlineTester`] — the paper's §1/§3 usage model, where
-//! memory stays in service between test rounds.
+//! [`ScanMachine::advance`] — the paper's §1/§3 usage model, where memory
+//! stays in service between test rounds.
 //!
 //! Run with: `cargo run --release --example online_testing`
 
-use parbor_core::{OnlinePhase, OnlineTester, ParborConfig};
+use parbor_core::{ParborConfig, ScanMachine};
 use parbor_dram::{ChipGeometry, DramChip, Vendor};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let mut chip = DramChip::new(ChipGeometry::new(1, 96, 8192)?, Vendor::C, 77)?;
-    let mut tester = OnlineTester::new(ParborConfig::default());
+    let mut machine = ScanMachine::new(ParborConfig::default());
 
     println!("running PARBOR one maintenance slot at a time:");
-    let mut last_phase = tester.phase();
+    let mut stage = machine.state().stage_name();
     let mut slot = 0u32;
-    while tester.phase() != OnlinePhase::Done {
-        let progress = tester.step(&mut chip)?;
+    while !machine.is_done() {
+        // One write→wait→read round per slot.
+        machine.advance(&mut chip, 1)?;
         slot += 1;
-        if progress.phase != last_phase {
+        if machine.state().stage_name() != stage {
+            stage = machine.state().stage_name();
             println!(
-                "  slot {slot:>3}: entered {:?} ({} rounds so far)",
-                progress.phase, progress.rounds_done
+                "  slot {slot:>3}: entered {stage} ({} rounds so far)",
+                machine.rounds_done()
             );
-            last_phase = progress.phase;
         }
         // ... the system would serve memory traffic here between slots ...
     }
 
-    let report = tester.into_report().expect("finished");
-    println!("\ndone after {} rounds:", report.total_rounds());
-    println!("  distances: {:?}", report.distances());
-    println!("  failures : {}", report.failure_count());
-    assert_eq!(report.distances(), Vendor::C.paper_distances());
+    let profile = machine.profile().expect("finished");
+    println!("\ndone after {} rounds:", profile.total_rounds());
+    println!("  distances: {:?}", profile.distances);
+    println!("  failures : {}", profile.failure_count());
+    assert_eq!(profile.distances, Vendor::C.paper_distances());
+    assert_eq!(machine.rounds_done(), chip.rounds_run());
     Ok(())
 }

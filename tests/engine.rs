@@ -9,7 +9,7 @@
 
 use parbor_core::{
     exhaustive_neighbor_search, linear_neighbor_search, random_pattern_test, solid_pattern_test,
-    walking_pattern_test, OnlinePhase, OnlineTester, Parbor, ParborConfig, Victim,
+    walking_pattern_test, Parbor, ParborConfig, ScanMachine, Victim,
 };
 use parbor_dram::{ChipGeometry, DramError, DramModule, ModuleConfig, ModuleId, RowId, Vendor};
 use parbor_hal::{Flip, ParallelMode, RoundExecutor, RoundPlan, RowWrite, TestPort};
@@ -105,20 +105,30 @@ fn oracle_neighbor_searches_match_default_loop() {
     assert_eq!(exh_b, exh_l);
 }
 
+/// Runs a scan one round per `advance` call — the in-the-field driver —
+/// and checks every call ran exactly one round.
+fn scan_one_round_at_a_time<P: TestPort>(port: &mut P) -> parbor_core::FailureProfile {
+    let mut machine = ScanMachine::new(ParborConfig::default());
+    while !machine.is_done() {
+        let before = port.rounds_run();
+        let executed = machine.advance(port, 1).unwrap();
+        assert!(executed <= 1);
+        assert_eq!(port.rounds_run() - before, executed as u64);
+    }
+    assert_eq!(machine.rounds_done(), port.rounds_run());
+    machine.profile().unwrap().clone()
+}
+
 #[test]
-fn online_tester_matches_default_loop() {
+fn single_round_scan_matches_default_loop() {
     let mut batched = module(Vendor::A, 17, 64);
-    let mut online_b = OnlineTester::new(ParborConfig::default());
-    online_b.run_to_completion(&mut batched).unwrap();
-    assert_eq!(online_b.phase(), OnlinePhase::Done);
-    let report_b = online_b.into_report().unwrap();
+    let profile_b = scan_one_round_at_a_time(&mut batched);
 
     let mut looped = SerialOnly(module(Vendor::A, 17, 64));
-    let mut online_l = OnlineTester::new(ParborConfig::default());
-    online_l.run_to_completion(&mut looped).unwrap();
-    let report_l = online_l.into_report().unwrap();
+    let profile_l = scan_one_round_at_a_time(&mut looped);
 
-    assert_eq!(report_b, report_l);
+    assert_eq!(profile_b, profile_l);
+    assert_eq!(profile_b.total_rounds() as u64, batched.rounds_run());
 }
 
 #[test]
