@@ -699,7 +699,7 @@ mod tests {
     use super::*;
     use crate::pattern::PatternKind;
     use crate::vendor::Vendor;
-    use parbor_obs::InMemoryRecorder;
+    use parbor_obs::ShardedRecorder;
 
     fn test_chip(seed: u64) -> DramChip {
         DramChip::new(ChipGeometry::new(1, 16, 8192).unwrap(), Vendor::A, seed).unwrap()
@@ -906,15 +906,16 @@ mod tests {
 
     #[test]
     fn fault_map_cache_bounded_with_fifo_eviction() {
-        let recorder = InMemoryRecorder::handle();
+        let recorder = ShardedRecorder::handle();
         let mut chip = test_chip(2).with_recorder(RecorderHandle::from(recorder.clone()));
         chip.set_fault_map_capacity(4);
         for r in 0..16 {
             chip.fault_map(RowId::new(0, r));
         }
         assert_eq!(chip.fault_map_cache_len(), 4);
-        assert_eq!(recorder.counter("dram.fault_maps_evicted"), 12);
-        assert_eq!(recorder.gauge_value("dram.fault_map_cache"), Some(4));
+        let snap = recorder.snapshot();
+        assert_eq!(snap.counter("dram.fault_maps_evicted"), 12);
+        assert_eq!(snap.gauge("dram.fault_map_cache"), Some(4));
         // Rebuilding an evicted map is deterministic: results unchanged.
         let before: Vec<u32> = chip
             .fault_map(RowId::new(0, 0))
@@ -950,18 +951,20 @@ mod tests {
 
     #[test]
     fn scrambler_counters_split_by_kernel_mode() {
-        let lut_rec = InMemoryRecorder::handle();
+        let lut_rec = ShardedRecorder::handle();
         let mut chip = test_chip(6).with_recorder(RecorderHandle::from(lut_rec.clone()));
         chip.fault_map(RowId::new(0, 0));
-        assert_eq!(lut_rec.counter("dram.scrambler_lut_lookups"), 8192);
-        assert_eq!(lut_rec.counter("dram.scrambler_translations"), 0);
+        let lut = lut_rec.snapshot();
+        assert_eq!(lut.counter("dram.scrambler_lut_lookups"), 8192);
+        assert_eq!(lut.counter("dram.scrambler_translations"), 0);
 
-        let ref_rec = InMemoryRecorder::handle();
+        let ref_rec = ShardedRecorder::handle();
         let mut chip = test_chip(6).with_recorder(RecorderHandle::from(ref_rec.clone()));
         chip.set_kernel_mode(KernelMode::Reference);
         chip.fault_map(RowId::new(0, 0));
-        assert_eq!(ref_rec.counter("dram.scrambler_lut_lookups"), 0);
-        assert_eq!(ref_rec.counter("dram.scrambler_translations"), 8192);
+        let reference = ref_rec.snapshot();
+        assert_eq!(reference.counter("dram.scrambler_lut_lookups"), 0);
+        assert_eq!(reference.counter("dram.scrambler_translations"), 8192);
     }
 
     #[test]

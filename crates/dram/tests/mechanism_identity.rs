@@ -264,8 +264,8 @@ proptest! {
 
 #[test]
 fn mechanism_rounds_emit_only_registered_metrics() {
-    use parbor_obs::{metrics, InMemoryRecorder, RecorderHandle};
-    let rec = InMemoryRecorder::handle();
+    use parbor_obs::{metrics, RecorderHandle, ShardedRecorder};
+    let rec = ShardedRecorder::handle();
     let module = small_module(
         7,
         "hammer=thresh:100k,rate:2e-3;drift=rate:1e-3,period:4",
@@ -273,12 +273,12 @@ fn mechanism_rounds_emit_only_registered_metrics() {
     )
     .with_recorder(RecorderHandle::from(rec.clone()));
     small_digest(module);
+    let snap = rec.snapshot();
     assert!(
-        rec.counter(metrics::mech::ROUNDS) > 0,
+        snap.counter(metrics::mech::ROUNDS) > 0,
         "live stack recorded no mech.rounds"
     );
-    let unregistered: Vec<String> = rec
-        .snapshot()
+    let unregistered: Vec<String> = snap
         .metric_names()
         .into_iter()
         .filter(|name| !metrics::is_registered(name))

@@ -239,7 +239,7 @@ mod tests {
     use super::*;
     use parbor_core::ParborConfig;
     use parbor_dram::{ModuleSpec, Vendor};
-    use parbor_obs::InMemoryRecorder;
+    use parbor_obs::ShardedRecorder;
     use std::sync::atomic::{AtomicU64, Ordering};
 
     fn temp_wal(tag: &str) -> PathBuf {
@@ -296,13 +296,13 @@ mod tests {
         bytes.extend_from_slice(&[0xAB; 12]);
         std::fs::write(&path, &bytes).expect("tear tail");
 
-        let rec = InMemoryRecorder::handle();
+        let rec = ShardedRecorder::handle();
         let handle = RecorderHandle::new(rec.clone());
         let recovered = Journal::recover(&path, &handle).expect("recover");
         assert!(recovered.truncated);
         assert_eq!(recovered.records, records[..2].to_vec());
         assert_eq!(recovered.valid_bytes, valid_len);
-        assert_eq!(rec.counter(metrics::fleet::RECOVERY), 1);
+        assert_eq!(rec.snapshot().counter(metrics::fleet::RECOVERY), 1);
         assert_eq!(
             std::fs::metadata(&path).expect("metadata").len(),
             valid_len,
@@ -332,12 +332,12 @@ mod tests {
         bytes[last] ^= 0x40;
         std::fs::write(&path, &bytes).expect("corrupt");
 
-        let rec = InMemoryRecorder::handle();
+        let rec = ShardedRecorder::handle();
         let handle = RecorderHandle::new(rec.clone());
         let recovered = Journal::recover(&path, &handle).expect("recover");
         assert!(recovered.truncated);
         assert_eq!(recovered.records, records[..1].to_vec());
-        assert_eq!(rec.counter(metrics::fleet::RECOVERY), 1);
+        assert_eq!(rec.snapshot().counter(metrics::fleet::RECOVERY), 1);
         std::fs::remove_file(&path).ok();
     }
 

@@ -8,7 +8,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use parbor_core::{ParborConfig, ScanMachine};
 use parbor_dram::{ChipGeometry, ModuleSpec, Vendor};
 use parbor_fleet::{Fleet, FleetConfig, ProfileStore, ScanJob};
-use parbor_obs::{metrics, InMemoryRecorder, RecorderHandle};
+use parbor_obs::{metrics, RecorderHandle, ShardedRecorder};
 
 fn temp_root(tag: &str) -> PathBuf {
     static NEXT: AtomicU64 = AtomicU64::new(0);
@@ -141,7 +141,7 @@ fn halted_fleet_resumes_to_byte_identical_store() {
         .any(|s| s.state == parbor_fleet::JobState::InFlight));
 
     // Resume with the hook removed; specs come from the journals alone.
-    let rec = InMemoryRecorder::handle();
+    let rec = ShardedRecorder::handle();
     let resumer = Fleet::new(&root, config)
         .expect("fleet")
         .with_recorder(RecorderHandle::new(rec.clone()));
@@ -151,7 +151,7 @@ fn halted_fleet_resumes_to_byte_identical_store() {
         resumed.jobs.iter().any(|j| j.resumed),
         "at least one job restarts from a checkpoint"
     );
-    assert!(rec.counter(metrics::fleet::RESUMES) >= 1);
+    assert!(rec.snapshot().counter(metrics::fleet::RESUMES) >= 1);
 
     assert_eq!(
         dir_snapshot(&resumer.store_dir()),
@@ -194,14 +194,14 @@ fn torn_journal_tail_recovers_and_still_matches_clean_run() {
     bytes.extend_from_slice(&[0x5A; 20]);
     fs::write(&wal, &bytes).expect("tear");
 
-    let rec = InMemoryRecorder::handle();
+    let rec = ShardedRecorder::handle();
     let resumer = Fleet::new(&root, config)
         .expect("fleet")
         .with_recorder(RecorderHandle::new(rec.clone()));
     let resumed = resumer.resume().expect("resume");
     assert!(resumed.is_clean(), "resume failed: {resumed:?}");
     assert!(
-        rec.counter(metrics::fleet::RECOVERY) >= 1,
+        rec.snapshot().counter(metrics::fleet::RECOVERY) >= 1,
         "tail truncation must surface a fleet.recovery event"
     );
     assert_eq!(

@@ -330,7 +330,7 @@ impl<'p, P: TestPort + ?Sized> RoundExecutor<'p, P> {
 mod tests {
     use super::*;
     use crate::loopback::LoopbackPort;
-    use parbor_obs::InMemoryRecorder;
+    use parbor_obs::ShardedRecorder;
 
     fn rows(n: u32) -> Vec<RowId> {
         (0..n).map(|r| RowId::new(0, r)).collect()
@@ -355,7 +355,7 @@ mod tests {
 
     #[test]
     fn executor_counts_rounds_and_stage_counters() {
-        let recorder = InMemoryRecorder::handle();
+        let recorder = ShardedRecorder::handle();
         let mut port = loopback();
         let plans: Vec<RoundPlan> = (0..3)
             .map(|i| {
@@ -371,10 +371,11 @@ mod tests {
         let results = exec.run_batch(plans).unwrap();
         assert_eq!(results.len(), 3);
         assert_eq!(exec.rounds_executed(), 3);
-        assert_eq!(recorder.counter("engine.rounds"), 3);
-        assert_eq!(recorder.counter("stage.rounds"), 3);
-        assert_eq!(recorder.histogram("engine.round_writes").unwrap().count, 3);
-        assert_eq!(recorder.histogram("stage.flips").unwrap().count, 3);
+        let snap = recorder.snapshot();
+        assert_eq!(snap.counter("engine.rounds"), 3);
+        assert_eq!(snap.counter("stage.rounds"), 3);
+        assert_eq!(snap.histogram("engine.round_writes").unwrap().count, 3);
+        assert_eq!(snap.histogram("stage.flips").unwrap().count, 3);
         assert_eq!(port.rounds_run(), 3);
     }
 

@@ -3,19 +3,17 @@
 //! [`Recorder`] trait object carried by the pipeline, device, and simulator
 //! runners.
 //!
-//! Three implementations ship with the crate:
+//! Two implementations ship with the crate:
 //!
 //! - [`NullRecorder`] — the default everywhere; every method is a no-op and
 //!   [`Recorder::enabled`] returns `false` so instrumentation sites can skip
 //!   work (formatting names, computing values) entirely.
-//! - [`InMemoryRecorder`] — accumulates everything behind one mutex; the
-//!   simple choice for single-threaded runs and tests.
-//! - [`ShardedRecorder`] — per-thread shards with no shared lock on the
-//!   record path; the choice whenever scoped-thread parallelism records.
+//! - [`ShardedRecorder`] — the one recording implementation: per-thread
+//!   shards with no shared lock on the record path.
 //!
-//! Both recording implementations drain into the same [`ObsSnapshot`]:
-//! digest it as a [`RunSummary`], dump the span stream as JSONL with
-//! [`ObsSnapshot::trace_jsonl`] (size-bounded via
+//! Everything a [`ShardedRecorder`] captured is read through one merged
+//! [`ObsSnapshot`]: digest it as a [`RunSummary`], dump the span stream as
+//! JSONL with [`ObsSnapshot::trace_jsonl`] (size-bounded via
 //! [`ObsSnapshot::write_trace_rotating`]), read a trace back with
 //! [`Trace::load`] — torn tails are salvaged, not fatal — and turn it into
 //! a per-stage self/total [`Profile`] or [`folded_stacks`] flamegraph
@@ -32,9 +30,9 @@
 //! Spans nest through a parent stack maintained by the recorder:
 //!
 //! ```
-//! use parbor_obs::{span, InMemoryRecorder, Recorder};
+//! use parbor_obs::{span, Recorder, ShardedRecorder};
 //!
-//! let rec = InMemoryRecorder::new();
+//! let rec = ShardedRecorder::new();
 //! {
 //!     let _run = span!(rec, "pipeline.run");
 //!     {
@@ -42,9 +40,10 @@
 //!         rec.incr("recursion.tests", 2);
 //!     }
 //! }
-//! let spans = rec.finished_spans();
+//! let snap = rec.snapshot();
+//! let spans = &snap.spans;
 //! assert_eq!(spans.len(), 2);
-//! assert_eq!(rec.counter("recursion.tests"), 2);
+//! assert_eq!(snap.counter("recursion.tests"), 2);
 //! // The inner span closed first and points at its parent.
 //! assert_eq!(spans[0].name, "recursion.level");
 //! assert_eq!(spans[0].parent, Some(spans[1].id));
@@ -62,8 +61,8 @@ pub mod trace;
 pub use hist::HistogramSnapshot;
 pub use profile::{folded_stacks, Profile, StageStat, Trace, TraceSpan};
 pub use recorder::{
-    null_recorder, AsRecorder, InMemoryRecorder, NullRecorder, Recorder, RecorderHandle, SpanGuard,
-    SpanId, SpanRecord,
+    null_recorder, AsRecorder, NullRecorder, Recorder, RecorderHandle, SpanGuard, SpanId,
+    SpanRecord,
 };
 pub use shard::{ObsSnapshot, ShardedRecorder};
 pub use status::FleetStatus;

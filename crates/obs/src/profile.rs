@@ -263,10 +263,10 @@ pub fn folded_stacks(trace: &Trace) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::recorder::{InMemoryRecorder, Recorder};
+    use crate::{Recorder, ShardedRecorder};
 
     fn sample_trace() -> Trace {
-        let rec = InMemoryRecorder::new();
+        let rec = ShardedRecorder::new();
         {
             let _run = crate::span!(rec, "run");
             {
@@ -276,7 +276,7 @@ mod tests {
             let _b = crate::span!(rec, "stage.b", 7);
         }
         rec.incr("ops", 3);
-        Trace::parse(&rec.trace_jsonl())
+        Trace::parse(&rec.snapshot().trace_jsonl())
     }
 
     #[test]
@@ -294,11 +294,11 @@ mod tests {
 
     #[test]
     fn torn_final_line_is_salvaged() {
-        let rec = InMemoryRecorder::new();
+        let rec = ShardedRecorder::new();
         {
             let _s = crate::span!(rec, "kept");
         }
-        let mut jsonl = rec.trace_jsonl();
+        let mut jsonl = rec.snapshot().trace_jsonl();
         jsonl.push_str("{\"type\":\"span\",\"id\":9,\"par"); // torn mid-write
         let trace = Trace::parse(&jsonl);
         assert!(trace.salvaged);
@@ -350,12 +350,12 @@ mod tests {
 
     #[test]
     fn folded_stacks_aggregate_repeated_paths() {
-        let rec = InMemoryRecorder::new();
+        let rec = ShardedRecorder::new();
         for _ in 0..3 {
             let _outer = crate::span!(rec, "outer");
             let _inner = crate::span!(rec, "inner");
         }
-        let trace = Trace::parse(&rec.trace_jsonl());
+        let trace = Trace::parse(&rec.snapshot().trace_jsonl());
         let folded = folded_stacks(&trace);
         let paths: Vec<&str> = folded.lines().collect();
         assert_eq!(

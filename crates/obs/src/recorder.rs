@@ -1,11 +1,7 @@
-//! The [`Recorder`] trait and its in-process implementations.
+//! The [`Recorder`] trait, the handle instrumented code carries, and the
+//! null recorder it defaults to.
 
-use std::collections::BTreeMap;
-use std::sync::{Arc, Mutex, OnceLock};
-use std::time::Instant;
-
-use crate::hist::{HdrHistogram, HistogramSnapshot};
-use crate::shard::ObsSnapshot;
+use std::sync::{Arc, OnceLock};
 
 /// Identifier of an open span. `0` means "no span" (the null recorder).
 pub type SpanId = u64;
@@ -211,256 +207,9 @@ impl SpanRecord {
     }
 }
 
-#[derive(Default)]
-struct Inner {
-    counters: BTreeMap<String, u64>,
-    histograms: BTreeMap<String, HdrHistogram>,
-    gauges: BTreeMap<String, i64>,
-    spans: Vec<SpanRecord>,
-    open: Vec<SpanId>,
-    finished: Vec<SpanId>,
-    next_id: SpanId,
-}
-
-/// Accumulates all metrics and spans in memory.
-pub struct InMemoryRecorder {
-    epoch: Instant,
-    inner: Mutex<Inner>,
-}
-
-impl Default for InMemoryRecorder {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl InMemoryRecorder {
-    /// Creates an empty recorder; span timestamps count from this moment.
-    pub fn new() -> Self {
-        InMemoryRecorder {
-            epoch: Instant::now(),
-            inner: Mutex::new(Inner::default()),
-        }
-    }
-
-    /// Creates a recorder already wrapped as a [`RecorderHandle`].
-    pub fn handle() -> Arc<InMemoryRecorder> {
-        Arc::new(Self::new())
-    }
-
-    fn lock(&self) -> std::sync::MutexGuard<'_, Inner> {
-        self.inner
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
-    }
-
-    fn now_us(&self) -> u64 {
-        self.epoch.elapsed().as_micros() as u64
-    }
-
-    /// Current value of a counter (0 if never incremented).
-    pub fn counter(&self, name: &str) -> u64 {
-        self.lock().counters.get(name).copied().unwrap_or(0)
-    }
-
-    /// Current value of a gauge.
-    pub fn gauge_value(&self, name: &str) -> Option<i64> {
-        self.lock().gauges.get(name).copied()
-    }
-
-    /// Snapshot of a histogram (`None` if nothing was observed under the name).
-    pub fn histogram(&self, name: &str) -> Option<HistogramSnapshot> {
-        self.lock().histograms.get(name).map(HdrHistogram::snapshot)
-    }
-
-    /// All counters, sorted by name.
-    pub fn counters(&self) -> Vec<(String, u64)> {
-        self.lock()
-            .counters
-            .iter()
-            .map(|(k, &v)| (k.clone(), v))
-            .collect()
-    }
-
-    /// All gauges, sorted by name.
-    pub fn gauges(&self) -> Vec<(String, i64)> {
-        self.lock()
-            .gauges
-            .iter()
-            .map(|(k, &v)| (k.clone(), v))
-            .collect()
-    }
-
-    /// All histogram snapshots, sorted by name.
-    pub fn histograms(&self) -> Vec<(String, HistogramSnapshot)> {
-        self.lock()
-            .histograms
-            .iter()
-            .map(|(k, v)| (k.clone(), v.snapshot()))
-            .collect()
-    }
-
-    /// Drains the recorder's state into the merged read-side view shared
-    /// with [`ShardedRecorder`](crate::ShardedRecorder).
-    pub fn snapshot(&self) -> ObsSnapshot {
-        let inner = self.lock();
-        let spans = inner
-            .finished
-            .iter()
-            .filter_map(|&id| inner.spans.iter().find(|s| s.id == id).cloned())
-            .collect();
-        ObsSnapshot {
-            counters: inner.counters.clone(),
-            gauges: inner.gauges.clone(),
-            histograms: inner
-                .histograms
-                .iter()
-                .map(|(k, v)| (k.clone(), v.snapshot()))
-                .collect(),
-            spans,
-        }
-    }
-
-    /// Closed spans, in the order they finished (the natural JSONL order:
-    /// children precede their parents).
-    pub fn finished_spans(&self) -> Vec<SpanRecord> {
-        let inner = self.lock();
-        inner
-            .finished
-            .iter()
-            .filter_map(|&id| inner.spans.iter().find(|s| s.id == id).cloned())
-            .collect()
-    }
-
-    /// The span event stream as JSONL: one JSON object per line, spans in
-    /// finish order followed by one `counter` event per counter.
-    pub fn trace_jsonl(&self) -> String {
-        self.snapshot().trace_jsonl()
-    }
-
-    /// Writes [`InMemoryRecorder::trace_jsonl`] to a file, creating parent
-    /// directories as needed.
-    ///
-    /// # Errors
-    ///
-    /// Propagates I/O errors.
-    pub fn write_trace(&self, path: impl AsRef<std::path::Path>) -> std::io::Result<()> {
-        let path = path.as_ref();
-        if let Some(dir) = path.parent() {
-            std::fs::create_dir_all(dir)?;
-        }
-        std::fs::write(path, self.trace_jsonl())
-    }
-
-    /// Wall-clock totals per span name, as an aligned text table sorted by
-    /// total time (descending).
-    pub fn phase_table(&self) -> String {
-        self.snapshot().phase_table()
-    }
-}
-
-impl Recorder for InMemoryRecorder {
-    fn incr(&self, name: &str, delta: u64) {
-        *self.lock().counters.entry(name.to_string()).or_insert(0) += delta;
-    }
-
-    fn observe(&self, name: &str, value: u64) {
-        self.lock()
-            .histograms
-            .entry(name.to_string())
-            .or_default()
-            .record(value);
-    }
-
-    fn gauge(&self, name: &str, value: i64) {
-        self.lock().gauges.insert(name.to_string(), value);
-    }
-
-    fn span_enter(&self, name: &str, value: Option<u64>) -> SpanId {
-        let start_us = self.now_us();
-        let mut inner = self.lock();
-        inner.next_id += 1;
-        let id = inner.next_id;
-        let parent = inner.open.last().copied();
-        inner.spans.push(SpanRecord {
-            id,
-            parent,
-            name: name.to_string(),
-            value,
-            start_us,
-            end_us: None,
-        });
-        inner.open.push(id);
-        id
-    }
-
-    fn span_exit(&self, id: SpanId) {
-        let end_us = self.now_us();
-        let mut inner = self.lock();
-        // Guards drop LIFO, so the span is normally on top of the stack;
-        // tolerate out-of-order exits by popping through abandoned children.
-        if let Some(pos) = inner.open.iter().rposition(|&open| open == id) {
-            inner.open.truncate(pos);
-        }
-        let newly_closed = match inner.spans.iter_mut().rev().find(|s| s.id == id) {
-            Some(span) if span.end_us.is_none() => {
-                span.end_us = Some(end_us);
-                true
-            }
-            _ => false,
-        };
-        if newly_closed {
-            inner.finished.push(id);
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn counters_accumulate() {
-        let rec = InMemoryRecorder::new();
-        rec.incr("a", 2);
-        rec.incr("a", 3);
-        rec.incr("b", 1);
-        assert_eq!(rec.counter("a"), 5);
-        assert_eq!(rec.counter("b"), 1);
-        assert_eq!(rec.counter("missing"), 0);
-        assert_eq!(
-            rec.counters(),
-            vec![("a".to_string(), 5), ("b".to_string(), 1)]
-        );
-    }
-
-    #[test]
-    fn gauges_last_write_wins() {
-        let rec = InMemoryRecorder::new();
-        rec.gauge("temp", 45);
-        rec.gauge("temp", -3);
-        assert_eq!(rec.gauge_value("temp"), Some(-3));
-        assert_eq!(rec.gauge_value("missing"), None);
-    }
-
-    #[test]
-    fn histograms_record_exact_percentile_snapshots() {
-        let rec = InMemoryRecorder::new();
-        for v in [0, 1, 2, 3, 4, 1000] {
-            rec.observe("h", v);
-        }
-        let h = rec.histogram("h").unwrap();
-        assert_eq!(h.count, 6);
-        assert_eq!(h.sum, 1010);
-        assert_eq!(h.min, 0);
-        assert_eq!(h.max, 1000);
-        // Small values get exact unit buckets under the log-linear scheme.
-        for v in [0usize, 1, 2, 3, 4] {
-            assert_eq!(h.counts[v], 1, "value {v} lands in its own bucket");
-        }
-        assert_eq!(h.p50(), 2);
-        assert_eq!(h.p(1.0), 1000);
-    }
 
     #[test]
     fn null_recorder_is_disabled_and_inert() {
@@ -472,83 +221,5 @@ mod tests {
         let id = rec.span_enter("s", None);
         assert_eq!(id, 0);
         rec.span_exit(id);
-    }
-
-    #[test]
-    fn spans_nest_through_the_parent_stack() {
-        let rec = InMemoryRecorder::new();
-        {
-            let _outer = crate::span!(rec, "outer");
-            {
-                let _mid = crate::span!(rec, "mid", 42);
-                let _leaf = crate::span!(rec, "leaf");
-            }
-            let _sibling = crate::span!(rec, "sibling");
-        }
-        let spans = rec.finished_spans();
-        let by_name = |n: &str| spans.iter().find(|s| s.name == n).unwrap().clone();
-        let outer = by_name("outer");
-        let mid = by_name("mid");
-        let leaf = by_name("leaf");
-        let sibling = by_name("sibling");
-        assert_eq!(outer.parent, None);
-        assert_eq!(mid.parent, Some(outer.id));
-        assert_eq!(mid.value, Some(42));
-        assert_eq!(leaf.parent, Some(mid.id));
-        assert_eq!(sibling.parent, Some(outer.id));
-        // Finish order: children before parents.
-        let order: Vec<&str> = spans.iter().map(|s| s.name.as_str()).collect();
-        assert_eq!(order, vec!["leaf", "mid", "sibling", "outer"]);
-        assert!(outer.duration_us() >= mid.duration_us());
-    }
-
-    #[test]
-    fn trace_jsonl_is_one_object_per_line() {
-        let rec = InMemoryRecorder::new();
-        {
-            let _s = crate::span!(rec, "run", 7);
-        }
-        rec.incr("ops", 3);
-        let jsonl = rec.trace_jsonl();
-        let lines: Vec<&str> = jsonl.lines().collect();
-        assert_eq!(lines.len(), 2);
-        assert!(lines[0].contains("\"type\":\"span\""));
-        assert!(lines[0].contains("\"name\":\"run\""));
-        assert!(lines[0].contains("\"value\":7"));
-        assert!(lines[1].contains("\"type\":\"counter\""));
-        // Every line parses as JSON.
-        for line in lines {
-            serde_json::parse_value(line).unwrap();
-        }
-    }
-
-    #[test]
-    fn phase_table_aggregates_by_name() {
-        let rec = InMemoryRecorder::new();
-        for _ in 0..3 {
-            let _s = crate::span!(rec, "phase.a");
-        }
-        {
-            let _s = crate::span!(rec, "phase.b");
-        }
-        let table = rec.phase_table();
-        assert!(table.contains("phase.a"));
-        assert!(table.contains("phase.b"));
-        let a_row = table.lines().find(|l| l.contains("phase.a")).unwrap();
-        assert!(a_row.contains('3'), "count column: {a_row}");
-    }
-
-    #[test]
-    fn out_of_order_exit_is_tolerated() {
-        let rec = InMemoryRecorder::new();
-        let outer = rec.span_enter("outer", None);
-        let _inner = rec.span_enter("inner", None);
-        // Exiting the outer span abandons the still-open inner span.
-        rec.span_exit(outer);
-        let next = rec.span_enter("next", None);
-        rec.span_exit(next);
-        let spans = rec.finished_spans();
-        let next = spans.iter().find(|s| s.name == "next").unwrap();
-        assert_eq!(next.parent, None, "abandoned children are popped");
     }
 }

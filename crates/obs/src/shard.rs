@@ -1,6 +1,6 @@
-//! [`ShardedRecorder`]: contention-free recording for scoped-thread
-//! parallelism, and [`ObsSnapshot`], the merged read-side view every
-//! recorder drains into.
+//! [`ShardedRecorder`]: the crate's recording [`Recorder`], contention-free
+//! under scoped-thread parallelism, and [`ObsSnapshot`], the merged
+//! read-side view it drains into.
 //!
 //! The record path touches **no shared lock**: each thread is assigned a
 //! shard slot on first use (a round-robin thread-local, so the first
@@ -9,8 +9,10 @@
 //! threads than shards are recording at once, in which case slots are
 //! shared but remain correct. Counters merge by summation, histograms by
 //! bucket-wise addition (see [`crate::hist`]), gauges by a global write
-//! sequence so last-write-wins survives the merge, and spans carry their
-//! shard in the id's high bits so a guard may drop on any thread.
+//! sequence so last-write-wins survives the merge, and spans by end time
+//! then a shard-local finish sequence, so same-microsecond closes keep
+//! their order. Spans carry their shard in the id's high bits so a guard
+//! may drop on any thread.
 
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
@@ -49,9 +51,13 @@ struct ShardInner {
     histograms: BTreeMap<String, HdrHistogram>,
     /// Gauge name → (global write sequence, value).
     gauges: BTreeMap<String, (u64, i64)>,
-    spans: Vec<SpanRecord>,
+    /// Spans in open order, each with its shard-local finish sequence
+    /// (0 while still open).
+    spans: Vec<(SpanRecord, u64)>,
     open: Vec<SpanId>,
     next_local: u64,
+    /// The last finish sequence handed out.
+    finished: u64,
 }
 
 /// Per-thread recording shard. The mutex is private to the shard; see the
@@ -111,8 +117,9 @@ impl ShardedRecorder {
         }
     }
 
-    /// Creates a recorder already wrapped in an `Arc` (mirrors
-    /// [`InMemoryRecorder::handle`](crate::InMemoryRecorder::handle)).
+    /// Creates a recorder already wrapped in an `Arc`, ready to pass as a
+    /// [`RecorderHandle`](crate::RecorderHandle) while keeping a reference
+    /// to [`snapshot`](ShardedRecorder::snapshot) it afterwards.
     pub fn handle() -> Arc<ShardedRecorder> {
         Arc::new(Self::new())
     }
@@ -137,7 +144,7 @@ impl ShardedRecorder {
         let mut counters: BTreeMap<String, u64> = BTreeMap::new();
         let mut histograms: BTreeMap<String, HistogramSnapshot> = BTreeMap::new();
         let mut gauges: BTreeMap<String, (u64, i64)> = BTreeMap::new();
-        let mut spans: Vec<SpanRecord> = Vec::new();
+        let mut spans: Vec<(SpanRecord, u64)> = Vec::new();
         for shard in self.shards.iter() {
             let inner = shard.lock();
             for (name, &v) in &inner.counters {
@@ -158,17 +165,23 @@ impl ShardedRecorder {
                     }
                 }
             }
-            spans.extend(inner.spans.iter().filter(|s| s.end_us.is_some()).cloned());
+            spans.extend(
+                inner
+                    .spans
+                    .iter()
+                    .filter(|(s, _)| s.end_us.is_some())
+                    .cloned(),
+            );
         }
-        // Finish order across shards; on an end-time tie, the higher id
-        // (the deeper span) first, preserving the children-before-parents
-        // property of single-threaded traces.
-        spans.sort_by_key(|s| (s.end_us.unwrap_or(u64::MAX), std::cmp::Reverse(s.id)));
+        // Finish order: by end time, and on a same-microsecond tie by the
+        // shard's own finish sequence, so each thread's spans keep the exact
+        // order they closed in (children before parents).
+        spans.sort_by_key(|(s, seq)| (s.end_us, *seq));
         ObsSnapshot {
             counters,
             gauges: gauges.into_iter().map(|(k, (_, v))| (k, v)).collect(),
             histograms,
-            spans,
+            spans: spans.into_iter().map(|(s, _)| s).collect(),
         }
     }
 }
@@ -211,14 +224,17 @@ impl Recorder for ShardedRecorder {
         inner.next_local += 1;
         let id = ((slot as u64 + 1) << SPAN_SHARD_SHIFT) | inner.next_local;
         let parent = inner.open.last().copied();
-        inner.spans.push(SpanRecord {
-            id,
-            parent,
-            name: name.to_string(),
-            value,
-            start_us,
-            end_us: None,
-        });
+        inner.spans.push((
+            SpanRecord {
+                id,
+                parent,
+                name: name.to_string(),
+                value,
+                start_us,
+                end_us: None,
+            },
+            0,
+        ));
         inner.open.push(id);
         id
     }
@@ -230,17 +246,22 @@ impl Recorder for ShardedRecorder {
         let Some(shard) = self.shards.get(slot) else {
             return;
         };
-        let mut inner = shard.lock();
+        let mut guard = shard.lock();
+        let inner = &mut *guard;
+        // Guards drop LIFO, so the span is normally on top of the stack;
+        // tolerate out-of-order exits by popping through abandoned children.
         if let Some(pos) = inner.open.iter().rposition(|&open| open == id) {
             inner.open.truncate(pos);
         }
-        if let Some(span) = inner
+        if let Some((span, seq)) = inner
             .spans
             .iter_mut()
             .rev()
-            .find(|s| s.id == id && s.end_us.is_none())
+            .find(|(s, _)| s.id == id && s.end_us.is_none())
         {
             span.end_us = Some(end_us);
+            inner.finished += 1;
+            *seq = inner.finished;
         }
     }
 }
@@ -347,42 +368,6 @@ impl ObsSnapshot {
         std::fs::write(path, jsonl)?;
         Ok(rotated)
     }
-
-    /// Wall-clock totals per span name, as an aligned text table sorted by
-    /// total time (descending).
-    pub fn phase_table(&self) -> String {
-        use std::fmt::Write as _;
-        let mut totals: BTreeMap<String, (u64, u64)> = BTreeMap::new();
-        for s in &self.spans {
-            let entry = totals.entry(s.name.clone()).or_insert((0, 0));
-            entry.0 += 1;
-            entry.1 += s.duration_us();
-        }
-        let mut rows: Vec<(String, u64, u64)> =
-            totals.into_iter().map(|(n, (c, t))| (n, c, t)).collect();
-        rows.sort_by(|a, b| b.2.cmp(&a.2).then(a.0.cmp(&b.0)));
-        let name_width = rows
-            .iter()
-            .map(|(n, _, _)| n.len())
-            .max()
-            .unwrap_or(5)
-            .max(5);
-        let mut out = String::new();
-        let _ = writeln!(
-            out,
-            "{:<name_width$}  {:>6}  {:>12}",
-            "phase", "count", "total"
-        );
-        for (name, count, total_us) in rows {
-            let _ = writeln!(
-                out,
-                "{name:<name_width$}  {count:>6}  {:>9}.{:03} ms",
-                total_us / 1000,
-                total_us % 1000,
-            );
-        }
-        out
-    }
 }
 
 #[cfg(test)]
@@ -473,17 +458,95 @@ mod tests {
     }
 
     #[test]
-    fn snapshot_mirrors_in_memory_semantics() {
+    fn spans_nest_through_the_parent_stack() {
+        // Siblings and parents often close in the same microsecond; the
+        // merge must still list spans in the exact order they finished.
+        for _ in 0..200 {
+            let rec = ShardedRecorder::new();
+            {
+                let _outer = crate::span!(rec, "outer");
+                {
+                    let _mid = crate::span!(rec, "mid", 42);
+                    let _leaf = crate::span!(rec, "leaf");
+                }
+                let _sibling = crate::span!(rec, "sibling");
+            }
+            let spans = rec.snapshot().spans;
+            let by_name = |n: &str| spans.iter().find(|s| s.name == n).unwrap().clone();
+            let outer = by_name("outer");
+            let mid = by_name("mid");
+            let leaf = by_name("leaf");
+            let sibling = by_name("sibling");
+            assert_eq!(outer.parent, None);
+            assert_eq!(mid.parent, Some(outer.id));
+            assert_eq!(mid.value, Some(42));
+            assert_eq!(leaf.parent, Some(mid.id));
+            assert_eq!(sibling.parent, Some(outer.id));
+            let order: Vec<&str> = spans.iter().map(|s| s.name.as_str()).collect();
+            assert_eq!(order, vec!["leaf", "mid", "sibling", "outer"]);
+            assert!(outer.duration_us() >= mid.duration_us());
+        }
+    }
+
+    #[test]
+    fn out_of_order_exit_is_tolerated() {
+        let rec = ShardedRecorder::with_shards(1);
+        let outer = rec.span_enter("outer", None);
+        let _inner = rec.span_enter("inner", None);
+        // Exiting the outer span abandons the still-open inner span.
+        rec.span_exit(outer);
+        let next = rec.span_enter("next", None);
+        rec.span_exit(next);
+        let spans = rec.snapshot().spans;
+        let names: Vec<&str> = spans.iter().map(|s| s.name.as_str()).collect();
+        assert_eq!(names, vec!["outer", "next"], "open spans are not listed");
+        assert_eq!(spans[1].parent, None, "abandoned children are popped");
+    }
+
+    #[test]
+    fn trace_jsonl_is_one_object_per_line() {
+        let rec = ShardedRecorder::with_shards(1);
+        {
+            let _s = crate::span!(rec, "run", 7);
+        }
+        rec.incr("ops", 3);
+        let jsonl = rec.snapshot().trace_jsonl();
+        let lines: Vec<&str> = jsonl.lines().collect();
+        assert_eq!(lines.len(), 2);
+        assert!(lines[0].contains("\"type\":\"span\""));
+        assert!(lines[0].contains("\"name\":\"run\""));
+        assert!(lines[0].contains("\"value\":7"));
+        assert!(lines[1].contains("\"type\":\"counter\""));
+        for line in lines {
+            serde_json::parse_value(line).unwrap();
+        }
+    }
+
+    #[test]
+    fn snapshot_reads_back_counters_gauges_and_histograms() {
         let rec = ShardedRecorder::with_shards(1);
         rec.incr("a", 2);
         rec.incr("a", 3);
-        rec.observe("h", 7);
-        rec.gauge("g", -4);
+        rec.incr("b", 1);
+        rec.gauge("temp", 45);
+        rec.gauge("temp", -3);
+        for v in [0, 1, 2, 3, 4, 1000] {
+            rec.observe("h", v);
+        }
         let snap = rec.snapshot();
         assert_eq!(snap.counter("a"), 5);
+        assert_eq!(snap.counter("b"), 1);
         assert_eq!(snap.counter("missing"), 0);
-        assert_eq!(snap.gauge("g"), Some(-4));
-        assert_eq!(snap.histogram("h").unwrap().sum, 7);
-        assert!(snap.metric_names().contains(&"a".to_string()));
+        assert_eq!(snap.gauge("temp"), Some(-3));
+        assert_eq!(snap.gauge("missing"), None);
+        let h = snap.histogram("h").unwrap();
+        assert_eq!((h.count, h.sum, h.min, h.max), (6, 1010, 0, 1000));
+        // Small values get exact unit buckets under the log-linear scheme.
+        for v in [0usize, 1, 2, 3, 4] {
+            assert_eq!(h.counts[v], 1, "value {v} lands in its own bucket");
+        }
+        assert_eq!(h.p50(), 2);
+        assert_eq!(h.p(1.0), 1000);
+        assert_eq!(snap.metric_names(), vec!["a", "b", "h", "temp"]);
     }
 }

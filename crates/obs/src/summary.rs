@@ -6,8 +6,6 @@ use std::fmt::Write as _;
 
 use serde::{Deserialize, Serialize};
 
-use crate::recorder::InMemoryRecorder;
-
 /// Aggregated wall-clock time of one span name.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct PhaseTiming {
@@ -43,7 +41,8 @@ pub struct HistogramStat {
     pub p999: u64,
 }
 
-/// Serializable digest of everything an [`InMemoryRecorder`] captured.
+/// Serializable digest of everything a recorder captured, built from its
+/// [`ObsSnapshot`](crate::ObsSnapshot).
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct RunSummary {
     /// Per-phase wall-clock totals, longest first.
@@ -57,12 +56,7 @@ pub struct RunSummary {
 }
 
 impl RunSummary {
-    /// Digests a recorder's current state.
-    pub fn from_recorder(rec: &InMemoryRecorder) -> Self {
-        Self::from_snapshot(&rec.snapshot())
-    }
-
-    /// Digests a merged snapshot (any recorder drains into one).
+    /// Digests a merged snapshot.
     pub fn from_snapshot(snap: &crate::ObsSnapshot) -> Self {
         let mut totals: std::collections::BTreeMap<String, (u64, u64)> =
             std::collections::BTreeMap::new();
@@ -162,10 +156,10 @@ impl RunSummary {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::Recorder;
+    use crate::{Recorder, ShardedRecorder};
 
-    fn recorded() -> InMemoryRecorder {
-        let rec = InMemoryRecorder::new();
+    fn recorded() -> RunSummary {
+        let rec = ShardedRecorder::new();
         {
             let _run = crate::span!(rec, "run");
             let _inner = crate::span!(rec, "run.step", 8);
@@ -174,12 +168,12 @@ mod tests {
         rec.gauge("level", 3);
         rec.observe("lat", 100);
         rec.observe("lat", 300);
-        rec
+        RunSummary::from_snapshot(&rec.snapshot())
     }
 
     #[test]
     fn summary_digests_recorder_state() {
-        let s = RunSummary::from_recorder(&recorded());
+        let s = recorded();
         assert_eq!(s.phases.len(), 2);
         assert_eq!(s.counters, vec![("ops".to_string(), 12)]);
         assert_eq!(s.gauges, vec![("level".to_string(), 3)]);
@@ -194,8 +188,30 @@ mod tests {
     }
 
     #[test]
+    fn phases_aggregate_spans_by_name() {
+        let rec = ShardedRecorder::new();
+        for _ in 0..3 {
+            let _s = crate::span!(rec, "phase.a");
+        }
+        {
+            let _s = crate::span!(rec, "phase.b");
+        }
+        let s = RunSummary::from_snapshot(&rec.snapshot());
+        let mut counts: Vec<(&str, u64)> = s
+            .phases
+            .iter()
+            .map(|p| (p.name.as_str(), p.count))
+            .collect();
+        counts.sort();
+        assert_eq!(counts, vec![("phase.a", 3), ("phase.b", 1)]);
+        let text = s.render();
+        let a_row = text.lines().find(|l| l.contains("phase.a")).unwrap();
+        assert!(a_row.contains('3'), "count column: {a_row}");
+    }
+
+    #[test]
     fn summary_round_trips_through_json() {
-        let s = RunSummary::from_recorder(&recorded());
+        let s = recorded();
         let json = s.to_json();
         let back: RunSummary = serde_json::from_str(&json).unwrap();
         assert_eq!(back, s);
@@ -203,7 +219,7 @@ mod tests {
 
     #[test]
     fn render_mentions_every_metric() {
-        let text = RunSummary::from_recorder(&recorded()).render();
+        let text = recorded().render();
         assert!(text.contains("run summary"));
         assert!(text.contains("run.step"));
         assert!(text.contains("ops"));

@@ -258,7 +258,7 @@ fn score(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use parbor_obs::InMemoryRecorder;
+    use parbor_obs::ShardedRecorder;
 
     fn tiny_config() -> EfficacyConfig {
         EfficacyConfig {
@@ -299,19 +299,19 @@ mod tests {
 
     #[test]
     fn efficacy_counters_are_published() {
-        let recorder = InMemoryRecorder::handle();
+        let recorder = ShardedRecorder::handle();
         let report = run_efficacy(&tiny_config(), &RecorderHandle::from(recorder.clone())).unwrap();
         let score = report.score(Vendor::A, "coupling").unwrap();
-        assert_eq!(recorder.counter("efficacy.runs"), 1);
+        let snap = recorder.snapshot();
+        assert_eq!(snap.counter("efficacy.runs"), 1);
         assert_eq!(
-            recorder.counter("efficacy.true_positives"),
+            snap.counter("efficacy.true_positives"),
             score.true_positives as u64
         );
         // Every name the harness (and the devices under it) emitted must be
         // in the obs registry — an unregistered emission fails here instead
         // of silently vanishing from dashboards.
-        let unregistered: Vec<String> = recorder
-            .snapshot()
+        let unregistered: Vec<String> = snap
             .metric_names()
             .into_iter()
             .filter(|name| !parbor_obs::metrics::is_registered(name))

@@ -256,9 +256,9 @@ mod tests {
 
     #[test]
     fn recorder_counts_every_phase_and_traces_jsonl() {
-        use parbor_obs::{InMemoryRecorder, RecorderHandle};
+        use parbor_obs::{RecorderHandle, ShardedRecorder};
 
-        let recorder = InMemoryRecorder::handle();
+        let recorder = ShardedRecorder::handle();
         let rec = RecorderHandle::from(recorder.clone());
         let mut chip = DramChip::new(ChipGeometry::new(1, 64, 8192).unwrap(), Vendor::A, 1)
             .unwrap()
@@ -267,6 +267,7 @@ mod tests {
             .with_recorder(rec)
             .run(&mut chip)
             .unwrap();
+        let snap = recorder.snapshot();
         // Every pipeline phase reported nonzero counters.
         for counter in [
             "discover.rounds",
@@ -280,10 +281,10 @@ mod tests {
             "dram.row_writes",
             "dram.row_reads",
         ] {
-            assert!(recorder.counter(counter) > 0, "counter {counter} is zero");
+            assert!(snap.counter(counter) > 0, "counter {counter} is zero");
         }
         // Phase spans were recorded, nested under pipeline.run.
-        let spans = recorder.finished_spans();
+        let spans = &snap.spans;
         for phase in [
             "pipeline.run",
             "pipeline.discover",
@@ -294,7 +295,7 @@ mod tests {
             assert!(spans.iter().any(|s| s.name == phase), "no span {phase}");
         }
         // The trace is valid JSONL: one parseable object per line.
-        let trace = recorder.trace_jsonl();
+        let trace = snap.trace_jsonl();
         assert!(!trace.is_empty());
         for line in trace.lines() {
             serde_json::parse_value(line).expect("trace line parses as JSON");
@@ -321,11 +322,11 @@ mod tests {
         };
         let bare = run(None);
         let null = run(Some(parbor_obs::RecorderHandle::null()));
-        let mem = run(Some(parbor_obs::RecorderHandle::from(
-            parbor_obs::InMemoryRecorder::handle(),
+        let recorded = run(Some(parbor_obs::RecorderHandle::from(
+            parbor_obs::ShardedRecorder::handle(),
         )));
         assert_eq!(bare, null);
-        assert_eq!(bare, mem);
+        assert_eq!(bare, recorded);
     }
 
     #[test]

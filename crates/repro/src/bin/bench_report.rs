@@ -34,9 +34,7 @@ use parbor_dram::{
 use parbor_fleet::{Fleet, FleetConfig, ScanJob};
 use parbor_hal::{KernelMode, ParallelMode, RecordingPort, ReplayPort, TestPort};
 use parbor_memsim::{Density, RefreshPolicyKind, Simulation, SystemConfig};
-use parbor_obs::{
-    metrics, null_recorder, InMemoryRecorder, RecorderHandle, RunSummary, ShardedRecorder,
-};
+use parbor_obs::{metrics, null_recorder, RecorderHandle, RunSummary, ShardedRecorder};
 use parbor_serve::{
     Engine, InlineServer, LoadConfig, LoadMode, LoadReport, Response, SendOutcome, ServeConfig,
     ServeSnapshot,
@@ -88,22 +86,17 @@ struct StageSpeedup {
 }
 
 /// Recorder overhead on the headline pipeline run: the same deterministic
-/// workload under the null recorder, the single-mutex `InMemoryRecorder`,
-/// and the per-thread `ShardedRecorder`. CI gates `overhead_pct` at 1 %.
+/// workload under the null recorder and the per-thread `ShardedRecorder`.
+/// CI gates `overhead_pct` at 1 %.
 #[derive(Debug, Serialize)]
 struct ObsBench {
     /// Best-of wall-clock with the null recorder, ms.
     null_ms: f64,
-    /// Best-of wall-clock with the single-mutex in-memory recorder, ms.
-    in_memory_ms: f64,
     /// Best-of wall-clock with the sharded recorder, ms.
     sharded_ms: f64,
     /// Sharded-recorder cost relative to the null recorder, in percent:
     /// the best within-repetition paired ratio (see [`obs_bench`]).
     overhead_pct: f64,
-    /// In-memory-recorder cost relative to the null recorder, in percent
-    /// (same paired measurement).
-    in_memory_overhead_pct: f64,
     /// Telemetry volume of one sharded run: counter increments plus
     /// histogram samples plus spans.
     events_recorded: u64,
@@ -561,10 +554,10 @@ fn dir_snapshot(root: &Path) -> Result<Vec<(String, Vec<u8>)>, String> {
 }
 
 /// Measures recorder overhead: the headline optimized pipeline run under
-/// the null, in-memory, and sharded recorders, interleaved per repetition
-/// so scheduler drift hits all three equally. The gated overhead numbers
-/// are the best *within-repetition* ratio against that repetition's null
-/// run — pairing cancels machine-wide drift (thermal, frequency, noisy
+/// the null and sharded recorders, interleaved per repetition so
+/// scheduler drift hits both equally. The gated overhead number is the
+/// best *within-repetition* ratio against that repetition's null run —
+/// pairing cancels machine-wide drift (thermal, frequency, noisy
 /// neighbors) that a ratio of independent best-of minimums would read as
 /// recorder cost. Every recorded report must equal `baseline` bit for
 /// bit.
@@ -574,10 +567,8 @@ fn obs_bench(baseline: &ParborReport) -> Result<ObsBench, String> {
     // only needs one clean repetition.
     const REPS: usize = 8;
     let mut null_ms = f64::INFINITY;
-    let mut in_memory_ms = f64::INFINITY;
     let mut sharded_ms = f64::INFINITY;
     let mut sharded_ratio = f64::INFINITY;
-    let mut in_memory_ratio = f64::INFINITY;
     let mut results_identical = true;
     let mut events_recorded = 0u64;
     // Untimed warmup so first-touch effects (page faults, frequency
@@ -594,16 +585,6 @@ fn obs_bench(baseline: &ParborReport) -> Result<ObsBench, String> {
             Some(null_recorder()),
         )?;
         null_ms = null_ms.min(rep_null_ms);
-        results_identical &= report == *baseline;
-
-        let rec = InMemoryRecorder::handle();
-        let (report, ms) = timed_run(
-            ParallelMode::Auto,
-            KernelMode::Stencil,
-            Some(RecorderHandle::from(rec)),
-        )?;
-        in_memory_ms = in_memory_ms.min(ms);
-        in_memory_ratio = in_memory_ratio.min(ms / rep_null_ms);
         results_identical &= report == *baseline;
 
         let rec = ShardedRecorder::handle();
@@ -625,10 +606,8 @@ fn obs_bench(baseline: &ParborReport) -> Result<ObsBench, String> {
     }
     Ok(ObsBench {
         null_ms,
-        in_memory_ms,
         sharded_ms,
         overhead_pct: (sharded_ratio - 1.0) * 100.0,
-        in_memory_overhead_pct: (in_memory_ratio - 1.0) * 100.0,
         events_recorded,
         results_identical,
     })
@@ -1363,13 +1342,13 @@ fn run() -> Result<BenchDoc, String> {
     let mut base_summaries = Vec::with_capacity(PIPELINE_REPS);
     let mut opt_summaries = Vec::with_capacity(PIPELINE_REPS);
     for _ in 0..PIPELINE_REPS {
-        let base_rec = InMemoryRecorder::handle();
+        let base_rec = ShardedRecorder::handle();
         let (base_report, _) = timed_run(
             ParallelMode::Never,
             KernelMode::Reference,
             Some(RecorderHandle::from(base_rec.clone())),
         )?;
-        let opt_rec = InMemoryRecorder::handle();
+        let opt_rec = ShardedRecorder::handle();
         let (opt_report, _) = timed_run(
             ParallelMode::Auto,
             KernelMode::Stencil,
@@ -1378,8 +1357,8 @@ fn run() -> Result<BenchDoc, String> {
         if base_report != opt_report || base_report != baseline_report {
             return Err("recorded pipeline runs disagree with unrecorded runs".into());
         }
-        base_summaries.push(RunSummary::from_recorder(&base_rec));
-        opt_summaries.push(RunSummary::from_recorder(&opt_rec));
+        base_summaries.push(RunSummary::from_snapshot(&base_rec.snapshot()));
+        opt_summaries.push(RunSummary::from_snapshot(&opt_rec.snapshot()));
     }
     let best_stage_ms = |summaries: &[RunSummary], name: &str| {
         summaries
@@ -1457,14 +1436,8 @@ fn run() -> Result<BenchDoc, String> {
         );
     }
     println!(
-        "obs recorders: null {:.1} ms, in-memory {:.1} ms ({:+.2}%), sharded {:.1} ms \
-         ({:+.2}%, {} events)",
-        obs.null_ms,
-        obs.in_memory_ms,
-        obs.in_memory_overhead_pct,
-        obs.sharded_ms,
-        obs.overhead_pct,
-        obs.events_recorded,
+        "obs recorders: null {:.1} ms, sharded {:.1} ms ({:+.2}%, {} events)",
+        obs.null_ms, obs.sharded_ms, obs.overhead_pct, obs.events_recorded,
     );
     println!(
         "fleet ({} jobs, {} workers): {:.1} ms free -> {:.1} ms checkpointed \

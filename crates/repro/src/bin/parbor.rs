@@ -38,7 +38,7 @@ use parbor_fleet::{Fleet, FleetConfig, ProfileStore, ScanJob, CRASH_EXIT_CODE};
 use parbor_hal::{KernelMode, MechanismSpec, ParallelMode, RecordingPort, ReplayPort, TestPort};
 use parbor_memsim::{Density, RefreshPolicyKind, Simulation, SystemConfig};
 use parbor_obs::{
-    folded_stacks, trace, FleetStatus, InMemoryRecorder, Profile, RecorderHandle, RunSummary,
+    folded_stacks, metrics, trace, FleetStatus, Profile, RecorderHandle, RunSummary,
     ShardedRecorder, Trace,
 };
 use parbor_store::CompactPhase;
@@ -243,7 +243,7 @@ fn cmd_efficacy(args: &Args) -> Result<(), String> {
         extras,
         parbor: ParborConfig::default(),
     };
-    let recorder = InMemoryRecorder::handle();
+    let recorder = ShardedRecorder::handle();
     let report = run_efficacy(&config, &RecorderHandle::from(recorder.clone()))
         .map_err(|e| e.to_string())?;
     println!(
@@ -268,12 +268,13 @@ fn cmd_efficacy(args: &Args) -> Result<(), String> {
                 .unwrap_or_default()
         );
     }
+    let snap = recorder.snapshot();
     println!(
         "\nruns: {}  tp: {}  fp: {}  fn: {}",
-        recorder.counter("efficacy.runs"),
-        recorder.counter("efficacy.true_positives"),
-        recorder.counter("efficacy.false_positives"),
-        recorder.counter("efficacy.false_negatives"),
+        snap.counter(metrics::efficacy::RUNS),
+        snap.counter(metrics::efficacy::TRUE_POSITIVES),
+        snap.counter(metrics::efficacy::FALSE_POSITIVES),
+        snap.counter(metrics::efficacy::FALSE_NEGATIVES),
     );
     if let Some(path) = args.flags.get("out") {
         if let Some(parent) = std::path::Path::new(path).parent() {
@@ -623,9 +624,7 @@ fn cmd_fleet(argv: &[String]) -> Result<(), String> {
                 Vec::new()
             };
             let factory = fleet_port_factory(&args)?;
-            let mut fleet = Fleet::new(&dir, fleet_config(&args)?)
-                .map_err(|e| e.to_string())?
-                .with_recorder(RecorderHandle::from(InMemoryRecorder::handle()));
+            let mut fleet = Fleet::new(&dir, fleet_config(&args)?).map_err(|e| e.to_string())?;
             if let Some(factory) = factory {
                 fleet = fleet.with_port_factory(factory);
             }
@@ -754,7 +753,7 @@ fn cmd_store(argv: &[String]) -> Result<(), String> {
         .get("dir")
         .cloned()
         .unwrap_or_else(|| "results/fleet/store".to_string());
-    let recorder = InMemoryRecorder::handle();
+    let recorder = ShardedRecorder::handle();
     let rec = RecorderHandle::from(recorder.clone());
     match sub.as_str() {
         "stats" => {
@@ -774,7 +773,7 @@ fn cmd_store(argv: &[String]) -> Result<(), String> {
             println!("segment bytes    : {}", stats.segment_bytes);
             println!(
                 "recovery events  : {}",
-                recorder.counter(parbor_obs::metrics::store::RECOVERY)
+                recorder.snapshot().counter(metrics::store::RECOVERY)
             );
             println!("ledger balanced  : {}", stats.ledger_balanced);
             if !stats.ledger_balanced {

@@ -14,7 +14,7 @@ use std::sync::Arc;
 use parbor_core::{random_pattern_test, Parbor, ParborConfig, ParborError, ParborReport};
 use parbor_dram::{BitAddr, ChipGeometry, DramError, DramModule, ModuleConfig, ModuleId, Vendor};
 use parbor_obs::metrics;
-use parbor_obs::{InMemoryRecorder, Recorder, RecorderHandle, SpanId};
+use parbor_obs::{Recorder, RecorderHandle, ShardedRecorder, SpanId};
 
 pub mod servecli;
 
@@ -186,7 +186,7 @@ pub fn run_parbor(
 /// `main`), so slow figure scripts are visible at a glance without
 /// perturbing the archived stdout in `results/*.txt`.
 pub struct FigureTimer {
-    rec: Arc<InMemoryRecorder>,
+    rec: Arc<ShardedRecorder>,
     span: SpanId,
     label: String,
 }
@@ -194,7 +194,7 @@ pub struct FigureTimer {
 impl FigureTimer {
     /// Starts timing; `label` is the binary name (e.g. `"fig13_coverage"`).
     pub fn start(label: impl Into<String>) -> Self {
-        let rec = InMemoryRecorder::handle();
+        let rec = ShardedRecorder::handle();
         let span = rec.span_enter(metrics::figure::RUN, None);
         FigureTimer {
             rec,
@@ -213,7 +213,7 @@ impl FigureTimer {
 impl Drop for FigureTimer {
     fn drop(&mut self) {
         self.rec.span_exit(self.span);
-        let spans = self.rec.finished_spans();
+        let spans = self.rec.snapshot().spans;
         let us = spans
             .iter()
             .find(|s| s.id == self.span)

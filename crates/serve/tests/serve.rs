@@ -13,7 +13,7 @@ use parbor_dram::{
     ChipGeometry, DramModule, ModuleConfig, ModuleId, PatternKind, RowBits, RowId, Vendor,
 };
 use parbor_fleet::ProfileStore;
-use parbor_obs::{metrics, InMemoryRecorder, RecorderHandle};
+use parbor_obs::{metrics, RecorderHandle, ShardedRecorder};
 use parbor_serve::{
     run, Engine, InlineServer, LoadConfig, LoadMode, Request, Response, SendOutcome, ServeConfig,
     ServeSnapshot, Server,
@@ -186,7 +186,7 @@ fn stats_probe_reports_live_counters() {
 
 #[test]
 fn open_loop_inline_run_is_clean_and_metrics_registered() {
-    let rec = InMemoryRecorder::handle();
+    let rec = ShardedRecorder::handle();
     let handle = RecorderHandle::from(rec.clone());
     let report = run(
         tiny_snapshot(7),

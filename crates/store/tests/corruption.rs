@@ -6,7 +6,7 @@
 use std::path::PathBuf;
 
 use parbor_core::{FailingCell, FailureProfile};
-use parbor_obs::{metrics, InMemoryRecorder, RecorderHandle};
+use parbor_obs::{metrics, RecorderHandle, ShardedRecorder};
 use parbor_store::{ProfileStore, StoreError};
 
 fn temp_store(tag: &str) -> PathBuf {
@@ -182,7 +182,7 @@ fn truncated_segment_tail_salvages_prefix() {
     let bytes = std::fs::read(&seg).unwrap();
     std::fs::write(&seg, &bytes[..bytes.len() - 9]).unwrap();
 
-    let recorder = InMemoryRecorder::handle();
+    let recorder = ShardedRecorder::handle();
     let store =
         ProfileStore::open_with_recorder(&root, RecorderHandle::from(recorder.clone())).unwrap();
     let got = store.get("victim").unwrap();
@@ -193,7 +193,7 @@ fn truncated_segment_tail_salvages_prefix() {
         "salvage keeps a strict prefix of the cells"
     );
     assert_eq!(got.profile.distances, vec![-8, -1, 1, 8]);
-    assert!(recorder.counter(metrics::store::RECOVERY) > 0);
+    assert!(recorder.snapshot().counter(metrics::store::RECOVERY) > 0);
     assert_eq!(store.verify().unwrap(), vec![("victim".to_string(), false)]);
     let stats = store.stats().unwrap();
     assert_eq!(stats.corrupt_records, 1);
@@ -217,12 +217,12 @@ fn bit_flipped_checksum_detected_and_compacted_out() {
     bytes[last] ^= 0x10;
     std::fs::write(&seg, &bytes).unwrap();
 
-    let recorder = InMemoryRecorder::handle();
+    let recorder = ShardedRecorder::handle();
     let mut store =
         ProfileStore::open_with_recorder(&root, RecorderHandle::from(recorder.clone())).unwrap();
     let got = store.get("flip").unwrap();
     assert!(got.recovered);
-    assert!(recorder.counter(metrics::store::RECOVERY) > 0);
+    assert!(recorder.snapshot().counter(metrics::store::RECOVERY) > 0);
     // The untouched neighbor is served clean.
     let good = store.get("good").unwrap();
     assert!(!good.recovered && good.complete);
@@ -255,10 +255,10 @@ fn torn_manifest_rebuilds_from_segments() {
     let text = std::fs::read(&manifest).unwrap();
     std::fs::write(&manifest, &text[..text.len() / 2]).unwrap();
 
-    let recorder = InMemoryRecorder::handle();
+    let recorder = ShardedRecorder::handle();
     let store =
         ProfileStore::open_with_recorder(&root, RecorderHandle::from(recorder.clone())).unwrap();
-    assert!(recorder.counter(metrics::store::RECOVERY) > 0);
+    assert!(recorder.snapshot().counter(metrics::store::RECOVERY) > 0);
     assert_eq!(store.load_all().unwrap(), expected);
     let stats = store.stats().unwrap();
     assert!(stats.ledger_balanced);

@@ -1,8 +1,9 @@
 #!/usr/bin/env bash
 # Telemetry smoke: exercise the live fleet status surface across a crash
 # (status.json must say "running" after the kill and "done" after resume),
-# then run a detection and check `parbor obs report` produces the stage
-# table and flamegraph.pl-compatible folded stacks from the trace.
+# then run a detection, check its trace lists children before parents, and
+# check `parbor obs report` produces the stage table and
+# flamegraph.pl-compatible folded stacks from the trace.
 # Run from the repo root after `cargo build --release`.
 set -euo pipefail
 
@@ -41,6 +42,26 @@ grep -q "3/3 jobs done" <<<"$top_out" \
 # -- span-tree profiling from a detection trace --
 mkdir -p "$work/detect/results"
 (cd "$work/detect" && "$BIN" detect --vendor A --rows 48 --chips 1 >/dev/null)
+# The trace lists spans in finish order: every span's parent is null or
+# sits on a later line (children before parents).
+awk '
+    /"type":"span"/ {
+        match($0, /"id":[0-9]+/); id = substr($0, RSTART + 5, RLENGTH - 5)
+        match($0, /"parent":(null|[0-9]+)/); parent = substr($0, RSTART + 9, RLENGTH - 9)
+        line[id] = NR; ids[NR] = id; parents[NR] = parent; spans++
+    }
+    END {
+        if (spans == 0) { print "trace has no spans"; exit 1 }
+        for (n in parents) {
+            p = parents[n]
+            if (p != "null" && !(line[p] > n + 0)) {
+                print "span " ids[n] " (line " n ") is not followed by its parent " p
+                bad = 1
+            }
+        }
+        exit bad
+    }' "$work/detect/results/trace.jsonl" \
+    || { echo "trace.jsonl must list children before their parents"; exit 1; }
 report_out=$(cd "$work/detect" && "$BIN" obs report)
 echo "-- obs report --"
 echo "$report_out"

@@ -8,7 +8,7 @@
 use parbor_core::{FailingCell, FailureProfile, Parbor, ParborConfig};
 use parbor_dram::{ChipGeometry, DramChip, ModuleSpec, Vendor};
 use parbor_fleet::{Fleet, FleetConfig, ScanJob};
-use parbor_obs::{metrics, InMemoryRecorder, ObsSnapshot, RecorderHandle, ShardedRecorder};
+use parbor_obs::{metrics, ObsSnapshot, RecorderHandle, ShardedRecorder};
 use parbor_store::ProfileStore;
 
 fn assert_all_registered(snapshot: &ObsSnapshot, context: &str) {
@@ -26,7 +26,7 @@ fn assert_all_registered(snapshot: &ObsSnapshot, context: &str) {
 
 #[test]
 fn every_pipeline_metric_is_registered() {
-    let rec = InMemoryRecorder::handle();
+    let rec = ShardedRecorder::handle();
     let handle = RecorderHandle::from(rec.clone());
     let mut chip = DramChip::new(ChipGeometry::new(1, 64, 8192).unwrap(), Vendor::A, 7)
         .unwrap()
