@@ -1,6 +1,7 @@
 //! One simulated DRAM chip: persistent row contents plus fault evaluation.
 
-use std::collections::{HashMap, HashSet, VecDeque};
+use std::collections::hash_map::Entry;
+use std::collections::VecDeque;
 use std::sync::Arc;
 
 use parbor_obs::metrics;
@@ -12,7 +13,8 @@ use crate::mechanism::CouplingMechanism;
 use crate::noise::NoiseModel;
 use crate::retention::RetentionModel;
 use crate::scrambler::{Scrambler, ScramblerLut};
-use parbor_hal::{unit_stack_flips, FailureMechanism};
+use parbor_hal::hash::{Mix64Map, Mix64Set};
+use parbor_hal::{row_populations, unit_stack_flips, FailureMechanism, StackWrite};
 use parbor_hal::{BitAddr, BitFlip, ChipGeometry, DramError, RowBits, RowId};
 use parbor_hal::{KernelMode, RoundArena};
 
@@ -33,9 +35,11 @@ pub const DEFAULT_FAULT_MAP_CAPACITY: usize = 8192;
 /// interval, read them back, and report every flipped bit — exactly what a
 /// system-level tester can do through the memory controller.
 ///
-/// Fault maps (deterministic, rebuildable) and their compiled stencils are
-/// cached per row and evicted FIFO past [`DEFAULT_FAULT_MAP_CAPACITY`]; the
-/// cache size is published as the `dram.fault_map_cache` gauge.
+/// Each row the chip has touched has one slot: its written image plus its
+/// derived, rebuildable state — the fault map, the compiled stencil and the
+/// extra mechanisms' populations. The derived state is evicted as a unit,
+/// FIFO past [`DEFAULT_FAULT_MAP_CAPACITY`] rows; the cache size is
+/// published as the `dram.fault_map_cache` gauge.
 ///
 /// # Examples
 ///
@@ -74,13 +78,12 @@ pub struct DramChip {
     temperature: Celsius,
     refresh_interval: Seconds,
     noise: NoiseModel,
-    rows: HashMap<RowId, RowBits>,
-    fault_maps: HashMap<RowId, RowFaultMap>,
+    // One slot per touched row: every phase of a round finds all of a
+    // row's state with one lookup.
+    slots: Mix64Map<RowId, RowSlot>,
+    // Rows holding derived state, oldest first (the FIFO eviction order).
     fault_map_order: VecDeque<RowId>,
     fault_map_cap: usize,
-    // Compiled per-row coupling stencils; populated lazily in Stencil mode,
-    // invalidated with their fault maps and on margin-shift changes.
-    stencils: HashMap<RowId, CouplingStencil>,
     kernel: KernelMode,
     round: u64,
     rec: RecorderHandle,
@@ -154,11 +157,9 @@ impl DramChip {
             temperature,
             refresh_interval,
             noise,
-            rows: HashMap::new(),
-            fault_maps: HashMap::new(),
+            slots: Mix64Map::default(),
             fault_map_order: VecDeque::new(),
             fault_map_cap: DEFAULT_FAULT_MAP_CAPACITY,
-            stencils: HashMap::new(),
             kernel: KernelMode::default(),
             round: 0,
             rec: RecorderHandle::null(),
@@ -212,9 +213,20 @@ impl DramChip {
     /// Replaces the extra-mechanism stack. Mechanisms observe each round's
     /// write set (activations, open time, neighbor content) and add their
     /// flips after the base model; inert mechanisms are kept but never
-    /// consulted on the hot path.
+    /// consulted on the hot path. The cached per-row populations belong to
+    /// the old stack and are dropped.
     pub fn set_mechanisms(&mut self, mechanisms: Vec<Arc<dyn FailureMechanism>>) {
         self.extras = mechanisms;
+        for derived in self.derived_mut() {
+            derived.populations = None;
+        }
+    }
+
+    /// The derived state of every row that holds some.
+    fn derived_mut(&mut self) -> impl Iterator<Item = &mut RowDerived> {
+        self.slots
+            .values_mut()
+            .filter_map(|slot| slot.derived.as_deref_mut())
     }
 
     /// Replaces the chip's buffer pool with a shared handle, so row images
@@ -257,14 +269,20 @@ impl DramChip {
     pub fn set_kernel_mode(&mut self, mode: KernelMode) {
         if self.kernel != mode {
             self.kernel = mode;
-            self.stencils.clear();
+            self.drop_stencils();
+        }
+    }
+
+    fn drop_stencils(&mut self) {
+        for derived in self.derived_mut() {
+            derived.stencil = None;
         }
     }
 
     /// Current number of cached fault maps (also the `dram.fault_map_cache`
     /// gauge).
     pub fn fault_map_cache_len(&self) -> usize {
-        self.fault_maps.len()
+        self.fault_map_order.len()
     }
 
     /// Bounds the fault-map cache to `cap` rows (clamped to ≥ 1), evicting
@@ -284,7 +302,7 @@ impl DramChip {
         self.coupling.set_conditions(temperature, refresh_interval);
         // Stencils are compiled against the margin shift, so they are stale
         // now; fault maps are shift-independent and survive.
-        self.stencils.clear();
+        self.drop_stencils();
     }
 
     /// Writes a full row (system bit order).
@@ -301,7 +319,7 @@ impl DramChip {
                 expected: self.geometry.cols_per_row as usize,
             });
         }
-        if let Some(old) = self.rows.insert(row, data) {
+        if let Some(old) = self.slots.entry(row).or_default().image.replace(data) {
             // The replaced image is the pool's main feed: every steady-state
             // round returns one buffer per rewritten row.
             self.arena.recycle_row(old);
@@ -336,8 +354,9 @@ impl DramChip {
     ///
     /// Returns [`DramError::RowNeverWritten`] if the row has no content.
     pub fn written_row(&self, row: RowId) -> Result<&RowBits, DramError> {
-        self.rows
+        self.slots
             .get(&row)
+            .and_then(|slot| slot.image.as_ref())
             .ok_or_else(|| DramError::RowNeverWritten {
                 row: row.to_string(),
             })
@@ -352,8 +371,7 @@ impl DramChip {
     /// an address error if the row is out of range.
     pub fn read_row(&mut self, row: RowId) -> Result<RowBits, DramError> {
         let flips = self.eval_rows(&[row], 1)?;
-        let data = self.rows.get(&row).expect("checked by eval_rows");
-        let mut out = data.clone();
+        let mut out = self.written_row(row).expect("checked by eval_rows").clone();
         for f in flips {
             out.flip(f.addr.col as usize);
         }
@@ -403,10 +421,44 @@ impl DramChip {
     /// merges its flips into the base model's, deduplicating by address
     /// (the base model wins; a mechanism re-flipping the same bit would
     /// cancel the observation, which no physical mechanism does).
+    ///
+    /// Each row's mechanism populations are drawn the first round the stack
+    /// sees the row and kept in its slot beside the fault map. A row whose
+    /// derived state was already evicted (a cache smaller than the round)
+    /// draws them for this round only.
     fn merge_extra_flips(&mut self, flips: &mut Vec<BitFlip>, rows: &[RowId]) {
+        let width = self.geometry.cols_per_row;
+        let mut uncached: Mix64Map<RowId, Vec<Vec<u32>>> = Mix64Map::default();
+        for &row in rows {
+            let slot = self.slots.get_mut(&row).expect("written this round");
+            match slot.derived.as_deref_mut() {
+                Some(derived) => {
+                    derived
+                        .populations
+                        .get_or_insert_with(|| row_populations(&self.extras, row, width));
+                }
+                None => {
+                    uncached
+                        .entry(row)
+                        .or_insert_with(|| row_populations(&self.extras, row, width));
+                }
+            }
+        }
         let extra = {
-            let writes: Vec<(RowId, &RowBits)> =
-                rows.iter().map(|&row| (row, &self.rows[&row])).collect();
+            let writes: Vec<StackWrite<'_>> = rows
+                .iter()
+                .map(|&row| {
+                    let slot = &self.slots[&row];
+                    StackWrite {
+                        row,
+                        data: slot.image.as_ref().expect("written this round"),
+                        populations: match slot.derived.as_deref() {
+                            Some(derived) => derived.populations.as_deref().expect("drawn above"),
+                            None => &uncached[&row],
+                        },
+                    }
+                })
+                .collect();
             // `advance_round` already ran: `round - 1` is this round's
             // 0-based index (the port's round clock before the round ran),
             // and the elapsed clock lands at the round's end.
@@ -421,7 +473,7 @@ impl DramChip {
         self.rec.incr(metrics::mech::ROUNDS, 1);
         // The stack already deduplicates its own flips by address, so only
         // the base flips can suppress one.
-        let base: HashSet<BitAddr> = flips.iter().map(|f| f.addr).collect();
+        let base: Mix64Set<BitAddr> = flips.iter().map(|f| f.addr).collect();
         let mut added = 0u64;
         let mut suppressed = 0u64;
         for flip in extra {
@@ -445,37 +497,40 @@ impl DramChip {
     /// scoped threads (with one thread it runs inline and spawns nothing).
     ///
     /// Per-row evaluation is pure in the chip's state as of the call (row
-    /// contents, fault maps, stencils, round counter), so unique rows
-    /// evaluate concurrently in first-occurrence order; a duplicate re-reads
-    /// the same final content and repeats its first occurrence's flips.
-    /// Fault maps and stencils a row lacks are built on its evaluating
-    /// thread and installed serially afterwards in first-occurrence order,
-    /// so FIFO eviction and counters do not depend on `row_threads`, and no
-    /// install can evict a map the round still reads.
+    /// slots, round counter), so unique rows evaluate concurrently in
+    /// first-occurrence order; a duplicate re-reads the same final content
+    /// and repeats its first occurrence's flips. Fault maps and stencils a
+    /// row lacks are built on its evaluating thread and installed serially
+    /// afterwards in first-occurrence order, so FIFO eviction and counters
+    /// do not depend on `row_threads`, and no install can evict a map the
+    /// round still reads.
     fn eval_rows(&mut self, rows: &[RowId], row_threads: usize) -> Result<Vec<BitFlip>, DramError> {
-        let mut unique: Vec<RowId> = Vec::with_capacity(rows.len());
-        let mut slot: HashMap<RowId, usize> = HashMap::with_capacity(rows.len());
+        let mut unique: Vec<(RowId, &RowSlot)> = Vec::with_capacity(rows.len());
+        let mut first: Mix64Map<RowId, usize> =
+            Mix64Map::with_capacity_and_hasher(rows.len(), Default::default());
         for &row in rows {
-            if slot.contains_key(&row) {
+            let Entry::Vacant(vacant) = first.entry(row) else {
                 continue;
-            }
+            };
             self.geometry.check_row(row)?;
-            if !self.rows.contains_key(&row) {
-                return Err(DramError::RowNeverWritten {
+            let slot = self
+                .slots
+                .get(&row)
+                .filter(|slot| slot.image.is_some())
+                .ok_or_else(|| DramError::RowNeverWritten {
                     row: row.to_string(),
-                });
-            }
-            slot.insert(row, unique.len());
-            unique.push(row);
+                })?;
+            vacant.insert(unique.len());
+            unique.push((row, slot));
         }
 
         let results: Vec<RowEval> = {
             let this: &DramChip = self;
-            let eval_chunk = move |rows: &[RowId]| -> Vec<RowEval> {
+            let eval_chunk = move |rows: &[(RowId, &RowSlot)]| -> Vec<RowEval> {
                 let mut coupled = this.arena.indices();
                 let out = rows
                     .iter()
-                    .map(|&row| this.eval_row(row, &mut coupled))
+                    .map(|&(row, slot)| this.eval_row(row, slot, &mut coupled))
                     .collect();
                 this.arena.recycle_indices(coupled);
                 out
@@ -497,23 +552,28 @@ impl DramChip {
                 .expect("scoped execution cannot fail to join")
             }
         };
+        let unique: Vec<RowId> = unique.into_iter().map(|(row, _)| row).collect();
 
         self.rec.incr(metrics::dram::ROW_READS, rows.len() as u64);
         let mut flips: Vec<Vec<BitFlip>> = Vec::with_capacity(results.len());
         for (&row, eval) in unique.iter().zip(results) {
-            if let Some(map) = eval.map {
-                self.install_fault_map(row, map);
-            }
-            // An earlier install in this loop may have evicted this row's
-            // cached map; a stencil is only kept alongside its map.
-            if let Some(st) = eval.stencil.filter(|_| self.fault_maps.contains_key(&row)) {
-                self.stencils.insert(row, st);
+            match (eval.map, eval.stencil) {
+                (Some(map), stencil) => self.install_fault_map(row, map, stencil),
+                // An earlier install in this loop may have evicted this
+                // row's derived state; a stencil is only kept beside its map.
+                (None, Some(stencil)) => {
+                    if let Some(derived) = self.slots.get_mut(&row).and_then(|s| s.derived.as_mut())
+                    {
+                        derived.stencil = Some(stencil);
+                    }
+                }
+                (None, None) => {}
             }
             flips.push(eval.flips);
         }
         Ok(rows
             .iter()
-            .flat_map(|row| flips[slot[row]].iter().copied())
+            .flat_map(|row| flips[first[row]].iter().copied())
             .collect())
     }
 
@@ -521,15 +581,18 @@ impl DramChip {
     /// stencil it had to build because none was cached. `coupled` is
     /// scratch for the failing coupling indices. Takes `&self` so a round's
     /// rows can evaluate on concurrent threads.
-    fn eval_row(&self, row: RowId, coupled: &mut Vec<u32>) -> RowEval {
-        let data = &self.rows[&row];
-        let built_map = (!self.fault_maps.contains_key(&row)).then(|| self.build_fault_map(row));
-        let map = built_map.as_ref().unwrap_or_else(|| &self.fault_maps[&row]);
+    fn eval_row(&self, row: RowId, slot: &RowSlot, coupled: &mut Vec<u32>) -> RowEval {
+        let data = slot.image.as_ref().expect("checked by eval_rows");
+        let cached = slot.derived.as_deref();
+        let built_map = cached.is_none().then(|| self.build_fault_map(row));
+        let map = built_map
+            .as_ref()
+            .unwrap_or_else(|| &cached.expect("built when none is cached").map);
         let shift = self.coupling.theta_shift();
         let mut built_stencil = None;
         match self.kernel {
             KernelMode::Stencil => {
-                let stencil = match self.stencils.get(&row) {
+                let stencil = match cached.and_then(|derived| derived.stencil.as_ref()) {
                     Some(st) => st,
                     None => built_stencil.insert(CouplingStencil::compile(map, shift)),
                 };
@@ -610,7 +673,7 @@ impl DramChip {
     /// The fault map of a row (built lazily, cached with FIFO eviction).
     pub fn fault_map(&mut self, row: RowId) -> &RowFaultMap {
         self.ensure_fault_map(row);
-        self.fault_maps.get(&row).expect("just built")
+        &self.slots[&row].derived.as_ref().expect("just built").map
     }
 
     /// Compiles a fresh [`CouplingStencil`] for a row, bypassing the chip's
@@ -632,11 +695,15 @@ impl DramChip {
     }
 
     fn ensure_fault_map(&mut self, row: RowId) {
-        if self.fault_maps.contains_key(&row) {
+        if self
+            .slots
+            .get(&row)
+            .is_some_and(|slot| slot.derived.is_some())
+        {
             return;
         }
         let map = self.build_fault_map(row);
-        self.install_fault_map(row, map);
+        self.install_fault_map(row, map, None);
     }
 
     /// Builds a row's fault map with the sampler matching the kernel mode.
@@ -651,8 +718,14 @@ impl DramChip {
         self.coupling.build_fault_map(row, self.kernel)
     }
 
-    /// Caches a built fault map with FIFO eviction and build accounting.
-    fn install_fault_map(&mut self, row: RowId, map: RowFaultMap) {
+    /// Caches a built fault map (and its stencil, when one was compiled
+    /// with it) in the row's slot, with FIFO eviction and build accounting.
+    fn install_fault_map(
+        &mut self,
+        row: RowId,
+        map: RowFaultMap,
+        stencil: Option<CouplingStencil>,
+    ) {
         // Building a fault map translates every system column once — through
         // the LUT on the stencil path, through the arithmetic scrambler on
         // the reference path. The split counters are what lets bench_report
@@ -664,25 +737,62 @@ impl DramChip {
         self.rec
             .incr(translations, u64::from(self.geometry.cols_per_row));
         self.rec.incr(metrics::dram::FAULT_MAPS_BUILT, 1);
-        self.fault_maps.insert(row, map);
+        self.slots.entry(row).or_default().derived = Some(Box::new(RowDerived {
+            map,
+            stencil,
+            populations: None,
+        }));
         self.fault_map_order.push_back(row);
         self.evict_fault_maps();
-        self.rec
-            .gauge(metrics::dram::FAULT_MAP_CACHE, self.fault_maps.len() as i64);
+        self.rec.gauge(
+            metrics::dram::FAULT_MAP_CACHE,
+            self.fault_map_cache_len() as i64,
+        );
     }
 
+    /// Drops the oldest rows' derived state (map, stencil and populations
+    /// together) until the cache fits its capacity. A slot left with no
+    /// written image goes with it.
     fn evict_fault_maps(&mut self) {
-        while self.fault_maps.len() > self.fault_map_cap {
-            if let Some(old) = self.fault_map_order.pop_front() {
-                self.fault_maps.remove(&old);
-                // A stencil is only valid alongside its fault map.
-                self.stencils.remove(&old);
-                self.rec.incr(metrics::dram::FAULT_MAPS_EVICTED, 1);
-            } else {
+        while self.fault_map_order.len() > self.fault_map_cap {
+            let Some(old) = self.fault_map_order.pop_front() else {
                 break;
+            };
+            if let Entry::Occupied(mut slot) = self.slots.entry(old) {
+                slot.get_mut().derived = None;
+                if slot.get().image.is_none() {
+                    slot.remove();
+                }
             }
+            self.rec.incr(metrics::dram::FAULT_MAPS_EVICTED, 1);
         }
     }
+}
+
+/// Everything a chip keeps for one row.
+#[derive(Debug, Default)]
+struct RowSlot {
+    /// The last data written (system bit order); `None` for a row whose
+    /// fault map was inspected but which was never written.
+    image: Option<RowBits>,
+    /// Rebuildable state derived from the row's address, FIFO-bounded by
+    /// the fault-map capacity (boxed: the stencil is large, and the slot
+    /// table stays compact).
+    derived: Option<Box<RowDerived>>,
+}
+
+/// A row's derived state; all of it is a pure function of the chip's
+/// parameters and the row address, so eviction only costs a rebuild.
+#[derive(Debug)]
+struct RowDerived {
+    map: RowFaultMap,
+    /// Compiled lazily in stencil mode; dropped on kernel-mode and
+    /// margin-shift changes, since θ is compiled in.
+    stencil: Option<CouplingStencil>,
+    /// The extra mechanisms' populations for this row
+    /// ([`row_populations`]), drawn the first round the stack evaluates the
+    /// row; dropped by `set_mechanisms`.
+    populations: Option<Vec<Vec<u32>>>,
 }
 
 /// One row's evaluation, plus the fault map and stencil it built because
@@ -1002,5 +1112,61 @@ mod tests {
         chip.fault_map(RowId::new(0, 7));
         // The just-built map must survive even at the minimum capacity.
         assert_eq!(chip.fault_map_cache_len(), 1);
+    }
+
+    fn hammer(seed: u64) -> Vec<Arc<dyn FailureMechanism>> {
+        vec![Arc::new(parbor_hal::HammerMechanism {
+            rate: 0.01,
+            seed,
+            ..parbor_hal::HammerMechanism::default()
+        })]
+    }
+
+    #[test]
+    fn replacing_the_stack_drops_the_cached_populations() {
+        // Both chips run the same rounds; `swapped` caches seed-1
+        // populations first, then switches to the seed-2 stack `fresh`
+        // carried all along. Stale populations would keep seed 1's cells.
+        let mut swapped = test_chip(41);
+        let mut fresh = test_chip(41);
+        swapped.set_mechanisms(hammer(1));
+        fresh.set_mechanisms(hammer(2));
+        let mut before = Vec::new();
+        for _ in 0..2 {
+            before = swapped.run_round(stripe_writes(16)).unwrap();
+            fresh.run_round(stripe_writes(16)).unwrap();
+        }
+        swapped.set_mechanisms(hammer(2));
+        for _ in 0..2 {
+            let a = swapped.run_round(stripe_writes(16)).unwrap();
+            let b = fresh.run_round(stripe_writes(16)).unwrap();
+            assert_eq!(a, b);
+            assert_ne!(a, before, "the two hammer seeds flip the same cells");
+        }
+    }
+
+    #[test]
+    fn a_tight_fault_map_cache_keeps_stack_flips() {
+        // At capacity 1 all but the last row of a round lose their derived
+        // state before the stack runs, so their populations are drawn per
+        // round instead of cached; the flips must not change.
+        let mut roomy = test_chip(43);
+        let mut tight = test_chip(43);
+        roomy.set_mechanisms(hammer(5));
+        tight.set_mechanisms(hammer(5));
+        tight.set_fault_map_capacity(1);
+        let mut stack_flips = 0;
+        for _ in 0..3 {
+            let a = roomy.run_round(stripe_writes(16)).unwrap();
+            let b = tight.run_round(stripe_writes(16)).unwrap();
+            assert_eq!(a, b);
+            assert_eq!(tight.fault_map_cache_len(), 1);
+            stack_flips += a.len();
+        }
+        let mut plain = test_chip(43);
+        let bare: usize = (0..3)
+            .map(|_| plain.run_round(stripe_writes(16)).unwrap().len())
+            .sum();
+        assert!(stack_flips > bare, "the hammer stack added no flips");
     }
 }

@@ -184,6 +184,74 @@ fn live_stack_matches_golden_digests() {
     }
 }
 
+/// Four rounds over every row of a one-chip, 544-row × 1 Ki module: the
+/// shape of the benchmark's tall hammer module. With one chip,
+/// `ParallelMode::Always` splits each round's reads across two row threads
+/// inside the chip while the stack still runs once per round.
+fn tall_digest(mut module: DramModule) -> u64 {
+    let patterns = [
+        PatternKind::Solid(true),
+        PatternKind::ColStripe { period: 2 },
+        PatternKind::Checkerboard,
+        PatternKind::ColStripe { period: 1 },
+    ];
+    let mut digest = 0x5EED_0003u64;
+    for pattern in &patterns {
+        let writes = (0..TALL_ROWS)
+            .map(|r| RowWrite {
+                unit: 0,
+                row: RowId::new(0, r),
+                data: pattern.row_bits(r, 1024),
+            })
+            .collect();
+        for flip in module.run_round(writes).expect("round") {
+            digest = fold(
+                digest,
+                &[
+                    u64::from(flip.flip.addr.row),
+                    u64::from(flip.flip.addr.col),
+                    u64::from(flip.flip.expected),
+                ],
+            );
+        }
+    }
+    digest
+}
+
+const TALL_ROWS: u32 = 544;
+
+fn tall_module(stack: &str, mode: ParallelMode) -> DramModule {
+    let mut config = ModuleConfig::new(Vendor::A)
+        .geometry(ChipGeometry::new(1, TALL_ROWS, 1024).expect("geometry"))
+        .chips(1)
+        .seed(5)
+        .module_id(ModuleId(11));
+    if !stack.is_empty() {
+        config = config.mechanisms(MechanismSpec::parse_stack(stack).expect("stack parses"));
+    }
+    let mut module = config.build().expect("module");
+    module.set_parallel_mode(mode);
+    module
+}
+
+/// `tall_digest` of the hammer module below, captured before the chip kept
+/// its rows in one slot table with cached mechanism populations.
+const TALL_HAMMER_GOLDEN: u64 = 0xFBD4_EC4D_A506_3EF7;
+
+#[test]
+fn tall_hammer_module_is_identical_across_row_threads() {
+    let stack = "hammer=rate:1e-2,seed:9";
+    let serial = tall_digest(tall_module(stack, ParallelMode::Never));
+    let threaded = tall_digest(tall_module(stack, ParallelMode::Always));
+    assert_eq!(serial, threaded, "row threads changed the flip stream");
+    assert_eq!(serial, TALL_HAMMER_GOLDEN, "tall hammer digest drifted");
+    assert_ne!(
+        serial,
+        tall_digest(tall_module("", ParallelMode::Never)),
+        "the hammer stack added no flips"
+    );
+}
+
 /// Smaller scenario used by the property tests below (vendor C's 128-column
 /// tile span keeps the geometry cheap enough for 64 cases).
 fn small_digest(mut module: DramModule) -> u64 {

@@ -2,13 +2,19 @@
 //! frames, index shard routing and the fleet journal; the SplitMix64
 //! finalizer and its word fold behind every seeded per-cell draw (device
 //! fault maps, the mechanism stack, the fault injector, memsim's row
-//! classifier); and the eight-lane word hasher behind the binary transcript.
+//! classifier); the eight-lane word hasher behind the binary transcript;
+//! and [`Mix64Hasher`], the `mix64` hasher behind the simulator's in-memory
+//! maps ([`Mix64Map`], [`Mix64Set`]).
 //!
 //! Every function here is frozen: on-disk checksums, content hashes and
 //! seeded populations are defined by these exact bit patterns, so a change
 //! to any of them is a format change, not a refactor. The checksums are
 //! integrity checks against accidents (torn writes, bit rot), not against
-//! an adversary.
+//! an adversary. [`Mix64Hasher`] is the exception: its values never leave
+//! the process, so only its determinism is a contract.
+
+use std::collections::{HashMap, HashSet};
+use std::hash::{BuildHasherDefault, Hasher};
 
 /// FNV-1a offset basis (64-bit).
 const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
@@ -187,9 +193,79 @@ pub fn hash_bytes_x8(bytes: &[u8]) -> u64 {
     mix64(h.finish() ^ bytes.len() as u64)
 }
 
+/// A [`Hasher`] for in-memory maps keyed by small integer tuples (`RowId`,
+/// `BitAddr`, `VictimKey`): each integer the key feeds is folded with one
+/// `mix64(state ^ word)`, as [`hash_words`] folds a word sequence.
+///
+/// Unlike the standard `RandomState` (SipHash-1-3 under a per-process
+/// random key) it is keyless, so every process hashes a key alike, and a
+/// two-word key costs two `mix64` calls instead of a SipHash pass. Keys on
+/// the simulator's round path are generated internally, never chosen by
+/// an adversary, so the lost flooding resistance buys nothing there.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct Mix64Hasher(u64);
+
+impl Hasher for Mix64Hasher {
+    #[inline]
+    fn finish(&self) -> u64 {
+        self.0
+    }
+
+    /// Byte input (strings, slices): little-endian 8-byte words with a
+    /// zero-padded tail, then the byte count, so padding is unambiguous.
+    fn write(&mut self, bytes: &[u8]) {
+        let mut chunks = bytes.chunks_exact(8);
+        for c in &mut chunks {
+            self.write_u64(u64::from_le_bytes(c.try_into().expect("8-byte chunk")));
+        }
+        if !chunks.remainder().is_empty() {
+            let mut buf = [0u8; 8];
+            buf[..chunks.remainder().len()].copy_from_slice(chunks.remainder());
+            self.write_u64(u64::from_le_bytes(buf));
+        }
+        self.write_usize(bytes.len());
+    }
+
+    #[inline]
+    fn write_u8(&mut self, n: u8) {
+        self.write_u64(u64::from(n));
+    }
+
+    #[inline]
+    fn write_u16(&mut self, n: u16) {
+        self.write_u64(u64::from(n));
+    }
+
+    #[inline]
+    fn write_u32(&mut self, n: u32) {
+        self.write_u64(u64::from(n));
+    }
+
+    #[inline]
+    fn write_u64(&mut self, n: u64) {
+        self.0 = mix64(self.0 ^ n);
+    }
+
+    #[inline]
+    fn write_usize(&mut self, n: usize) {
+        self.write_u64(n as u64);
+    }
+}
+
+/// The [`BuildHasher`](std::hash::BuildHasher) of [`Mix64Hasher`].
+pub type BuildMix64 = BuildHasherDefault<Mix64Hasher>;
+
+/// A `HashMap` hashed with [`Mix64Hasher`]; build with `default()` or
+/// `with_capacity_and_hasher(n, BuildMix64::default())`.
+pub type Mix64Map<K, V> = HashMap<K, V, BuildMix64>;
+
+/// A `HashSet` hashed with [`Mix64Hasher`].
+pub type Mix64Set<T> = HashSet<T, BuildMix64>;
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::hash::BuildHasher;
 
     #[test]
     fn fnv_matches_known_vectors() {
@@ -243,6 +319,64 @@ mod tests {
         assert_ne!(hash_words_iter_x8([1, 2]), hash_words_iter_x8([2, 1]));
         assert_ne!(hash_words_iter_x8([1, 2]), hash_words_iter_x8([1, 2, 0]));
         assert_ne!(hash_bytes_x8(b"ab"), hash_bytes_x8(b"ab\0"));
+    }
+
+    fn mix64_hash<T: std::hash::Hash>(value: &T) -> u64 {
+        BuildMix64::default().hash_one(value)
+    }
+
+    #[test]
+    fn mix64_hasher_is_keyless_and_fixed() {
+        use crate::geometry::{BitAddr, RowId};
+        // Pinned values: a hasher keyed per process would differ from run
+        // to run, and these would fail in every process but one.
+        assert_eq!(mix64_hash(&RowId::new(1, 2)), mix64(mix64(1) ^ 2));
+        assert_eq!(
+            mix64_hash(&BitAddr::new(3, 4, 5)),
+            mix64(mix64(mix64(3) ^ 4) ^ 5)
+        );
+        assert_eq!(mix64_hash(&7u64), mix64(7));
+        // Fresh builders agree with each other.
+        assert_eq!(
+            mix64_hash(&RowId::new(9, 10)),
+            BuildMix64::default().hash_one(RowId::new(9, 10))
+        );
+    }
+
+    #[test]
+    fn mix64_hasher_is_order_sensitive() {
+        use crate::geometry::RowId;
+        assert_ne!(mix64_hash(&RowId::new(1, 2)), mix64_hash(&RowId::new(2, 1)));
+        assert_ne!(mix64_hash(&(0u32, 1u32)), mix64_hash(&(1u32, 0u32)));
+        // Byte input: the folded byte count keeps a zero-padded tail apart
+        // from real zero bytes.
+        assert_ne!(mix64_hash(&"ab"), mix64_hash(&"ab\0"));
+        assert_ne!(mix64_hash(&"abcdefgh"), mix64_hash(&"abcdefg"));
+    }
+
+    #[test]
+    fn mix64_maps_spread_dense_row_keys() {
+        use crate::geometry::RowId;
+        // A bank of consecutive rows (the simulator's key shape) must not
+        // collapse onto a few hash values, in the low bits hashbrown
+        // indexes with or in the top seven bits it tags buckets with.
+        let hashes: Vec<u64> = (0..4096u32)
+            .map(|r| mix64_hash(&RowId::new(r / 1024, r % 1024)))
+            .collect();
+        let low: Mix64Set<u64> = hashes.iter().map(|h| h & 0xfff).collect();
+        let top: Mix64Set<u64> = hashes.iter().map(|h| h >> 57).collect();
+        assert!(
+            low.len() > 2_000,
+            "{} distinct low-12-bit values",
+            low.len()
+        );
+        assert_eq!(top.len(), 128);
+        let mut map: Mix64Map<RowId, u32> = Mix64Map::default();
+        for r in 0..4096u32 {
+            map.insert(RowId::new(r / 1024, r % 1024), r);
+        }
+        assert_eq!(map.len(), 4096);
+        assert_eq!(map[&RowId::new(2, 5)], 2 * 1024 + 5);
     }
 
     #[test]

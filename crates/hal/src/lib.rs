@@ -62,8 +62,9 @@ pub use geometry::{BitAddr, ChipGeometry, RowId};
 pub use hash::unit_threshold;
 pub use loopback::LoopbackPort;
 pub use mechanism::{
-    unit_stack_flips, DriftMechanism, FailureMechanism, HammerMechanism, InjectMechanism,
-    MechanismSpec, NeighborView, PressMechanism, RowView, ROW_OPEN_NS_PER_ACT,
+    row_populations, unit_stack_flips, DriftMechanism, FailureMechanism, HammerMechanism,
+    InjectMechanism, MechanismSpec, NeighborView, PressMechanism, RowView, StackWrite,
+    ROW_OPEN_NS_PER_ACT,
 };
 pub use port::{BitFlip, Flip, KernelMode, ParallelMode, RowWrite, TestPort};
 pub use transcript::{

@@ -28,12 +28,17 @@
 //! on a chip (`DramChip::set_mechanisms`) and applied there at one point
 //! through [`unit_stack_flips`].
 //!
+//! A mechanism's susceptible population for a row (its
+//! [`truth`](FailureMechanism::truth)) never changes between rounds, so
+//! the caller computes it once per row ([`row_populations`]), keeps it, and
+//! hands it back to [`flips`](FailureMechanism::flips) every round; the
+//! mechanisms themselves hold no caches.
+//!
 //! Everything is a pure hash of the mechanism seed, the cell coordinates
 //! and the observed round state, so a stack's flips are independent of
 //! batching, scheduling, and worker counts, and an empty stack is
 //! bit-identical to no stack at all.
 
-use std::collections::{HashMap, HashSet};
 use std::fmt;
 use std::sync::Arc;
 
@@ -44,7 +49,7 @@ use serde::{Deserialize, Serialize};
 use crate::bits::RowBits;
 use crate::error::DramError;
 use crate::geometry::{BitAddr, RowId};
-use crate::hash::{hash01, hash_words, mix64, unit_threshold};
+use crate::hash::{hash01, hash_words, mix64, unit_threshold, Mix64Map, Mix64Set};
 use crate::port::BitFlip;
 
 /// Aggregate row-open time one port-level row write represents, in
@@ -166,11 +171,19 @@ pub trait FailureMechanism: fmt::Debug + Send + Sync {
     fn name(&self) -> &'static str;
 
     /// The flips this mechanism adds to one observed row this round.
-    fn flips(&self, view: &RowView<'_>) -> Vec<BitFlip>;
+    ///
+    /// `population` is this mechanism's
+    /// [`truth`](FailureMechanism::truth)`(row.bank, row.row, width)` for
+    /// the viewed row, computed once per row by the caller
+    /// ([`row_populations`]) rather than re-drawn every round; a mechanism
+    /// whose flips do not come from its truth set ignores it.
+    fn flips(&self, view: &RowView<'_>, population: &[u32]) -> Vec<BitFlip>;
 
     /// Ground truth: the susceptible columns of a row — every cell this
-    /// mechanism *can* fail given enough rounds. Efficacy harnesses use this
-    /// as the recall denominator; the detection pipeline never calls it.
+    /// mechanism *can* fail given enough rounds. The efficacy harness uses
+    /// it as the recall denominator; the device uses it as the per-row
+    /// population it passes to [`flips`](FailureMechanism::flips). Must be
+    /// a pure function of its arguments and the mechanism's parameters.
     fn truth(&self, bank: u32, row: u32, cols: u32) -> Vec<u32>;
 
     /// True when the current parameters can never emit a flip, so an
@@ -194,12 +207,18 @@ fn susceptible_cols(seed: u64, salt: u64, rate: f64, bank: u32, row: u32, cols: 
 }
 
 /// Shared flip core for the two read-disturb mechanisms: once a trigger has
-/// fired, a susceptible cell flips when it holds its charged polarity *and*
-/// its aggressor bitline (one in-row neighbor column at `dist`, side chosen
-/// per cell) holds the aggravating polarity. The content gate is what makes
-/// these failures *data-dependent* — the property PARBOR detects — rather
-/// than unconditional disturbance.
-fn disturb_flips(view: &RowView<'_>, seed: u64, salt: u64, rate: f64, dist: u32) -> Vec<BitFlip> {
+/// fired, a susceptible cell (one of `population`) flips when it holds its
+/// charged polarity *and* its aggressor bitline (one in-row neighbor column
+/// at `dist`, side chosen per cell) holds the aggravating polarity. The
+/// content gate is what makes these failures *data-dependent* — the
+/// property PARBOR detects — rather than unconditional disturbance.
+fn disturb_flips(
+    view: &RowView<'_>,
+    population: &[u32],
+    seed: u64,
+    salt: u64,
+    dist: u32,
+) -> Vec<BitFlip> {
     let bank = view.row.bank;
     let row = view.row.row;
     let width = view.data.len() as u32;
@@ -207,7 +226,7 @@ fn disturb_flips(view: &RowView<'_>, seed: u64, salt: u64, rate: f64, dist: u32)
     let side = RowStream::new(seed, salt, TAG_SIDE, bank, row);
     let aggravation = RowStream::new(seed, salt, TAG_AGGRESSOR, bank, row);
     let mut out = Vec::new();
-    for col in susceptible_cols(seed, salt, rate, bank, row, width) {
+    for &col in population {
         let charged = polarity.at(col) & 1 == 1;
         if view.data.get(col as usize) != charged {
             continue;
@@ -267,7 +286,7 @@ impl FailureMechanism for HammerMechanism {
         "hammer"
     }
 
-    fn flips(&self, view: &RowView<'_>) -> Vec<BitFlip> {
+    fn flips(&self, view: &RowView<'_>, population: &[u32]) -> Vec<BitFlip> {
         if self.is_inert() {
             return Vec::new();
         }
@@ -279,7 +298,7 @@ impl FailureMechanism for HammerMechanism {
         if neighbor_acts.saturating_mul(self.acts_per_write) < self.thresh {
             return Vec::new();
         }
-        disturb_flips(view, self.seed, SALT_HAMMER, self.rate, self.dist)
+        disturb_flips(view, population, self.seed, SALT_HAMMER, self.dist)
     }
 
     fn truth(&self, bank: u32, row: u32, cols: u32) -> Vec<u32> {
@@ -321,7 +340,7 @@ impl FailureMechanism for PressMechanism {
         "press"
     }
 
-    fn flips(&self, view: &RowView<'_>) -> Vec<BitFlip> {
+    fn flips(&self, view: &RowView<'_>, population: &[u32]) -> Vec<BitFlip> {
         if self.is_inert() {
             return Vec::new();
         }
@@ -333,7 +352,7 @@ impl FailureMechanism for PressMechanism {
         if open < self.thresh_ns {
             return Vec::new();
         }
-        disturb_flips(view, self.seed, SALT_PRESS, self.rate, self.dist)
+        disturb_flips(view, population, self.seed, SALT_PRESS, self.dist)
     }
 
     fn truth(&self, bank: u32, row: u32, cols: u32) -> Vec<u32> {
@@ -374,17 +393,16 @@ impl FailureMechanism for DriftMechanism {
         "drift"
     }
 
-    fn flips(&self, view: &RowView<'_>) -> Vec<BitFlip> {
+    fn flips(&self, view: &RowView<'_>, population: &[u32]) -> Vec<BitFlip> {
         if self.is_inert() {
             return Vec::new();
         }
         let bank = view.row.bank;
         let row = view.row.row;
-        let width = view.data.len() as u32;
         let onset = RowStream::new(self.seed, SALT_DRIFT, TAG_ONSET, bank, row);
         let polarity = RowStream::new(self.seed, SALT_DRIFT, TAG_POLARITY, bank, row);
         let mut out = Vec::new();
-        for col in susceptible_cols(self.seed, SALT_DRIFT, self.rate, bank, row, width) {
+        for &col in population {
             if view.elapsed_s < hash01(onset.at(col)) * self.period_s {
                 continue;
             }
@@ -442,7 +460,7 @@ impl FailureMechanism for InjectMechanism {
         "inject"
     }
 
-    fn flips(&self, view: &RowView<'_>) -> Vec<BitFlip> {
+    fn flips(&self, view: &RowView<'_>, _population: &[u32]) -> Vec<BitFlip> {
         let cols = view.data.len() as u64;
         if self.is_inert() || cols == 0 {
             return Vec::new();
@@ -877,16 +895,47 @@ impl fmt::Display for MechanismSpec {
     }
 }
 
+/// One row write as the mechanism stack sees it.
+#[derive(Debug, Clone, Copy)]
+pub struct StackWrite<'a> {
+    /// The written row.
+    pub row: RowId,
+    /// The row's final written content this round.
+    pub data: &'a RowBits,
+    /// The row's [`row_populations`] under the stack being applied: one
+    /// entry per mechanism, in stack order.
+    pub populations: &'a [Vec<u32>],
+}
+
+/// Each mechanism's population for one row — its
+/// [`truth`](FailureMechanism::truth)`(row.bank, row.row, width)` — in stack
+/// order: what [`StackWrite::populations`] holds. Fixed for a given stack,
+/// so a caller computes it once per row and reuses it every round.
+pub fn row_populations(
+    mechanisms: &[Arc<dyn FailureMechanism>],
+    row: RowId,
+    width: u32,
+) -> Vec<Vec<u32>> {
+    mechanisms
+        .iter()
+        .map(|mech| mech.truth(row.bank, row.row, width))
+        .collect()
+}
+
 /// Applies a mechanism stack to one unit's writes for one round, returning
 /// the stack's flips deduplicated by address (first mechanism wins).
 ///
 /// `writes` is the round's write list for the unit in execution order; rows
 /// written more than once count each write as one activation and expose
-/// their final content. Pure in its arguments, so results are independent of
-/// batching and thread counts.
+/// their final content (and the populations of their final write). Pure in
+/// its arguments, so results are independent of batching and thread counts.
+///
+/// # Panics
+///
+/// Panics if a write's populations do not hold one entry per mechanism.
 pub fn unit_stack_flips(
     mechanisms: &[Arc<dyn FailureMechanism>],
-    writes: &[(RowId, &RowBits)],
+    writes: &[StackWrite<'_>],
     unit: u32,
     round: u64,
     elapsed_s: f64,
@@ -894,35 +943,43 @@ pub fn unit_stack_flips(
     if mechanisms.is_empty() || writes.is_empty() {
         return Vec::new();
     }
-    let mut activations: HashMap<RowId, u64> = HashMap::with_capacity(writes.len());
-    let mut content: HashMap<RowId, &RowBits> = HashMap::with_capacity(writes.len());
+    // Per distinct row: its activation count and the index of its last
+    // write.
+    let mut rows: Mix64Map<RowId, (u64, usize)> =
+        Mix64Map::with_capacity_and_hasher(writes.len(), Default::default());
     let mut order: Vec<RowId> = Vec::with_capacity(writes.len());
-    for &(row, data) in writes {
-        let count = activations.entry(row).or_insert(0);
+    for (i, write) in writes.iter().enumerate() {
+        let (count, last) = rows.entry(write.row).or_insert((0, i));
         if *count == 0 {
-            order.push(row);
+            order.push(write.row);
         }
         *count += 1;
-        content.insert(row, data);
+        *last = i;
     }
     let mut out = Vec::new();
-    let mut seen: HashSet<BitAddr> = HashSet::new();
+    let mut seen: Mix64Set<BitAddr> = Mix64Set::default();
     for row in order {
         let neighbor = |neighbor_row: Option<u32>| -> Option<NeighborView<'_>> {
             let id = RowId::new(row.bank, neighbor_row?);
-            let acts = *activations.get(&id)?;
+            let &(acts, last) = rows.get(&id)?;
             Some(NeighborView {
                 row: id,
                 activations: acts,
                 open_ns: acts as f64 * ROW_OPEN_NS_PER_ACT,
-                data: content.get(&id).copied(),
+                data: Some(writes[last].data),
             })
         };
-        let acts = activations[&row];
+        let (acts, last) = rows[&row];
+        let write = &writes[last];
+        assert_eq!(
+            write.populations.len(),
+            mechanisms.len(),
+            "row {row}: one population per stack mechanism"
+        );
         let view = RowView {
             unit,
             row,
-            data: content[&row],
+            data: write.data,
             activations: acts,
             open_ns: acts as f64 * ROW_OPEN_NS_PER_ACT,
             round,
@@ -930,8 +987,8 @@ pub fn unit_stack_flips(
             left: neighbor(row.row.checked_sub(1)),
             right: neighbor(row.row.checked_add(1)),
         };
-        for mech in mechanisms {
-            for flip in mech.flips(&view) {
+        for (mech, population) in mechanisms.iter().zip(write.populations) {
+            for flip in mech.flips(&view, population) {
                 if seen.insert(flip.addr) {
                     out.push(flip);
                 }
@@ -953,6 +1010,31 @@ mod tests {
         bits
     }
 
+    /// [`unit_stack_flips`] with each write's populations drawn fresh, as
+    /// a caller without a per-row cache would.
+    fn stack_flips(
+        mechanisms: &[Arc<dyn FailureMechanism>],
+        writes: &[(RowId, &RowBits)],
+        unit: u32,
+        round: u64,
+        elapsed_s: f64,
+    ) -> Vec<BitFlip> {
+        let populations: Vec<Vec<Vec<u32>>> = writes
+            .iter()
+            .map(|&(row, data)| row_populations(mechanisms, row, data.len() as u32))
+            .collect();
+        let stack: Vec<StackWrite<'_>> = writes
+            .iter()
+            .zip(&populations)
+            .map(|(&(row, data), populations)| StackWrite {
+                row,
+                data,
+                populations,
+            })
+            .collect();
+        unit_stack_flips(mechanisms, &stack, unit, round, elapsed_s)
+    }
+
     fn view_writes(rows: u32, width: usize) -> Vec<(RowId, RowBits)> {
         (0..rows)
             .map(|r| (RowId::new(0, r), stripe(width)))
@@ -967,7 +1049,7 @@ mod tests {
     ) -> Vec<BitFlip> {
         let owned = view_writes(rows, 4096);
         let refs: Vec<(RowId, &RowBits)> = owned.iter().map(|(r, d)| (*r, d)).collect();
-        unit_stack_flips(mechanisms, &refs, 0, round, elapsed_s)
+        stack_flips(mechanisms, &refs, 0, round, elapsed_s)
     }
 
     fn inject(params: &str) -> Arc<dyn FailureMechanism> {
@@ -982,7 +1064,7 @@ mod tests {
         let writes: Vec<(RowId, &RowBits)> =
             (0..rows).map(|r| (RowId::new(0, r), &zeros)).collect();
         (0..16)
-            .map(|round| unit_stack_flips(&[Arc::clone(mech)], &writes, unit, round, 0.0))
+            .map(|round| stack_flips(&[Arc::clone(mech)], &writes, unit, round, 0.0))
             .collect()
     }
 
@@ -999,7 +1081,7 @@ mod tests {
     #[test]
     fn intermittent_flips_hit_one_fixed_column_per_unit_and_row() {
         let mech = inject("rate:0,seed:5,intermittent:1");
-        let cols = |unit| -> HashSet<u32> {
+        let cols = |unit| -> std::collections::HashSet<u32> {
             inject_rounds(&mech, unit, 1)
                 .into_iter()
                 .flatten()
@@ -1018,7 +1100,7 @@ mod tests {
         // every flip's expected bit) sees the final content.
         let (zeros, ones) = (RowBits::zeros(1024), RowBits::ones(1024));
         let writes = [(RowId::new(0, 0), &zeros), (RowId::new(0, 0), &ones)];
-        let flips = unit_stack_flips(
+        let flips = stack_flips(
             &[inject("rate:1,seed:2,intermittent:1")],
             &writes,
             0,
@@ -1155,7 +1237,7 @@ mod tests {
             })
             .collect();
         let refs: Vec<(RowId, &RowBits)> = inverted.iter().map(|(r, d)| (*r, d)).collect();
-        let c = unit_stack_flips(&[mech], &refs, 0, 1, 4.0);
+        let c = stack_flips(&[mech], &refs, 0, 1, 4.0);
         assert_ne!(a, c, "hammer flips ignored row content");
     }
 
@@ -1249,5 +1331,50 @@ mod tests {
         let single = run_stack(&[Arc::clone(&mech)], 16, 1, 4.0);
         let doubled = run_stack(&[Arc::clone(&mech), mech], 16, 1, 4.0);
         assert_eq!(single, doubled);
+    }
+
+    #[test]
+    fn flips_draw_only_from_the_passed_population() {
+        fn writes<'a>(
+            owned: &'a [(RowId, RowBits)],
+            populations: &'a [Vec<u32>],
+        ) -> Vec<StackWrite<'a>> {
+            owned
+                .iter()
+                .map(|(row, data)| StackWrite {
+                    row: *row,
+                    data,
+                    populations,
+                })
+                .collect()
+        }
+        let hammer: Arc<dyn FailureMechanism> = Arc::new(HammerMechanism {
+            rate: 0.05,
+            ..HammerMechanism::default()
+        });
+        let stack = [Arc::clone(&hammer)];
+        let owned = view_writes(16, 4096);
+        // An empty population fires nothing even past the threshold: the
+        // stack never re-draws the population itself.
+        let empty = [Vec::new()];
+        assert!(unit_stack_flips(&stack, &writes(&owned, &empty), 0, 1, 4.0).is_empty());
+        // Given every column, only the content gate bounds the flips.
+        let all = [(0..4096).collect::<Vec<u32>>()];
+        let wide = unit_stack_flips(&stack, &writes(&owned, &all), 0, 1, 4.0);
+        let narrow = run_stack(&stack, 16, 1, 4.0);
+        assert!(wide.len() > narrow.len());
+        assert!(narrow.iter().all(|f| wide.contains(f)));
+    }
+
+    #[test]
+    #[should_panic(expected = "one population per stack mechanism")]
+    fn missing_populations_are_rejected() {
+        let data = RowBits::zeros(64);
+        let write = StackWrite {
+            row: RowId::new(0, 0),
+            data: &data,
+            populations: &[],
+        };
+        unit_stack_flips(&[inject("rate:1,seed:1")], &[write], 0, 0, 0.0);
     }
 }

@@ -326,14 +326,16 @@ impl ChipwideState {
         let width = port.geometry().cols_per_row as usize;
         let units = port.units();
         let end = self.next_round.saturating_add(budget).min(total);
-        let batch: Vec<RoundPlan> = (self.next_round..end)
-            .map(|i| test.round_plan_in(i, units, rows, width, arena))
-            .collect();
+        // Plans are built after the executor attaches the arena, so their
+        // takes count as `engine.arena_*`.
         let mut exec = RoundExecutor::new(port)
             .with_recorder(test.rec.clone())
             .with_arena(arena.clone())
             .count_rounds_as(metrics::chipwide::ROUNDS)
             .observe_flips_as(metrics::chipwide::ROUND_FLIPS);
+        let batch: Vec<RoundPlan> = (self.next_round..end)
+            .map(|i| test.round_plan_in(i, units, rows, width, exec.arena()))
+            .collect();
         for flips in exec.run_batch(batch)? {
             for flip in flips {
                 self.failing

@@ -11,10 +11,9 @@
 //! region*, which is what makes rows testable in parallel and results
 //! aggregatable across the whole chip (§5.2.2).
 
-use std::collections::HashMap;
-
 use serde::{Deserialize, Serialize};
 
+use parbor_hal::hash::Mix64Map;
 use parbor_hal::{RoundArena, RoundExecutor, RoundPlan, TestPort};
 use parbor_obs::metrics;
 use parbor_obs::{span, RecorderHandle};
@@ -309,7 +308,7 @@ impl RecursionState {
     /// The flip-attribution index: row-space key → position in the victim
     /// slice. A pure function of the victim list, so callers build it once
     /// per stage and reuse it across every [`step`](RecursionState::step).
-    pub fn victim_lookup(victims: &[Victim]) -> HashMap<VictimKey, usize> {
+    pub fn victim_lookup(victims: &[Victim]) -> Mix64Map<VictimKey, usize> {
         victims
             .iter()
             .enumerate()
@@ -363,7 +362,7 @@ impl RecursionState {
         rec: &RecorderHandle,
         port: &mut P,
         victims: &[Victim],
-        lookup: &HashMap<VictimKey, usize>,
+        lookup: &Mix64Map<VictimKey, usize>,
         arena: &RoundArena,
         budget: usize,
     ) -> Result<usize, ParborError> {
@@ -381,14 +380,16 @@ impl RecursionState {
         check_round("recursion next_round", self.next_round, rounds_at_level)?;
 
         let end = self.next_round.saturating_add(budget).min(rounds_at_level);
-        let plans: Vec<RoundPlan> = geometry.round_regions[self.next_round..end]
-            .iter()
-            .map(|regions| Self::build_round(&plan, level, width, victims, regions, arena))
-            .collect();
+        // Plans are built after the executor attaches the arena, so their
+        // takes count as `engine.arena_*`.
         let mut exec = RoundExecutor::new(port)
             .with_recorder(rec.clone())
             .with_arena(arena.clone())
             .count_rounds_as(metrics::recursion::TESTS);
+        let plans: Vec<RoundPlan> = geometry.round_regions[self.next_round..end]
+            .iter()
+            .map(|regions| Self::build_round(&plan, level, width, victims, regions, exec.arena()))
+            .collect();
         for (flips, regions) in exec
             .run_batch(plans)?
             .into_iter()

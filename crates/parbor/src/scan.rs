@@ -37,10 +37,9 @@
 //! # }
 //! ```
 
-use std::collections::HashMap;
-
 use serde::{Deserialize, Serialize};
 
+use parbor_hal::hash::Mix64Map;
 use parbor_hal::{RoundArena, TestPort};
 use parbor_obs::RecorderHandle;
 
@@ -217,7 +216,7 @@ pub struct ScanMachine {
     arena: RoundArena,
     /// Cached flip-attribution index of the recursion stage's victims,
     /// rebuilt lazily after construction or resume.
-    lookup: Option<HashMap<VictimKey, usize>>,
+    lookup: Option<Mix64Map<VictimKey, usize>>,
 }
 
 impl ScanMachine {
@@ -610,5 +609,43 @@ mod tests {
             matches!(scanned, Err(ParborError::NoVictims)),
             "{scanned:?}"
         );
+    }
+
+    #[test]
+    fn engine_arena_counters_match_the_arena_over_every_stage() {
+        use parbor_dram::ModuleConfig;
+        use parbor_obs::{metrics, RecorderHandle, ShardedRecorder};
+        let rec = ShardedRecorder::handle();
+        let mut module = ModuleConfig::new(Vendor::A)
+            .geometry(ChipGeometry::new(1, 64, 1024).unwrap())
+            .chips(4)
+            .build()
+            .unwrap();
+        let mut machine = ScanMachine::new(ParborConfig::default())
+            .with_recorder(RecorderHandle::from(rec.clone()));
+        let mut stages = Vec::new();
+        while !machine.is_done() {
+            stages.push(machine.state().stage_name());
+            machine.advance(&mut module, 7).unwrap();
+            // Every take and recycle — the plan builds included — lands
+            // between an executor's arena attach and its last round, so
+            // after any step the recorded deltas sum to the arena's own
+            // counters.
+            let snap = rec.snapshot();
+            let recorded = (
+                snap.counter(metrics::engine::ARENA_HITS),
+                snap.counter(metrics::engine::ARENA_MISSES),
+                snap.counter(metrics::engine::ARENA_RECYCLED),
+            );
+            assert_eq!(
+                recorded,
+                machine.arena.counters(),
+                "after a {} step",
+                stages.last().unwrap()
+            );
+        }
+        for stage in ["discover", "recursion", "chipwide"] {
+            assert!(stages.contains(&stage), "no {stage} step in {stages:?}");
+        }
     }
 }

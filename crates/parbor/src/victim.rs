@@ -280,14 +280,16 @@ impl DiscoverState {
         let width = port.geometry().cols_per_row as usize;
         let units = port.units();
         let end = self.next_round.saturating_add(budget).min(total);
-        let batch: Vec<RoundPlan> = (self.next_round..end)
-            .map(|i| scout.round_plan_in(i, units, rows, width, arena))
-            .collect();
+        // The executor snapshots the arena's counters on attach, so the
+        // plans are built after it: their takes count as `engine.arena_*`.
         let mut exec = RoundExecutor::new(port)
             .with_recorder(scout.rec.clone())
             .with_arena(arena.clone())
             .count_rounds_as(metrics::discover::ROUNDS)
             .observe_flips_as(metrics::discover::ROUND_FLIPS);
+        let batch: Vec<RoundPlan> = (self.next_round..end)
+            .map(|i| scout.round_plan_in(i, units, rows, width, exec.arena()))
+            .collect();
         for flips in exec.run_batch(batch)? {
             for flip in flips {
                 self.seen
