@@ -87,8 +87,8 @@ pub struct DramChip {
     kernel: KernelMode,
     round: u64,
     rec: RecorderHandle,
-    // Buffer pool closing the round cycle: replaced row images go back in,
-    // pooled clones come out. Swapped for a shared handle by `set_arena`.
+    // Scratch pool for the coupling evaluation's failing-index lists.
+    // Swapped for a shared handle by `set_arena`.
     arena: RoundArena,
 }
 
@@ -229,14 +229,14 @@ impl DramChip {
             .filter_map(|slot| slot.derived.as_deref_mut())
     }
 
-    /// Replaces the chip's buffer pool with a shared handle, so row images
-    /// recycled here serve the stage that builds the next round's plan.
-    /// Purely a performance hook: results are identical with any arena.
+    /// Replaces the chip's index scratch pool with a shared handle, so its
+    /// reuse shows in the attaching executor's counters. Purely a
+    /// performance hook: results are identical with any arena.
     pub fn set_arena(&mut self, arena: RoundArena) {
         self.arena = arena;
     }
 
-    /// The chip's buffer pool.
+    /// The chip's index scratch pool.
     pub fn arena(&self) -> &RoundArena {
         &self.arena
     }
@@ -305,13 +305,19 @@ impl DramChip {
         self.drop_stencils();
     }
 
-    /// Writes a full row (system bit order).
+    /// Writes a full row (system bit order). A shared image is kept as the
+    /// row's content without copying: the chip only ever reads it.
     ///
     /// # Errors
     ///
     /// Returns an error if the row is out of range or the data width does not
     /// match the geometry.
-    pub fn write_row(&mut self, row: RowId, data: RowBits) -> Result<(), DramError> {
+    pub fn write_row(
+        &mut self,
+        row: RowId,
+        data: impl Into<Arc<RowBits>>,
+    ) -> Result<(), DramError> {
+        let data = data.into();
         self.geometry.check_row(row)?;
         if data.len() != self.geometry.cols_per_row as usize {
             return Err(DramError::WidthMismatch {
@@ -319,11 +325,7 @@ impl DramChip {
                 expected: self.geometry.cols_per_row as usize,
             });
         }
-        if let Some(old) = self.slots.entry(row).or_default().image.replace(data) {
-            // The replaced image is the pool's main feed: every steady-state
-            // round returns one buffer per rewritten row.
-            self.arena.recycle_row(old);
-        }
+        self.slots.entry(row).or_default().image = Some(data);
         self.rec.incr(metrics::dram::ROW_WRITES, 1);
         Ok(())
     }
@@ -356,7 +358,7 @@ impl DramChip {
     pub fn written_row(&self, row: RowId) -> Result<&RowBits, DramError> {
         self.slots
             .get(&row)
-            .and_then(|slot| slot.image.as_ref())
+            .and_then(|slot| slot.image.as_deref())
             .ok_or_else(|| DramError::RowNeverWritten {
                 row: row.to_string(),
             })
@@ -381,14 +383,21 @@ impl DramChip {
     /// The canonical test primitive: write all `writes`, wait one refresh
     /// interval, read each written row back, and return every flipped bit.
     ///
-    /// Writes are taken by value and moved straight into row storage — no
-    /// per-row clone on the hot path.
+    /// Each image becomes the row's content as given: an owned image moves
+    /// in, a shared one is kept by reference — no per-row copy.
     ///
     /// # Errors
     ///
     /// Fails on out-of-range rows or width mismatches; no writes are rolled
     /// back on error.
-    pub fn run_round(&mut self, writes: Vec<(RowId, RowBits)>) -> Result<Vec<BitFlip>, DramError> {
+    pub fn run_round<D: Into<Arc<RowBits>>>(
+        &mut self,
+        writes: Vec<(RowId, D)>,
+    ) -> Result<Vec<BitFlip>, DramError> {
+        let writes = writes
+            .into_iter()
+            .map(|(row, data)| (row, data.into()))
+            .collect();
         self.run_round_split(writes, 1)
     }
 
@@ -398,7 +407,7 @@ impl DramChip {
     /// bit-identical for any `row_threads`.
     pub(crate) fn run_round_split(
         &mut self,
-        writes: Vec<(RowId, RowBits)>,
+        writes: Vec<(RowId, Arc<RowBits>)>,
         row_threads: usize,
     ) -> Result<Vec<BitFlip>, DramError> {
         let rows: Vec<RowId> = writes.iter().map(|(row, _)| *row).collect();
@@ -451,7 +460,7 @@ impl DramChip {
                     let slot = &self.slots[&row];
                     StackWrite {
                         row,
-                        data: slot.image.as_ref().expect("written this round"),
+                        data: slot.image.as_deref().expect("written this round"),
                         populations: match slot.derived.as_deref() {
                             Some(derived) => derived.populations.as_deref().expect("drawn above"),
                             None => &uncached[&row],
@@ -582,7 +591,7 @@ impl DramChip {
     /// scratch for the failing coupling indices. Takes `&self` so a round's
     /// rows can evaluate on concurrent threads.
     fn eval_row(&self, row: RowId, slot: &RowSlot, coupled: &mut Vec<u32>) -> RowEval {
-        let data = slot.image.as_ref().expect("checked by eval_rows");
+        let data = slot.image.as_deref().expect("checked by eval_rows");
         let cached = slot.derived.as_deref();
         let built_map = cached.is_none().then(|| self.build_fault_map(row));
         let map = built_map
@@ -774,7 +783,7 @@ impl DramChip {
 struct RowSlot {
     /// The last data written (system bit order); `None` for a row whose
     /// fault map was inspected but which was never written.
-    image: Option<RowBits>,
+    image: Option<Arc<RowBits>>,
     /// Rebuildable state derived from the row's address, FIFO-bounded by
     /// the fault-map capacity (boxed: the stencil is large, and the slot
     /// table stays compact).
@@ -815,12 +824,14 @@ mod tests {
         DramChip::new(ChipGeometry::new(1, 16, 8192).unwrap(), Vendor::A, seed).unwrap()
     }
 
-    fn stripe_writes(rows: u32) -> Vec<(RowId, RowBits)> {
+    fn stripe_writes(rows: u32) -> Vec<(RowId, Arc<RowBits>)> {
         (0..rows)
             .map(|r| {
                 (
                     RowId::new(0, r),
-                    PatternKind::ColStripe { period: 1 }.row_bits(r, 8192),
+                    PatternKind::ColStripe { period: 1 }
+                        .row_bits(r, 8192)
+                        .into(),
                 )
             })
             .collect()
@@ -968,7 +979,7 @@ mod tests {
         let mut writes = stripe_writes(16);
         writes.push((
             RowId::new(0, 3),
-            PatternKind::Random { seed: 9 }.row_bits(3, 8192),
+            PatternKind::Random { seed: 9 }.row_bits(3, 8192).into(),
         ));
         let mut inline = test_chip(31);
         let mut threaded = test_chip(31);
@@ -1078,30 +1089,37 @@ mod tests {
     }
 
     #[test]
-    fn arena_closes_the_round_buffer_cycle() {
+    fn shared_images_are_stored_without_copying() {
+        let image = Arc::new(RowBits::ones(8192));
+        let mut chip = test_chip(13);
+        chip.run_round(vec![
+            (RowId::new(0, 0), Arc::clone(&image)),
+            (RowId::new(0, 1), Arc::clone(&image)),
+        ])
+        .unwrap();
+        for r in 0..2 {
+            let stored = chip.written_row(RowId::new(0, r)).unwrap();
+            assert!(std::ptr::eq(stored, &*image), "row {r} copied its image");
+        }
+        // Rewriting a row drops the chip's reference to the old image.
+        chip.write_row(RowId::new(0, 0), RowBits::zeros(8192))
+            .unwrap();
+        assert_eq!(Arc::strong_count(&image), 2);
+    }
+
+    #[test]
+    fn shared_arena_serves_index_scratch_without_changing_results() {
         use parbor_hal::RoundArena;
         let arena = RoundArena::new();
-        let mut chip = test_chip(13);
-        chip.set_arena(arena.clone());
-        // Round 1 inserts fresh rows (nothing replaced yet), round 2
-        // replaces all 8 and must recycle every replaced image.
-        chip.run_round(stripe_writes(8)).unwrap();
-        let after_first = arena.recycled();
-        chip.run_round(stripe_writes(8)).unwrap();
-        assert!(
-            arena.recycled() >= after_first + 8,
-            "replaced row images were not recycled: {} -> {}",
-            after_first,
-            arena.recycled()
-        );
-        // Results stay identical to an arena-less chip.
+        let mut pooled = test_chip(13);
+        pooled.set_arena(arena.clone());
+        pooled.run_round(stripe_writes(8)).unwrap();
+        let b = pooled.run_round(stripe_writes(8)).unwrap();
+        // Each round's evaluation takes its scratch list from the shared pool.
+        assert_eq!(arena.hits() + arena.misses(), 2);
         let mut plain = test_chip(13);
         plain.run_round(stripe_writes(8)).unwrap();
         let a = plain.run_round(stripe_writes(8)).unwrap();
-        let mut pooled = test_chip(13);
-        pooled.set_arena(RoundArena::new());
-        pooled.run_round(stripe_writes(8)).unwrap();
-        let b = pooled.run_round(stripe_writes(8)).unwrap();
         assert_eq!(a, b);
     }
 

@@ -63,7 +63,8 @@ impl TestPort for DramChip {
             plain.push((w.row, w.data));
         }
         let n_writes = plain.len();
-        let flips: Vec<Flip> = DramChip::run_round(self, plain)?
+        let flips: Vec<Flip> = self
+            .run_round_split(plain, 1)?
             .into_iter()
             .map(|flip| Flip { unit: 0, flip })
             .collect();
@@ -95,13 +96,16 @@ impl TestPort for DramChip {
     }
 }
 
+/// One chip's writes in one round: each row with its shared image.
+type ChipWrites = Vec<(RowId, Arc<RowBits>)>;
+
 /// Runs one chip's slice of a round batch: each round either writes + waits +
 /// reads back, or — when the chip is untouched that round — just waits, so
 /// module time stays coherent across chips. `row_threads > 1` additionally
 /// splits each round's read set across scoped threads inside the chip.
 fn chip_rounds(
     chip: &mut DramChip,
-    rounds: Vec<Vec<(RowId, RowBits)>>,
+    rounds: Vec<ChipWrites>,
     row_threads: usize,
 ) -> Result<Vec<Vec<BitFlip>>, DramError> {
     rounds
@@ -300,9 +304,8 @@ impl DramModule {
         }
     }
 
-    /// Hands every chip the same buffer pool; the arena handle is
-    /// thread-safe, so chips recycling on scoped threads share it with the
-    /// stage building the next round.
+    /// Hands every chip the same index scratch pool; the arena handle is
+    /// thread-safe, so chips evaluating on scoped threads share it.
     pub fn set_arena(&mut self, arena: RoundArena) {
         for c in &mut self.chips {
             c.set_arena(arena.clone());
@@ -350,7 +353,7 @@ impl DramModule {
             return Ok(Vec::new());
         }
         let n_chips = self.chips.len();
-        let mut per_chip: Vec<Vec<Vec<(RowId, RowBits)>>> = (0..n_chips)
+        let mut per_chip: Vec<Vec<ChipWrites>> = (0..n_chips)
             .map(|_| (0..n_rounds).map(|_| Vec::new()).collect())
             .collect();
         let mut write_counts = vec![0u64; n_rounds];
@@ -503,12 +506,12 @@ mod tests {
             RowWrite {
                 unit: 0,
                 row: RowId::new(0, 0),
-                data: RowBits::ones(width),
+                data: RowBits::ones(width).into(),
             },
             RowWrite {
                 unit: 1,
                 row: RowId::new(0, 0),
-                data: RowBits::zeros(width),
+                data: RowBits::zeros(width).into(),
             },
         ];
         m.run_round(writes).unwrap();
@@ -535,7 +538,7 @@ mod tests {
             .run_round(vec![RowWrite {
                 unit: 9,
                 row: RowId::new(0, 0),
-                data: RowBits::zeros(8192),
+                data: RowBits::zeros(8192).into(),
             }])
             .unwrap_err();
         assert!(matches!(err, DramError::AddressOutOfRange { .. }));
@@ -573,7 +576,7 @@ mod tests {
             vec![RowWrite {
                 unit: 0,
                 row: RowId::new(0, 0),
-                data: RowBits::zeros(1024),
+                data: RowBits::zeros(1024).into(),
             }],
         )
         .unwrap();

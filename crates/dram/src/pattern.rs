@@ -8,7 +8,7 @@
 use serde::{Deserialize, Serialize};
 
 use crate::hash::{hash_words, mix64};
-use parbor_hal::{RoundArena, RowBits};
+use parbor_hal::RowBits;
 
 /// A row-wise data pattern, materializable for any row index.
 ///
@@ -55,27 +55,10 @@ pub enum PatternKind {
 impl PatternKind {
     /// Materializes the pattern for one row of the given width.
     pub fn row_bits(&self, row: u32, width: usize) -> RowBits {
-        self.row_bits_in(row, width, &RoundArena::new())
-    }
-
-    /// [`row_bits`](PatternKind::row_bits) drawing the backing buffer from
-    /// the arena pool. Bit-identical to the fresh-allocation form.
-    pub fn row_bits_in(&self, row: u32, width: usize, arena: &RoundArena) -> RowBits {
         match *self {
-            PatternKind::Solid(v) => arena.row(width, v),
-            PatternKind::ColStripe { period } => {
-                // Odd stripes are solid runs — fill them with word-masked
-                // ranges instead of testing 8 K bits one by one.
-                let p = period.max(1) as usize;
-                let mut bits = arena.zeros(width);
-                let mut lo = p;
-                while lo < width {
-                    bits.set_range(lo, (lo + p).min(width), true);
-                    lo += 2 * p;
-                }
-                bits
-            }
-            PatternKind::RowStripe => arena.row(width, !row.is_multiple_of(2)),
+            PatternKind::Solid(v) => RowBits::filled(width, v),
+            PatternKind::ColStripe { period } => col_stripe(period, width),
+            PatternKind::RowStripe => RowBits::filled(width, !row.is_multiple_of(2)),
             PatternKind::Checkerboard => {
                 // Alternating bits are a constant word pattern.
                 let word = if row % 2 == 1 {
@@ -83,17 +66,15 @@ impl PatternKind {
                 } else {
                     0xAAAA_AAAA_AAAA_AAAAu64
                 };
-                RowBits::from_word_fn_in(arena.take_words(), width, |_| word)
+                RowBits::from_word_fn(width, |_| word)
             }
-            PatternKind::Random { seed } => {
-                RowBits::from_word_fn_in(arena.take_words(), width, |w| {
-                    mix64(hash_words(&[seed, u64::from(row), w as u64]))
-                })
-            }
+            PatternKind::Random { seed } => RowBits::from_word_fn(width, |w| {
+                mix64(hash_words(&[seed, u64::from(row), w as u64]))
+            }),
             PatternKind::Walking { period, phase } => {
                 // One set bit per period — touch only those bits.
                 let p = period.max(1) as usize;
-                let mut bits = arena.zeros(width);
+                let mut bits = RowBits::zeros(width);
                 let mut i = phase as usize % p;
                 while i < width {
                     bits.set(i, true);
@@ -118,16 +99,33 @@ pub struct InversePattern(PatternKind);
 impl InversePattern {
     /// Materializes the inverted pattern for one row.
     pub fn row_bits(&self, row: u32, width: usize) -> RowBits {
-        self.0.row_bits(row, width).inverted()
-    }
-
-    /// [`row_bits`](InversePattern::row_bits) drawing the backing buffer
-    /// from the arena pool.
-    pub fn row_bits_in(&self, row: u32, width: usize, arena: &RoundArena) -> RowBits {
-        let mut bits = self.0.row_bits_in(row, width, arena);
+        let mut bits = self.0.row_bits(row, width);
         bits.invert();
         bits
     }
+}
+
+/// Columns alternating in blocks of `period` (a period of 0 counts as 1),
+/// starting with a block of zeros.
+///
+/// When a stripe cycle (`2 * period`) divides 64, every word of the row is
+/// the same constant and the row is built a word at a time; other periods
+/// fill their odd blocks as word-masked ranges.
+fn col_stripe(period: u32, width: usize) -> RowBits {
+    let p = period.max(1) as usize;
+    if 64 % (2 * p) == 0 {
+        let word = (0..64)
+            .filter(|i| (i / p) % 2 == 1)
+            .fold(0u64, |w, i| w | 1 << i);
+        return RowBits::from_word_fn(width, |_| word);
+    }
+    let mut bits = RowBits::zeros(width);
+    let mut lo = p;
+    while lo < width {
+        bits.set_range(lo, (lo + p).min(width), true);
+        lo += 2 * p;
+    }
+    bits
 }
 
 /// The standard victim-discovery pattern set: a family of diverse patterns,
@@ -218,6 +216,32 @@ mod tests {
                 let board = PatternKind::Checkerboard.row_bits(row, width);
                 let flip = row % 2 == 1;
                 assert_eq!(board, RowBits::from_fn(width, |i| (i % 2 == 1) != flip));
+            }
+        }
+    }
+
+    #[test]
+    fn word_constant_col_stripes_match_the_range_fill() {
+        // The range-fill construction every period used before stripes
+        // whose cycle divides 64 became one constant word.
+        fn range_fill(period: u32, width: usize) -> RowBits {
+            let p = period.max(1) as usize;
+            let mut bits = RowBits::zeros(width);
+            let mut lo = p;
+            while lo < width {
+                bits.set_range(lo, (lo + p).min(width), true);
+                lo += 2 * p;
+            }
+            bits
+        }
+        let widths = (1..=400).chain([1024, 8191, 8192]);
+        for width in widths {
+            for period in 0..=260 {
+                assert_eq!(
+                    PatternKind::ColStripe { period }.row_bits(0, width),
+                    range_fill(period, width),
+                    "width {width} period {period}"
+                );
             }
         }
     }

@@ -38,7 +38,11 @@ fn scenario_digest(port: &mut dyn TestPort) -> u64 {
                 } else {
                     pattern.row_bits(r, COLS as usize)
                 };
-                writes.push(RowWrite { unit, row, data });
+                writes.push(RowWrite {
+                    unit,
+                    row,
+                    data: data.into(),
+                });
             }
         }
         for flip in port.run_round(writes).expect("round") {
@@ -201,7 +205,7 @@ fn tall_digest(mut module: DramModule) -> u64 {
             .map(|r| RowWrite {
                 unit: 0,
                 row: RowId::new(0, r),
-                data: pattern.row_bits(r, 1024),
+                data: pattern.row_bits(r, 1024).into(),
             })
             .collect();
         for flip in module.run_round(writes).expect("round") {
@@ -269,7 +273,7 @@ fn small_digest(mut module: DramModule) -> u64 {
                 writes.push(RowWrite {
                     unit,
                     row,
-                    data: pattern.row_bits(r, 128),
+                    data: pattern.row_bits(r, 128).into(),
                 });
             }
         }

@@ -1,40 +1,31 @@
-//! A reusable buffer pool for the round hot path.
+//! A reusable index-scratch pool.
 //!
-//! Every PARBOR round moves row images through the same cycle: a stage
-//! builds `RowBits` for the round plan, the plan moves into the port, the
-//! port's backend stores the image and drops whatever the row held before.
-//! Without reuse that is one heap allocation (and one free) per written row
-//! per round — millions over a scan. [`RoundArena`] closes the cycle: the
-//! backend recycles the *replaced* row images back into the pool, and the
-//! next round's builds take them out again, so steady-state rounds allocate
-//! nothing.
+//! Coupling evaluation collects each row's failing coupling indices into a
+//! `Vec<u32>`, and a `parbor-serve` worker answers every content check with
+//! one. [`RoundArena`] pools those vectors: a consumer takes an empty one,
+//! fills it, and hands it back, so a warm pool serves steady-state requests
+//! without allocating. The simulator's chips share one arena per executor,
+//! and each `parbor-serve` worker owns one.
 //!
-//! The arena is a cheaply cloneable handle (`Arc` inside) shared by the
-//! stage side and the port side. It is a pure performance device: buffers
-//! taken from the pool are re-filled through
-//! [`RowBits::filled_from`], which produces rows indistinguishable from
-//! fresh [`RowBits::zeros`]/[`RowBits::ones`] allocations — equality,
-//! hashing, and tail masking included — so results are bit-identical with
-//! or without an arena.
+//! Row images are not pooled. A round plan builds each distinct image once
+//! and shares it (`Arc<RowBits>`) between every unit and row it is written
+//! to, so there is no per-write copy left to recycle.
 //!
-//! Hit/miss/recycle counters double as an allocations-per-round proxy for
-//! `bench_report`: a hit is one avoided allocation.
+//! The arena is a cheaply cloneable handle (`Arc` inside) and a pure
+//! performance device: a pooled vector comes back cleared, so results are
+//! identical with or without one. Hit/miss/recycle counters measure reuse:
+//! a hit is one avoided allocation.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, PoisonError};
 
-use crate::bits::RowBits;
-
-/// Cap on pooled buffers of each kind. Bounds arena memory to a few
-/// megabytes at paper row widths while comfortably covering the largest
-/// round a scan builds.
+/// Cap on pooled buffers. Bounds arena memory while covering every
+/// concurrent taker (a chip's row-evaluation threads, a worker's replies in
+/// flight).
 const MAX_POOLED: usize = 4096;
 
 #[derive(Debug, Default)]
 struct ArenaInner {
-    /// Recycled `RowBits` backing storage (length-agnostic: buffers are
-    /// resized and refilled on take).
-    rows: Mutex<Vec<Vec<u64>>>,
     /// Recycled index scratch (coupling-evaluation read sets).
     indices: Mutex<Vec<Vec<u32>>>,
     hits: AtomicU64,
@@ -42,23 +33,24 @@ struct ArenaInner {
     recycled: AtomicU64,
 }
 
-/// A shared pool of row-image and index buffers reused across rounds.
+/// A shared pool of index scratch buffers reused across rounds and
+/// requests.
 ///
-/// See the module docs for the ownership cycle. All methods take
-/// `&self`; the handle is `Clone + Send + Sync`, so one arena can serve the
-/// stage side and a multi-threaded backend at once.
+/// All methods take `&self`; the handle is `Clone + Send + Sync`, so one
+/// arena can serve a multi-threaded backend and report its reuse to the
+/// executor that attached it.
 ///
 /// # Examples
 ///
 /// ```
-/// use parbor_hal::{RoundArena, RowBits};
+/// use parbor_hal::RoundArena;
 ///
 /// let arena = RoundArena::new();
-/// let row = arena.ones(1024);            // pool empty: allocates (a miss)
-/// assert_eq!(row, RowBits::ones(1024));
-/// arena.recycle_row(row);                // buffer goes back to the pool
-/// let row = arena.zeros(512);            // served from the pool (a hit)
-/// assert_eq!(row, RowBits::zeros(512));
+/// let mut scratch = arena.indices();     // pool empty: allocates (a miss)
+/// scratch.extend([3, 5, 8]);
+/// arena.recycle_indices(scratch);        // buffer goes back to the pool
+/// let scratch = arena.indices();         // served from the pool (a hit)
+/// assert!(scratch.is_empty());
 /// assert_eq!((arena.hits(), arena.misses()), (1, 1));
 /// ```
 #[derive(Debug, Clone, Default)]
@@ -70,70 +62,6 @@ impl RoundArena {
     /// Creates an empty arena.
     pub fn new() -> Self {
         RoundArena::default()
-    }
-
-    /// A row of `len` bits all equal to `fill`, backed by a pooled buffer
-    /// when one is available. Bit-identical to `RowBits::zeros`/`ones`.
-    pub fn row(&self, len: usize, fill: bool) -> RowBits {
-        let pooled = lock(&self.inner.rows).pop();
-        match pooled {
-            Some(words) => {
-                self.inner.hits.fetch_add(1, Ordering::Relaxed);
-                RowBits::filled_from(words, len, fill)
-            }
-            None => {
-                self.inner.misses.fetch_add(1, Ordering::Relaxed);
-                if fill {
-                    RowBits::ones(len)
-                } else {
-                    RowBits::zeros(len)
-                }
-            }
-        }
-    }
-
-    /// A row of `len` zero bits (see [`row`](RoundArena::row)).
-    pub fn zeros(&self, len: usize) -> RowBits {
-        self.row(len, false)
-    }
-
-    /// A row of `len` one bits (see [`row`](RoundArena::row)).
-    pub fn ones(&self, len: usize) -> RowBits {
-        self.row(len, true)
-    }
-
-    /// Returns a row's backing buffer to the pool.
-    pub fn recycle_row(&self, row: RowBits) {
-        self.recycle_words(row.into_words());
-    }
-
-    /// A raw word buffer from the pool (or a fresh empty one), for callers
-    /// that fill it themselves — e.g. [`RowBits::clone_into_words`].
-    pub fn take_words(&self) -> Vec<u64> {
-        let pooled = lock(&self.inner.rows).pop();
-        match pooled {
-            Some(words) => {
-                self.inner.hits.fetch_add(1, Ordering::Relaxed);
-                words
-            }
-            None => {
-                self.inner.misses.fetch_add(1, Ordering::Relaxed);
-                Vec::new()
-            }
-        }
-    }
-
-    /// Returns a raw word buffer to the pool.
-    pub fn recycle_words(&self, words: Vec<u64>) {
-        if words.capacity() == 0 {
-            return;
-        }
-        let mut pool = lock(&self.inner.rows);
-        if pool.len() < MAX_POOLED {
-            pool.push(words);
-            drop(pool);
-            self.inner.recycled.fetch_add(1, Ordering::Relaxed);
-        }
     }
 
     /// An empty `Vec<u32>` scratch buffer, pooled when one is available.
@@ -213,28 +141,12 @@ mod tests {
     use super::*;
 
     #[test]
-    fn pooled_rows_are_bit_identical_to_fresh_ones() {
-        let arena = RoundArena::new();
-        // Dirty the pool with a saturated wide buffer, then take narrower
-        // rows of both polarities: contents, equality, and tail masking
-        // must match fresh constructors exactly.
-        arena.recycle_row(RowBits::ones(8192));
-        let z = arena.zeros(1000);
-        assert_eq!(z, RowBits::zeros(1000));
-        arena.recycle_row(z);
-        let o = arena.ones(70);
-        assert_eq!(o, RowBits::ones(70));
-        assert_eq!(o.words(), RowBits::ones(70).words());
-    }
-
-    #[test]
     fn counters_track_the_buffer_cycle() {
         let arena = RoundArena::new();
-        let a = arena.zeros(64); // miss
-        let b = arena.zeros(64); // miss
-        arena.recycle_row(a);
-        arena.recycle_row(b);
-        let _c = arena.zeros(64); // hit
+        let _misses = (arena.indices(), arena.indices());
+        arena.recycle_indices(vec![0; 4]);
+        arena.recycle_indices(vec![0; 4]);
+        let _hit = arena.indices();
         assert_eq!(arena.counters(), (1, 2, 2));
     }
 
@@ -253,10 +165,10 @@ mod tests {
     #[test]
     fn clones_share_one_pool() {
         let arena = RoundArena::new();
-        let stage_side = arena.clone();
-        arena.recycle_row(RowBits::zeros(128));
-        let _row = stage_side.zeros(128);
-        assert_eq!(stage_side.hits(), 1);
+        let backend_side = arena.clone();
+        arena.recycle_indices(vec![7; 16]);
+        let _scratch = backend_side.indices();
+        assert_eq!(backend_side.hits(), 1);
         assert_eq!(arena.hits(), 1);
     }
 
@@ -280,7 +192,6 @@ mod tests {
     #[test]
     fn empty_buffers_are_not_pooled() {
         let arena = RoundArena::new();
-        arena.recycle_row(RowBits::zeros(0));
         arena.recycle_indices(Vec::new());
         assert_eq!(arena.recycled(), 0);
     }

@@ -43,36 +43,12 @@ impl RowBits {
         row
     }
 
-    /// Creates a row of `len` bits all equal to `fill`, reusing `words` as
-    /// backing storage (capacity is kept, contents are overwritten).
-    ///
-    /// Semantically identical to [`zeros`](RowBits::zeros) /
-    /// [`ones`](RowBits::ones): tail bits beyond `len` are masked to zero, so
-    /// equality and hashing agree with freshly allocated rows. This is the
-    /// constructor behind the round arena's buffer reuse.
-    pub fn filled_from(mut words: Vec<u64>, len: usize, fill: bool) -> Self {
-        words.clear();
-        words.resize(len.div_ceil(64), if fill { u64::MAX } else { 0 });
-        let mut row = RowBits { words, len };
+    /// Creates a row of `len` bits all equal to `fill`.
+    pub fn filled(len: usize, fill: bool) -> Self {
         if fill {
-            row.mask_tail();
-        }
-        row
-    }
-
-    /// Consumes the row into its backing word vector, for buffer pooling.
-    pub fn into_words(self) -> Vec<u64> {
-        self.words
-    }
-
-    /// Clones the row into `words` as backing storage (capacity kept,
-    /// contents overwritten) — the pooled-buffer form of `clone()`.
-    pub fn clone_into_words(&self, mut words: Vec<u64>) -> Self {
-        words.clear();
-        words.extend_from_slice(&self.words);
-        RowBits {
-            words,
-            len: self.len,
+            RowBits::ones(len)
+        } else {
+            RowBits::zeros(len)
         }
     }
 
@@ -95,21 +71,6 @@ impl RowBits {
             words: (0..len.div_ceil(64)).map(&mut f).collect(),
             len,
         };
-        row.mask_tail();
-        row
-    }
-
-    /// [`from_word_fn`](RowBits::from_word_fn) into `words` as backing
-    /// storage (capacity kept, contents overwritten) — the pooled-buffer
-    /// form.
-    pub fn from_word_fn_in(
-        mut words: Vec<u64>,
-        len: usize,
-        mut f: impl FnMut(usize) -> u64,
-    ) -> Self {
-        words.clear();
-        words.extend((0..len.div_ceil(64)).map(&mut f));
-        let mut row = RowBits { words, len };
         row.mask_tail();
         row
     }
@@ -408,22 +369,6 @@ mod tests {
             let via_iter: Vec<bool> = r.iter().collect();
             let via_get: Vec<bool> = (0..len).map(|i| r.get(i)).collect();
             assert_eq!(via_iter, via_get, "len {len}");
-        }
-    }
-
-    #[test]
-    fn filled_from_matches_fresh_constructors() {
-        // Pooled buffers must be indistinguishable from fresh allocations:
-        // same words, same equality, same hash-relevant tail masking — even
-        // when the donor buffer held a longer row full of ones.
-        for len in [1usize, 63, 64, 65, 70, 128, 130] {
-            let dirty = RowBits::ones(256).into_words();
-            let reused = RowBits::filled_from(dirty, len, false);
-            assert_eq!(reused, RowBits::zeros(len), "zeros len {len}");
-            let dirty = RowBits::ones(256).into_words();
-            let reused = RowBits::filled_from(dirty, len, true);
-            assert_eq!(reused, RowBits::ones(len), "ones len {len}");
-            assert_eq!(reused.count_ones(), len);
         }
     }
 

@@ -20,6 +20,8 @@
 //! [`TestPort::run_rounds`] to execute its independent chips on scoped
 //! threads, amortizing the thread spawns across the whole batch.
 
+use std::sync::Arc;
+
 use parbor_obs::metrics;
 use parbor_obs::RecorderHandle;
 
@@ -34,7 +36,9 @@ use crate::port::{Flip, RowWrite, TestPort};
 ///
 /// Plans carry no device state; they can be built ahead of time, cloned,
 /// inspected, and replayed. Write order is preserved — a later write to the
-/// same `(unit, row)` wins, exactly as it would at the port.
+/// same `(unit, row)` wins, exactly as it would at the port. Row images are
+/// shared (`Arc<RowBits>`): cloning a plan, or writing one image into many
+/// rows and units, copies no row data.
 ///
 /// # Examples
 ///
@@ -72,9 +76,14 @@ impl RoundPlan {
         RoundPlan { writes }
     }
 
-    /// Adds one row write.
-    pub fn write(&mut self, unit: u32, row: RowId, data: RowBits) -> &mut Self {
-        self.writes.push(RowWrite { unit, row, data });
+    /// Adds one row write. Takes an owned image or a shared one, so a
+    /// caller writing the same image into several rows builds it once.
+    pub fn write(&mut self, unit: u32, row: RowId, data: impl Into<Arc<RowBits>>) -> &mut Self {
+        self.writes.push(RowWrite {
+            unit,
+            row,
+            data: data.into(),
+        });
         self
     }
 
@@ -85,41 +94,20 @@ impl RoundPlan {
     }
 
     /// The common "same content in every unit" shape: materializes
-    /// `data_for(row)` once per row and writes it into that row of each of
-    /// the `units` units (unit-major order).
-    pub fn broadcast(
+    /// `data_for(row)` once per row and writes a reference to it into that
+    /// row of each of the `units` units (unit-major order). Returning the
+    /// same shared image for several rows shares it across those rows too.
+    pub fn broadcast<D: Into<Arc<RowBits>>>(
         units: u32,
         rows: &[RowId],
-        mut data_for: impl FnMut(RowId) -> RowBits,
+        mut data_for: impl FnMut(RowId) -> D,
     ) -> Self {
-        let images: Vec<RowBits> = rows.iter().map(|&row| data_for(row)).collect();
+        let images: Vec<Arc<RowBits>> = rows.iter().map(|&row| data_for(row).into()).collect();
         let mut plan = RoundPlan::with_capacity(rows.len() * units as usize);
         for unit in 0..units {
             for (&row, image) in rows.iter().zip(&images) {
-                plan.write(unit, row, image.clone());
+                plan.write(unit, row, Arc::clone(image));
             }
-        }
-        plan
-    }
-
-    /// [`broadcast`](RoundPlan::broadcast) with every per-unit clone drawn
-    /// from the arena pool; the per-row originals are recycled back into
-    /// it. Write order and content are identical to `broadcast`.
-    pub fn broadcast_in(
-        units: u32,
-        rows: &[RowId],
-        arena: &RoundArena,
-        mut data_for: impl FnMut(RowId) -> RowBits,
-    ) -> Self {
-        let images: Vec<RowBits> = rows.iter().map(|&row| data_for(row)).collect();
-        let mut plan = RoundPlan::with_capacity(rows.len() * units as usize);
-        for unit in 0..units {
-            for (&row, image) in rows.iter().zip(&images) {
-                plan.write(unit, row, image.clone_into_words(arena.take_words()));
-            }
-        }
-        for image in images {
-            arena.recycle_row(image);
         }
         plan
     }
@@ -215,21 +203,13 @@ impl<'p, P: TestPort + ?Sized> RoundExecutor<'p, P> {
     }
 
     /// Attaches a shared [`RoundArena`], forwarding it to the port so the
-    /// backend recycles replaced row images into the same pool the stages
-    /// build from. Arena counter deltas are emitted alongside the round
-    /// metrics (`engine.arena_*`).
+    /// backend draws its round scratch from it. Arena counter deltas are
+    /// emitted alongside the round metrics (`engine.arena_*`).
     pub fn with_arena(mut self, arena: RoundArena) -> Self {
         self.port.set_arena(arena.clone());
         self.arena_seen = arena.counters();
         self.arena = arena;
         self
-    }
-
-    /// The arena stages should build round plans from. Defaults to a
-    /// private arena when none was attached, so stage code can use it
-    /// unconditionally.
-    pub fn arena(&self) -> &RoundArena {
-        &self.arena
     }
 
     /// Additionally increments `counter` once per executed round (e.g.
@@ -349,8 +329,29 @@ mod tests {
         assert_eq!(units, vec![0, 0, 1, 1]);
         let row_ids: Vec<u32> = plan.writes().iter().map(|w| w.row.row).collect();
         assert_eq!(row_ids, vec![0, 1, 0, 1]);
-        // Unit 0 and unit 1 get identical images.
+        // Unit 0 and unit 1 get the same image, built once.
         assert_eq!(plan.writes()[0].data, plan.writes()[2].data);
+    }
+
+    #[test]
+    fn broadcast_shares_one_image_per_row_across_units() {
+        let plan = RoundPlan::broadcast(8, &rows(3), |row| {
+            RowBits::from_fn(1024, |c| (c as u32 ^ row.row).is_multiple_of(3))
+        });
+        let writes = plan.writes();
+        for (i, w) in writes.iter().enumerate() {
+            let first = &writes[i % 3];
+            assert_eq!(w.row, first.row);
+            assert!(
+                Arc::ptr_eq(&w.data, &first.data),
+                "write {i} copied its image"
+            );
+        }
+        // Distinct rows keep distinct images.
+        assert!(!Arc::ptr_eq(&writes[0].data, &writes[1].data));
+        // Cloning a plan copies references, not rows.
+        let clone = plan.clone();
+        assert!(Arc::ptr_eq(&clone.writes()[5].data, &writes[5].data));
     }
 
     #[test]

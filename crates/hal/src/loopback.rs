@@ -5,6 +5,7 @@
 //! doctests that need a real port without the device model.
 
 use std::collections::HashMap;
+use std::sync::Arc;
 
 use crate::bits::RowBits;
 use crate::error::DramError;
@@ -23,7 +24,7 @@ use crate::port::{Flip, RowWrite, TestPort};
 /// let flips = port.run_round(vec![RowWrite {
 ///     unit: 0,
 ///     row: RowId::new(0, 0),
-///     data: RowBits::ones(1024),
+///     data: RowBits::ones(1024).into(),
 /// }])?;
 /// assert!(flips.is_empty());
 /// assert_eq!(port.rounds_run(), 1);
@@ -34,7 +35,7 @@ use crate::port::{Flip, RowWrite, TestPort};
 pub struct LoopbackPort {
     geometry: ChipGeometry,
     units: u32,
-    rows: HashMap<(u32, RowId), RowBits>,
+    rows: HashMap<(u32, RowId), Arc<RowBits>>,
     rounds: u64,
 }
 
@@ -51,7 +52,7 @@ impl LoopbackPort {
 
     /// The last image written to `(unit, row)`, if any.
     pub fn row(&self, unit: u32, row: RowId) -> Option<&RowBits> {
-        self.rows.get(&(unit, row))
+        self.rows.get(&(unit, row)).map(Arc::as_ref)
     }
 
     fn check(&self, w: &RowWrite) -> Result<(), DramError> {
@@ -109,7 +110,7 @@ mod tests {
         RowWrite {
             unit,
             row: RowId::new(0, row),
-            data: RowBits::zeros(1024),
+            data: RowBits::zeros(1024).into(),
         }
     }
 
@@ -133,14 +134,14 @@ mod tests {
             .run_round(vec![RowWrite {
                 unit: 0,
                 row: RowId::new(0, 99),
-                data: RowBits::zeros(1024),
+                data: RowBits::zeros(1024).into(),
             }])
             .is_err());
         assert!(port
             .run_round(vec![RowWrite {
                 unit: 0,
                 row: RowId::new(0, 0),
-                data: RowBits::zeros(64),
+                data: RowBits::zeros(64).into(),
             }])
             .is_err());
         // Failed rounds don't advance the clock.

@@ -10,6 +10,7 @@
 //! agnostic; everything below it is one backend's business.
 
 use std::fmt;
+use std::sync::Arc;
 
 use parbor_obs::RecorderHandle;
 use serde::{Deserialize, Serialize};
@@ -39,6 +40,11 @@ pub struct Flip {
 }
 
 /// A write of one row image into one unit (chip) of a test port.
+///
+/// The image is shared and read-only: a plan that writes one image into
+/// many rows or units builds it once and hands each write a reference, and
+/// a backend keeps the reference as the row's content instead of copying
+/// it.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RowWrite {
     /// Unit (chip) index.
@@ -46,7 +52,7 @@ pub struct RowWrite {
     /// Target row.
     pub row: RowId,
     /// Row image in system bit order.
-    pub data: RowBits,
+    pub data: Arc<RowBits>,
 }
 
 /// How a multi-unit backend schedules its units within a round batch.
@@ -151,8 +157,8 @@ pub trait TestPort {
     /// Executes one test round: writes everything in `writes`, waits one
     /// refresh interval, reads the written rows back, and returns all flips.
     ///
-    /// Writes are taken by value so implementations can move row images
-    /// straight into device storage without cloning.
+    /// Writes are taken by value so implementations can keep the shared
+    /// row images as device storage without copying them.
     ///
     /// # Errors
     ///
@@ -207,11 +213,11 @@ pub trait TestPort {
         let _ = rec;
     }
 
-    /// Attaches a shared [`RoundArena`]: the backend recycles replaced row
-    /// images (and other round scratch) into it instead of freeing them, so
-    /// the stage that builds the next round reuses the buffers. A pure
+    /// Attaches a shared [`RoundArena`]: the backend takes its round
+    /// scratch (coupling-evaluation index buffers) from it, so the reuse
+    /// shows in the attaching executor's `engine.arena_*` counters. A pure
     /// performance knob — results are bit-identical with or without an
-    /// arena. Default: ignored, for backends that hold no row storage.
+    /// arena. Default: ignored, for backends with no round scratch.
     fn set_arena(&mut self, arena: RoundArena) {
         let _ = arena;
     }
@@ -293,7 +299,7 @@ mod tests {
             .run_round(vec![RowWrite {
                 unit: 1,
                 row: RowId::new(0, 3),
-                data: RowBits::zeros(1024),
+                data: RowBits::zeros(1024).into(),
             }])
             .unwrap();
         assert!(flips.is_empty());

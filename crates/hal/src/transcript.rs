@@ -199,7 +199,7 @@ pub struct TranscriptRound {
 /// let path = std::env::temp_dir().join(format!("hal-doc-{}.pbt", std::process::id()));
 /// let inner = LoopbackPort::new(ChipGeometry::tiny(), 1);
 /// let mut port = RecordingPort::create(inner, &path)?;
-/// let write = || vec![RowWrite { unit: 0, row: RowId::new(0, 0), data: RowBits::ones(1024) }];
+/// let write = || vec![RowWrite { unit: 0, row: RowId::new(0, 0), data: RowBits::ones(1024).into() }];
 /// port.run_round(write())?;
 ///
 /// let mut replay = ReplayPort::open(&path)?;
@@ -598,7 +598,8 @@ mod tests {
             .map(|r| RowWrite {
                 unit: 0,
                 row: RowId::new(0, r),
-                data: RowBits::from_fn(1024, |i| (i as u32).wrapping_add(round).is_multiple_of(3)),
+                data: RowBits::from_fn(1024, |i| (i as u32).wrapping_add(round).is_multiple_of(3))
+                    .into(),
             })
             .collect()
     }
@@ -735,7 +736,8 @@ mod tests {
             vec![RowWrite {
                 unit: 0,
                 row: RowId::new(0, 0),
-                data: RowBits::from_fn(8192, move |i| i.is_multiple_of(7) ^ (flip == Some(i))),
+                data: RowBits::from_fn(8192, move |i| i.is_multiple_of(7) ^ (flip == Some(i)))
+                    .into(),
             }]
         };
         let base = digest_writes(&row(None));

@@ -120,13 +120,13 @@ pub mod efficacy {
 pub mod engine {
     /// Counter: rounds executed through the engine.
     pub const ROUNDS: &str = "engine.rounds";
-    /// Counter: round-arena buffer requests served from the pool (each hit
-    /// is one heap allocation avoided on the round hot path).
+    /// Counter: round-arena index scratch requests served from the pool
+    /// (each hit is one heap allocation avoided on the round hot path).
     pub const ARENA_HITS: &str = "engine.arena_hits";
-    /// Counter: round-arena buffer requests that fell through to a fresh
-    /// allocation (pool empty or still warming up).
+    /// Counter: round-arena index scratch requests that fell through to a
+    /// fresh allocation (pool empty or still warming up).
     pub const ARENA_MISSES: &str = "engine.arena_misses";
-    /// Counter: buffers returned to the round arena for reuse.
+    /// Counter: index scratch buffers returned to the round arena.
     pub const ARENA_RECYCLED: &str = "engine.arena_recycled";
     /// Histogram: row writes per engine round.
     pub const ROUND_WRITES: &str = "engine.round_writes";

@@ -17,6 +17,7 @@
 //! victim exactly once per polarity.
 
 use std::collections::{BTreeMap, HashMap, HashSet};
+use std::sync::Arc;
 
 use serde::{Deserialize, Serialize};
 
@@ -166,19 +167,7 @@ impl RoundSchedule {
     /// The row image of one round: victims `1`, everything else `0`
     /// (`invert` flips it for the anti-cell polarity pass).
     pub fn round_pattern(&self, round: usize, width: usize, invert: bool) -> RowBits {
-        self.round_pattern_in(round, width, invert, &RoundArena::new())
-    }
-
-    /// [`round_pattern`](RoundSchedule::round_pattern) drawing the backing
-    /// buffer from the arena pool.
-    pub fn round_pattern_in(
-        &self,
-        round: usize,
-        width: usize,
-        invert: bool,
-        arena: &RoundArena,
-    ) -> RowBits {
-        let mut data = arena.zeros(width);
+        let mut data = RowBits::zeros(width);
         for &v in &self.rounds[round] {
             let mut p = v as usize;
             while p < width {
@@ -258,26 +247,17 @@ impl ChipwideTest {
     }
 
     /// Builds round `index` of the test — the true-cell polarity pass
-    /// first, then the inverse pass — drawing row images from the arena
-    /// pool, so a checkpointed scan resumes mid-stage without materializing
-    /// the prefix it already ran.
-    fn round_plan_in(
-        &self,
-        index: usize,
-        units: u32,
-        rows: &[RowId],
-        width: usize,
-        arena: &RoundArena,
-    ) -> RoundPlan {
+    /// first, then the inverse pass. The round's one image is built once and
+    /// shared by every row of every unit. Any round can be built on its own,
+    /// so a checkpointed scan resumes mid-stage without materializing the
+    /// prefix it already ran.
+    fn round_plan(&self, index: usize, units: u32, rows: &[RowId], width: usize) -> RoundPlan {
         let per = self.schedule.rounds_per_polarity();
-        let image = self
-            .schedule
-            .round_pattern_in(index % per, width, index >= per, arena);
-        let plan = RoundPlan::broadcast_in(units, rows, arena, |_| {
-            image.clone_into_words(arena.take_words())
-        });
-        arena.recycle_row(image);
-        plan
+        let image = Arc::new(
+            self.schedule
+                .round_pattern(index % per, width, index >= per),
+        );
+        RoundPlan::broadcast(units, rows, |_| Arc::clone(&image))
     }
 
     /// Runs the full test over the given rows of every unit, returning every
@@ -326,15 +306,13 @@ impl ChipwideState {
         let width = port.geometry().cols_per_row as usize;
         let units = port.units();
         let end = self.next_round.saturating_add(budget).min(total);
-        // Plans are built after the executor attaches the arena, so their
-        // takes count as `engine.arena_*`.
         let mut exec = RoundExecutor::new(port)
             .with_recorder(test.rec.clone())
             .with_arena(arena.clone())
             .count_rounds_as(metrics::chipwide::ROUNDS)
             .observe_flips_as(metrics::chipwide::ROUND_FLIPS);
         let batch: Vec<RoundPlan> = (self.next_round..end)
-            .map(|i| test.round_plan_in(i, units, rows, width, exec.arena()))
+            .map(|i| test.round_plan(i, units, rows, width))
             .collect();
         for flips in exec.run_batch(batch)? {
             for flip in flips {
@@ -396,6 +374,23 @@ impl ChipwideOutcome {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn every_write_of_a_round_shares_one_image() {
+        let test = ChipwideTest::new(&[-48, -16, -8, 8, 16, 48], 8192).unwrap();
+        let rows: Vec<RowId> = (0..16).map(|r| RowId::new(0, r)).collect();
+        for index in [0, test.rounds() - 1] {
+            let plan = test.round_plan(index, 8, &rows, 8192);
+            let writes = plan.writes();
+            assert_eq!(writes.len(), 8 * 16);
+            assert!(writes.iter().all(|w| Arc::ptr_eq(&w.data, &writes[0].data)));
+            let per = test.schedule().rounds_per_polarity();
+            let expected = test
+                .schedule()
+                .round_pattern(index % per, 8192, index >= per);
+            assert_eq!(*writes[0].data, expected);
+        }
+    }
 
     #[test]
     fn schedule_covers_and_separates_vendor_a() {

@@ -14,7 +14,7 @@
 use serde::{Deserialize, Serialize};
 
 use parbor_hal::hash::Mix64Map;
-use parbor_hal::{RoundArena, RoundExecutor, RoundPlan, TestPort};
+use parbor_hal::{RoundArena, RoundExecutor, RoundPlan, RowBits, TestPort};
 use parbor_obs::metrics;
 use parbor_obs::{span, RecorderHandle};
 
@@ -316,15 +316,13 @@ impl RecursionState {
             .collect()
     }
 
-    /// Materializes the row images of one round from its victim regions,
-    /// drawing backing buffers from the arena pool.
+    /// Materializes the row images of one round from its victim regions.
     fn build_round(
         plan: &LevelPlan,
         level: usize,
         width: usize,
         victims: &[Victim],
         regions: &[Option<usize>],
-        arena: &RoundArena,
     ) -> RoundPlan {
         let mut round = RoundPlan::new();
         for (i, v) in victims.iter().enumerate() {
@@ -332,7 +330,7 @@ impl RecursionState {
             let (lo, hi) = plan
                 .region_range(region, level)
                 .expect("region index validated during geometry");
-            let mut data = arena.row(width, v.fail_value);
+            let mut data = RowBits::filled(width, v.fail_value);
             data.set_range(lo, hi, !v.fail_value);
             data.set(v.col as usize, v.fail_value);
             round.write(v.unit, v.row, data);
@@ -380,15 +378,13 @@ impl RecursionState {
         check_round("recursion next_round", self.next_round, rounds_at_level)?;
 
         let end = self.next_round.saturating_add(budget).min(rounds_at_level);
-        // Plans are built after the executor attaches the arena, so their
-        // takes count as `engine.arena_*`.
         let mut exec = RoundExecutor::new(port)
             .with_recorder(rec.clone())
             .with_arena(arena.clone())
             .count_rounds_as(metrics::recursion::TESTS);
         let plans: Vec<RoundPlan> = geometry.round_regions[self.next_round..end]
             .iter()
-            .map(|regions| Self::build_round(&plan, level, width, victims, regions, exec.arena()))
+            .map(|regions| Self::build_round(&plan, level, width, victims, regions))
             .collect();
         for (flips, regions) in exec
             .run_batch(plans)?

@@ -211,8 +211,9 @@ impl ScanState {
 pub struct ScanMachine {
     state: ScanState,
     rec: RecorderHandle,
-    /// Buffer pool shared across every stage and the port for the machine's
-    /// whole lifetime — a pure performance device, never checkpointed.
+    /// Index scratch pool shared across every stage's executor and the port
+    /// for the machine's whole lifetime — a pure performance device, never
+    /// checkpointed.
     arena: RoundArena,
     /// Cached flip-attribution index of the recursion stage's victims,
     /// rebuilt lazily after construction or resume.
@@ -627,10 +628,9 @@ mod tests {
         while !machine.is_done() {
             stages.push(machine.state().stage_name());
             machine.advance(&mut module, 7).unwrap();
-            // Every take and recycle — the plan builds included — lands
-            // between an executor's arena attach and its last round, so
-            // after any step the recorded deltas sum to the arena's own
-            // counters.
+            // Every take and recycle lands between an executor's arena
+            // attach and its last round, so after any step the recorded
+            // deltas sum to the arena's own counters.
             let snap = rec.snapshot();
             let recorded = (
                 snap.counter(metrics::engine::ARENA_HITS),

@@ -147,24 +147,17 @@ impl VictimScout {
     }
 
     /// Builds discovery round `index` — the `index / 2`-th pattern, or its
-    /// inverse for odd indices — drawing row images from the arena pool, so
-    /// a checkpointed scan resumes mid-stage without materializing the
-    /// prefix it already ran.
-    fn round_plan_in(
-        &self,
-        index: usize,
-        units: u32,
-        rows: &[RowId],
-        width: usize,
-        arena: &RoundArena,
-    ) -> RoundPlan {
+    /// inverse for odd indices — one image per row, shared by every unit.
+    /// Any round can be built on its own, so a checkpointed scan resumes
+    /// mid-stage without materializing the prefix it already ran.
+    fn round_plan(&self, index: usize, units: u32, rows: &[RowId], width: usize) -> RoundPlan {
         let pattern = &self.patterns.patterns()[index / 2];
         let invert = index % 2 == 1;
-        RoundPlan::broadcast_in(units, rows, arena, |row| {
+        RoundPlan::broadcast(units, rows, |row| {
             if invert {
-                pattern.inverse().row_bits_in(row.row, width, arena)
+                pattern.inverse().row_bits(row.row, width)
             } else {
-                pattern.row_bits_in(row.row, width, arena)
+                pattern.row_bits(row.row, width)
             }
         })
     }
@@ -265,8 +258,7 @@ pub struct DiscoverState {
 impl DiscoverState {
     /// Executes up to `budget` of the scout's remaining rounds as one batch
     /// (a multi-chip module runs it chip-parallel) and returns the number
-    /// executed. The arena is shared with the port, so replaced row images
-    /// come back as the next rounds' backing buffers.
+    /// executed. The port draws its evaluation scratch from `arena`.
     pub(crate) fn step<P: TestPort + ?Sized>(
         &mut self,
         scout: &VictimScout,
@@ -280,15 +272,13 @@ impl DiscoverState {
         let width = port.geometry().cols_per_row as usize;
         let units = port.units();
         let end = self.next_round.saturating_add(budget).min(total);
-        // The executor snapshots the arena's counters on attach, so the
-        // plans are built after it: their takes count as `engine.arena_*`.
         let mut exec = RoundExecutor::new(port)
             .with_recorder(scout.rec.clone())
             .with_arena(arena.clone())
             .count_rounds_as(metrics::discover::ROUNDS)
             .observe_flips_as(metrics::discover::ROUND_FLIPS);
         let batch: Vec<RoundPlan> = (self.next_round..end)
-            .map(|i| scout.round_plan_in(i, units, rows, width, exec.arena()))
+            .map(|i| scout.round_plan(i, units, rows, width))
             .collect();
         for flips in exec.run_batch(batch)? {
             for flip in flips {

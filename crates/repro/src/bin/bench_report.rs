@@ -1100,13 +1100,12 @@ fn serve_bench(threads_available: usize) -> Result<ServeBench, String> {
     // Identity sample: ~48 tracked rows spread across all four modules,
     // three content patterns, every served answer compared bit for bit
     // against direct stencil evaluation.
-    let words: Vec<u64> = (0..COLS as u64 / 64)
-        .map(|i| i.wrapping_mul(0x9E37_79B9_7F4A_7C15))
-        .collect();
     let contents = [
         Arc::new(RowBits::ones(COLS)),
         Arc::new(RowBits::zeros(COLS)),
-        Arc::new(RowBits::filled_from(words, COLS, false)),
+        Arc::new(RowBits::from_word_fn(COLS, |i| {
+            (i as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15)
+        })),
     ];
     let mut srv = InlineServer::start(snapshot.clone(), cfg.clone(), null_recorder());
     let mut conn = srv.connect();
