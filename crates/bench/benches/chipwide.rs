@@ -4,8 +4,8 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 
 use parbor_bench::bench_chip;
-use parbor_core::{ChipwideTest, RoundSchedule};
-use parbor_dram::{RowId, Vendor};
+use parbor_core::{ChipwideTest, Parbor, RoundSchedule};
+use parbor_dram::Vendor;
 
 fn bench_schedule_orders(c: &mut Criterion) {
     let mut group = c.benchmark_group("schedule_build_order");
@@ -40,11 +40,12 @@ fn bench_chipwide_run(c: &mut Criterion) {
     group.sample_size(10);
     for vendor in Vendor::ALL {
         let mut chip = bench_chip(vendor, 64, 9).expect("chip builds");
-        let rows: Vec<RowId> = (0..64).map(|r| RowId::new(0, r)).collect();
         let test = ChipwideTest::new(vendor.paper_distances(), 8192).expect("test builds");
+        let parbor = Parbor::default();
         group.bench_function(BenchmarkId::from_parameter(vendor), |b| {
             b.iter(|| {
-                test.run(&mut chip, &rows)
+                parbor
+                    .chip_test_with(&mut chip, &test)
                     .expect("chip-wide test runs")
                     .failure_count()
             })

@@ -4,7 +4,7 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 
 use parbor_bench::bench_chip;
-use parbor_core::{LevelPlan, NeighborRecursion, Parbor, ParborConfig, RecursionConfig};
+use parbor_core::{LevelPlan, Parbor, ParborConfig, RecursionConfig};
 use parbor_dram::Vendor;
 
 fn bench_recursion_per_vendor(c: &mut Criterion) {
@@ -15,11 +15,10 @@ fn bench_recursion_per_vendor(c: &mut Criterion) {
         let mut chip = bench_chip(vendor, 96, 5).expect("chip builds");
         let parbor = Parbor::new(ParborConfig::default());
         let victims = parbor.discover(&mut chip).expect("victims found");
-        let selected = victims.select_for_recursion(None);
         group.bench_function(BenchmarkId::from_parameter(vendor), |b| {
             b.iter(|| {
-                NeighborRecursion::default()
-                    .run(&mut chip, &selected)
+                parbor
+                    .locate(&mut chip, &victims)
                     .expect("recursion converges")
                     .total_tests
             })
@@ -36,17 +35,19 @@ fn bench_fanout_ablation(c: &mut Criterion) {
     let mut chip = bench_chip(Vendor::A, 96, 6).expect("chip builds");
     let parbor = Parbor::new(ParborConfig::default());
     let victims = parbor.discover(&mut chip).expect("victims found");
-    let selected = victims.select_for_recursion(None);
     for fanout in [4usize, 8] {
         let plan = LevelPlan::with_fanout(8192, 2, fanout).expect("plan valid");
-        let config = RecursionConfig {
-            plan: Some(plan),
-            ..RecursionConfig::default()
-        };
+        let fanned = Parbor::new(ParborConfig {
+            recursion: RecursionConfig {
+                plan: Some(plan),
+                ..RecursionConfig::default()
+            },
+            ..ParborConfig::default()
+        });
         group.bench_function(BenchmarkId::from_parameter(fanout), |b| {
             b.iter(|| {
-                NeighborRecursion::new(config.clone())
-                    .run(&mut chip, &selected)
+                fanned
+                    .locate(&mut chip, &victims)
                     .expect("recursion converges")
                     .total_tests
             })

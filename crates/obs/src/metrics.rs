@@ -13,7 +13,8 @@
 //! spans name the thing being timed (`pipeline.discover`).
 
 /// Names recorded by the detection pipeline's stage spans
-/// (`crates/parbor/src/pipeline.rs`).
+/// (`crates/parbor/src/pipeline.rs`). A stage span covers one step of the
+/// stage, so a stage stepped in several calls records several.
 pub mod pipeline {
     /// Span: one full detection run end to end.
     pub const RUN: &str = "pipeline.run";

@@ -323,10 +323,14 @@ mod tests {
 
     #[test]
     fn linear_search_finds_a_strong_neighbor() {
-        use crate::victim::VictimScout;
+        use crate::{Parbor, ParborConfig};
         let mut c = chip(Vendor::B, 64, 8);
-        let rows: Vec<RowId> = (0..64).map(|r| RowId::new(0, r)).collect();
-        let set = VictimScout::new(1).discover(&mut c, &rows).unwrap();
+        let set = Parbor::new(ParborConfig {
+            discovery_seed: 1,
+            ..ParborConfig::default()
+        })
+        .discover(&mut c)
+        .unwrap();
         // Restrict to victims the device oracle confirms as coupling cells
         // (discovery also catches marginal/VRT cells, whose intermittent
         // failures would pollute a bit-by-bit scan with spurious distances).

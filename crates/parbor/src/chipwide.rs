@@ -22,11 +22,12 @@ use std::sync::Arc;
 use serde::{Deserialize, Serialize};
 
 use parbor_dram::{BitAddr, RowBits, RowId};
-use parbor_hal::{RoundArena, RoundExecutor, RoundPlan, TestPort};
+use parbor_hal::{RoundExecutor, RoundPlan, TestPort};
 use parbor_obs::metrics;
-use parbor_obs::RecorderHandle;
+use parbor_obs::{span, RecorderHandle};
 
 use crate::error::{check_round, ParborError};
+use crate::pipeline::Parbor;
 use crate::victim::CellKey;
 
 /// A schedule of parallel-victim rounds with a repeating chunk period.
@@ -205,7 +206,6 @@ impl RoundSchedule {
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ChipwideTest {
     schedule: RoundSchedule,
-    rec: RecorderHandle,
 }
 
 impl ChipwideTest {
@@ -215,25 +215,14 @@ impl ChipwideTest {
     ///
     /// See [`RoundSchedule::build`].
     pub fn new(distances: &[i64], row_bits: usize) -> Result<Self, ParborError> {
-        Ok(ChipwideTest {
-            schedule: RoundSchedule::build(distances, row_bits)?,
-            rec: RecorderHandle::null(),
-        })
+        let schedule = RoundSchedule::build(distances, row_bits)?;
+        Ok(ChipwideTest { schedule })
     }
 
     /// Builds the test from an explicit schedule (e.g. one built with a
     /// custom separation order via [`RoundSchedule::with_order`]).
     pub fn with_schedule(schedule: RoundSchedule) -> Self {
-        ChipwideTest {
-            schedule,
-            rec: RecorderHandle::null(),
-        }
-    }
-
-    /// Attaches a metrics recorder (`chipwide.*` counters).
-    pub fn with_recorder(mut self, rec: RecorderHandle) -> Self {
-        self.rec = rec;
-        self
+        ChipwideTest { schedule }
     }
 
     /// The underlying schedule.
@@ -259,28 +248,12 @@ impl ChipwideTest {
         );
         RoundPlan::broadcast(units, rows, |_| Arc::clone(&image))
     }
-
-    /// Runs the full test over the given rows of every unit, returning every
-    /// distinct failing bit.
-    ///
-    /// # Errors
-    ///
-    /// Propagates device errors from the port.
-    pub fn run<P: TestPort + ?Sized>(
-        &self,
-        port: &mut P,
-        rows: &[RowId],
-    ) -> Result<ChipwideOutcome, ParborError> {
-        let mut state = ChipwideState::default();
-        state.step(self, port, rows, &RoundArena::new(), usize::MAX)?;
-        Ok(state.into_outcome(self))
-    }
 }
 
 /// Checkpointable progress of the chip-wide test: the only place its rounds
-/// run. [`ChipwideTest::run`] steps one of these to completion in a single
-/// call; a checkpointed scan ([`ScanMachine`](crate::ScanMachine))
-/// serializes it between steps.
+/// run. [`Parbor::chip_test`](crate::Parbor::chip_test) steps one of these
+/// to completion in a single call; a checkpointed scan
+/// ([`ScanMachine`](crate::ScanMachine)) serializes it between steps.
 #[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct ChipwideState {
     next_round: usize,
@@ -292,27 +265,30 @@ pub struct ChipwideState {
 
 impl ChipwideState {
     /// Executes up to `budget` of the test's remaining rounds as one batch
-    /// and returns the number executed.
+    /// in one `pipeline.chipwide` span, on `parbor`'s rows and arena.
+    /// Returns the rounds executed and, once the last round has run, the
+    /// outcome.
     pub(crate) fn step<P: TestPort + ?Sized>(
         &mut self,
+        parbor: &Parbor,
         test: &ChipwideTest,
         port: &mut P,
-        rows: &[RowId],
-        arena: &RoundArena,
         budget: usize,
-    ) -> Result<usize, ParborError> {
+    ) -> Result<(usize, Option<ChipwideOutcome>), ParborError> {
+        let _span = span!(parbor.rec, metrics::pipeline::CHIPWIDE);
+        let rows = parbor.config().rows_for(port);
         let total = test.rounds();
         check_round("chipwide next_round", self.next_round, total)?;
         let width = port.geometry().cols_per_row as usize;
         let units = port.units();
         let end = self.next_round.saturating_add(budget).min(total);
         let mut exec = RoundExecutor::new(port)
-            .with_recorder(test.rec.clone())
-            .with_arena(arena.clone())
+            .with_recorder(parbor.rec.clone())
+            .with_arena(parbor.arena.clone())
             .count_rounds_as(metrics::chipwide::ROUNDS)
             .observe_flips_as(metrics::chipwide::ROUND_FLIPS);
         let batch: Vec<RoundPlan> = (self.next_round..end)
-            .map(|i| test.round_plan(i, units, rows, width))
+            .map(|i| test.round_plan(i, units, &rows, width))
             .collect();
         for flips in exec.run_batch(batch)? {
             for flip in flips {
@@ -323,19 +299,13 @@ impl ChipwideState {
         }
         let executed = end - self.next_round;
         self.next_round = end;
-        Ok(executed)
+        let outcome = (end == total).then(|| std::mem::take(self).into_outcome(&parbor.rec));
+        Ok((executed, outcome))
     }
 
-    /// Whether every round of the test has run.
-    pub(crate) fn is_done(&self, test: &ChipwideTest) -> bool {
-        self.next_round >= test.rounds()
-    }
-
-    /// The finished outcome; records the failure count on the test's
-    /// recorder.
-    pub(crate) fn into_outcome(self, test: &ChipwideTest) -> ChipwideOutcome {
-        test.rec
-            .incr(metrics::chipwide::FAILURES, self.failing.len() as u64);
+    /// The finished outcome; records the failure count on `rec`.
+    fn into_outcome(self, rec: &RecorderHandle) -> ChipwideOutcome {
+        rec.incr(metrics::chipwide::FAILURES, self.failing.len() as u64);
         ChipwideOutcome {
             rounds: self.next_round,
             failing: self

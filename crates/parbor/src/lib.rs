@@ -12,7 +12,7 @@
 //!
 //! 1. [`VictimScout`] — find an initial set of cells whose failures depend on
 //!    the row's data content (10 pattern/inverse rounds).
-//! 2. [`NeighborRecursion`] — recursively split rows into regions
+//! 2. [`RecursionState`], or [`Parbor::locate`] — recursively split rows into regions
 //!    (4096 → 512 → 64 → 8 → 1), testing many victim rows *in parallel* per
 //!    round, to find which region holds each victim's coupled neighbor.
 //! 3. Aggregate the per-victim distances ([`DistanceHistogram`]).
@@ -21,14 +21,16 @@
 //! 5. [`ChipwideTest`] — neighbor-aware patterns that put every cell in its
 //!    worst case while testing independent cells in parallel.
 //!
-//! The [`Parbor`] orchestrator runs all five against any
+//! [`ScanMachine`] is the one sequencer of the five steps against any
 //! [`TestPort`](parbor_hal::TestPort) — the write / wait-one-refresh-interval
-//! / read-back primitive of a system-level tester. [`ScanMachine`] runs the
-//! same rounds in bounded, checkpointable batches; `advance(port, 1)` runs
-//! one round per call, for systems that stay in service between rounds.
-//! Both drive the same per-stage states ([`DiscoverState`],
-//! [`RecursionState`], [`ChipwideState`]), each the only code that runs its
-//! stage's rounds.
+//! / read-back primitive of a system-level tester. It runs them in bounded,
+//! checkpointable batches; `advance(port, 1)` runs one round per call, for
+//! systems that stay in service between rounds. [`Parbor::run`] is the
+//! machine run to completion, and [`Parbor`]'s stage entry points
+//! (`discover`, `locate`, `chip_test`) step the same per-stage states
+//! ([`DiscoverState`], [`RecursionState`], [`ChipwideState`]) through the
+//! same transitions; each state is the only code that runs its stage's
+//! rounds.
 //!
 //! ## Example
 //!
@@ -75,9 +77,7 @@ pub use efficacy::{run_efficacy, EfficacyConfig, EfficacyReport, MechanismScore}
 pub use error::ParborError;
 pub use mitigation::{FailureDirectory, MitigationPlan};
 pub use pipeline::{Parbor, ParborConfig, ParborReport};
-pub use recursion::{
-    LevelOutcome, NeighborRecursion, RecursionConfig, RecursionOutcome, RecursionState,
-};
+pub use recursion::{LevelOutcome, RecursionConfig, RecursionOutcome, RecursionState};
 pub use region::LevelPlan;
 pub use report::{naive_test_time, parbor_module_time, ReductionReport, TestTime};
 pub use scan::{FailingCell, FailureProfile, ScanMachine, ScanState, StageState};

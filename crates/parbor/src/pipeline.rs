@@ -1,16 +1,21 @@
 //! The end-to-end PARBOR pipeline (paper §5.1's five steps).
+//!
+//! [`Parbor::run`] is a [`ScanMachine`] run to completion; the machine and
+//! the stage entry points cross stages through the transitions here.
 
 use serde::{Deserialize, Serialize};
 
 use parbor_dram::RowId;
-use parbor_hal::TestPort;
+use parbor_hal::hash::Mix64Map;
+use parbor_hal::{RoundArena, TestPort};
 use parbor_obs::metrics;
 use parbor_obs::{span, RecorderHandle};
 
-use crate::chipwide::{ChipwideOutcome, ChipwideTest};
+use crate::chipwide::{ChipwideOutcome, ChipwideState, ChipwideTest};
 use crate::error::ParborError;
-use crate::recursion::{NeighborRecursion, RecursionConfig, RecursionOutcome};
-use crate::victim::{VictimScout, VictimSet};
+use crate::recursion::{RecursionConfig, RecursionOutcome, RecursionState};
+use crate::scan::{FailureProfile, ScanMachine};
+use crate::victim::{DiscoverState, Victim, VictimKey, VictimScout, VictimSet};
 
 /// Configuration of a full PARBOR run.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -51,6 +56,10 @@ impl ParborConfig {
 /// Orchestrates discovery → recursion → aggregation/filtering → chip-wide
 /// testing against any [`TestPort`].
 ///
+/// Every stage of one `Parbor` — its entry points and the machine
+/// [`run`](Parbor::run) drives — draws its scratch from one shared
+/// [`RoundArena`].
+///
 /// # Examples
 ///
 /// ```
@@ -67,7 +76,8 @@ impl ParborConfig {
 #[derive(Debug, Clone, Default)]
 pub struct Parbor {
     config: ParborConfig,
-    rec: RecorderHandle,
+    pub(crate) rec: RecorderHandle,
+    pub(crate) arena: RoundArena,
 }
 
 impl Parbor {
@@ -75,7 +85,7 @@ impl Parbor {
     pub fn new(config: ParborConfig) -> Self {
         Parbor {
             config,
-            rec: RecorderHandle::null(),
+            ..Parbor::default()
         }
     }
 
@@ -91,34 +101,32 @@ impl Parbor {
         &self.config
     }
 
-    /// Step 1: victim discovery (10 rounds).
+    /// Step 1: victim discovery (10 rounds). An empty set is `Ok`.
     ///
     /// # Errors
     ///
     /// Propagates device errors.
     pub fn discover<P: TestPort + ?Sized>(&self, port: &mut P) -> Result<VictimSet, ParborError> {
-        let _span = span!(self.rec, metrics::pipeline::DISCOVER);
-        let rows = self.config.rows_for(port);
-        VictimScout::new(self.config.discovery_seed)
-            .with_recorder(self.rec.clone())
-            .discover(port, &rows)
+        let (_, victims) = DiscoverState::default().step(self, port, usize::MAX)?;
+        Ok(victims.expect("an unbounded step finishes discovery"))
     }
 
     /// Steps 2–4: the recursion over a discovered victim set.
     ///
     /// # Errors
     ///
-    /// See [`NeighborRecursion::run`].
+    /// See [`RecursionState::start`] and [`RecursionState::step`].
     pub fn locate<P: TestPort + ?Sized>(
         &self,
         port: &mut P,
         victims: &VictimSet,
     ) -> Result<RecursionOutcome, ParborError> {
-        let _span = span!(self.rec, metrics::pipeline::RECURSION);
-        let selected = victims.select_for_recursion(self.config.sample_limit);
-        NeighborRecursion::new(self.config.recursion.clone())
-            .with_recorder(self.rec.clone())
-            .run(port, &selected)
+        let (selected, mut state, lookup) = self.start_recursion(port, victims)?;
+        loop {
+            if let (_, Some(outcome)) = state.step(self, port, &selected, &lookup, usize::MAX)? {
+                return Ok(outcome);
+            }
+        }
     }
 
     /// Step 5: the neighbor-aware chip-wide test.
@@ -131,14 +139,27 @@ impl Parbor {
         port: &mut P,
         distances: &[i64],
     ) -> Result<ChipwideOutcome, ParborError> {
-        let _span = span!(self.rec, metrics::pipeline::CHIPWIDE);
-        let rows = self.config.rows_for(port);
-        ChipwideTest::new(distances, port.geometry().cols_per_row as usize)?
-            .with_recorder(self.rec.clone())
-            .run(port, &rows)
+        let test = self.chipwide_test(port, distances)?;
+        self.chip_test_with(port, &test)
     }
 
-    /// Runs the full pipeline.
+    /// Step 5 with a prepared test, e.g. one whose schedule was built with
+    /// a custom separation order ([`ChipwideTest::with_schedule`]).
+    ///
+    /// # Errors
+    ///
+    /// Propagates device errors.
+    pub fn chip_test_with<P: TestPort + ?Sized>(
+        &self,
+        port: &mut P,
+        test: &ChipwideTest,
+    ) -> Result<ChipwideOutcome, ParborError> {
+        let (_, outcome) = ChipwideState::default().step(self, test, port, usize::MAX)?;
+        Ok(outcome.expect("an unbounded step finishes the chip-wide test"))
+    }
+
+    /// Runs the full pipeline: a [`ScanMachine`] on this pipeline's
+    /// recorder and arena, run to completion.
     ///
     /// # Errors
     ///
@@ -147,19 +168,51 @@ impl Parbor {
     /// * Device errors from the port.
     pub fn run<P: TestPort + ?Sized>(&self, port: &mut P) -> Result<ParborReport, ParborError> {
         let _span = span!(self.rec, metrics::pipeline::RUN);
-        let victims = self.discover(port)?;
-        if victims.is_empty() {
-            return Err(ParborError::NoVictims);
-        }
-        let discovery_rounds = VictimScout::new(self.config.discovery_seed).rounds();
-        let recursion = self.locate(port, &victims)?;
-        let chipwide = self.chip_test(port, &recursion.distances)?;
-        Ok(ParborReport {
-            victim_count: victims.len(),
-            discovery_rounds,
+        let mut machine = ScanMachine::for_pipeline(self.clone());
+        machine.run_to_completion(port)?;
+        Ok(machine.into_report().expect("the machine ran to its end"))
+    }
+
+    /// The discover → recursion transition: selects the victims, starts the
+    /// recursion and builds its flip-attribution lookup.
+    #[allow(clippy::type_complexity)]
+    pub(crate) fn start_recursion<P: TestPort + ?Sized>(
+        &self,
+        port: &P,
+        victims: &VictimSet,
+    ) -> Result<(Vec<Victim>, RecursionState, Mix64Map<VictimKey, usize>), ParborError> {
+        let selected = victims.select_for_recursion(self.config.sample_limit);
+        let width = port.geometry().cols_per_row as usize;
+        let state = RecursionState::start(&self.config.recursion, width, &selected)?;
+        let lookup = RecursionState::victim_lookup(&selected);
+        Ok((selected, state, lookup))
+    }
+
+    /// The recursion → chip-wide transition: the test scheduled for the
+    /// recursion's distances.
+    pub(crate) fn chipwide_test<P: TestPort + ?Sized>(
+        &self,
+        port: &P,
+        distances: &[i64],
+    ) -> Result<ChipwideTest, ParborError> {
+        ChipwideTest::new(distances, port.geometry().cols_per_row as usize)
+    }
+
+    /// The chip-wide → done transition: the report and its profile.
+    pub(crate) fn finish(
+        &self,
+        victim_count: usize,
+        recursion: RecursionOutcome,
+        chipwide: ChipwideOutcome,
+    ) -> (ParborReport, FailureProfile) {
+        let report = ParborReport {
+            victim_count,
+            discovery_rounds: VictimScout::new(self.config.discovery_seed).rounds(),
             recursion,
             chipwide,
-        })
+        };
+        let profile = FailureProfile::from_report(&report);
+        (report, profile)
     }
 }
 
@@ -283,7 +336,7 @@ mod tests {
         ] {
             assert!(snap.counter(counter) > 0, "counter {counter} is zero");
         }
-        // Phase spans were recorded, nested under pipeline.run.
+        // Phase spans were recorded, each stage's nested under pipeline.run.
         let spans = &snap.spans;
         for phase in [
             "pipeline.run",
@@ -293,6 +346,12 @@ mod tests {
             "recursion.level",
         ] {
             assert!(spans.iter().any(|s| s.name == phase), "no span {phase}");
+        }
+        let run = spans.iter().find(|s| s.name == "pipeline.run").unwrap();
+        for stage in spans.iter().filter(|s| s.name.starts_with("pipeline.")) {
+            if stage.id != run.id {
+                assert_eq!(stage.parent, Some(run.id), "{} parent", stage.name);
+            }
         }
         // The trace is valid JSONL: one parseable object per line.
         let trace = snap.trace_jsonl();

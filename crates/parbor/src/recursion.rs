@@ -14,12 +14,13 @@
 use serde::{Deserialize, Serialize};
 
 use parbor_hal::hash::Mix64Map;
-use parbor_hal::{RoundArena, RoundExecutor, RoundPlan, RowBits, TestPort};
+use parbor_hal::{RoundExecutor, RoundPlan, RowBits, TestPort};
 use parbor_obs::metrics;
 use parbor_obs::{span, RecorderHandle};
 
 use crate::aggregate::DistanceHistogram;
 use crate::error::{check_round, ParborError};
+use crate::pipeline::Parbor;
 use crate::region::LevelPlan;
 use crate::victim::{Victim, VictimKey};
 
@@ -82,69 +83,12 @@ impl RecursionOutcome {
     }
 }
 
-/// Runs the parallel recursive neighbor test against a [`TestPort`].
-#[derive(Debug, Clone, Default)]
-pub struct NeighborRecursion {
-    config: RecursionConfig,
-    rec: RecorderHandle,
-}
-
-impl NeighborRecursion {
-    /// Creates a recursion runner with the given configuration.
-    pub fn new(config: RecursionConfig) -> Self {
-        NeighborRecursion {
-            config,
-            rec: RecorderHandle::null(),
-        }
-    }
-
-    /// Attaches a metrics recorder (`recursion.*` and `aggregate.*` metrics,
-    /// one `recursion.level` span per level carrying the region size).
-    pub fn with_recorder(mut self, rec: RecorderHandle) -> Self {
-        self.rec = rec;
-        self
-    }
-
-    /// Runs the recursion over the selected victims (one per unit/row — see
-    /// [`VictimSet::select_for_recursion`](crate::VictimSet::select_for_recursion)).
-    ///
-    /// # Errors
-    ///
-    /// * [`ParborError::NoVictims`] if `victims` is empty.
-    /// * [`ParborError::InvalidConfig`] if two victims share a row or the
-    ///   row width has no valid level plan.
-    /// * [`ParborError::NoDistances`] if every distance was filtered as
-    ///   noise at some level.
-    pub fn run<P: TestPort + ?Sized>(
-        &self,
-        port: &mut P,
-        victims: &[Victim],
-    ) -> Result<RecursionOutcome, ParborError> {
-        let width = port.geometry().cols_per_row as usize;
-        let mut state = RecursionState::start(&self.config, width, victims)?;
-        let lookup = RecursionState::victim_lookup(victims);
-        let arena = RoundArena::new();
-        while !state.is_done() {
-            state.step(
-                &self.config,
-                &self.rec,
-                port,
-                victims,
-                &lookup,
-                &arena,
-                usize::MAX,
-            )?;
-        }
-        Ok(state.outcome())
-    }
-}
-
 /// Checkpointable progress of the recursion: everything the level loop
 /// accumulates across rounds, and nothing derivable from the config and
 /// victim list.
 ///
-/// [`NeighborRecursion::run`] drives one of these to completion in a single
-/// call; a checkpointed scan ([`ScanMachine`](crate::ScanMachine))
+/// [`Parbor::locate`](crate::Parbor::locate) drives one of these to
+/// completion; a checkpointed scan ([`ScanMachine`](crate::ScanMachine))
 /// serializes the state between [`step`](RecursionState::step) calls and
 /// later resumes against a port fast-forwarded by the rounds already run —
 /// the remaining rounds and the final outcome are bit-identical to the
@@ -220,14 +164,8 @@ impl RecursionState {
         })
     }
 
-    /// Whether the final level has completed.
-    pub fn is_done(&self) -> bool {
-        self.done
-    }
-
-    /// The finished outcome. Meaningful only once [`is_done`](Self::is_done)
-    /// returns true (levels completed so far otherwise).
-    pub fn outcome(&self) -> RecursionOutcome {
+    /// The outcome of the levels completed so far.
+    fn outcome(&self) -> RecursionOutcome {
         let distances = self
             .levels
             .last()
@@ -338,10 +276,12 @@ impl RecursionState {
         round
     }
 
-    /// Executes up to `budget` rounds of the current level; when the level's
-    /// last round completes, runs the discard/aggregate/rank step and
-    /// advances to the next level (or marks the recursion done). Returns the
-    /// number of rounds executed.
+    /// Executes up to `budget` rounds of the current level in one
+    /// `pipeline.recursion` span, on `parbor`'s recursion config and arena;
+    /// when the level's last round completes, runs the discard/aggregate/rank
+    /// step and advances to the next level (or marks the recursion done).
+    /// Returns the rounds executed and, once the last level has completed,
+    /// the outcome.
     ///
     /// Within a level every round's content is fixed by the previous level's
     /// kept distances, so any split of the level into consecutive batches is
@@ -353,20 +293,19 @@ impl RecursionState {
     /// * [`ParborError::NoDistances`] if every distance was filtered as
     ///   noise at the completed level (the state is dead afterwards).
     /// * Device errors from the port.
-    #[allow(clippy::too_many_arguments)]
     pub fn step<P: TestPort + ?Sized>(
         &mut self,
-        config: &RecursionConfig,
-        rec: &RecorderHandle,
+        parbor: &Parbor,
         port: &mut P,
         victims: &[Victim],
         lookup: &Mix64Map<VictimKey, usize>,
-        arena: &RoundArena,
         budget: usize,
-    ) -> Result<usize, ParborError> {
+    ) -> Result<(usize, Option<RecursionOutcome>), ParborError> {
         if self.done {
-            return Ok(0);
+            return Ok((0, Some(self.outcome())));
         }
+        let _span = span!(parbor.rec, metrics::pipeline::RECURSION);
+        let (config, rec) = (&parbor.config().recursion, &parbor.rec);
         let width = port.geometry().cols_per_row as usize;
         let plan = Self::resolve_plan(config, width)?;
         self.check_shape(&plan, victims)?;
@@ -380,7 +319,7 @@ impl RecursionState {
         let end = self.next_round.saturating_add(budget).min(rounds_at_level);
         let mut exec = RoundExecutor::new(port)
             .with_recorder(rec.clone())
-            .with_arena(arena.clone())
+            .with_arena(parbor.arena.clone())
             .count_rounds_as(metrics::recursion::TESTS);
         let plans: Vec<RoundPlan> = geometry.round_regions[self.next_round..end]
             .iter()
@@ -421,7 +360,7 @@ impl RecursionState {
                 plan.levels(),
             )?;
         }
-        Ok(executed)
+        Ok((executed, self.done.then(|| self.outcome())))
     }
 
     /// Checks that a (possibly deserialized) unfinished state fits the plan
@@ -516,18 +455,18 @@ impl RecursionState {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::victim::VictimScout;
+    use crate::ParborConfig;
     use parbor_dram::{ChipGeometry, DramChip, RowId, Vendor};
 
     fn run_vendor(vendor: Vendor, rows: u32, seed: u64) -> (RecursionOutcome, DramChip) {
         let mut chip =
             DramChip::new(ChipGeometry::new(1, rows, 8192).unwrap(), vendor, seed).unwrap();
-        let row_ids: Vec<RowId> = (0..rows).map(|r| RowId::new(0, r)).collect();
-        let set = VictimScout::new(3).discover(&mut chip, &row_ids).unwrap();
-        let victims = set.select_for_recursion(None);
-        let outcome = NeighborRecursion::default()
-            .run(&mut chip, &victims)
-            .unwrap();
+        let parbor = Parbor::new(ParborConfig {
+            discovery_seed: 3,
+            ..ParborConfig::default()
+        });
+        let victims = parbor.discover(&mut chip).unwrap();
+        let outcome = parbor.locate(&mut chip, &victims).unwrap();
         (outcome, chip)
     }
 
@@ -557,25 +496,20 @@ mod tests {
 
     #[test]
     fn empty_victims_rejected() {
-        let mut chip = DramChip::new(ChipGeometry::new(1, 8, 8192).unwrap(), Vendor::A, 1).unwrap();
-        let err = NeighborRecursion::default()
-            .run(&mut chip, &[])
-            .unwrap_err();
+        let err = RecursionState::start(&RecursionConfig::default(), 8192, &[]).unwrap_err();
         assert!(matches!(err, ParborError::NoVictims));
     }
 
     #[test]
     fn duplicate_victim_rows_rejected() {
-        let mut chip = DramChip::new(ChipGeometry::new(1, 8, 8192).unwrap(), Vendor::A, 1).unwrap();
         let v = |col| Victim {
             unit: 0,
             row: RowId::new(0, 0),
             col,
             fail_value: true,
         };
-        let err = NeighborRecursion::default()
-            .run(&mut chip, &[v(1), v(2)])
-            .unwrap_err();
+        let err =
+            RecursionState::start(&RecursionConfig::default(), 8192, &[v(1), v(2)]).unwrap_err();
         assert!(matches!(err, ParborError::InvalidConfig(_)));
     }
 

@@ -1,10 +1,11 @@
-//! A checkpointable, resumable form of the PARBOR pipeline.
+//! A checkpointable, resumable form of the PARBOR pipeline, and the one
+//! sequencer of its stages.
 //!
-//! [`Parbor::run`](crate::Parbor::run) drives the five steps to completion
-//! inside one process. A *deployed* profiler instead runs where memory
-//! stays in service (paper §1, §3, §VII): between test rounds the system
-//! serves traffic, and a long campaign must survive interruption. The
-//! orchestrator in `parbor-fleet` periodically persists a [`ScanState`]
+//! [`Parbor::run`](crate::Parbor::run) is a [`ScanMachine`] run to
+//! completion inside one process. A *deployed* profiler instead runs where
+//! memory stays in service (paper §1, §3, §VII): between test rounds the
+//! system serves traffic, and a long campaign must survive interruption.
+//! The orchestrator in `parbor-fleet` periodically persists a [`ScanState`]
 //! and, after a crash, rebuilds the device from its spec, fast-forwards its
 //! round clock, and continues from the exact round where the checkpoint
 //! was taken.
@@ -15,11 +16,11 @@
 //! stage's checkpointable state — [`DiscoverState`](crate::DiscoverState),
 //! [`RecursionState`], [`ChipwideState`](crate::ChipwideState) — lives next
 //! to its stage and is the only code that runs that stage's rounds; the
-//! one-shot stage entry points step the same states with an unbounded
-//! budget. Resume is bit-identical because every round's content is a pure
-//! function of the config and the state accumulated so far, and the
-//! simulated device's behavior is a pure function of its spec plus the
-//! round counter (see
+//! stage entry points of [`Parbor`](crate::Parbor) step the same states
+//! with an unbounded budget. Resume is bit-identical because every round's
+//! content is a pure function of the config and the state accumulated so
+//! far, and the simulated device's behavior is a pure function of its spec
+//! plus the round counter (see
 //! [`DramModule::fast_forward`](parbor_dram::DramModule::fast_forward)).
 //!
 //! ```
@@ -40,14 +41,14 @@
 use serde::{Deserialize, Serialize};
 
 use parbor_hal::hash::Mix64Map;
-use parbor_hal::{RoundArena, TestPort};
+use parbor_hal::TestPort;
 use parbor_obs::RecorderHandle;
 
 use crate::chipwide::{ChipwideState, ChipwideTest};
 use crate::error::ParborError;
-use crate::pipeline::{ParborConfig, ParborReport};
+use crate::pipeline::{Parbor, ParborConfig, ParborReport};
 use crate::recursion::{RecursionOutcome, RecursionState};
-use crate::victim::{DiscoverState, Victim, VictimKey, VictimScout};
+use crate::victim::{DiscoverState, Victim, VictimKey};
 
 /// One failing cell of a finished scan, with the polarity it failed under.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Serialize, Deserialize)]
@@ -204,26 +205,47 @@ impl ScanState {
 
 /// Drives a [`ScanState`] against a [`TestPort`] in bounded round batches.
 ///
-/// Behaves exactly like [`Parbor::run`](crate::Parbor::run) — same rounds in
-/// the same order, same outcome — but can stop between any two rounds and
-/// continue later, in this process or another (see the module docs).
+/// [`Parbor::run`] is this machine run to completion, so the two run the
+/// same rounds in the same order; the machine can also stop between any
+/// two rounds and continue later, in this process or another (see the
+/// module docs).
 #[derive(Debug, Clone)]
 pub struct ScanMachine {
     state: ScanState,
-    rec: RecorderHandle,
-    /// Index scratch pool shared across every stage's executor and the port
-    /// for the machine's whole lifetime — a pure performance device, never
-    /// checkpointed.
-    arena: RoundArena,
-    /// Cached flip-attribution index of the recursion stage's victims,
-    /// rebuilt lazily after construction or resume.
-    lookup: Option<Mix64Map<VictimKey, usize>>,
+    /// The state's config, the recorder, and the one arena every stage
+    /// shares (a pure performance device, never checkpointed).
+    pipeline: Parbor,
+    /// Built at each transition, rebuilt lazily after a resume.
+    cache: StageCache,
+}
+
+/// What the active stage derives from its checkpointed state.
+#[derive(Debug, Clone)]
+enum StageCache {
+    /// Nothing built yet.
+    Empty,
+    /// The recursion's flip-attribution lookup.
+    Recursion(Mix64Map<VictimKey, usize>),
+    /// The chip-wide test and its round schedule.
+    Chipwide(ChipwideTest),
+    /// The report the chip-wide → done transition built.
+    Done(ParborReport),
 }
 
 impl ScanMachine {
     /// A machine at the start of a fresh scan.
     pub fn new(config: ParborConfig) -> Self {
-        Self::from_state(ScanState::new(config))
+        Self::for_pipeline(Parbor::new(config))
+    }
+
+    /// A machine at the start of a fresh scan of `pipeline`'s config,
+    /// sharing its recorder and arena.
+    pub(crate) fn for_pipeline(pipeline: Parbor) -> Self {
+        ScanMachine {
+            state: ScanState::new(pipeline.config().clone()),
+            pipeline,
+            cache: StageCache::Empty,
+        }
     }
 
     /// A machine resuming from a checkpointed state.
@@ -234,18 +256,19 @@ impl ScanMachine {
     /// [`ScanState::rounds_done`].
     pub fn from_state(state: ScanState) -> Self {
         ScanMachine {
+            pipeline: Parbor::new(state.config.clone()),
             state,
-            rec: RecorderHandle::null(),
-            arena: RoundArena::new(),
-            lookup: None,
+            cache: StageCache::Empty,
         }
     }
 
-    /// Attaches a metrics recorder (stage counters, as in the one-shot
-    /// pipeline).
-    pub fn with_recorder(mut self, rec: RecorderHandle) -> Self {
-        self.rec = rec;
-        self
+    /// Attaches a metrics recorder (stage counters and one `pipeline.*`
+    /// span per stage step).
+    pub fn with_recorder(self, rec: RecorderHandle) -> Self {
+        ScanMachine {
+            pipeline: self.pipeline.with_recorder(rec),
+            ..self
+        }
     }
 
     /// The current state (what a checkpoint persists).
@@ -271,6 +294,15 @@ impl ScanMachine {
         }
     }
 
+    /// The full report, if this machine ran the chip-wide stage to its end
+    /// (a machine resumed from a finished checkpoint has only the profile).
+    pub(crate) fn into_report(self) -> Option<ParborReport> {
+        match self.cache {
+            StageCache::Done(report) => Some(report),
+            _ => None,
+        }
+    }
+
     /// Executes up to `budget` rounds of the active stage; when a stage's
     /// last round completes, transitions to the next stage (transitions
     /// cost zero rounds, so the checkpoint after a transition already holds
@@ -290,26 +322,18 @@ impl ScanMachine {
         port: &mut P,
         budget: usize,
     ) -> Result<usize, ParborError> {
-        let rows = self.state.config.rows_for(port);
+        let pipeline = &self.pipeline;
         let executed = match &mut self.state.stage {
             StageState::Discover { state } => {
-                let scout = VictimScout::new(self.state.config.discovery_seed)
-                    .with_recorder(self.rec.clone());
-                let executed = state.step(&scout, port, &rows, &self.arena, budget)?;
-                if state.is_done(&scout) {
-                    let victims = state.finish(&scout);
-                    if victims.is_empty() {
-                        return Err(ParborError::NoVictims);
-                    }
-                    let selected = victims.select_for_recursion(self.state.config.sample_limit);
-                    let width = port.geometry().cols_per_row as usize;
-                    let rec_state =
-                        RecursionState::start(&self.state.config.recursion, width, &selected)?;
+                let (executed, victims) = state.step(pipeline, port, budget)?;
+                if let Some(victims) = victims {
+                    let (selected, state, lookup) = pipeline.start_recursion(port, &victims)?;
                     self.state.stage = StageState::Recursion {
                         victim_count: victims.len(),
                         selected,
-                        state: rec_state,
+                        state,
                     };
+                    self.cache = StageCache::Recursion(lookup);
                 }
                 executed
             }
@@ -318,27 +342,21 @@ impl ScanMachine {
                 selected,
                 state,
             } => {
-                let lookup = self
-                    .lookup
-                    .get_or_insert_with(|| RecursionState::victim_lookup(selected));
-                let executed = state.step(
-                    &self.state.config.recursion,
-                    &self.rec,
-                    port,
-                    selected,
-                    lookup,
-                    &self.arena,
-                    budget,
-                )?;
-                if state.is_done() {
-                    let recursion = state.outcome();
-                    let width = port.geometry().cols_per_row as usize;
-                    ChipwideTest::new(&recursion.distances, width)?;
+                if !matches!(self.cache, StageCache::Recursion(_)) {
+                    self.cache = StageCache::Recursion(RecursionState::victim_lookup(selected));
+                }
+                let StageCache::Recursion(lookup) = &self.cache else {
+                    unreachable!("the recursion lookup was just built")
+                };
+                let (executed, outcome) = state.step(pipeline, port, selected, lookup, budget)?;
+                if let Some(recursion) = outcome {
+                    let test = pipeline.chipwide_test(port, &recursion.distances)?;
                     self.state.stage = StageState::Chipwide {
                         victim_count: *victim_count,
                         recursion,
                         state: ChipwideState::default(),
                     };
+                    self.cache = StageCache::Chipwide(test);
                 }
                 executed
             }
@@ -347,22 +365,19 @@ impl ScanMachine {
                 recursion,
                 state,
             } => {
-                let width = port.geometry().cols_per_row as usize;
-                let test =
-                    ChipwideTest::new(&recursion.distances, width)?.with_recorder(self.rec.clone());
-                let executed = state.step(&test, port, &rows, &self.arena, budget)?;
-                if state.is_done(&test) {
-                    let chipwide = std::mem::take(state).into_outcome(&test);
-                    let report = ParborReport {
-                        victim_count: *victim_count,
-                        discovery_rounds: VictimScout::new(self.state.config.discovery_seed)
-                            .rounds(),
-                        recursion: recursion.clone(),
-                        chipwide,
-                    };
-                    self.state.stage = StageState::Done {
-                        profile: FailureProfile::from_report(&report),
-                    };
+                if !matches!(self.cache, StageCache::Chipwide(_)) {
+                    let test = pipeline.chipwide_test(port, &recursion.distances)?;
+                    self.cache = StageCache::Chipwide(test);
+                }
+                let StageCache::Chipwide(test) = &self.cache else {
+                    unreachable!("the chip-wide test was just built")
+                };
+                let (executed, outcome) = state.step(pipeline, test, port, budget)?;
+                if let Some(chipwide) = outcome {
+                    let (report, profile) =
+                        pipeline.finish(*victim_count, recursion.clone(), chipwide);
+                    self.state.stage = StageState::Done { profile };
+                    self.cache = StageCache::Done(report);
                 }
                 executed
             }
@@ -399,19 +414,31 @@ mod tests {
     }
 
     #[test]
-    fn machine_matches_one_shot_pipeline() {
+    fn stage_entry_points_match_the_machine() {
+        // The entry-point path a caller timing each stage takes: discover →
+        // locate → chip_test, then the report and profile assembled by hand.
         for (vendor, seed) in [(Vendor::A, 1), (Vendor::B, 1), (Vendor::C, 2)] {
             let config = ParborConfig::default();
-            let report = Parbor::new(config.clone())
-                .run(&mut fresh_chip(vendor, seed))
-                .unwrap();
-            let expected = FailureProfile::from_report(&report);
+            let parbor = Parbor::new(config.clone());
+            let mut chip = fresh_chip(vendor, seed);
+            let victims = parbor.discover(&mut chip).unwrap();
+            let recursion = parbor.locate(&mut chip, &victims).unwrap();
+            let chipwide = parbor.chip_test(&mut chip, &recursion.distances).unwrap();
+            let staged = FailureProfile::from_report(&ParborReport {
+                victim_count: victims.len(),
+                discovery_rounds: crate::VictimScout::new(config.discovery_seed).rounds(),
+                recursion,
+                chipwide,
+            });
 
+            let report = parbor.run(&mut fresh_chip(vendor, seed)).unwrap();
+            assert_eq!(FailureProfile::from_report(&report), staged, "{vendor:?}");
             let mut machine = ScanMachine::new(config);
             let profile = machine
                 .run_to_completion(&mut fresh_chip(vendor, seed))
                 .unwrap();
-            assert_eq!(profile, &expected, "vendor {vendor:?}");
+            assert_eq!(profile, &staged, "{vendor:?}");
+            assert_eq!(machine.into_report(), Some(report), "{vendor:?}");
         }
     }
 
@@ -452,7 +479,13 @@ mod tests {
             .unwrap()
             .clone();
 
-        for k in [1usize, 7, 11, 40] {
+        for (k, stage) in [
+            (1usize, "discover"),
+            (7, "discover"),
+            (11, "recursion"),
+            (40, "recursion"),
+            (80, "chipwide"), // rebuilds the chip-wide test on resume
+        ] {
             let mut machine = ScanMachine::new(config.clone());
             let mut module = spec.build().unwrap();
             let mut left = k;
@@ -462,6 +495,7 @@ mod tests {
                     break;
                 }
             }
+            assert_eq!(machine.state().stage_name(), stage, "after {k} rounds");
             // "Crash": keep only the serialized state.
             let json = serde_json::to_string(machine.state()).unwrap();
             drop(machine);
@@ -613,7 +647,7 @@ mod tests {
     }
 
     #[test]
-    fn engine_arena_counters_match_the_arena_over_every_stage() {
+    fn stepped_machine_records_arena_counters_and_stage_spans() {
         use parbor_dram::ModuleConfig;
         use parbor_obs::{metrics, RecorderHandle, ShardedRecorder};
         let rec = ShardedRecorder::handle();
@@ -639,13 +673,17 @@ mod tests {
             );
             assert_eq!(
                 recorded,
-                machine.arena.counters(),
+                machine.pipeline.arena.counters(),
                 "after a {} step",
                 stages.last().unwrap()
             );
         }
+        // The machine path emits every stage span.
+        let spans = rec.snapshot().spans;
         for stage in ["discover", "recursion", "chipwide"] {
             assert!(stages.contains(&stage), "no {stage} step in {stages:?}");
+            let span = format!("pipeline.{stage}");
+            assert!(spans.iter().any(|s| s.name == span), "no span {span}");
         }
     }
 }

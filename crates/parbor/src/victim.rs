@@ -13,11 +13,12 @@ use std::collections::BTreeMap;
 use serde::{Deserialize, Serialize};
 
 use parbor_dram::{BitAddr, PatternSet, RowId};
-use parbor_hal::{RoundArena, RoundExecutor, RoundPlan, TestPort};
+use parbor_hal::{RoundExecutor, RoundPlan, TestPort};
 use parbor_obs::metrics;
-use parbor_obs::RecorderHandle;
+use parbor_obs::{span, RecorderHandle};
 
 use crate::error::{check_round, ParborError};
+use crate::pipeline::Parbor;
 
 /// Identifies the row-space a victim lives in: a unit (chip) and a row.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
@@ -78,7 +79,7 @@ pub struct VictimSet {
 
 impl VictimSet {
     /// Creates a victim set from raw victims (mainly for tests; normally
-    /// produced by [`VictimScout::discover`]).
+    /// produced by [`Parbor::discover`](crate::Parbor::discover)).
     pub fn from_victims(mut victims: Vec<Victim>) -> Self {
         victims.sort_by_key(|v| (v.unit, v.row.bank, v.row.row, v.col));
         VictimSet { victims }
@@ -119,11 +120,11 @@ impl VictimSet {
     }
 }
 
-/// Runs the discovery rounds and assembles the [`VictimSet`].
+/// The discovery pattern family: builds each discovery round, and is what
+/// [`DiscoverState`] steps through.
 #[derive(Debug, Clone)]
 pub struct VictimScout {
     patterns: PatternSet,
-    rec: RecorderHandle,
 }
 
 impl VictimScout {
@@ -131,14 +132,7 @@ impl VictimScout {
     pub fn new(seed: u64) -> Self {
         VictimScout {
             patterns: PatternSet::discovery(seed),
-            rec: RecorderHandle::null(),
         }
-    }
-
-    /// Attaches a metrics recorder (`discover.*` counters).
-    pub fn with_recorder(mut self, rec: RecorderHandle) -> Self {
-        self.rec = rec;
-        self
     }
 
     /// Number of test rounds the scout will run.
@@ -160,25 +154,6 @@ impl VictimScout {
                 pattern.row_bits(row.row, width)
             }
         })
-    }
-
-    /// Runs discovery over the given rows of every unit.
-    ///
-    /// A cell becomes a victim if it failed in at least one round *and*
-    /// passed in at least one round — failures present under every pattern
-    /// are content-independent and useless for locating neighbors.
-    ///
-    /// # Errors
-    ///
-    /// Propagates device errors from the port.
-    pub fn discover<P: TestPort + ?Sized>(
-        &self,
-        port: &mut P,
-        rows: &[RowId],
-    ) -> Result<VictimSet, ParborError> {
-        let mut state = DiscoverState::default();
-        state.step(self, port, rows, &RoundArena::new(), usize::MAX)?;
-        Ok(state.finish(self))
     }
 }
 
@@ -246,9 +221,9 @@ pub struct SeenCell {
 }
 
 /// Checkpointable progress of the discovery stage: the only place its
-/// rounds run. [`VictimScout::discover`] steps one of these to completion
-/// in a single call; a checkpointed scan ([`ScanMachine`](crate::ScanMachine))
-/// serializes it between steps.
+/// rounds run. [`Parbor::discover`](crate::Parbor::discover) steps one of
+/// these to completion in a single call; a checkpointed scan
+/// ([`ScanMachine`](crate::ScanMachine)) serializes it between steps.
 #[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct DiscoverState {
     next_round: usize,
@@ -256,29 +231,31 @@ pub struct DiscoverState {
 }
 
 impl DiscoverState {
-    /// Executes up to `budget` of the scout's remaining rounds as one batch
-    /// (a multi-chip module runs it chip-parallel) and returns the number
-    /// executed. The port draws its evaluation scratch from `arena`.
+    /// Executes up to `budget` of the remaining rounds as one batch (a
+    /// multi-chip module runs it chip-parallel) in one `pipeline.discover`
+    /// span, on `parbor`'s rows and arena. Returns the rounds executed and,
+    /// once the last round has run, the victim set.
     pub(crate) fn step<P: TestPort + ?Sized>(
         &mut self,
-        scout: &VictimScout,
+        parbor: &Parbor,
         port: &mut P,
-        rows: &[RowId],
-        arena: &RoundArena,
         budget: usize,
-    ) -> Result<usize, ParborError> {
+    ) -> Result<(usize, Option<VictimSet>), ParborError> {
+        let _span = span!(parbor.rec, metrics::pipeline::DISCOVER);
+        let scout = VictimScout::new(parbor.config().discovery_seed);
+        let rows = parbor.config().rows_for(port);
         let total = scout.rounds();
         check_round("discover next_round", self.next_round, total)?;
         let width = port.geometry().cols_per_row as usize;
         let units = port.units();
         let end = self.next_round.saturating_add(budget).min(total);
         let mut exec = RoundExecutor::new(port)
-            .with_recorder(scout.rec.clone())
-            .with_arena(arena.clone())
+            .with_recorder(parbor.rec.clone())
+            .with_arena(parbor.arena.clone())
             .count_rounds_as(metrics::discover::ROUNDS)
             .observe_flips_as(metrics::discover::ROUND_FLIPS);
         let batch: Vec<RoundPlan> = (self.next_round..end)
-            .map(|i| scout.round_plan(i, units, rows, width))
+            .map(|i| scout.round_plan(i, units, &rows, width))
             .collect();
         for flips in exec.run_batch(batch)? {
             for flip in flips {
@@ -293,18 +270,13 @@ impl DiscoverState {
         }
         let executed = end - self.next_round;
         self.next_round = end;
-        Ok(executed)
-    }
-
-    /// Whether every discovery round has run.
-    pub(crate) fn is_done(&self, scout: &VictimScout) -> bool {
-        self.next_round >= scout.rounds()
+        let victims = (end == total).then(|| self.finish(total, &parbor.rec));
+        Ok((executed, victims))
     }
 
     /// Turns the accumulated observations into the victim set: a cell
     /// qualifies if it failed under *some* pattern but passed under another.
-    pub(crate) fn finish(&self, scout: &VictimScout) -> VictimSet {
-        let total_rounds = scout.rounds();
+    fn finish(&self, total_rounds: usize, rec: &RecorderHandle) -> VictimSet {
         let victims = self
             .seen
             .iter()
@@ -317,7 +289,7 @@ impl DiscoverState {
             })
             .collect();
         let set = VictimSet::from_victims(victims);
-        scout.rec.incr(metrics::discover::VICTIMS, set.len() as u64);
+        rec.incr(metrics::discover::VICTIMS, set.len() as u64);
         set
     }
 }
@@ -325,7 +297,19 @@ impl DiscoverState {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::ParborConfig;
     use parbor_dram::{ChipGeometry, DramChip, Vendor};
+
+    /// Discovery with pattern seed `seed` over `rows`.
+    fn discover(chip: &mut DramChip, seed: u64, rows: Vec<RowId>) -> VictimSet {
+        Parbor::new(ParborConfig {
+            discovery_seed: seed,
+            rows: Some(rows),
+            ..ParborConfig::default()
+        })
+        .discover(chip)
+        .unwrap()
+    }
 
     #[test]
     fn select_for_recursion_one_per_row() {
@@ -361,9 +345,8 @@ mod tests {
         let mut chip =
             DramChip::new(ChipGeometry::new(1, 64, 8192).unwrap(), Vendor::A, 99).unwrap();
         let rows: Vec<RowId> = (0..64).map(|r| RowId::new(0, r)).collect();
-        let scout = VictimScout::new(7);
-        assert_eq!(scout.rounds(), 10);
-        let set = scout.discover(&mut chip, &rows).unwrap();
+        assert_eq!(VictimScout::new(7).rounds(), 10);
+        let set = discover(&mut chip, 7, rows);
         assert_eq!(chip.rounds_run(), 10);
         assert!(!set.is_empty(), "no victims found in 64 rows of vendor A");
     }
@@ -375,7 +358,7 @@ mod tests {
         let mut chip =
             DramChip::new(ChipGeometry::new(1, 64, 8192).unwrap(), Vendor::B, 5).unwrap();
         let rows: Vec<RowId> = (0..64).map(|r| RowId::new(0, r)).collect();
-        let set = VictimScout::new(1).discover(&mut chip, &rows).unwrap();
+        let set = discover(&mut chip, 1, rows);
         let mut dd = 0usize;
         let mut total = 0usize;
         for v in set.victims() {

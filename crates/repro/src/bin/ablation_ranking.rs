@@ -5,7 +5,7 @@
 //! distances; too high a threshold drops genuine but less-frequent
 //! distances. The default (0.2) sits in the stable plateau.
 
-use parbor_core::{NeighborRecursion, Parbor, ParborConfig, RecursionConfig};
+use parbor_core::{Parbor, ParborConfig, RecursionConfig};
 use parbor_dram::{ChipGeometry, Vendor};
 use parbor_repro::build_module;
 
@@ -17,14 +17,17 @@ fn main() {
         let mut module = build_module(vendor, 1, geometry).expect("module builds");
         let parbor = Parbor::new(ParborConfig::default());
         let victims = parbor.discover(&mut module).expect("victims found");
-        let selected = victims.select_for_recursion(None);
         println!("Vendor {vendor} (truth {:?}):", vendor.paper_distances());
         for threshold in [0.02, 0.05, 0.1, 0.2, 0.4, 0.7] {
-            let config = RecursionConfig {
+            let recursion = RecursionConfig {
                 rank_threshold: threshold,
                 ..RecursionConfig::default()
             };
-            match NeighborRecursion::new(config).run(&mut module, &selected) {
+            let parbor = Parbor::new(ParborConfig {
+                recursion,
+                ..ParborConfig::default()
+            });
+            match parbor.locate(&mut module, &victims) {
                 Ok(outcome) => {
                     let correct = outcome.distances == vendor.paper_distances();
                     println!(

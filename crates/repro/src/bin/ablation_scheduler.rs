@@ -32,14 +32,13 @@ fn main() {
         let outcome = parbor
             .locate(&mut module, &victims)
             .expect("recursion converges");
-        let rows: Vec<_> = geometry.rows().collect();
         for order in 1..=4u32 {
             let schedule = RoundSchedule::with_order(&outcome.distances, 8192, order)
                 .expect("schedule builds");
             // Run the chip-wide test at this order on a fresh module.
             let mut fresh = build_module(vendor, 1, geometry).expect("module builds");
             let test = ChipwideTest::with_schedule(schedule.clone());
-            let result = test.run(&mut fresh, &rows).expect("test runs");
+            let result = parbor.chip_test_with(&mut fresh, &test).expect("test runs");
             println!(
                 "{}",
                 table_row(
