@@ -23,7 +23,7 @@ use parking_lot::Mutex;
 use serde::{Deserialize, Serialize};
 
 use parbor_core::ScanMachine;
-use parbor_hal::{KernelMode, ParallelMode, TestPort};
+use parbor_hal::TestPort;
 use parbor_obs::{metrics, span, FleetStatus, RecorderHandle};
 
 use crate::job::ScanJob;
@@ -43,10 +43,6 @@ pub struct FleetConfig {
     /// Rounds between checkpoints; `0` disables checkpointing (the journal
     /// then only brackets the job with `Start`/`Done`).
     pub checkpoint_every: usize,
-    /// Intra-module row parallelism, forwarded to every device.
-    pub parallel: ParallelMode,
-    /// Coupling kernel, forwarded to every device.
-    pub kernel: KernelMode,
     /// Test hook: `process::exit(CRASH_EXIT_CODE)` right after the N-th
     /// checkpoint (counted fleet-wide) hits the journal. Models a hard kill
     /// for the crash-and-resume smoke tests.
@@ -62,8 +58,6 @@ impl Default for FleetConfig {
         FleetConfig {
             workers: 2,
             checkpoint_every: 32,
-            parallel: ParallelMode::Auto,
-            kernel: KernelMode::Stencil,
             crash_after_checkpoints: None,
             halt_after_checkpoints: None,
         }
@@ -656,8 +650,6 @@ impl Fleet {
         let mut machine = machine.with_recorder(self.rec.clone());
 
         let mut port = (self.port_factory)(job)?;
-        port.set_parallel_mode(self.config.parallel);
-        port.set_kernel_mode(self.config.kernel);
         port.fast_forward(machine.rounds_done());
 
         let rounds_at_start = machine.rounds_done();

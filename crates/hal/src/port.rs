@@ -9,7 +9,6 @@
 //! round engine, the detection pipeline, the fleet orchestrator — is backend
 //! agnostic; everything below it is one backend's business.
 
-use std::fmt;
 use std::sync::Arc;
 
 use parbor_obs::RecorderHandle;
@@ -73,31 +72,6 @@ pub enum ParallelMode {
     Never,
 }
 
-impl std::str::FromStr for ParallelMode {
-    type Err = DramError;
-
-    fn from_str(s: &str) -> Result<Self, Self::Err> {
-        match s {
-            "auto" => Ok(ParallelMode::Auto),
-            "always" => Ok(ParallelMode::Always),
-            "never" => Ok(ParallelMode::Never),
-            _ => Err(DramError::InvalidConfig(format!(
-                "unknown parallel mode {s:?} (expected auto|always|never)"
-            ))),
-        }
-    }
-}
-
-impl fmt::Display for ParallelMode {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(match self {
-            ParallelMode::Auto => "auto",
-            ParallelMode::Always => "always",
-            ParallelMode::Never => "never",
-        })
-    }
-}
-
 /// Which coupling kernel a backend evaluates reads with.
 ///
 /// Like [`ParallelMode`], a performance knob with bit-identical results;
@@ -112,29 +86,6 @@ pub enum KernelMode {
     /// before the stencil existed. Results are bit-identical to `Stencil`;
     /// this mode exists as the measurement baseline and equivalence oracle.
     Reference,
-}
-
-impl std::str::FromStr for KernelMode {
-    type Err = DramError;
-
-    fn from_str(s: &str) -> Result<Self, Self::Err> {
-        match s {
-            "stencil" => Ok(KernelMode::Stencil),
-            "reference" => Ok(KernelMode::Reference),
-            _ => Err(DramError::InvalidConfig(format!(
-                "unknown kernel mode {s:?} (expected stencil|reference)"
-            ))),
-        }
-    }
-}
-
-impl fmt::Display for KernelMode {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(match self {
-            KernelMode::Stencil => "stencil",
-            KernelMode::Reference => "reference",
-        })
-    }
 }
 
 /// The system-level testing interface: write rows, wait one refresh
@@ -272,22 +223,6 @@ impl<P: TestPort + ?Sized> TestPort for Box<P> {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn mode_round_trips_through_strings() {
-        for mode in [
-            ParallelMode::Auto,
-            ParallelMode::Always,
-            ParallelMode::Never,
-        ] {
-            assert_eq!(mode.to_string().parse::<ParallelMode>().unwrap(), mode);
-        }
-        for mode in [KernelMode::Stencil, KernelMode::Reference] {
-            assert_eq!(mode.to_string().parse::<KernelMode>().unwrap(), mode);
-        }
-        assert!("sideways".parse::<ParallelMode>().is_err());
-        assert!("sideways".parse::<KernelMode>().is_err());
-    }
 
     #[test]
     fn boxed_dyn_port_forwards_everything() {

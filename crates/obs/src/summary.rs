@@ -1,6 +1,7 @@
 //! [`RunSummary`]: a serializable digest of one recorded run — per-phase
 //! wall-clock totals plus final counter/gauge/histogram values — printed by
-//! the CLI binaries and written to `BENCH_pipeline.json` by `bench_report`.
+//! the CLI binaries, and kept as the `summary` section of the
+//! `results/BENCH_pipeline.json` that `bench_report` regenerates on each run.
 
 use std::fmt::Write as _;
 

@@ -1,25 +1,30 @@
-//! `bench_report` — records a fixed-seed pipeline run and writes
-//! `results/BENCH_pipeline.json`: per-phase wall-clock timings, final counter
-//! totals, a baseline-vs-optimized multi-chip comparison, per-kernel
-//! throughput (rows/s, cells/s), and stage-level speedups. Later performance
-//! PRs diff their runs against this baseline.
+//! `bench_report` — the performance gates that perfbench does not carry
+//! yet. It writes `results/BENCH_pipeline.json` (regenerated on every run,
+//! never committed), which CI reads through field needles and four gate
+//! steps:
 //!
-//! The run itself is fully deterministic (default vendor-A module, seed 1);
-//! only the wall-clock fields vary between machines. The same pipeline is
-//! executed twice:
+//! * `stages` / `min_stage_speedup` — each pipeline stage under the
+//!   reference path (`ParallelMode::Never` + `KernelMode::Reference`:
+//!   serial chips, per-stream fault-map sampler, scalar coupling walk) and
+//!   under the shipped defaults (`ParallelMode::Auto` +
+//!   `KernelMode::Stencil`);
+//! * `obs` — sharded-recorder overhead against the null recorder;
+//! * `dataplane` — binary-transcript recording overhead and the scrambler
+//!   LUT against the arithmetic reference;
+//! * `fleet` — campaign throughput with and without checkpointing;
+//! * `serve` — saturation, open-loop latency and multi-worker scaling of
+//!   the profile-query service;
+//! * `store` — ingest, compaction and cold-query floors at 100 000
+//!   modules;
 //!
-//! * **baseline** — `ParallelMode::Never` + `KernelMode::Reference`: the
-//!   retained pre-optimization path (serial chips, per-stream fault-map
-//!   sampler, scalar coupling walk);
-//! * **optimized** — `ParallelMode::Auto` + `KernelMode::Stencil`: the
-//!   shipped defaults (scoped chip/row threads where the host has cores,
-//!   sparse Bernoulli sampler, compiled word-parallel stencil).
+//! plus the run summary of the best recorded pipeline run.
 //!
-//! The two reports are checked for bit-identical equality before any timing
-//! is written; a mismatch is a hard error. On a single-core host `Auto`
-//! degrades to serial execution, so the headline speedup there measures the
-//! kernel work alone — `threads_available` records which regime produced the
-//! numbers.
+//! Every section checks its results before it reports a timing: the two
+//! stage paths, runs under the null and the sharded recorder, bare and
+//! transcript-recording runs, checkpointed and free fleet stores, and
+//! served and direct stencil answers must agree bit for bit, and the
+//! store's ledger must balance. A mismatch is a hard error and the binary
+//! exits non-zero. Only the wall-clock fields vary between machines.
 
 use std::path::Path;
 use std::process::ExitCode;
@@ -28,53 +33,21 @@ use std::time::Instant;
 
 use parbor_core::{FailingCell, FailureProfile, Parbor, ParborConfig, ParborReport};
 use parbor_dram::{
-    ChipGeometry, CouplingStencil, DramModule, ModuleConfig, ModuleId, ModuleSpec, PatternKind,
-    RetentionModel, RowBits, RowFaultMap, RowId, Scrambler, ScramblerLut, Vendor,
+    ChipGeometry, DramModule, ModuleConfig, ModuleId, ModuleSpec, RowBits, Scrambler, ScramblerLut,
+    Vendor,
 };
 use parbor_fleet::{Fleet, FleetConfig, ScanJob};
-use parbor_hal::{KernelMode, ParallelMode, RecordingPort, ReplayPort, TestPort};
-use parbor_memsim::{Density, RefreshPolicyKind, Simulation, SystemConfig};
+use parbor_hal::{KernelMode, ParallelMode, RecordingPort, TestPort};
 use parbor_obs::{metrics, null_recorder, RecorderHandle, RunSummary, ShardedRecorder};
 use parbor_serve::{
     Engine, InlineServer, LoadConfig, LoadMode, LoadReport, Response, SendOutcome, ServeConfig,
     ServeSnapshot,
 };
 use parbor_store::ProfileStore;
-use parbor_workloads::paper_mixes;
 use serde::Serialize;
 
 const OUT: &str = "results/BENCH_pipeline.json";
 const COLS: usize = 8192;
-
-/// Baseline-vs-optimized timing of the identical multi-chip pipeline run.
-#[derive(Debug, Serialize)]
-struct MultiChipBench {
-    chips: usize,
-    /// Host hardware threads; with 1 the `Auto` side runs serial too.
-    threads_available: usize,
-    /// `ParallelMode::Never` + `KernelMode::Reference`.
-    baseline_mode: String,
-    /// `ParallelMode::Auto` + `KernelMode::Stencil` (shipped defaults).
-    optimized_mode: String,
-    serial_ms: f64,
-    parallel_ms: f64,
-    speedup: f64,
-    results_identical: bool,
-}
-
-/// One isolated kernel measured under its reference and optimized
-/// implementations, with throughput for the optimized side.
-#[derive(Debug, Serialize)]
-struct KernelBench {
-    name: String,
-    baseline_ms: f64,
-    optimized_ms: f64,
-    speedup: f64,
-    /// Optimized-side throughput in rows per second.
-    rows_per_s: f64,
-    /// Optimized-side throughput in cells (columns) per second.
-    cells_per_s: f64,
-}
 
 /// One recorded pipeline stage under baseline and optimized execution.
 #[derive(Debug, Serialize)]
@@ -85,9 +58,9 @@ struct StageSpeedup {
     speedup: f64,
 }
 
-/// Recorder overhead on the headline pipeline run: the same deterministic
-/// workload under the null recorder and the per-thread `ShardedRecorder`.
-/// CI gates `overhead_pct` at 1 %.
+/// Recorder overhead on the shipped-default pipeline run: the same
+/// deterministic workload under the null recorder and the per-thread
+/// `ShardedRecorder`. CI gates `overhead_pct` at 1 %.
 #[derive(Debug, Serialize)]
 struct ObsBench {
     /// Best-of wall-clock with the null recorder, ms.
@@ -135,52 +108,18 @@ struct FleetBench {
     stores_identical: bool,
 }
 
-/// Transcript decorator cost (the parbor-hal record/replay layer): recording
-/// overhead over a bare run (target: under 2%), replay throughput, and a
-/// bit-identity check of the replayed profile.
-#[derive(Debug, Serialize)]
-struct HalBench {
-    /// Best-of wall-clock of the undecorated pipeline run, ms.
-    bare_ms: f64,
-    /// Best-of wall-clock of the same run through a `RecordingPort`, ms.
-    record_ms: f64,
-    /// Recording cost relative to the bare run, in percent: the
-    /// lower-quartile within-repetition paired ratio (see [`hal_bench`]).
-    /// The bare run is
-    /// an in-memory simulator whose rounds finish in microseconds, so this
-    /// ratio is dominated by transcript serialization and is expected to be
-    /// large; see `record_overhead_vs_refresh_pct` for the number the < 2 %
-    /// target applies to.
-    record_overhead_pct: f64,
-    /// Recording cost per round, ms.
-    record_ms_per_round: f64,
-    /// Recording cost per round against the 64 ms refresh wait a physical
-    /// round spends idle anyway, in percent (target: under 2 %).
-    record_overhead_vs_refresh_pct: f64,
-    /// Best-of wall-clock of replaying the transcript, ms.
-    replay_ms: f64,
-    /// Replay throughput in recorded row-writes per second.
-    replay_rows_per_s: f64,
-    /// Size of the recorded transcript on disk.
-    transcript_bytes: u64,
-    /// Whether the replayed report equals the live one bit for bit.
-    replay_identical: bool,
-}
-
-/// The zero-copy data plane: binary transcript cost and size, the compiled
-/// scrambler LUT against the arithmetic reference, and round-arena pool
-/// effectiveness on the shipped pipeline. CI gates
+/// The data plane: binary transcript cost and size, and the compiled
+/// scrambler LUT against the arithmetic reference. CI gates
 /// `binary_record_overhead_pct` and `lut_speedup`.
 #[derive(Debug, Serialize)]
 struct DataplaneBench {
-    /// Best-of wall-clock of the undecorated single-chip run, ms (the same
-    /// baseline `hal.bare_ms` uses).
+    /// Best-of wall-clock of the undecorated single-chip run, ms.
     bare_ms: f64,
     /// Best-of wall-clock recording a binary transcript, ms.
     binary_record_ms: f64,
     /// Binary recording cost relative to the bare run, in percent: the
-    /// lower-quartile within-repetition paired ratio (see [`hal_bench`])
-    /// (CI gate: under 10).
+    /// lower-quartile within-repetition paired ratio (see
+    /// [`dataplane_bench`]) (CI gate: under 10).
     binary_record_overhead_pct: f64,
     /// Binary transcript size on disk.
     binary_transcript_bytes: u64,
@@ -190,21 +129,6 @@ struct DataplaneBench {
     lut_ns_per_translation: f64,
     /// Reference over LUT (CI gate: at least 5).
     lut_speedup: f64,
-    /// `engine.arena_hits` over one shipped-default pipeline run.
-    arena_hits: u64,
-    /// `engine.arena_misses` over the same run.
-    arena_misses: u64,
-    /// `engine.arena_recycled` over the same run.
-    arena_recycled: u64,
-    /// Pool hit rate, hits over hits + misses.
-    arena_hit_rate: f64,
-    /// `dram.scrambler_lut_lookups` over the same run (the stencil kernel's
-    /// batch translations all go through the LUT).
-    scrambler_lut_lookups: u64,
-    /// Whether both recorded runs' reports equal the bare one bit for bit.
-    results_identical: bool,
-    /// Whether both formats replay to the bare report bit for bit.
-    replay_identical: bool,
 }
 
 /// Multi-worker scaling probe on the threaded engine: the same
@@ -317,64 +241,9 @@ struct StoreBench {
     store_ledger_balanced: bool,
 }
 
-/// One density point of the memory-system benchmark: refresh work and
-/// weighted speedup under the three refresh policies, summed over the
-/// fixed workload mixes.
-#[derive(Debug, Serialize)]
-struct MemsimDensityBench {
-    /// Chip density in gigabits.
-    density_gb: u32,
-    /// Refresh work relative to uniform-64 ms, averaged over mixes
-    /// (uniform is 1.0 by construction).
-    uniform_refresh_work: f64,
-    /// Same, under RAIDR's 4-bin schedule.
-    raidr_refresh_work: f64,
-    /// Same, under DC-REF's content-aware schedule.
-    dcref_refresh_work: f64,
-    /// Rank-cycles blocked on refresh, summed over mixes, uniform policy.
-    uniform_refresh_busy_cycles: u64,
-    /// Same, RAIDR.
-    raidr_refresh_busy_cycles: u64,
-    /// Same, DC-REF.
-    dcref_refresh_busy_cycles: u64,
-    /// Weighted speedup vs. alone-on-baseline IPCs, summed over mixes.
-    uniform_ws: f64,
-    /// Same, RAIDR.
-    raidr_ws: f64,
-    /// Same, DC-REF.
-    dcref_ws: f64,
-    /// `dcref_ws / raidr_ws` (at or above 1.0 when the trend holds).
-    dcref_ws_over_raidr: f64,
-}
-
-/// Memory-system simulation benchmark (`parbor-memsim`): a fixed-seed,
-/// small-cycle-budget sweep over density × refresh policy. CI gates the
-/// *trend* booleans only — refresh work DC-REF < RAIDR < uniform and
-/// weighted speedup DC-REF ≥ RAIDR at every density — never the absolute
-/// numbers, which shift with workload and model calibration.
-#[derive(Debug, Serialize)]
-struct MemsimBench {
-    /// Memory cycles simulated per run.
-    mem_cycles: u64,
-    /// Workload mixes per density (fixed generator seed).
-    mixes: usize,
-    /// Cores per mix.
-    cores: usize,
-    /// Per-density refresh and speedup numbers.
-    densities: Vec<MemsimDensityBench>,
-    /// Whether DC-REF did less refresh work than RAIDR, and RAIDR less
-    /// than uniform, at every density (CI gate: must be `true`).
-    refresh_trend_holds: bool,
-    /// Whether DC-REF's weighted speedup was at or above RAIDR's at every
-    /// density (CI gate: must be `true`).
-    speedup_trend_holds: bool,
-}
-
 /// The full benchmark document written to `results/BENCH_pipeline.json`.
 #[derive(Debug, Serialize)]
 struct BenchDoc {
-    multi_chip: MultiChipBench,
-    kernels: Vec<KernelBench>,
     stages: Vec<StageSpeedup>,
     /// Smallest per-stage speedup in `stages`; each side of every stage is
     /// its own best-of across repetitions, so this is a genuine floor, not
@@ -383,11 +252,9 @@ struct BenchDoc {
     min_stage_speedup: f64,
     obs: ObsBench,
     fleet: FleetBench,
-    hal: HalBench,
     dataplane: DataplaneBench,
     serve: ServeBench,
     store: StoreBench,
-    memsim: MemsimBench,
     summary: RunSummary,
 }
 
@@ -441,94 +308,6 @@ fn best_of(reps: usize, mut f: impl FnMut() -> usize) -> f64 {
     best
 }
 
-fn kernel(name: &str, rows: usize, baseline_ms: f64, optimized_ms: f64) -> KernelBench {
-    // `*_ms` are per-pass times over `rows` rows of `COLS` columns each.
-    KernelBench {
-        name: name.to_string(),
-        baseline_ms,
-        optimized_ms,
-        speedup: baseline_ms / optimized_ms,
-        rows_per_s: rows as f64 / (optimized_ms / 1e3),
-        cells_per_s: (rows * COLS) as f64 / (optimized_ms / 1e3),
-    }
-}
-
-/// Isolated single-thread kernel benchmarks: the sparse fault-map sampler vs.
-/// the reference per-stream sampler, and the compiled coupling stencil vs.
-/// the scalar entry walk.
-fn kernel_benches() -> Vec<KernelBench> {
-    const ROWS: u32 = 64;
-    const REPS: usize = 5;
-    let scrambler = Vendor::A.scrambler(COLS);
-    let rates = Vendor::A.default_rates();
-    let retention = RetentionModel::default();
-
-    let build_ref = best_of(REPS, || {
-        (0..ROWS)
-            .map(|r| {
-                RowFaultMap::build_reference(
-                    1,
-                    RowId::new(0, r),
-                    scrambler.as_ref(),
-                    &rates,
-                    &retention,
-                )
-                .len()
-            })
-            .sum()
-    });
-    let build_fast = best_of(REPS, || {
-        (0..ROWS)
-            .map(|r| {
-                RowFaultMap::build(1, RowId::new(0, r), scrambler.as_ref(), &rates, &retention)
-                    .len()
-            })
-            .sum()
-    });
-
-    let fixtures: Vec<(RowFaultMap, CouplingStencil)> = (0..ROWS)
-        .map(|r| {
-            let map =
-                RowFaultMap::build(1, RowId::new(0, r), scrambler.as_ref(), &rates, &retention);
-            let stencil = CouplingStencil::compile(&map, 0.0);
-            (map, stencil)
-        })
-        .collect();
-    let images: Vec<_> = (0..ROWS)
-        .map(|r| PatternKind::Random { seed: u64::from(r) }.row_bits(r, COLS))
-        .collect();
-    // One pass over 64 rows takes only a few microseconds, so loop each
-    // sample EVAL_ITERS times to stay well above timer granularity.
-    const EVAL_ITERS: usize = 200;
-    let eval_scalar = best_of(REPS, || {
-        let mut acc = 0usize;
-        for _ in 0..EVAL_ITERS {
-            acc += fixtures
-                .iter()
-                .zip(&images)
-                .map(|((map, _), data)| map.coupling_fail_indices(data, 0.0).len())
-                .sum::<usize>();
-        }
-        acc
-    }) / EVAL_ITERS as f64;
-    let eval_stencil = best_of(REPS, || {
-        let mut acc = 0usize;
-        for _ in 0..EVAL_ITERS {
-            acc += fixtures
-                .iter()
-                .zip(&images)
-                .map(|((_, stencil), data)| stencil.eval(data).len())
-                .sum::<usize>();
-        }
-        acc
-    }) / EVAL_ITERS as f64;
-
-    vec![
-        kernel("fault_map_build", ROWS as usize, build_ref, build_fast),
-        kernel("coupling_eval", ROWS as usize, eval_scalar, eval_stencil),
-    ]
-}
-
 /// Every file under `root`, as sorted (relative path, contents) pairs.
 fn dir_snapshot(root: &Path) -> Result<Vec<(String, Vec<u8>)>, String> {
     fn walk(dir: &Path, root: &Path, out: &mut Vec<(String, Vec<u8>)>) -> Result<(), String> {
@@ -553,7 +332,7 @@ fn dir_snapshot(root: &Path) -> Result<Vec<(String, Vec<u8>)>, String> {
     Ok(out)
 }
 
-/// Measures recorder overhead: the headline optimized pipeline run under
+/// Measures recorder overhead: the shipped-default pipeline run under
 /// the null and sharded recorders, interleaved per repetition so
 /// scheduler drift hits both equally. The gated overhead number is the
 /// best *within-repetition* ratio against that repetition's null run —
@@ -855,31 +634,10 @@ fn scrambler_bench() -> (f64, f64, f64) {
     )
 }
 
-/// Runs the shipped-default pipeline once under a sharded recorder and
-/// returns the data-plane counters: arena hits, misses, recycled buffers,
-/// and LUT lookups.
-fn dataplane_counters() -> Result<(u64, u64, u64, u64), String> {
-    let rec = ShardedRecorder::handle();
-    timed_run(
-        ParallelMode::Auto,
-        KernelMode::Stencil,
-        Some(RecorderHandle::from(rec.clone())),
-    )?;
-    let snap = rec.snapshot();
-    let counter = |name: &str| snap.counters.get(name).copied().unwrap_or(0);
-    Ok((
-        counter(metrics::engine::ARENA_HITS),
-        counter(metrics::engine::ARENA_MISSES),
-        counter(metrics::engine::ARENA_RECYCLED),
-        counter(metrics::dram::SCRAMBLER_LUT_LOOKUPS),
-    ))
-}
-
-/// Times the transcript decorators on a single-chip pipeline run: bare vs.
-/// recorded wall-clock, then replay throughput from the recorded file. Every
-/// recorded and replayed report must match the live one bit for bit.
-/// Returns the `hal` section plus the `dataplane` section.
-fn hal_bench() -> Result<(HalBench, DataplaneBench), String> {
+/// Times binary transcript recording on a single-chip pipeline run (bare
+/// vs. recorded wall-clock) and the scrambler LUT. Every recorded report
+/// must match the bare one bit for bit.
+fn dataplane_bench() -> Result<DataplaneBench, String> {
     // More repetitions than the other sections: the gated binary-record
     // overhead is a few percent of a ~25 ms run on a host whose noise
     // bursts are the same order, so the paired-ratio quartile needs enough
@@ -894,7 +652,8 @@ fn hal_bench() -> Result<(HalBench, DataplaneBench), String> {
         })
     };
     let pipeline = Parbor::new(ParborConfig::default());
-    let scratch = std::env::temp_dir().join(format!("parbor-bench-hal-{}", std::process::id()));
+    let scratch =
+        std::env::temp_dir().join(format!("parbor-bench-dataplane-{}", std::process::id()));
     std::fs::create_dir_all(&scratch).map_err(|e| e.to_string())?;
 
     // Bare and recorded runs, interleaved per repetition so scheduler drift
@@ -935,7 +694,7 @@ fn hal_bench() -> Result<(HalBench, DataplaneBench), String> {
         let rep_bare_ms = start.elapsed().as_secs_f64() * 1e3;
         bare_ms = bare_ms.min(rep_bare_ms);
         if *bare_report.get_or_insert_with(|| report.clone()) != report {
-            return Err("bare hal-bench runs disagree between repetitions".into());
+            return Err("bare dataplane-bench runs disagree between repetitions".into());
         }
 
         let mut port =
@@ -950,75 +709,26 @@ fn hal_bench() -> Result<(HalBench, DataplaneBench), String> {
         ratios.push(ms / rep_bare_ms);
         port.finish().map_err(|e| e.to_string())?;
         if Some(&recorded) != bare_report.as_ref() {
-            return Err("recorded hal-bench run disagrees with the bare run".into());
+            return Err("recorded dataplane-bench run disagrees with the bare run".into());
         }
     }
-    let bare_report = bare_report.expect("at least one bare repetition ran");
     let transcript_bytes = std::fs::metadata(&transcript)
         .map_err(|e| e.to_string())?
         .len();
-
-    let info = ReplayPort::open(&transcript)
-        .map_err(|e| e.to_string())?
-        .info();
-    let total_writes = info.total_writes;
-    let mut replay_ms = f64::INFINITY;
-    let mut replay_identical = true;
-    for _ in 0..REPS {
-        let mut port = ReplayPort::open(&transcript).map_err(|e| e.to_string())?;
-        let start = Instant::now();
-        let report = pipeline
-            .run(&mut port as &mut dyn TestPort)
-            .map_err(|e| e.to_string())?;
-        replay_ms = replay_ms.min(start.elapsed().as_secs_f64() * 1e3);
-        replay_identical &= report == bare_report;
-    }
     std::fs::remove_dir_all(&scratch).ok();
-    if !replay_identical {
-        return Err("replayed hal-bench run disagrees with the live run".into());
-    }
-
-    // A physical PARBOR round idles through at least one 64 ms refresh
-    // interval before reading flips back, so the per-round recording cost is
-    // scored against that wait; the in-memory simulator has no such wait,
-    // which is why `record_overhead_pct` dwarfs it.
-    const REFRESH_WAIT_MS: f64 = 64.0;
-    let record_ms_per_round = (record_ms - bare_ms).max(0.0) / info.rounds.max(1) as f64;
-    let record_overhead_pct = (lower_quartile(ratios) - 1.0) * 100.0;
-    let hal = HalBench {
-        bare_ms,
-        record_ms,
-        record_overhead_pct,
-        record_ms_per_round,
-        record_overhead_vs_refresh_pct: record_ms_per_round / REFRESH_WAIT_MS * 100.0,
-        replay_ms,
-        replay_rows_per_s: total_writes as f64 / (replay_ms / 1e3),
-        transcript_bytes,
-        replay_identical,
-    };
 
     let (reference_ns, lut_ns, lut_speedup) = scrambler_bench();
-    let (arena_hits, arena_misses, arena_recycled, scrambler_lut_lookups) = dataplane_counters()?;
-    let dataplane = DataplaneBench {
+    Ok(DataplaneBench {
         bare_ms,
         binary_record_ms: record_ms,
-        binary_record_overhead_pct: record_overhead_pct,
+        binary_record_overhead_pct: (lower_quartile(ratios) - 1.0) * 100.0,
         binary_transcript_bytes: transcript_bytes,
         reference_ns_per_translation: reference_ns,
         lut_ns_per_translation: lut_ns,
         lut_speedup,
-        arena_hits,
-        arena_misses,
-        arena_recycled,
-        arena_hit_rate: arena_hits as f64 / (arena_hits + arena_misses).max(1) as f64,
-        scrambler_lut_lookups,
-        results_identical: true,
-        replay_identical,
-    };
-    Ok((hal, dataplane))
+    })
 }
 
-/// Lower quartile of a sample set: the ⌊n/4⌋-th order statistic.
 /// Benchmarks the profile-query service. The population is four vendor-A
 /// modules at 64 rows x [`COLS`] columns built through the shared
 /// `servecli` scheme, compiled at ground-truth scope (every row). The
@@ -1210,86 +920,7 @@ fn serve_bench(threads_available: usize) -> Result<ServeBench, String> {
     })
 }
 
-/// Memory-system sweep: three densities × three refresh policies over the
-/// same fixed-seed workload mixes. Everything here is deterministic (the
-/// simulator is cycle-exact and seeded), so the section carries no best-of
-/// machinery; the cycle budget is kept small because CI gates only the
-/// policy ordering, which a short run already resolves.
-fn memsim_bench() -> Result<MemsimBench, String> {
-    const MEM_CYCLES: u64 = 150_000;
-    const MIXES: usize = 2;
-    const CORES: u32 = 4;
-    const POLICIES: [RefreshPolicyKind; 3] = [
-        RefreshPolicyKind::Uniform64,
-        RefreshPolicyKind::Raidr,
-        RefreshPolicyKind::DcRef,
-    ];
-    let mixes = paper_mixes(MIXES, CORES as usize, 2016);
-    let mut densities = Vec::new();
-    let mut refresh_trend_holds = true;
-    let mut speedup_trend_holds = true;
-    for (density_gb, density) in [(8, Density::Gb8), (16, Density::Gb16), (32, Density::Gb32)] {
-        let config = SystemConfig {
-            density,
-            cores: CORES,
-            ..SystemConfig::paper()
-        };
-        // Alone IPCs per distinct app on the *baseline* policy — the common
-        // weighted-speedup denominator, so policy gains stay visible.
-        let mut alone: std::collections::HashMap<&str, f64> = std::collections::HashMap::new();
-        for mix in &mixes {
-            for app in &mix.apps {
-                if !alone.contains_key(app.name) {
-                    let ipc = Simulation::alone_ipc(
-                        config,
-                        RefreshPolicyKind::Uniform64,
-                        app,
-                        0xA10E,
-                        MEM_CYCLES,
-                    );
-                    alone.insert(app.name, ipc);
-                }
-            }
-        }
-        let mut work = [0.0f64; 3];
-        let mut busy = [0u64; 3];
-        let mut ws = [0.0f64; 3];
-        for mix in &mixes {
-            let alone_ipcs: Vec<f64> = mix.apps.iter().map(|a| alone[a.name]).collect();
-            for (pi, policy) in POLICIES.into_iter().enumerate() {
-                let report = Simulation::new(config, policy, mix, 9).run(MEM_CYCLES);
-                work[pi] += report.refresh_work_fraction;
-                busy[pi] += report.refresh_busy_cycles;
-                ws[pi] += parbor_memsim::weighted_speedup(&report.ipcs(), &alone_ipcs);
-            }
-        }
-        let n = MIXES as f64;
-        refresh_trend_holds &= work[2] < work[1] && work[1] < work[0];
-        speedup_trend_holds &= ws[2] >= ws[1];
-        densities.push(MemsimDensityBench {
-            density_gb,
-            uniform_refresh_work: work[0] / n,
-            raidr_refresh_work: work[1] / n,
-            dcref_refresh_work: work[2] / n,
-            uniform_refresh_busy_cycles: busy[0],
-            raidr_refresh_busy_cycles: busy[1],
-            dcref_refresh_busy_cycles: busy[2],
-            uniform_ws: ws[0],
-            raidr_ws: ws[1],
-            dcref_ws: ws[2],
-            dcref_ws_over_raidr: if ws[1] > 0.0 { ws[2] / ws[1] } else { 0.0 },
-        });
-    }
-    Ok(MemsimBench {
-        mem_cycles: MEM_CYCLES,
-        mixes: MIXES,
-        cores: CORES as usize,
-        densities,
-        refresh_trend_holds,
-        speedup_trend_holds,
-    })
-}
-
+/// Lower quartile of a sample set: the ⌊n/4⌋-th order statistic.
 fn lower_quartile(mut xs: Vec<f64>) -> f64 {
     assert!(!xs.is_empty(), "quartile of an empty sample set");
     xs.sort_by(|a, b| a.partial_cmp(b).expect("sample values are finite"));
@@ -1305,39 +936,15 @@ fn phase_ms(summary: &RunSummary, name: &str) -> f64 {
 }
 
 fn run() -> Result<BenchDoc, String> {
-    // Headline timed pair: identical seed, retained reference path vs. the
-    // shipped optimized defaults. No recorder attached — these are the clean
-    // wall-clock numbers. Each side runs PIPELINE_REPS times and keeps the
-    // fastest, which suppresses scheduler noise on shared hosts; every
-    // repetition's report must agree.
+    // The reference path against the shipped defaults, both under a
+    // sharded recorder for the stage-level breakdown. Every repetition's
+    // two reports must equal each other and the first repetition's. Every
+    // stage takes its own best-of across repetitions, independently per
+    // side: the repetition with the fastest total can still carry one slow
+    // stage, and picking whole summaries by total used to report that slow
+    // stage as a phantom regression.
     const PIPELINE_REPS: usize = 5;
-    let mut serial_ms = f64::INFINITY;
-    let mut parallel_ms = f64::INFINITY;
     let mut baseline_report = None;
-    for _ in 0..PIPELINE_REPS {
-        let (report, ms) = timed_run(ParallelMode::Never, KernelMode::Reference, None)?;
-        serial_ms = serial_ms.min(ms);
-        if *baseline_report.get_or_insert_with(|| report.clone()) != report {
-            return Err("baseline pipeline runs disagree between repetitions".into());
-        }
-    }
-    let baseline_report = baseline_report.expect("at least one baseline repetition ran");
-    let mut results_identical = true;
-    for _ in 0..PIPELINE_REPS {
-        let (report, ms) = timed_run(ParallelMode::Auto, KernelMode::Stencil, None)?;
-        parallel_ms = parallel_ms.min(ms);
-        results_identical &= report == baseline_report;
-    }
-    if !results_identical {
-        return Err("baseline and optimized pipeline runs disagree".into());
-    }
-
-    // Recorded pair for the stage-level breakdown (timings perturbed by the
-    // recorder, so kept separate from the headline numbers). Every stage
-    // takes its own best-of across repetitions, independently per side: the
-    // repetition with the fastest total can still carry one slow stage, and
-    // picking whole summaries by total used to report that slow stage as a
-    // phantom regression.
     let mut base_summaries = Vec::with_capacity(PIPELINE_REPS);
     let mut opt_summaries = Vec::with_capacity(PIPELINE_REPS);
     for _ in 0..PIPELINE_REPS {
@@ -1353,12 +960,15 @@ fn run() -> Result<BenchDoc, String> {
             KernelMode::Stencil,
             Some(RecorderHandle::from(opt_rec.clone())),
         )?;
-        if base_report != opt_report || base_report != baseline_report {
-            return Err("recorded pipeline runs disagree with unrecorded runs".into());
+        if base_report != opt_report
+            || *baseline_report.get_or_insert_with(|| base_report.clone()) != base_report
+        {
+            return Err("reference-path and shipped-default pipeline runs disagree".into());
         }
         base_summaries.push(RunSummary::from_snapshot(&base_rec.snapshot()));
         opt_summaries.push(RunSummary::from_snapshot(&opt_rec.snapshot()));
     }
+    let baseline_report = baseline_report.expect("at least one pipeline repetition ran");
     let best_stage_ms = |summaries: &[RunSummary], name: &str| {
         summaries
             .iter()
@@ -1403,13 +1013,11 @@ fn run() -> Result<BenchDoc, String> {
         .expect("at least one recorded repetition ran");
 
     let threads_available = std::thread::available_parallelism().map_or(1, |n| n.get());
-    let kernels = kernel_benches();
     let obs = obs_bench(&baseline_report)?;
     let fleet = fleet_bench()?;
-    let (hal, dataplane) = hal_bench()?;
+    let dataplane = dataplane_bench()?;
     let serve = serve_bench(threads_available)?;
     let store = store_bench()?;
-    let memsim = memsim_bench()?;
 
     println!(
         "pipeline: {} victims, distances {:?}, {} failures, {} rounds",
@@ -1418,16 +1026,6 @@ fn run() -> Result<BenchDoc, String> {
         baseline_report.failure_count(),
         baseline_report.total_rounds(),
     );
-    println!(
-        "multi-chip (8 chips): baseline {serial_ms:.1} ms, optimized {parallel_ms:.1} ms, speedup {:.2}x",
-        serial_ms / parallel_ms
-    );
-    for k in &kernels {
-        println!(
-            "kernel {}: {:.2} ms -> {:.2} ms ({:.2}x, {:.0} rows/s, {:.2e} cells/s)",
-            k.name, k.baseline_ms, k.optimized_ms, k.speedup, k.rows_per_s, k.cells_per_s
-        );
-    }
     for s in &stages {
         println!(
             "stage {}: {:.1} ms -> {:.1} ms ({:.2}x)",
@@ -1452,32 +1050,15 @@ fn run() -> Result<BenchDoc, String> {
         fleet.checkpoint_bytes,
     );
     println!(
-        "hal transcripts: bare {:.1} ms, recorded {:.1} ms ({:+.2}% vs sim, \
-         {:.3} ms/round = {:.2}% of a refresh wait), \
-         replay {:.1} ms ({:.0} rows/s, {} transcript bytes)",
-        hal.bare_ms,
-        hal.record_ms,
-        hal.record_overhead_pct,
-        hal.record_ms_per_round,
-        hal.record_overhead_vs_refresh_pct,
-        hal.replay_ms,
-        hal.replay_rows_per_s,
-        hal.transcript_bytes,
-    );
-    println!(
-        "dataplane: record binary {:.1} ms ({:+.1}%), transcript {} bytes; \
-         scrambler {:.2} ns -> {:.2} ns per translation ({:.1}x); \
-         arena {} hits / {} misses ({:.1}% hit rate, {} recycled)",
+        "dataplane: bare {:.1} ms, record binary {:.1} ms ({:+.1}%), transcript {} bytes; \
+         scrambler {:.2} ns -> {:.2} ns per translation ({:.1}x)",
+        dataplane.bare_ms,
         dataplane.binary_record_ms,
         dataplane.binary_record_overhead_pct,
         dataplane.binary_transcript_bytes,
         dataplane.reference_ns_per_translation,
         dataplane.lut_ns_per_translation,
         dataplane.lut_speedup,
-        dataplane.arena_hits,
-        dataplane.arena_misses,
-        dataplane.arena_hit_rate * 100.0,
-        dataplane.arena_recycled,
     );
     println!(
         "serve ({} modules, {} stencils): saturation {:.0} checks/s, open-loop @ {:.0}/s \
@@ -1515,47 +1096,14 @@ fn run() -> Result<BenchDoc, String> {
         store.store_cold_query_us,
         store.store_cold_query_max_us,
     );
-    for d in &memsim.densities {
-        println!(
-            "memsim @ {} Gb ({} mixes x {} cycles): refresh work uniform {:.3} -> RAIDR {:.3} \
-             -> DC-REF {:.3}; weighted speedup RAIDR {:.3} vs DC-REF {:.3} ({:.3}x)",
-            d.density_gb,
-            memsim.mixes,
-            memsim.mem_cycles,
-            d.uniform_refresh_work,
-            d.raidr_refresh_work,
-            d.dcref_refresh_work,
-            d.raidr_ws,
-            d.dcref_ws,
-            d.dcref_ws_over_raidr,
-        );
-    }
-    println!(
-        "memsim trends: refresh DC-REF < RAIDR < uniform: {}; speedup DC-REF >= RAIDR: {}",
-        memsim.refresh_trend_holds, memsim.speedup_trend_holds,
-    );
-
     Ok(BenchDoc {
-        multi_chip: MultiChipBench {
-            chips: 8,
-            threads_available,
-            baseline_mode: "ParallelMode::Never + KernelMode::Reference".to_string(),
-            optimized_mode: "ParallelMode::Auto + KernelMode::Stencil".to_string(),
-            serial_ms,
-            parallel_ms,
-            speedup: serial_ms / parallel_ms,
-            results_identical,
-        },
-        kernels,
         stages,
         min_stage_speedup,
         obs,
         fleet,
-        hal,
         dataplane,
         serve,
         store,
-        memsim,
         summary: opt_summary,
     })
 }
@@ -1569,7 +1117,7 @@ fn main() -> ExitCode {
                 eprintln!("error: writing {OUT}: {e}");
                 return ExitCode::FAILURE;
             }
-            println!("baseline written : {OUT}");
+            println!("report written   : {OUT}");
             ExitCode::SUCCESS
         }
         Err(e) => {

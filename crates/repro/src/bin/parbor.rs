@@ -15,12 +15,11 @@
 //! parbor obs     report [--trace F] [--out F]
 //! ```
 //!
-//! `--parallel auto|always|never` and `--kernel stencil|reference` apply to
-//! every device-building subcommand. `detect` and `fleet run`/`fleet resume`
-//! additionally accept `--backend sim|replay:<path>` and `--record <path>`
-//! to swap or decorate the test-port backend, and `--mechanisms SPEC` to
-//! compose extra failure mechanisms (including `inject=rate:<p>,seed:<s>`
-//! random noise) into the simulated device.
+//! `detect` and `fleet run`/`fleet resume` accept `--backend
+//! sim|replay:<path>` and `--record <path>` to swap or decorate the
+//! test-port backend, and `--mechanisms SPEC` to compose extra failure
+//! mechanisms (including `inject=rate:<p>,seed:<s>` random noise) into the
+//! simulated device.
 //! Every subcommand defaults to the simulated devices; see the fig*/table*
 //! binaries for the exact paper reproductions.
 
@@ -35,7 +34,7 @@ use parbor_dram::{
     RowId, Seconds, Vendor,
 };
 use parbor_fleet::{Fleet, FleetConfig, ProfileStore, ScanJob, CRASH_EXIT_CODE};
-use parbor_hal::{KernelMode, MechanismSpec, ParallelMode, RecordingPort, ReplayPort, TestPort};
+use parbor_hal::{MechanismSpec, RecordingPort, ReplayPort, TestPort};
 use parbor_memsim::{Density, RefreshPolicyKind, Simulation, SystemConfig};
 use parbor_obs::{
     folded_stacks, metrics, trace, FleetStatus, Profile, RecorderHandle, RunSummary,
@@ -61,6 +60,11 @@ impl Args {
                     "--inject was removed; use --mechanisms inject=rate:P,seed:S[,intermittent:Q]"
                         .into(),
                 );
+            }
+            if name == "parallel" || name == "kernel" {
+                return Err(format!(
+                    "--{name} was removed; the simulator always runs its shipped defaults"
+                ));
             }
             let value = it
                 .next()
@@ -100,20 +104,6 @@ impl Args {
                 .parse()
                 .map(Some)
                 .map_err(|_| format!("--{name} must be a number")),
-        }
-    }
-
-    fn parallel_mode(&self) -> Result<ParallelMode, String> {
-        match self.flags.get("parallel") {
-            None => Ok(ParallelMode::Auto),
-            Some(v) => v.parse().map_err(|e: parbor_dram::DramError| e.to_string()),
-        }
-    }
-
-    fn kernel_mode(&self) -> Result<KernelMode, String> {
-        match self.flags.get("kernel") {
-            None => Ok(KernelMode::Stencil),
-            Some(v) => v.parse().map_err(|e: parbor_dram::DramError| e.to_string()),
         }
     }
 
@@ -160,17 +150,14 @@ enum Backend {
 
 fn build(args: &Args, default_chips: u64) -> Result<parbor_dram::DramModule, String> {
     let rows = args.u64_or("rows", 128)?;
-    let mut module = ModuleConfig::new(args.vendor()?)
+    ModuleConfig::new(args.vendor()?)
         .geometry(ChipGeometry::new(1, rows as u32, 8192).map_err(|e| e.to_string())?)
         .chips(args.u64_or("chips", default_chips)? as usize)
         .seed(args.u64_or("seed", 1)?)
         .module_id(ModuleId(1))
         .mechanisms(args.mechanisms()?)
         .build()
-        .map_err(|e| e.to_string())?;
-    module.set_parallel_mode(args.parallel_mode()?);
-    module.set_kernel_mode(args.kernel_mode()?);
-    Ok(module)
+        .map_err(|e| e.to_string())
 }
 
 /// Builds the backend selected by `--backend`, wrapped in a recorder when
@@ -491,8 +478,6 @@ fn fleet_config(args: &Args) -> Result<FleetConfig, String> {
     Ok(FleetConfig {
         workers: args.u64_or("workers", 2)? as usize,
         checkpoint_every: args.u64_or("checkpoint-every", 32)? as usize,
-        parallel: args.parallel_mode()?,
-        kernel: args.kernel_mode()?,
         crash_after_checkpoints: args.u64_opt("crash-after")?,
         halt_after_checkpoints: None,
     })
@@ -952,8 +937,6 @@ const USAGE: &str =
                           per-stage self/total wall-clock table + folded
                           stacks for flamegraph.pl
 common flags: --vendor A|B|C  --seed N  --rows N  --chips N
-              --parallel auto|always|never   row-level parallelism policy
-              --kernel stencil|reference     coupling kernel implementation
 backend flags (detect, fleet run/resume):
               --backend sim|replay:PATH      test-port backend; replay reads a
                                              transcript (detect: file, fleet:

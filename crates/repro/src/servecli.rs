@@ -1,6 +1,6 @@
-//! Command-line glue shared by the `parbor serve` subcommand and the
-//! standalone `serve_load` generator: one flag schema, one module-population
-//! scheme, one grep-stable summary format.
+//! Command-line glue for the `parbor serve` subcommand: its flag schema,
+//! its module-population scheme (which `bench_report`'s serve section also
+//! builds from), and its grep-stable summary format.
 //!
 //! The module population follows the fleet CLI's naming and seeding scheme
 //! (`{vendor}{idx}` with seed `base + idx*997 + vendor*131071`), so a store

@@ -1,13 +1,12 @@
 #!/usr/bin/env bash
 # Profile-query service smoke: drive the serve subcommand over both
-# engines and both load disciplines, serve from a freshly scanned fleet
-# store, and run the standalone load generator. Every run must report a
-# balanced ledger (serve OK, unexplained=0).
+# engines and both load disciplines, and serve from a freshly scanned
+# fleet store. Every run must report a balanced ledger (serve OK,
+# unexplained=0), and both status files must record a clean shutdown.
 # Run from the repo root after `cargo build --release`.
 set -euo pipefail
 
 BIN=target/release/parbor
-LOAD=target/release/serve_load
 work=$(mktemp -d)
 trap 'rm -rf "$work"' EXIT
 
@@ -47,11 +46,11 @@ echo "-- store-backed scope from a fleet scan --"
 "$BIN" fleet run --dir "$work/fleet" "${common[@]::6}" --workers 1 >/dev/null
 check "store-backed" "$BIN" serve "${common[@]}" --store "$work/fleet/store"
 
-echo "-- standalone load generator --"
-check "serve_load" "$LOAD" "${common[@]}" --mode open --rate 50000 \
-    --out "$work/serve_load.json"
-grep -q '"clean_shutdown": true' "$work/serve_load.json" || {
-    echo "serve_load report missing clean_shutdown"
+echo "-- inline engine, open loop --"
+check "inline/open" "$BIN" serve "${common[@]}" --mode open --rate 50000 \
+    --status-out "$work/open-status.json"
+grep -q '"clean_shutdown": true' "$work/open-status.json" || {
+    echo "open-loop status JSON missing clean_shutdown"
     exit 1
 }
 

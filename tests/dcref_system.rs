@@ -108,3 +108,55 @@ fn dcref_hot_fraction_tracks_mix_content() {
     assert!(h_low < h_high, "low {h_low} vs high {h_high}");
     assert!(h_low < 0.02 && h_high > 0.03);
 }
+
+#[test]
+fn refresh_and_speedup_trends_hold_at_every_density() {
+    // The policy ordering at 8, 16 and 32 Gbit, summed over two fixed
+    // mixes: DC-REF refreshes less than RAIDR, RAIDR less than uniform, and
+    // DC-REF's weighted speedup is at least RAIDR's. Alone IPCs come from
+    // the uniform baseline, the common weighted-speedup denominator, so a
+    // policy's gain stays visible.
+    const MEM_CYCLES: u64 = 150_000;
+    const POLICIES: [RefreshPolicyKind; 3] = [
+        RefreshPolicyKind::Uniform64,
+        RefreshPolicyKind::Raidr,
+        RefreshPolicyKind::DcRef,
+    ];
+    let mixes = paper_mixes(2, 4, 2016);
+    for density in [Density::Gb8, Density::Gb16, Density::Gb32] {
+        let config = SystemConfig { density, ..quick() };
+        let mut alone = std::collections::HashMap::new();
+        for app in mixes.iter().flat_map(|m| &m.apps) {
+            alone.entry(app.name).or_insert_with(|| {
+                Simulation::alone_ipc(
+                    config,
+                    RefreshPolicyKind::Uniform64,
+                    app,
+                    0xA10E,
+                    MEM_CYCLES,
+                )
+            });
+        }
+        let mut work = [0.0f64; 3];
+        let mut ws = [0.0f64; 3];
+        for mix in &mixes {
+            let alone_ipcs: Vec<f64> = mix.apps.iter().map(|a| alone[a.name]).collect();
+            for (i, policy) in POLICIES.into_iter().enumerate() {
+                let report = Simulation::new(config, policy, mix, 9).run(MEM_CYCLES);
+                work[i] += report.refresh_work_fraction;
+                ws[i] += weighted_speedup(&report.ipcs(), &alone_ipcs);
+            }
+        }
+        let [uniform, raidr, dcref] = work;
+        assert!(
+            dcref < raidr && raidr < uniform,
+            "{density:?}: refresh work uniform {uniform} raidr {raidr} dcref {dcref}"
+        );
+        assert!(
+            ws[2] >= ws[1],
+            "{density:?}: weighted speedup raidr {} dcref {}",
+            ws[1],
+            ws[2]
+        );
+    }
+}
