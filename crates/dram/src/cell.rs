@@ -190,7 +190,7 @@ pub struct CellProfile {
 impl CellProfile {
     /// The largest interference the cell's (possibly edge-truncated) window
     /// can contribute.
-    pub fn max_window_interference(&self) -> f64 {
+    pub(crate) fn max_window_interference(&self) -> f64 {
         if self.window_full == 0 {
             return 0.0;
         }
@@ -561,7 +561,8 @@ impl RowFaultMap {
     }
 
     /// Histogram of cell classes at the given margin shift.
-    pub fn class_counts(&self, theta_shift: f64) -> Vec<(CellClass, usize)> {
+    #[cfg(test)]
+    fn class_counts(&self, theta_shift: f64) -> Vec<(CellClass, usize)> {
         use std::collections::BTreeMap;
         let mut counts: BTreeMap<&'static str, (CellClass, usize)> = BTreeMap::new();
         for e in &self.entries {
@@ -575,6 +576,7 @@ impl RowFaultMap {
     }
 }
 
+#[cfg(test)]
 fn class_name(c: CellClass) -> &'static str {
     match c {
         CellClass::Robust => "robust",

@@ -80,7 +80,7 @@ impl CellCensus {
     }
 
     /// Total data-dependent cells.
-    pub fn data_dependent(&self) -> u64 {
+    fn data_dependent(&self) -> u64 {
         self.strongly_coupled + self.weakly_coupled + self.deep_coupled
     }
 

@@ -281,14 +281,15 @@ impl DramChip {
 
     /// Current number of cached fault maps (also the `dram.fault_map_cache`
     /// gauge).
-    pub fn fault_map_cache_len(&self) -> usize {
+    fn fault_map_cache_len(&self) -> usize {
         self.fault_map_order.len()
     }
 
     /// Bounds the fault-map cache to `cap` rows (clamped to ≥ 1), evicting
     /// oldest-built maps immediately if over. Fault maps are deterministic,
     /// so eviction never changes results — only rebuild cost.
-    pub fn set_fault_map_capacity(&mut self, cap: usize) {
+    #[cfg(test)]
+    fn set_fault_map_capacity(&mut self, cap: usize) {
         self.fault_map_cap = cap.max(1);
         self.evict_fault_maps();
     }
@@ -312,11 +313,7 @@ impl DramChip {
     ///
     /// Returns an error if the row is out of range or the data width does not
     /// match the geometry.
-    pub fn write_row(
-        &mut self,
-        row: RowId,
-        data: impl Into<Arc<RowBits>>,
-    ) -> Result<(), DramError> {
+    fn write_row(&mut self, row: RowId, data: impl Into<Arc<RowBits>>) -> Result<(), DramError> {
         let data = data.into();
         self.geometry.check_row(row)?;
         if data.len() != self.geometry.cols_per_row as usize {
@@ -371,7 +368,8 @@ impl DramChip {
     ///
     /// Returns [`DramError::RowNeverWritten`] if the row has no content, or
     /// an address error if the row is out of range.
-    pub fn read_row(&mut self, row: RowId) -> Result<RowBits, DramError> {
+    #[cfg(test)]
+    fn read_row(&mut self, row: RowId) -> Result<RowBits, DramError> {
         let flips = self.eval_rows(&[row], 1)?;
         let mut out = self.written_row(row).expect("checked by eval_rows").clone();
         for f in flips {

@@ -11,9 +11,7 @@
 use serde::{Deserialize, Serialize};
 
 /// Number of data bits per ECC word.
-pub const DATA_BITS: u32 = 64;
-/// Number of check bits (7 Hamming + 1 overall parity).
-pub const CHECK_BITS: u32 = 8;
+const DATA_BITS: u32 = 64;
 
 /// A 72-bit SECDED codeword: 64 data bits plus 8 check bits.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]

@@ -44,7 +44,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod burst;
 mod cell;
 mod census;
 mod chip;
@@ -56,7 +55,6 @@ mod module;
 mod noise;
 mod pattern;
 mod profiling;
-mod remap;
 mod retention;
 mod scrambler;
 mod stencil;
@@ -81,7 +79,6 @@ pub use module::{DramModule, ModuleId};
 pub use noise::NoiseModel;
 pub use pattern::{PatternKind, PatternSet};
 pub use profiling::{RetentionProfile, RetentionProfiler};
-pub use remap::RemapTable;
 pub use retention::RetentionModel;
 pub use scrambler::{IdentityScrambler, Scrambler, ScramblerLut, TileWalkScrambler};
 pub use stencil::CouplingStencil;

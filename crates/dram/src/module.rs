@@ -127,8 +127,9 @@ fn chip_rounds(
 /// Because the chips are independent (separate fault seeds, separate row
 /// contents), the module executes them on scoped threads by default; results
 /// are bit-identical to serial execution, since every fault is drawn by
-/// stateless per-cell hashing. Use [`set_parallel`](DramModule::set_parallel)
-/// to force the serial path.
+/// stateless per-cell hashing. Use
+/// [`set_parallel_mode`](DramModule::set_parallel_mode) with
+/// [`ParallelMode::Never`] to force the serial path.
 ///
 /// # Examples
 ///
@@ -248,18 +249,6 @@ impl DramModule {
     /// The current chip-scheduling mode.
     pub fn parallel_mode(&self) -> ParallelMode {
         self.parallel
-    }
-
-    /// Enables ([`ParallelMode::Auto`]) or disables ([`ParallelMode::Never`])
-    /// parallel per-chip round execution. Results are bit-identical either
-    /// way; the serial path exists for measurement and for single-core
-    /// environments.
-    pub fn set_parallel(&mut self, parallel: bool) {
-        self.parallel = if parallel {
-            ParallelMode::Auto
-        } else {
-            ParallelMode::Never
-        };
     }
 
     /// Sets the chip-scheduling mode explicitly.
@@ -614,7 +603,7 @@ mod tests {
         // Always-threads, so this exercises the threaded merge path even on
         // single-core CI hosts where Auto would degrade to serial.
         par.set_parallel_mode(ParallelMode::Always);
-        ser.set_parallel(false);
+        ser.set_parallel_mode(ParallelMode::Never);
         assert!(par.parallel());
         assert!(!ser.parallel());
         assert_eq!(ser.parallel_mode(), ParallelMode::Never);

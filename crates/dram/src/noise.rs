@@ -35,11 +35,6 @@ impl NoiseModel {
         NoiseModel { per_bit_rate }
     }
 
-    /// The configured per-bit per-round soft-error rate.
-    pub fn per_bit_rate(&self) -> f64 {
-        self.per_bit_rate
-    }
-
     /// Returns the system column struck by a soft error in this row and
     /// round, if any.
     pub fn soft_flip(&self, seed: u64, row: RowId, round: u64, row_bits: usize) -> Option<usize> {

@@ -38,12 +38,14 @@ impl RetentionProfile {
 
     /// The bin of one row: `Some(i)` = first failed at `intervals()[i]`;
     /// `None` = survived every profiled interval.
-    pub fn bin_of(&self, row: RowId) -> Option<usize> {
+    #[cfg(test)]
+    fn bin_of(&self, row: RowId) -> Option<usize> {
         self.bins.get(&row).copied()
     }
 
     /// Number of rows profiled.
-    pub fn rows_profiled(&self) -> usize {
+    #[cfg(test)]
+    fn rows_profiled(&self) -> usize {
         self.rows_profiled
     }
 

@@ -184,24 +184,6 @@ impl ScramblerLut {
             bounds,
         }
     }
-
-    /// The dense system→physical table.
-    pub fn s2p_table(&self) -> &[u32] {
-        &self.s2p
-    }
-
-    /// The dense physical→system table.
-    pub fn p2s_table(&self) -> &[u32] {
-        &self.p2s
-    }
-
-    /// Translates every physical position of one whole row to its system
-    /// column in a single pass — the batch form fault-map construction and
-    /// round assembly use instead of per-cell trait calls.
-    pub fn translate_row_p2s(&self, out: &mut Vec<u32>) {
-        out.clear();
-        out.extend_from_slice(&self.p2s);
-    }
 }
 
 impl Scrambler for ScramblerLut {
@@ -556,26 +538,13 @@ mod tests {
     }
 
     #[test]
-    fn lut_batch_translation_matches_tables() {
-        let s = Vendor::A.scrambler(1024);
-        let lut = ScramblerLut::build(s.as_ref());
-        let mut out = Vec::new();
-        lut.translate_row_p2s(&mut out);
-        assert_eq!(out.as_slice(), lut.p2s_table());
-        for (pos, &col) in out.iter().enumerate() {
-            assert_eq!(col as usize, s.physical_to_system(pos));
-        }
-    }
-
-    #[test]
     fn lut_build_tables_round_trips() {
         let s = Vendor::B.scrambler(512);
         let lut = ScramblerLut::build(s.as_ref());
         assert_eq!(lut.build_tables(), s.build_tables());
         // A LUT of a LUT is the same LUT.
         let relut = ScramblerLut::build(&lut);
-        assert_eq!(relut.s2p_table(), lut.s2p_table());
-        assert_eq!(relut.p2s_table(), lut.p2s_table());
+        assert_eq!(relut.build_tables(), lut.build_tables());
     }
 
     #[test]

@@ -15,6 +15,7 @@
 //! calibration (vendor C is the most vulnerable in the paper's Fig 12).
 
 use std::fmt;
+use std::str::FromStr;
 use std::sync::Arc;
 
 use serde::{Deserialize, Serialize};
@@ -102,6 +103,23 @@ impl fmt::Display for Vendor {
             Vendor::A => write!(f, "A"),
             Vendor::B => write!(f, "B"),
             Vendor::C => write!(f, "C"),
+        }
+    }
+}
+
+/// Parses a vendor letter, either case: `"B".parse::<Vendor>()`.
+///
+/// The error is the message the command-line tools print,
+/// `unknown vendor X (use A, B, or C)`.
+impl FromStr for Vendor {
+    type Err = String;
+
+    fn from_str(s: &str) -> Result<Self, String> {
+        match s {
+            "A" | "a" => Ok(Vendor::A),
+            "B" | "b" => Ok(Vendor::B),
+            "C" | "c" => Ok(Vendor::C),
+            other => Err(format!("unknown vendor {other} (use A, B, or C)")),
         }
     }
 }
@@ -217,5 +235,17 @@ mod tests {
     fn display_is_single_letter() {
         assert_eq!(Vendor::A.to_string(), "A");
         assert_eq!(Vendor::C.to_string(), "C");
+    }
+
+    #[test]
+    fn parse_round_trips_display_in_either_case() {
+        for v in Vendor::ALL {
+            assert_eq!(v.to_string().parse::<Vendor>(), Ok(v));
+            assert_eq!(v.to_string().to_lowercase().parse::<Vendor>(), Ok(v));
+        }
+        assert_eq!(
+            "D".parse::<Vendor>(),
+            Err("unknown vendor D (use A, B, or C)".to_string())
+        );
     }
 }

@@ -28,7 +28,7 @@ use crate::job::ScanJob;
 use crate::FleetError;
 
 /// File magic: identifies a parbor-fleet WAL, version 1.
-pub const MAGIC: &[u8; 8] = b"PBFLTWA1";
+const MAGIC: &[u8; 8] = b"PBFLTWA1";
 
 /// Upper bound on a single record payload (a corrupted length field must
 /// not trigger a giant allocation).

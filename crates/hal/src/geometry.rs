@@ -18,7 +18,7 @@ use crate::error::DramError;
 ///
 /// let g = ChipGeometry::paper();
 /// assert_eq!(g.cols_per_row, 8192);
-/// assert_eq!(g.bits_per_chip(), 8 * 32_768 * 8192);
+/// assert_eq!(g.banks * g.rows_per_bank, 8 * 32_768);
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub struct ChipGeometry {
@@ -80,16 +80,6 @@ impl ChipGeometry {
         }
     }
 
-    /// Total number of bits in one chip.
-    pub fn bits_per_chip(&self) -> u64 {
-        u64::from(self.banks) * u64::from(self.rows_per_bank) * u64::from(self.cols_per_row)
-    }
-
-    /// Total number of rows in one chip (across banks).
-    pub fn rows_per_chip(&self) -> u64 {
-        u64::from(self.banks) * u64::from(self.rows_per_bank)
-    }
-
     /// Checks that a row identifier is in range.
     ///
     /// # Errors
@@ -101,23 +91,6 @@ impl ChipGeometry {
             return Err(DramError::AddressOutOfRange {
                 what: format!("{row}"),
                 limit: format!("banks {} rows {}", self.banks, self.rows_per_bank),
-            });
-        }
-        Ok(())
-    }
-
-    /// Checks that a bit address is in range.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`DramError::AddressOutOfRange`] when any coordinate exceeds
-    /// the geometry.
-    pub fn check_bit(&self, bit: BitAddr) -> Result<(), DramError> {
-        self.check_row(bit.row())?;
-        if bit.col >= self.cols_per_row {
-            return Err(DramError::AddressOutOfRange {
-                what: format!("{bit}"),
-                limit: format!("cols {}", self.cols_per_row),
             });
         }
         Ok(())
@@ -209,12 +182,6 @@ mod tests {
     use super::*;
 
     #[test]
-    fn paper_geometry_is_2gbit() {
-        let g = ChipGeometry::paper();
-        assert_eq!(g.bits_per_chip(), 2 * 1024 * 1024 * 1024);
-    }
-
-    #[test]
     fn new_rejects_zero_dimensions() {
         assert!(ChipGeometry::new(0, 1, 1).is_err());
         assert!(ChipGeometry::new(1, 0, 1).is_err());
@@ -228,13 +195,6 @@ mod tests {
         assert!(g.check_row(RowId::new(0, 7)).is_ok());
         assert!(g.check_row(RowId::new(0, 8)).is_err());
         assert!(g.check_row(RowId::new(1, 0)).is_err());
-    }
-
-    #[test]
-    fn check_bit_bounds() {
-        let g = ChipGeometry::tiny();
-        assert!(g.check_bit(BitAddr::new(0, 0, 1023)).is_ok());
-        assert!(g.check_bit(BitAddr::new(0, 0, 1024)).is_err());
     }
 
     #[test]

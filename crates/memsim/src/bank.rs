@@ -40,11 +40,6 @@ impl Bank {
         self.state
     }
 
-    /// First cycle at which a new command may start.
-    pub fn ready_at(&self) -> u64 {
-        self.ready_at
-    }
-
     /// Whether an access to `row` would hit the row buffer.
     pub fn is_hit(&self, row: u32) -> bool {
         self.state == BankState::Open(row)

@@ -142,7 +142,8 @@ impl Cache {
     }
 
     /// Hit rate over all accesses.
-    pub fn hit_rate(&self) -> f64 {
+    #[cfg(test)]
+    fn hit_rate(&self) -> f64 {
         let total = self.hits + self.misses;
         if total == 0 {
             0.0

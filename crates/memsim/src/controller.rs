@@ -268,7 +268,8 @@ impl MemoryController {
     }
 
     /// Outstanding queued requests.
-    pub fn queue_len(&self) -> usize {
+    #[cfg(test)]
+    fn queue_len(&self) -> usize {
         self.queue.len()
     }
 

@@ -91,7 +91,7 @@ pub struct EnergyBreakdown {
 
 impl EnergyBreakdown {
     /// Total energy.
-    pub fn total_mj(&self) -> f64 {
+    fn total_mj(&self) -> f64 {
         self.activate_mj + self.read_write_mj + self.refresh_mj + self.background_mj
     }
 

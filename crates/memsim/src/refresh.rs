@@ -59,7 +59,7 @@ impl RowClassifier {
     }
 
     /// Whether the row at (rank, bank, row) is weak.
-    pub fn is_weak(&self, rank: u32, bank: u32, row: u32) -> bool {
+    fn is_weak(&self, rank: u32, bank: u32, row: u32) -> bool {
         let z = self
             .seed
             .wrapping_add(u64::from(rank) << 40)

@@ -19,7 +19,7 @@ pub enum Density {
 
 impl Density {
     /// Refresh latency in nanoseconds.
-    pub fn trfc_ns(self) -> f64 {
+    fn trfc_ns(self) -> f64 {
         match self {
             Density::Gb8 => 350.0,
             Density::Gb16 => 590.0,
@@ -76,11 +76,6 @@ impl DramTiming {
         }
     }
 
-    /// Minimum activate-to-activate interval for one bank (tRC).
-    pub fn t_rc(&self) -> u64 {
-        self.t_ras + self.t_rp
-    }
-
     /// Cycles to serve a row-buffer hit (CAS + burst).
     pub fn hit_latency(&self) -> u64 {
         self.t_cl + self.t_burst
@@ -125,6 +120,6 @@ mod tests {
     fn latency_orderings() {
         let t = DramTiming::ddr3_1600(Density::Gb16);
         assert!(t.hit_latency() < t.miss_latency());
-        assert_eq!(t.t_rc(), 39);
+        assert_eq!(t.t_ras + t.t_rp, 39, "tRC");
     }
 }

@@ -19,7 +19,7 @@ use serde::{Deserialize, Serialize};
 
 /// Linear sub-buckets per octave, as a power of two. 5 bits = 32 sub-buckets
 /// = at most 1/32 (~3.1 %) relative error on any recorded value.
-pub const SUB_BUCKET_BITS: u32 = 5;
+const SUB_BUCKET_BITS: u32 = 5;
 
 const SUB_BUCKETS: u64 = 1 << SUB_BUCKET_BITS;
 const SUB_MASK: usize = (SUB_BUCKETS - 1) as usize;
@@ -41,7 +41,7 @@ pub fn bucket_index(value: u64) -> usize {
 
 /// The inclusive `[low, high]` value range of bucket `index` (the inverse
 /// of [`bucket_index`]).
-pub fn bucket_bounds(index: usize) -> (u64, u64) {
+fn bucket_bounds(index: usize) -> (u64, u64) {
     let group = (index >> SUB_BUCKET_BITS) as u64;
     let sub = (index & SUB_MASK) as u64;
     if group == 0 {

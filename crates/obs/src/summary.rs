@@ -98,11 +98,6 @@ impl RunSummary {
         }
     }
 
-    /// The summary as pretty-printed JSON.
-    pub fn to_json(&self) -> String {
-        serde_json::to_string_pretty(self).unwrap_or_else(|_| "{}".to_string())
-    }
-
     /// The summary as a human-readable block for CLI output.
     pub fn render(&self) -> String {
         let mut out = String::new();
@@ -213,7 +208,7 @@ mod tests {
     #[test]
     fn summary_round_trips_through_json() {
         let s = recorded();
-        let json = s.to_json();
+        let json = serde_json::to_string_pretty(&s).unwrap();
         let back: RunSummary = serde_json::from_str(&json).unwrap();
         assert_eq!(back, s);
     }

@@ -12,7 +12,7 @@ use std::path::Path;
 pub const DEFAULT_TRACE_CAP_BYTES: u64 = 64 * 1024 * 1024;
 
 /// The rotated sibling of a trace path: `trace.jsonl` → `trace.jsonl.1`.
-pub fn rotated_path(path: &Path) -> std::path::PathBuf {
+fn rotated_path(path: &Path) -> std::path::PathBuf {
     let mut name = path.as_os_str().to_os_string();
     name.push(".1");
     std::path::PathBuf::from(name)

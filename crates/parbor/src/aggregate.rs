@@ -43,17 +43,6 @@ impl DistanceHistogram {
         *self.counts.entry(distance).or_insert(0) += 1;
     }
 
-    /// Removes a previous observation (used when a victim is retroactively
-    /// discarded as marginal).
-    pub fn unrecord(&mut self, distance: i64) {
-        if let Some(c) = self.counts.get_mut(&distance) {
-            *c = c.saturating_sub(1);
-            if *c == 0 {
-                self.counts.remove(&distance);
-            }
-        }
-    }
-
     /// Raw signed counts, ascending by distance.
     pub fn counts(&self) -> impl Iterator<Item = (i64, usize)> + '_ {
         self.counts.iter().map(|(&d, &c)| (d, c))
@@ -61,7 +50,7 @@ impl DistanceHistogram {
 
     /// Counts merged by distance magnitude (`count(+d) + count(−d)`),
     /// ascending by magnitude. This is what the paper's Figure 14 plots.
-    pub fn magnitude_counts(&self) -> Vec<(u64, usize)> {
+    fn magnitude_counts(&self) -> Vec<(u64, usize)> {
         let mut merged: BTreeMap<u64, usize> = BTreeMap::new();
         for (&d, &c) in &self.counts {
             *merged.entry(d.unsigned_abs()).or_insert(0) += c;
@@ -143,11 +132,6 @@ impl RankedDistances {
     pub fn dropped(&self) -> &[i64] {
         &self.dropped
     }
-
-    /// Count of the most frequent magnitude (the normalization base).
-    pub fn max_count(&self) -> usize {
-        self.max_count
-    }
 }
 
 #[cfg(test)]
@@ -191,18 +175,7 @@ mod tests {
         let r = h.rank(0.15);
         assert!(r.kept().is_empty());
         assert!(r.dropped().is_empty());
-        assert_eq!(r.max_count(), 0);
-    }
-
-    #[test]
-    fn unrecord_removes() {
-        let mut h = hist(&[(4, 2)]);
-        h.unrecord(4);
-        assert_eq!(h.total(), 1);
-        h.unrecord(4);
-        assert!(h.is_empty());
-        h.unrecord(4); // no-op on empty
-        assert!(h.is_empty());
+        assert_eq!(r.max_count, 0);
     }
 
     #[test]

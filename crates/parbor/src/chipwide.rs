@@ -167,7 +167,7 @@ impl RoundSchedule {
 
     /// The row image of one round: victims `1`, everything else `0`
     /// (`invert` flips it for the anti-cell polarity pass).
-    pub fn round_pattern(&self, round: usize, width: usize, invert: bool) -> RowBits {
+    fn round_pattern(&self, round: usize, width: usize, invert: bool) -> RowBits {
         let mut data = RowBits::zeros(width);
         for &v in &self.rounds[round] {
             let mut p = v as usize;

@@ -46,11 +46,10 @@ pub struct VulnerableCell {
 /// let mut hot = RowBits::ones(32);
 /// hot.set(8, false);
 /// hot.set(12, false);
-/// assert!(monitor.row_needs_fast_refresh(0, RowId::new(0, 7), &hot));
+/// assert_eq!(monitor.hot_fraction(|_, _| hot.clone()), 1.0);
 ///
 /// // Benign content: neighbors hold the same value, no interference.
-/// let cold = RowBits::ones(32);
-/// assert!(!monitor.row_needs_fast_refresh(0, RowId::new(0, 7), &cold));
+/// assert_eq!(monitor.hot_fraction(|_, _| RowBits::ones(32)), 0.0);
 /// # Ok(())
 /// # }
 /// ```
@@ -133,7 +132,7 @@ impl DcRefMonitor {
     /// existing neighbor-distance position opposite)?
     ///
     /// Rows with no vulnerable cells never need the fast rate.
-    pub fn row_needs_fast_refresh(&self, unit: u32, row: RowId, data: &RowBits) -> bool {
+    fn row_needs_fast_refresh(&self, unit: u32, row: RowId, data: &RowBits) -> bool {
         let Some(cells) = self.cells.get(&VictimKey { unit, row }) else {
             return false;
         };

@@ -37,7 +37,7 @@ mod rows_as_seq {
 
     type Rows = BTreeMap<(u32, u32, u32), Vec<VulnerableCell>>;
 
-    pub fn to_value(rows: &Rows) -> Value {
+    pub(super) fn to_value(rows: &Rows) -> Value {
         let seq: Vec<((u32, u32, u32), Vec<VulnerableCell>)> = rows
             .iter()
             .map(|(key, cells)| (*key, cells.clone()))
@@ -45,7 +45,7 @@ mod rows_as_seq {
         seq.to_value()
     }
 
-    pub fn from_value(value: &Value) -> Result<Rows, serde::Error> {
+    pub(super) fn from_value(value: &Value) -> Result<Rows, serde::Error> {
         let seq = <Vec<((u32, u32, u32), Vec<VulnerableCell>)>>::from_value(value)?;
         Ok(seq.into_iter().collect())
     }
@@ -88,7 +88,8 @@ impl FailureDirectory {
     }
 
     /// The failing cells of one row, sorted by column (empty if clean).
-    pub fn cells_of(&self, unit: u32, row: RowId) -> &[VulnerableCell] {
+    #[cfg(test)]
+    fn cells_of(&self, unit: u32, row: RowId) -> &[VulnerableCell] {
         self.rows
             .get(&(unit, row.bank, row.row))
             .map(Vec::as_slice)
@@ -155,13 +156,6 @@ pub struct MitigationPlan {
     pub retire_pages: BTreeSet<VictimKey>,
     /// Aggregate ECC word analysis over managed (non-retired) rows.
     pub ecc: EccAnalysis,
-}
-
-impl MitigationPlan {
-    /// Total rows under some form of management.
-    pub fn managed_rows(&self) -> usize {
-        self.fast_refresh_rows.len() + self.retire_pages.len()
-    }
 }
 
 #[cfg(test)]

@@ -49,7 +49,7 @@ impl LevelPlan {
     ///
     /// Returns [`ParborError::InvalidConfig`] when the divisors do not reach
     /// a region size of exactly 1.
-    pub fn with_fanout(
+    fn with_fanout(
         row_bits: usize,
         first_divisor: usize,
         fanout: usize,

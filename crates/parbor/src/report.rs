@@ -14,17 +14,17 @@ use serde::{Deserialize, Serialize};
 /// DDR3-1600 row-to-row timing used by the appendix arithmetic.
 mod ddr3 {
     /// RAS-to-CAS delay, ns.
-    pub const T_RCD_NS: f64 = 13.75;
+    pub(super) const T_RCD_NS: f64 = 13.75;
     /// Column-to-column delay, ns.
-    pub const T_CCD_NS: f64 = 5.0;
+    pub(super) const T_CCD_NS: f64 = 5.0;
     /// Precharge time, ns.
-    pub const T_RP_NS: f64 = 13.75;
+    pub(super) const T_RP_NS: f64 = 13.75;
     /// Refresh interval the tests wait out, ms.
-    pub const REFRESH_MS: f64 = 64.0;
+    pub(super) const REFRESH_MS: f64 = 64.0;
     /// Cache lines per 8 KB row.
-    pub const BLOCKS_PER_ROW: f64 = 128.0;
+    pub(super) const BLOCKS_PER_ROW: f64 = 128.0;
     /// Rows in a 2 GB module.
-    pub const ROWS_PER_2GB: f64 = 262_144.0;
+    pub(super) const ROWS_PER_2GB: f64 = 262_144.0;
 }
 
 /// A duration in seconds with a human-friendly `Display` (s / min / h /

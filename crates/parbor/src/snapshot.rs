@@ -203,11 +203,6 @@ impl StencilSnapshot {
         self.luts.get(unit as usize)
     }
 
-    /// Whether `(unit, row)` has a compiled stencil.
-    pub fn is_tracked(&self, unit: u32, row: RowId) -> bool {
-        self.slot(unit, row).is_some()
-    }
-
     /// Evaluates the row's compiled stencil against `content`, writing the
     /// failing system columns into `out` (cleared first, ascending order).
     ///

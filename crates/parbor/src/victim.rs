@@ -78,9 +78,9 @@ pub struct VictimSet {
 }
 
 impl VictimSet {
-    /// Creates a victim set from raw victims (mainly for tests; normally
-    /// produced by [`Parbor::discover`](crate::Parbor::discover)).
-    pub fn from_victims(mut victims: Vec<Victim>) -> Self {
+    /// Creates a victim set from raw victims, sorted by (unit, bank, row,
+    /// column).
+    fn from_victims(mut victims: Vec<Victim>) -> Self {
         victims.sort_by_key(|v| (v.unit, v.row.bank, v.row.row, v.col));
         VictimSet { victims }
     }

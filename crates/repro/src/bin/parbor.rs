@@ -40,15 +40,47 @@ use parbor_obs::{
     folded_stacks, metrics, trace, FleetStatus, Profile, RecorderHandle, RunSummary,
     ShardedRecorder, Trace,
 };
+use parbor_repro::servecli;
 use parbor_store::CompactPhase;
 use parbor_workloads::paper_mixes;
 
+/// A subcommand's outcome. The error is either a message for the user or
+/// the `std::io::Error` of a failed write to stdout.
+type CmdResult = Result<(), Box<dyn std::error::Error>>;
+
+/// The flags one subcommand reads, in groups; [`Args::parse`] rejects
+/// every other flag by name.
+type Flags = &'static [&'static [&'static str]];
+
+/// Read by [`build`] to make one simulated module.
+const MODULE: &[&str] = &["vendor", "seed", "rows", "chips", "mechanisms"];
+/// Read by `Args::backend`, [`build_port`] and [`fleet_port_factory`].
+const BACKEND: &[&str] = &["backend", "record", "mechanisms"];
+/// Read by `fleet run` and `fleet resume` ([`fleet_config`]).
+const FLEET: &[&str] = &["dir", "workers", "checkpoint-every", "crash-after"];
+/// Read by [`cmd_efficacy`].
+const EFFICACY: &[&str] = &[
+    "vendors",
+    "rows",
+    "cols",
+    "chips",
+    "seed",
+    "mechanisms",
+    "out",
+];
+
+/// A subcommand's `--name value` pairs.
 struct Args {
+    /// The flags the subcommand reads; every other flag is rejected.
+    known: Flags,
     flags: HashMap<String, String>,
 }
 
 impl Args {
-    fn parse(raw: &[String]) -> Result<Self, String> {
+    /// Parses `raw` for the subcommand `cmd`, which reads the flags in
+    /// `known`. A flag outside those lists fails by name, so a misspelt
+    /// flag cannot fall back to its default unnoticed.
+    fn parse(raw: &[String], cmd: &str, known: Flags) -> Result<Self, String> {
         let mut flags = HashMap::new();
         let mut it = raw.iter();
         while let Some(flag) = it.next() {
@@ -66,39 +98,47 @@ impl Args {
                     "--{name} was removed; the simulator always runs its shipped defaults"
                 ));
             }
+            if !known.iter().any(|group| group.contains(&name)) {
+                return Err(format!("unknown flag --{name} for {cmd}"));
+            }
             let value = it
                 .next()
                 .ok_or_else(|| format!("flag --{name} needs a value"))?;
             flags.insert(name.to_string(), value.clone());
         }
-        Ok(Args { flags })
+        Ok(Args { known, flags })
+    }
+
+    /// The value of `--name`. Reading a flag the subcommand does not list
+    /// is a programming error: `parse` would have rejected it.
+    fn get(&self, name: &str) -> Option<&str> {
+        debug_assert!(
+            self.known.iter().any(|group| group.contains(&name)),
+            "--{name} is not listed"
+        );
+        self.flags.get(name).map(String::as_str)
     }
 
     fn vendor(&self) -> Result<Vendor, String> {
-        match self.flags.get("vendor").map(String::as_str) {
-            None | Some("A") | Some("a") => Ok(Vendor::A),
-            Some("B") | Some("b") => Ok(Vendor::B),
-            Some("C") | Some("c") => Ok(Vendor::C),
-            Some(other) => Err(format!("unknown vendor {other} (use A, B, or C)")),
-        }
+        self.get("vendor").map_or(Ok(Vendor::A), |v| v.parse())
     }
 
     fn u64_or(&self, name: &str, default: u64) -> Result<u64, String> {
-        match self.flags.get(name) {
+        match self.get(name) {
             None => Ok(default),
             Some(v) => v.parse().map_err(|_| format!("--{name} must be a number")),
         }
     }
 
     fn f64_or(&self, name: &str, default: f64) -> Result<f64, String> {
-        match self.flags.get(name) {
+        match self.get(name) {
             None => Ok(default),
             Some(v) => v.parse().map_err(|_| format!("--{name} must be a number")),
         }
     }
 
     fn u64_opt(&self, name: &str) -> Result<Option<u64>, String> {
-        match self.flags.get(name) {
+        match self.get(name) {
             None => Ok(None),
             Some(v) => v
                 .parse()
@@ -112,14 +152,14 @@ impl Args {
     /// simulated device applies) is rejected alongside it rather than
     /// silently ignored.
     fn backend(&self) -> Result<Backend, String> {
-        let backend = match self.flags.get("backend").map(String::as_str) {
+        let backend = match self.get("backend") {
             None | Some("sim") => Backend::Sim,
             Some(v) => match v.strip_prefix("replay:") {
                 Some(path) if !path.is_empty() => Backend::Replay(PathBuf::from(path)),
                 _ => return Err(format!("unknown backend {v} (use sim or replay:<path>)")),
             },
         };
-        if matches!(backend, Backend::Replay(_)) && self.flags.contains_key("mechanisms") {
+        if matches!(backend, Backend::Replay(_)) && self.get("mechanisms").is_some() {
             return Err(
                 "--mechanisms cannot be combined with --backend replay: (a transcript \
                  replays recorded flips; record the run with --mechanisms instead)"
@@ -132,7 +172,7 @@ impl Args {
     /// The `--mechanisms` stack (`hammer=thresh:50k,seed:7;press;drift`),
     /// empty when the flag is absent.
     fn mechanisms(&self) -> Result<Vec<MechanismSpec>, String> {
-        match self.flags.get("mechanisms") {
+        match self.get("mechanisms") {
             None => Ok(Vec::new()),
             Some(spec) => MechanismSpec::parse_stack(spec).map_err(|e| e.to_string()),
         }
@@ -167,13 +207,13 @@ fn build_port(args: &Args, default_chips: u64) -> Result<Box<dyn TestPort>, Stri
         Backend::Sim => Box::new(build(args, default_chips)?),
         Backend::Replay(path) => Box::new(ReplayPort::open(path).map_err(|e| e.to_string())?),
     };
-    if let Some(path) = args.flags.get("record") {
+    if let Some(path) = args.get("record") {
         port = Box::new(RecordingPort::create(port, path).map_err(|e| e.to_string())?);
     }
     Ok(port)
 }
 
-fn cmd_detect(args: &Args) -> Result<(), String> {
+fn cmd_detect(args: &Args, out: &mut dyn Write) -> CmdResult {
     let vendor = args.vendor()?;
     let recorder = ShardedRecorder::handle();
     let rec = RecorderHandle::from(recorder.clone());
@@ -183,42 +223,38 @@ fn cmd_detect(args: &Args) -> Result<(), String> {
         .with_recorder(rec)
         .run(&mut *port)
         .map_err(|e| e.to_string())?;
-    println!("vendor           : {vendor}");
-    println!("victims          : {}", report.victim_count);
-    println!("distances        : {:?}", report.distances());
-    println!(
+    writeln!(out, "vendor           : {vendor}")?;
+    writeln!(out, "victims          : {}", report.victim_count)?;
+    writeln!(out, "distances        : {:?}", report.distances())?;
+    writeln!(
+        out,
         "tests per level  : {:?}",
         report.recursion.tests_per_level()
-    );
-    println!("chip-wide rounds : {}", report.chipwide.rounds);
-    println!("failures found   : {}", report.failure_count());
-    println!("total budget     : {} rounds", report.total_rounds());
-    println!();
+    )?;
+    writeln!(out, "chip-wide rounds : {}", report.chipwide.rounds)?;
+    writeln!(out, "failures found   : {}", report.failure_count())?;
+    writeln!(out, "total budget     : {} rounds", report.total_rounds())?;
+    writeln!(out)?;
     let snapshot = recorder.snapshot();
-    print!("{}", RunSummary::from_snapshot(&snapshot).render());
+    write!(out, "{}", RunSummary::from_snapshot(&snapshot).render())?;
     let trace_path = "results/trace.jsonl";
     let rotated = snapshot
         .write_trace_rotating(trace_path, trace::DEFAULT_TRACE_CAP_BYTES)
         .map_err(|e| format!("writing {trace_path}: {e}"))?;
     if rotated {
-        println!("trace rotated    : {trace_path}.1");
+        writeln!(out, "trace rotated    : {trace_path}.1")?;
     }
-    println!("trace written    : {trace_path}");
+    writeln!(out, "trace written    : {trace_path}")?;
     Ok(())
 }
 
 /// `parbor efficacy` — run the full pipeline against every mechanism ×
 /// vendor family and score the chip-wide detection set per cell.
-fn cmd_efficacy(args: &Args) -> Result<(), String> {
-    let vendors = parse_vendors(
-        args.flags
-            .get("vendors")
-            .map(String::as_str)
-            .unwrap_or("A,B,C"),
-    )?;
+fn cmd_efficacy(args: &Args, out: &mut dyn Write) -> CmdResult {
+    let vendors = parse_vendors(args.get("vendors").unwrap_or("A,B,C"))?;
     let rows = args.u64_or("rows", 128)? as u32;
     let cols = args.u64_or("cols", 1024)? as u32;
-    let extras = match args.flags.get("mechanisms") {
+    let extras = match args.get("mechanisms") {
         None => MechanismSpec::parse_stack("hammer;press;drift").map_err(|e| e.to_string())?,
         Some(spec) => MechanismSpec::parse_stack(spec).map_err(|e| e.to_string())?,
     };
@@ -233,12 +269,14 @@ fn cmd_efficacy(args: &Args) -> Result<(), String> {
     let recorder = ShardedRecorder::handle();
     let report = run_efficacy(&config, &RecorderHandle::from(recorder.clone()))
         .map_err(|e| e.to_string())?;
-    println!(
+    writeln!(
+        out,
         "{:<8} {:<10} {:>7} {:>9} {:>5} {:>5} {:>5} {:>10} {:>7}",
         "vendor", "mechanism", "truth", "detected", "tp", "fp", "fn", "precision", "recall"
-    );
+    )?;
     for s in &report.scores {
-        println!(
+        writeln!(
+            out,
             "{:<8} {:<10} {:>7} {:>9} {:>5} {:>5} {:>5} {:>10.3} {:>7.3}{}",
             s.vendor,
             s.mechanism,
@@ -253,17 +291,18 @@ fn cmd_efficacy(args: &Args) -> Result<(), String> {
                 .as_deref()
                 .map(|e| format!("  [pipeline: {e}]"))
                 .unwrap_or_default()
-        );
+        )?;
     }
     let snap = recorder.snapshot();
-    println!(
+    writeln!(
+        out,
         "\nruns: {}  tp: {}  fp: {}  fn: {}",
         snap.counter(metrics::efficacy::RUNS),
         snap.counter(metrics::efficacy::TRUE_POSITIVES),
         snap.counter(metrics::efficacy::FALSE_POSITIVES),
         snap.counter(metrics::efficacy::FALSE_NEGATIVES),
-    );
-    if let Some(path) = args.flags.get("out") {
+    )?;
+    if let Some(path) = args.get("out") {
         if let Some(parent) = std::path::Path::new(path).parent() {
             if !parent.as_os_str().is_empty() {
                 std::fs::create_dir_all(parent).map_err(|e| format!("creating {path}: {e}"))?;
@@ -271,53 +310,49 @@ fn cmd_efficacy(args: &Args) -> Result<(), String> {
         }
         let json = serde_json::to_string_pretty(&report).map_err(|e| e.to_string())?;
         std::fs::write(path, json).map_err(|e| format!("writing {path}: {e}"))?;
-        println!("report written: {path}");
+        writeln!(out, "report written: {path}")?;
     }
     Ok(())
 }
 
-fn cmd_obs(argv: &[String]) -> Result<(), String> {
+fn cmd_obs(argv: &[String], out: &mut dyn Write) -> CmdResult {
     let Some(sub) = argv.first() else {
         return Err("obs needs a subcommand: report".into());
     };
     if sub != "report" {
-        return Err(format!("unknown obs subcommand {sub} (use report)"));
+        return Err(format!("unknown obs subcommand {sub} (use report)").into());
     }
-    let args = Args::parse(&argv[1..])?;
-    let trace_path = args
-        .flags
-        .get("trace")
-        .cloned()
-        .unwrap_or_else(|| "results/trace.jsonl".to_string());
-    let out_path = args
-        .flags
-        .get("out")
-        .cloned()
-        .unwrap_or_else(|| "results/profile.folded".to_string());
-    let trace = Trace::load(&trace_path).map_err(|e| format!("reading {trace_path}: {e}"))?;
+    let args = Args::parse(&argv[1..], "obs report", &[&["trace", "out"]])?;
+    let trace_path = args.get("trace").unwrap_or("results/trace.jsonl");
+    let out_path = args.get("out").unwrap_or("results/profile.folded");
+    let trace = Trace::load(trace_path).map_err(|e| format!("reading {trace_path}: {e}"))?;
     if trace.salvaged {
-        println!("note: torn final line in {trace_path} was discarded");
+        writeln!(out, "note: torn final line in {trace_path} was discarded")?;
     }
-    println!(
+    writeln!(
+        out,
         "{} spans, {} counters from {trace_path}",
         trace.spans.len(),
         trace.counters.len()
-    );
-    println!();
-    print!("{}", Profile::from_trace(&trace).table());
+    )?;
+    writeln!(out)?;
+    write!(out, "{}", Profile::from_trace(&trace).table())?;
     let folded = folded_stacks(&trace);
     if let Some(dir) = std::path::Path::new(&out_path).parent() {
         if !dir.as_os_str().is_empty() {
             std::fs::create_dir_all(dir).map_err(|e| format!("creating {}: {e}", dir.display()))?;
         }
     }
-    std::fs::write(&out_path, &folded).map_err(|e| format!("writing {out_path}: {e}"))?;
-    println!();
-    println!("folded stacks    : {out_path} (flamegraph.pl-compatible)");
+    std::fs::write(out_path, &folded).map_err(|e| format!("writing {out_path}: {e}"))?;
+    writeln!(out)?;
+    writeln!(
+        out,
+        "folded stacks    : {out_path} (flamegraph.pl-compatible)"
+    )?;
     Ok(())
 }
 
-fn cmd_census(args: &Args) -> Result<(), String> {
+fn cmd_census(args: &Args, out: &mut dyn Write) -> CmdResult {
     let vendor = args.vendor()?;
     let rows_n = args.u64_or("rows", 128)?;
     let mut module = build(args, 8)?;
@@ -326,18 +361,18 @@ fn cmd_census(args: &Args) -> Result<(), String> {
     for chip in module.chips_mut() {
         census.merge(&CellCensus::take(chip, &rows).map_err(|e| e.to_string())?);
     }
-    println!("vendor {vendor}: {} rows x 8 chips", rows_n);
-    println!("  retention-weak  : {}", census.retention_weak);
-    println!("  strongly coupled: {}", census.strongly_coupled);
-    println!("  weakly coupled  : {}", census.weakly_coupled);
-    println!("  deep coupled    : {}", census.deep_coupled);
-    println!("  marginal        : {}", census.marginal);
-    println!("  vrt             : {}", census.vrt);
-    println!("  coupling BER    : {:.2e}", census.coupling_ber());
+    writeln!(out, "vendor {vendor}: {} rows x 8 chips", rows_n)?;
+    writeln!(out, "  retention-weak  : {}", census.retention_weak)?;
+    writeln!(out, "  strongly coupled: {}", census.strongly_coupled)?;
+    writeln!(out, "  weakly coupled  : {}", census.weakly_coupled)?;
+    writeln!(out, "  deep coupled    : {}", census.deep_coupled)?;
+    writeln!(out, "  marginal        : {}", census.marginal)?;
+    writeln!(out, "  vrt             : {}", census.vrt)?;
+    writeln!(out, "  coupling BER    : {:.2e}", census.coupling_ber())?;
     Ok(())
 }
 
-fn cmd_compare(args: &Args) -> Result<(), String> {
+fn cmd_compare(args: &Args, out: &mut dyn Write) -> CmdResult {
     let vendor = args.vendor()?;
     let rows_n = args.u64_or("rows", 128)?;
     let mut module = build(args, 8)?;
@@ -349,18 +384,19 @@ fn cmd_compare(args: &Args) -> Result<(), String> {
     let random = random_pattern_test(&mut fresh, &rows, budget, 0xC0).map_err(|e| e.to_string())?;
     let p = report.chipwide.failing_bits();
     let only_p = p.difference(&random.failing).count();
-    println!("vendor {vendor}, budget {budget} rounds each");
-    println!("  PARBOR failures : {}", p.len());
-    println!("  random failures : {}", random.failure_count());
-    println!(
+    writeln!(out, "vendor {vendor}, budget {budget} rounds each")?;
+    writeln!(out, "  PARBOR failures : {}", p.len())?;
+    writeln!(out, "  random failures : {}", random.failure_count())?;
+    writeln!(
+        out,
         "  only PARBOR     : {} ({:+.1}% over random)",
         only_p,
         only_p as f64 * 100.0 / random.failure_count().max(1) as f64
-    );
+    )?;
     Ok(())
 }
 
-fn cmd_profile(args: &Args) -> Result<(), String> {
+fn cmd_profile(args: &Args, out: &mut dyn Write) -> CmdResult {
     let vendor = args.vendor()?;
     let rows_n = args.u64_or("rows", 128)?;
     let base = Seconds(args.f64_or("base-interval", 2.0)?);
@@ -370,25 +406,25 @@ fn cmd_profile(args: &Args) -> Result<(), String> {
     let profile = profiler
         .profile(&mut module.chips_mut()[0], &rows, Celsius(45.0))
         .map_err(|e| e.to_string())?;
-    println!("vendor {vendor}: retention ladder from {base}");
+    writeln!(out, "vendor {vendor}: retention ladder from {base}")?;
     for (interval, frac) in profile
         .intervals()
         .iter()
         .zip(profile.cumulative_fail_fractions())
     {
-        println!("  <= {interval}: {:.1}% of rows fail", frac * 100.0);
+        writeln!(out, "  <= {interval}: {:.1}% of rows fail", frac * 100.0)?;
     }
     Ok(())
 }
 
-fn cmd_dcref(args: &Args) -> Result<(), String> {
+fn cmd_dcref(args: &Args, out: &mut dyn Write) -> CmdResult {
     let cycles = args.u64_or("cycles", 300_000)?;
     let n_mixes = args.u64_or("mixes", 4)? as usize;
     let density = match args.u64_or("density", 32)? {
         8 => Density::Gb8,
         16 => Density::Gb16,
         32 => Density::Gb32,
-        other => return Err(format!("unsupported density {other} (use 8, 16, or 32)")),
+        other => return Err(format!("unsupported density {other} (use 8, 16, or 32)").into()),
     };
     let config = SystemConfig {
         density,
@@ -410,41 +446,34 @@ fn cmd_dcref(args: &Args) -> Result<(), String> {
                 .total_instructions();
         }
     }
-    println!("{density:?}, {n_mixes} mixes, {cycles} memory cycles each:");
-    println!("  baseline : {} instructions", sums[0]);
-    println!(
+    writeln!(
+        out,
+        "{density:?}, {n_mixes} mixes, {cycles} memory cycles each:"
+    )?;
+    writeln!(out, "  baseline : {} instructions", sums[0])?;
+    writeln!(
+        out,
         "  RAIDR    : {} ({:+.1}%)",
         sums[1],
         (sums[1] as f64 / sums[0] as f64 - 1.0) * 100.0
-    );
-    println!(
+    )?;
+    writeln!(
+        out,
         "  DC-REF   : {} ({:+.1}%)",
         sums[2],
         (sums[2] as f64 / sums[0] as f64 - 1.0) * 100.0
-    );
+    )?;
     Ok(())
 }
 
 /// Parses a comma-separated vendor list like `A,B,C`.
 fn parse_vendors(list: &str) -> Result<Vec<Vendor>, String> {
-    list.split(',')
-        .map(|v| match v.trim() {
-            "A" | "a" => Ok(Vendor::A),
-            "B" | "b" => Ok(Vendor::B),
-            "C" | "c" => Ok(Vendor::C),
-            other => Err(format!("unknown vendor {other} (use A, B, or C)")),
-        })
-        .collect()
+    list.split(',').map(|v| v.trim().parse()).collect()
 }
 
 /// Builds the job list for `fleet run` from the CLI flags.
 fn fleet_jobs(args: &Args) -> Result<Vec<ScanJob>, String> {
-    let vendors = parse_vendors(
-        args.flags
-            .get("vendors")
-            .map(String::as_str)
-            .unwrap_or("A,B,C"),
-    )?;
+    let vendors = parse_vendors(args.get("vendors").unwrap_or("A,B,C"))?;
     let modules = args.u64_or("modules", 1)?;
     let chips = args.u64_or("chips", 1)? as usize;
     let rows = args.u64_or("rows", 48)? as u32;
@@ -483,7 +512,11 @@ fn fleet_config(args: &Args) -> Result<FleetConfig, String> {
     })
 }
 
-fn fleet_print_report(report: &parbor_fleet::FleetReport, store_dir: &std::path::Path) {
+fn fleet_print_report(
+    report: &parbor_fleet::FleetReport,
+    store_dir: &std::path::Path,
+    out: &mut dyn Write,
+) -> std::io::Result<()> {
     for job in &report.jobs {
         let outcome = if let Some(err) = &job.error {
             format!("FAILED  {err}")
@@ -501,9 +534,10 @@ fn fleet_print_report(report: &parbor_fleet::FleetReport, store_dir: &std::path:
                 if job.resumed { "  (resumed)" } else { "" },
             )
         };
-        println!("  {:<8} {outcome}", job.name);
+        writeln!(out, "  {:<8} {outcome}", job.name)?;
     }
-    println!(
+    writeln!(
+        out,
         "completed {}, skipped {}, failed {}, halted {}; {} rounds, {} checkpoint bytes",
         report.completed(),
         report.jobs.iter().filter(|j| j.skipped).count(),
@@ -511,8 +545,8 @@ fn fleet_print_report(report: &parbor_fleet::FleetReport, store_dir: &std::path:
         report.halted(),
         report.total_rounds(),
         report.checkpoint_bytes(),
-    );
-    println!("store: {}", store_dir.display());
+    )?;
+    writeln!(out, "store: {}", store_dir.display())
 }
 
 /// Builds the per-job port factory for `fleet run`/`fleet resume` when any
@@ -521,7 +555,7 @@ fn fleet_print_report(report: &parbor_fleet::FleetReport, store_dir: &std::path:
 /// `--record <dir>` and for `--backend replay:<dir>`.
 fn fleet_port_factory(args: &Args) -> Result<Option<parbor_fleet::PortFactory>, String> {
     let backend = args.backend()?;
-    let record = args.flags.get("record").map(PathBuf::from);
+    let record = args.get("record").map(PathBuf::from);
     if matches!(backend, Backend::Sim) && record.is_none() {
         return Ok(None);
     }
@@ -546,14 +580,15 @@ fn fleet_port_factory(args: &Args) -> Result<Option<parbor_fleet::PortFactory>, 
     })))
 }
 
-fn cmd_serve(args: &Args) -> Result<(), String> {
-    let setup = parbor_repro::servecli::setup(&args.flags)?;
-    println!(
+fn cmd_serve(args: &Args, out: &mut dyn Write) -> CmdResult {
+    let setup = servecli::setup(&args.flags)?;
+    writeln!(
+        out,
         "serve: {} module(s), {} compiled stencil(s), {} worker(s)",
         setup.snapshot.module_count(),
         setup.snapshot.stencil_count(),
         setup.config.workers,
-    );
+    )?;
     let recorder = ShardedRecorder::handle();
     let report = parbor_serve::run(
         setup.snapshot,
@@ -562,8 +597,8 @@ fn cmd_serve(args: &Args) -> Result<(), String> {
         &setup.load,
         RecorderHandle::from(recorder.clone()),
     );
-    print!("{}", parbor_repro::servecli::summary(&report));
-    if let Some(path) = args.flags.get("status-out") {
+    write!(out, "{}", servecli::summary(&report))?;
+    if let Some(path) = args.get("status-out") {
         if let Some(dir) = std::path::Path::new(path).parent() {
             if !dir.as_os_str().is_empty() {
                 std::fs::create_dir_all(dir)
@@ -572,18 +607,19 @@ fn cmd_serve(args: &Args) -> Result<(), String> {
         }
         let json = serde_json::to_string_pretty(&report).map_err(|e| e.to_string())?;
         std::fs::write(path, json + "\n").map_err(|e| format!("writing {path}: {e}"))?;
-        println!("status written   : {path}");
+        writeln!(out, "status written   : {path}")?;
     }
     if !report.clean_shutdown {
         return Err(format!(
             "{} accepted request(s) never produced a reply",
             report.unexplained_drops
-        ));
+        )
+        .into());
     }
     Ok(())
 }
 
-fn cmd_fleet(argv: &[String]) -> Result<(), String> {
+fn cmd_fleet(argv: &[String], out: &mut dyn Write) -> CmdResult {
     let Some(sub) = argv.first() else {
         return Err("fleet needs a subcommand: run, resume, status, show, or top".into());
     };
@@ -595,12 +631,26 @@ fn cmd_fleet(argv: &[String]) -> Result<(), String> {
     } else {
         false
     };
-    let args = Args::parse(&rest)?;
-    let dir = args
-        .flags
-        .get("dir")
-        .cloned()
-        .unwrap_or_else(|| "results/fleet".to_string());
+    let known: Flags = match sub.as_str() {
+        "run" => &[
+            FLEET,
+            BACKEND,
+            &["vendors", "modules", "chips", "rows", "cols", "seed"],
+        ],
+        // `resume` takes its jobs, mechanisms included, from the journal.
+        "resume" => &[FLEET, BACKEND],
+        "status" => &[&["dir"]],
+        "show" => &[&["dir", "module"]],
+        "top" => &[&["dir", "interval-ms"]],
+        other => {
+            return Err(format!(
+                "unknown fleet subcommand {other} (use run, resume, status, show, or top)"
+            )
+            .into())
+        }
+    };
+    let args = Args::parse(&rest, &format!("fleet {sub}"), known)?;
+    let dir = args.get("dir").unwrap_or("results/fleet").to_string();
     match sub.as_str() {
         "run" | "resume" => {
             let jobs = if sub == "run" {
@@ -613,22 +663,23 @@ fn cmd_fleet(argv: &[String]) -> Result<(), String> {
             if let Some(factory) = factory {
                 fleet = fleet.with_port_factory(factory);
             }
-            println!(
+            writeln!(
+                out,
                 "fleet {sub}: {} under {dir}",
                 if sub == "run" {
                     format!("{} jobs", jobs.len())
                 } else {
                     "journaled jobs".to_string()
                 }
-            );
+            )?;
             let report = if sub == "run" {
                 fleet.run(jobs).map_err(|e| e.to_string())?
             } else {
                 fleet.resume().map_err(|e| e.to_string())?
             };
-            fleet_print_report(&report, &fleet.store_dir());
+            fleet_print_report(&report, &fleet.store_dir(), out)?;
             if report.failed() > 0 {
-                return Err(format!("{} job(s) failed", report.failed()));
+                return Err(format!("{} job(s) failed", report.failed()).into());
             }
             Ok(())
         }
@@ -636,21 +687,23 @@ fn cmd_fleet(argv: &[String]) -> Result<(), String> {
             let fleet = Fleet::new(&dir, FleetConfig::default()).map_err(|e| e.to_string())?;
             let statuses = fleet.status().map_err(|e| e.to_string())?;
             if statuses.is_empty() {
-                println!("no jobs under {dir}");
+                writeln!(out, "no jobs under {dir}")?;
                 return Ok(());
             }
             for status in statuses {
                 match status.state {
-                    parbor_fleet::JobState::Done => println!(
+                    parbor_fleet::JobState::Done => writeln!(
+                        out,
                         "  {:<8} done       rounds {:>5}  failures {}",
                         status.name,
                         status.rounds,
                         status.failures.unwrap_or(0)
-                    ),
-                    parbor_fleet::JobState::InFlight => println!(
+                    )?,
+                    parbor_fleet::JobState::InFlight => writeln!(
+                        out,
                         "  {:<8} in-flight  rounds {:>5}  stage {}",
                         status.name, status.rounds, status.stage
-                    ),
+                    )?,
                 }
             }
             Ok(())
@@ -664,31 +717,33 @@ fn cmd_fleet(argv: &[String]) -> Result<(), String> {
                 .map_err(|e| e.to_string())?;
             let stored = store.get(name).map_err(|e| e.to_string())?;
             let profile = &stored.profile;
-            println!("module           : {name}");
-            println!("victims          : {}", profile.victim_count);
-            println!("distances        : {:?}", profile.distances);
-            println!("tests per level  : {:?}", profile.tests_per_level);
-            println!("chip-wide rounds : {}", profile.chipwide_rounds);
-            println!("failures         : {}", profile.failures.len());
-            println!("total budget     : {} rounds", profile.total_rounds());
+            writeln!(out, "module           : {name}")?;
+            writeln!(out, "victims          : {}", profile.victim_count)?;
+            writeln!(out, "distances        : {:?}", profile.distances)?;
+            writeln!(out, "tests per level  : {:?}", profile.tests_per_level)?;
+            writeln!(out, "chip-wide rounds : {}", profile.chipwide_rounds)?;
+            writeln!(out, "failures         : {}", profile.failures.len())?;
+            writeln!(out, "total budget     : {} rounds", profile.total_rounds())?;
             if stored.recovered {
-                println!(
+                writeln!(
+                    out,
                     "WARNING: segment was recovered from corruption ({})",
                     if stored.complete {
                         "complete"
                     } else {
                         "partial"
                     }
-                );
+                )?;
             }
             for cell in profile.failures.iter().take(10) {
-                println!(
+                writeln!(
+                    out,
                     "  unit {} bank {} row {:>5} col {:>5} value {}",
                     cell.unit, cell.bank, cell.row, cell.col, cell.value as u8
-                );
+                )?;
             }
             if profile.failures.len() > 10 {
-                println!("  … {} more", profile.failures.len() - 10);
+                writeln!(out, "  … {} more", profile.failures.len() - 10)?;
             }
             Ok(())
         }
@@ -701,9 +756,9 @@ fn cmd_fleet(argv: &[String]) -> Result<(), String> {
                         if !once {
                             // Clear the screen and home the cursor so the
                             // panel repaints in place.
-                            print!("\x1b[2J\x1b[H");
+                            write!(out, "\x1b[2J\x1b[H")?;
                         }
-                        print!("{}", status.render());
+                        write!(out, "{}", status.render())?;
                         if once || status.is_terminal() {
                             return Ok(());
                         }
@@ -713,69 +768,76 @@ fn cmd_fleet(argv: &[String]) -> Result<(), String> {
                             return Err(format!(
                                 "no status surface at {} (has a fleet run started?)",
                                 path.display()
-                            ));
+                            )
+                            .into());
                         }
-                        println!("waiting for {} ...", path.display());
+                        writeln!(out, "waiting for {} ...", path.display())?;
                     }
-                    Err(e) => return Err(format!("reading {}: {e}", path.display())),
+                    Err(e) => return Err(format!("reading {}: {e}", path.display()).into()),
                 }
                 std::thread::sleep(std::time::Duration::from_millis(interval));
             }
         }
-        other => Err(format!(
-            "unknown fleet subcommand {other} (use run, resume, status, show, or top)"
-        )),
+        _ => unreachable!("subcommand checked above"),
     }
 }
 
-fn cmd_store(argv: &[String]) -> Result<(), String> {
+fn cmd_store(argv: &[String], out: &mut dyn Write) -> CmdResult {
     let Some(sub) = argv.first() else {
         return Err("store needs a subcommand: stats, compact, or aggregate".into());
     };
-    let args = Args::parse(&argv[1..])?;
-    let dir = args
-        .flags
-        .get("dir")
-        .cloned()
-        .unwrap_or_else(|| "results/fleet/store".to_string());
+    let known: Flags = match sub.as_str() {
+        "stats" => &[&["dir"]],
+        "compact" => &[&["dir", "crash-after-phase"]],
+        "aggregate" => &[&["dir", "out"]],
+        other => {
+            return Err(format!(
+                "unknown store subcommand {other} (use stats, compact, or aggregate)"
+            )
+            .into())
+        }
+    };
+    let args = Args::parse(&argv[1..], &format!("store {sub}"), known)?;
+    let dir = args.get("dir").unwrap_or("results/fleet/store").to_string();
     let recorder = ShardedRecorder::handle();
     let rec = RecorderHandle::from(recorder.clone());
     match sub.as_str() {
         "stats" => {
             let store = ProfileStore::open_with_recorder(&dir, rec).map_err(|e| e.to_string())?;
             let stats = store.stats().map_err(|e| e.to_string())?;
-            println!("store            : {dir}");
-            println!("modules          : {}", stats.modules);
-            println!("l0 segments      : {}", stats.l0_segments);
+            writeln!(out, "store            : {dir}")?;
+            writeln!(out, "modules          : {}", stats.modules)?;
+            writeln!(out, "l0 segments      : {}", stats.l0_segments)?;
             for (gen, chunks) in &stats.generation_segments {
-                println!("generation {gen:>2}    : {chunks} chunk file(s)");
+                writeln!(out, "generation {gen:>2}    : {chunks} chunk file(s)")?;
             }
-            println!("index shards     : {}", stats.index_shards);
-            println!("live records     : {}", stats.live_records);
-            println!("dead records     : {}", stats.dead_records);
-            println!("corrupt records  : {}", stats.corrupt_records);
-            println!("total failures   : {}", stats.total_failures);
-            println!("segment bytes    : {}", stats.segment_bytes);
-            println!(
+            writeln!(out, "index shards     : {}", stats.index_shards)?;
+            writeln!(out, "live records     : {}", stats.live_records)?;
+            writeln!(out, "dead records     : {}", stats.dead_records)?;
+            writeln!(out, "corrupt records  : {}", stats.corrupt_records)?;
+            writeln!(out, "total failures   : {}", stats.total_failures)?;
+            writeln!(out, "segment bytes    : {}", stats.segment_bytes)?;
+            writeln!(
+                out,
                 "recovery events  : {}",
                 recorder.snapshot().counter(metrics::store::RECOVERY)
-            );
-            println!("ledger balanced  : {}", stats.ledger_balanced);
+            )?;
+            writeln!(out, "ledger balanced  : {}", stats.ledger_balanced)?;
             if !stats.ledger_balanced {
                 return Err("store ledger does not balance".into());
             }
             Ok(())
         }
         "compact" => {
-            let crash_phase = match args.flags.get("crash-after-phase").map(String::as_str) {
+            let crash_phase = match args.get("crash-after-phase") {
                 None => None,
                 Some("1") => Some(CompactPhase::Segments),
                 Some("2") => Some(CompactPhase::Manifest),
                 Some("3") => Some(CompactPhase::Cleanup),
                 Some(other) => {
-                    return Err(format!(
-                        "--crash-after-phase must be 1, 2, or 3 (got {other})"
-                    ))
+                    return Err(
+                        format!("--crash-after-phase must be 1, 2, or 3 (got {other})").into(),
+                    )
                 }
             };
             let mut store =
@@ -789,62 +851,65 @@ fn cmd_store(argv: &[String]) -> Result<(), String> {
                 eprintln!("compaction crashed after phase (simulated)");
                 std::process::exit(CRASH_EXIT_CODE);
             }
-            println!("store            : {dir}");
-            println!(
+            writeln!(out, "store            : {dir}")?;
+            writeln!(
+                out,
                 "compacted        : {} record(s) from {} segment(s)",
                 report.input_records, report.input_segments
-            );
-            println!(
+            )?;
+            writeln!(
+                out,
                 "generation {:>2}    : {} record(s) in {} chunk file(s), {} bytes",
                 report.gen, report.output_records, report.output_segments, report.output_bytes
-            );
+            )?;
             if report.salvaged > 0 || report.dropped > 0 {
-                println!(
+                writeln!(
+                    out,
                     "recovered        : {} salvaged, {} dropped",
                     report.salvaged, report.dropped
-                );
+                )?;
             }
             Ok(())
         }
         "aggregate" => {
             let store = ProfileStore::open_with_recorder(&dir, rec).map_err(|e| e.to_string())?;
             let agg = store.aggregate().map_err(|e| e.to_string())?;
-            println!("store            : {dir}");
-            println!("modules          : {}", agg.modules);
-            println!("total failures   : {}", agg.total_failures);
-            println!("distinct dists   : {}", agg.distinct_distances);
+            writeln!(out, "store            : {dir}")?;
+            writeln!(out, "modules          : {}", agg.modules)?;
+            writeln!(out, "total failures   : {}", agg.total_failures)?;
+            writeln!(out, "distinct dists   : {}", agg.distinct_distances)?;
             for (distance, count) in &agg.distance_counts {
-                println!("  distance {distance:>4}  : {count} module(s)");
+                writeln!(out, "  distance {distance:>4}  : {count} module(s)")?;
             }
-            println!(
+            writeln!(
+                out,
                 "failures/module  : mean {:.2}  p50 {}  p99 {}",
                 agg.failures_per_module.mean,
                 agg.failures_per_module.p50,
                 agg.failures_per_module.p99
-            );
+            )?;
             for (vendor, rollup) in &agg.vendors {
-                println!(
+                writeln!(
+                    out,
                     "  vendor {vendor:<6}  : {} module(s), {} failure(s), {:.2} mean",
                     rollup.modules, rollup.failures, rollup.mean_failures
-                );
+                )?;
             }
-            if let Some(path) = args.flags.get("out") {
+            if let Some(path) = args.get("out") {
                 let json = serde_json::to_string_pretty(&agg).map_err(|e| e.to_string())?;
                 std::fs::write(path, json + "\n").map_err(|e| format!("writing {path}: {e}"))?;
-                println!("aggregate written: {path}");
+                writeln!(out, "aggregate written: {path}")?;
             }
             Ok(())
         }
-        other => Err(format!(
-            "unknown store subcommand {other} (use stats, compact, or aggregate)"
-        )),
+        _ => unreachable!("subcommand checked above"),
     }
 }
 
 /// `transcript dump PATH`: the human-readable view of a binary transcript,
 /// read through [`ReplayPort::open`] (the one decoder) — the header summary
 /// as one JSON line, then one JSON line per recorded round.
-fn cmd_transcript(argv: &[String]) -> Result<(), String> {
+fn cmd_transcript(argv: &[String], out: &mut dyn Write) -> CmdResult {
     #[derive(serde::Serialize)]
     struct DumpRound {
         round: usize,
@@ -867,16 +932,12 @@ fn cmd_transcript(argv: &[String]) -> Result<(), String> {
         };
         lines.push(serde_json::to_string(&round).map_err(|e| e.to_string())?);
     }
-    let mut out = std::io::BufWriter::new(std::io::stdout().lock());
-    let written = lines
-        .iter()
-        .try_for_each(|line| writeln!(out, "{line}"))
-        .and_then(|()| out.flush());
-    match written {
-        // A closed pipe (`| head`) is the reader being done, not an error.
-        Err(e) if e.kind() != std::io::ErrorKind::BrokenPipe => Err(e.to_string()),
-        _ => Ok(()),
+    let mut out = std::io::BufWriter::new(out);
+    for line in &lines {
+        writeln!(out, "{line}")?;
     }
+    out.flush()?;
+    Ok(())
 }
 
 const USAGE: &str =
@@ -955,45 +1016,53 @@ backend flags (detect, fleet run/resume):
 dcref flags : --cycles N  --mixes N  --density 8|16|32
 help        : parbor --help (or -h) prints this message";
 
+/// Runs one subcommand, writing its report to `out`.
+fn run(cmd: &str, rest: &[String], out: &mut dyn Write) -> CmdResult {
+    type Command = fn(&Args, &mut dyn Write) -> CmdResult;
+    let (known, command): (Flags, Command) = match cmd {
+        "fleet" => return cmd_fleet(rest, out),
+        "store" => return cmd_store(rest, out),
+        "transcript" => return cmd_transcript(rest, out),
+        "obs" => return cmd_obs(rest, out),
+        "detect" => (&[MODULE, BACKEND], cmd_detect),
+        "census" => (&[MODULE], cmd_census),
+        "compare" => (&[MODULE], cmd_compare),
+        "profile" => (&[MODULE, &["base-interval"]], cmd_profile),
+        "efficacy" => (&[EFFICACY], cmd_efficacy),
+        "dcref" => (&[&["cycles", "mixes", "density"]], cmd_dcref),
+        "serve" => (&[servecli::FLAGS, &["status-out"]], cmd_serve),
+        other => return Err(format!("unknown command {other}").into()),
+    };
+    command(&Args::parse(rest, cmd, known)?, out)
+}
+
 fn main() -> ExitCode {
     let argv: Vec<String> = std::env::args().skip(1).collect();
-    if argv.is_empty() {
+    let Some(cmd) = argv.first() else {
         eprintln!("{USAGE}");
         return ExitCode::FAILURE;
-    }
-    if argv
+    };
+    // Every report goes through this one locked writer.
+    let mut out = std::io::stdout().lock();
+    let result = if argv
         .iter()
         .any(|a| a == "--help" || a == "-h" || a == "help")
     {
-        println!("{USAGE}");
-        return ExitCode::SUCCESS;
-    }
-    let cmd = &argv[0];
-    let result = if cmd == "fleet" {
-        cmd_fleet(&argv[1..])
-    } else if cmd == "store" {
-        cmd_store(&argv[1..])
-    } else if cmd == "transcript" {
-        cmd_transcript(&argv[1..])
-    } else if cmd == "obs" {
-        cmd_obs(&argv[1..])
+        writeln!(out, "{USAGE}").map_err(Into::into)
     } else {
-        match Args::parse(&argv[1..]) {
-            Err(e) => Err(e),
-            Ok(args) => match cmd.as_str() {
-                "detect" => cmd_detect(&args),
-                "efficacy" => cmd_efficacy(&args),
-                "census" => cmd_census(&args),
-                "compare" => cmd_compare(&args),
-                "profile" => cmd_profile(&args),
-                "dcref" => cmd_dcref(&args),
-                "serve" => cmd_serve(&args),
-                other => Err(format!("unknown command {other}")),
-            },
-        }
-    };
+        run(cmd, &argv[1..], &mut out)
+    }
+    .and_then(|()| out.flush().map_err(Into::into));
     match result {
         Ok(()) => ExitCode::SUCCESS,
+        // A closed pipe (`parbor detect | head -1`) is the reader being
+        // done, not an error.
+        Err(e)
+            if e.downcast_ref::<std::io::Error>()
+                .is_some_and(|e| e.kind() == std::io::ErrorKind::BrokenPipe) =>
+        {
+            ExitCode::SUCCESS
+        }
         Err(e) => {
             eprintln!("error: {e}\n{USAGE}");
             ExitCode::FAILURE

@@ -1,9 +1,10 @@
 //! # parbor-repro — shared harness for regenerating the paper's results
 //!
 //! One binary per table/figure lives in `src/bin/`; this library holds the
-//! pieces they share: the simulated 18-module fleet (six modules per vendor,
-//! as in the paper's §6), the equal-budget PARBOR-vs-random comparison of
-//! §7.2, and small table-formatting helpers.
+//! pieces they share: the seeding of the simulated 18-module fleet (six
+//! modules per vendor, as in the paper's §6), the equal-budget
+//! PARBOR-vs-random comparison of §7.2, a figure timer, and a table-row
+//! formatter.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -11,7 +12,7 @@
 use std::collections::HashSet;
 use std::sync::Arc;
 
-use parbor_core::{random_pattern_test, Parbor, ParborConfig, ParborError, ParborReport};
+use parbor_core::{random_pattern_test, Parbor, ParborConfig, ParborError};
 use parbor_dram::{BitAddr, ChipGeometry, DramError, DramModule, ModuleConfig, ModuleId, Vendor};
 use parbor_obs::metrics;
 use parbor_obs::{Recorder, RecorderHandle, ShardedRecorder, SpanId};
@@ -20,23 +21,6 @@ pub mod servecli;
 
 /// A failing bit observed through a module test port: (chip, address).
 pub type FailBit = (u32, BitAddr);
-
-/// Builds the paper's 18-module population (six modules per vendor) at the
-/// given per-chip geometry. Seeds are derived deterministically from the
-/// vendor and module index, so every binary sees the same fleet.
-///
-/// # Errors
-///
-/// Propagates configuration errors from the module builder.
-pub fn module_fleet(geometry: ChipGeometry) -> Result<Vec<DramModule>, DramError> {
-    let mut fleet = Vec::with_capacity(18);
-    for vendor in Vendor::ALL {
-        for idx in 1..=vendor.paper_module_count() as u32 {
-            fleet.push(build_module(vendor, idx, geometry)?);
-        }
-    }
-    Ok(fleet)
-}
 
 /// Builds one module of the fleet (used to get a fresh, untested copy with
 /// an identical fault population for equal-budget comparisons).
@@ -167,20 +151,6 @@ pub fn compare_parbor_vs_random(
     })
 }
 
-/// Runs the full PARBOR pipeline on a fresh module and returns the report.
-///
-/// # Errors
-///
-/// Propagates device and pipeline errors.
-pub fn run_parbor(
-    vendor: Vendor,
-    idx: u32,
-    geometry: ChipGeometry,
-) -> Result<ParborReport, ParborError> {
-    let mut module = build_module(vendor, idx, geometry)?;
-    Parbor::new(ParborConfig::default()).run(&mut module)
-}
-
 /// Times one figure-regeneration binary with the observability spans and
 /// prints a one-line summary to stderr when dropped (normally at the end of
 /// `main`), so slow figure scripts are visible at a glance without
@@ -242,20 +212,6 @@ pub fn table_row(cells: &[String], widths: &[usize]) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn fleet_has_18_named_modules() {
-        let fleet = module_fleet(ChipGeometry::tiny()).unwrap();
-        assert_eq!(fleet.len(), 18);
-        assert_eq!(fleet[0].name(), "A1");
-        assert_eq!(fleet[17].name(), "C6");
-        // Distinct seeds across the fleet.
-        let seeds: HashSet<u64> = fleet
-            .iter()
-            .flat_map(|m| m.chips().iter().map(|c| c.seed()))
-            .collect();
-        assert_eq!(seeds.len(), 18 * 8);
-    }
 
     #[test]
     fn comparison_on_small_module_favors_parbor() {

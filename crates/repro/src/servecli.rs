@@ -27,38 +27,57 @@ pub struct ServeSetup {
     pub load: LoadConfig,
 }
 
+/// Every flag [`setup`] reads. `parbor serve` accepts these and its own
+/// `--status-out`, and rejects any other flag by name.
+pub const FLAGS: &[&str] = &[
+    "vendors",
+    "modules",
+    "chips",
+    "rows",
+    "cols",
+    "seed",
+    "store",
+    "workers",
+    "queue-capacity",
+    "rescan-hot-threshold",
+    "engine",
+    "mode",
+    "inflight",
+    "rate",
+    "seconds",
+    "load-seed",
+    "rescan-every",
+    "stats-every",
+    "measure-latency",
+];
+
+/// The value of `--name`; a flag missing from [`FLAGS`] is never read.
+fn flag<'a>(flags: &'a HashMap<String, String>, name: &str) -> Option<&'a str> {
+    debug_assert!(FLAGS.contains(&name), "--{name} is not in FLAGS");
+    flags.get(name).map(String::as_str)
+}
+
 fn get_u64(flags: &HashMap<String, String>, name: &str, default: u64) -> Result<u64, String> {
-    match flags.get(name) {
+    match flag(flags, name) {
         None => Ok(default),
         Some(v) => v.parse().map_err(|_| format!("--{name} must be a number")),
     }
 }
 
 fn get_f64(flags: &HashMap<String, String>, name: &str, default: f64) -> Result<f64, String> {
-    match flags.get(name) {
+    match flag(flags, name) {
         None => Ok(default),
         Some(v) => v.parse().map_err(|_| format!("--{name} must be a number")),
     }
 }
 
 fn get_bool(flags: &HashMap<String, String>, name: &str, default: bool) -> Result<bool, String> {
-    match flags.get(name).map(String::as_str) {
+    match flag(flags, name) {
         None => Ok(default),
         Some("true") | Some("1") | Some("yes") => Ok(true),
         Some("false") | Some("0") | Some("no") => Ok(false),
         Some(other) => Err(format!("--{name} must be true or false, got {other}")),
     }
-}
-
-fn parse_vendors(list: &str) -> Result<Vec<Vendor>, String> {
-    list.split(',')
-        .map(|v| match v.trim() {
-            "A" | "a" => Ok(Vendor::A),
-            "B" | "b" => Ok(Vendor::B),
-            "C" | "c" => Ok(Vendor::C),
-            other => Err(format!("unknown vendor {other} (use A, B, or C)")),
-        })
-        .collect()
 }
 
 /// Builds the served module population from the shared flag schema
@@ -68,7 +87,11 @@ fn parse_vendors(list: &str) -> Result<Vec<Vendor>, String> {
 ///
 /// Returns a message for unparsable flags or invalid geometry.
 pub fn build_modules(flags: &HashMap<String, String>) -> Result<Vec<DramModule>, String> {
-    let vendors = parse_vendors(flags.get("vendors").map(String::as_str).unwrap_or("A"))?;
+    let vendors = flag(flags, "vendors")
+        .unwrap_or("A")
+        .split(',')
+        .map(|v| v.trim().parse())
+        .collect::<Result<Vec<Vendor>, _>>()?;
     let modules = get_u64(flags, "modules", 1)?;
     let chips = get_u64(flags, "chips", 1)? as usize;
     let rows = get_u64(flags, "rows", 64)? as u32;
@@ -108,9 +131,9 @@ pub fn build_modules(flags: &HashMap<String, String>) -> Result<Vec<DramModule>,
 /// that cannot be read.
 pub fn setup(flags: &HashMap<String, String>) -> Result<ServeSetup, String> {
     let modules = build_modules(flags)?;
-    let snapshot = match flags.get("store") {
+    let snapshot = match flag(flags, "store") {
         Some(dir) => {
-            let store = ProfileStore::open(dir.as_str()).map_err(|e| e.to_string())?;
+            let store = ProfileStore::open(dir).map_err(|e| e.to_string())?;
             ServeSnapshot::compile_with_store(&modules, &store).map_err(|e| e.to_string())?
         }
         None => ServeSnapshot::compile(&modules),
@@ -121,12 +144,12 @@ pub fn setup(flags: &HashMap<String, String>) -> Result<ServeSetup, String> {
         rescan_hot_threshold: get_u64(flags, "rescan-hot-threshold", 1024)?,
         ..ServeConfig::default()
     };
-    let engine = match flags.get("engine").map(String::as_str) {
+    let engine = match flag(flags, "engine") {
         None | Some("inline") => Engine::Inline,
         Some("threads") => Engine::Threads,
         Some(other) => return Err(format!("unknown engine {other} (use inline or threads)")),
     };
-    let (mode, latency_default) = match flags.get("mode").map(String::as_str) {
+    let (mode, latency_default) = match flag(flags, "mode") {
         None | Some("closed") => (
             LoadMode::Closed {
                 inflight: get_u64(flags, "inflight", 256)? as usize,

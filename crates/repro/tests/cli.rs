@@ -1,9 +1,11 @@
-//! Integration tests for the `parbor` CLI: flag handling, `--help`, and the
-//! fleet crash/resume workflow driven through the real binary.
+//! Integration tests for the `parbor` CLI: flag handling, `--help`, a closed
+//! stdout, and the fleet crash/resume workflow driven through the real
+//! binary.
 
 use std::fs;
+use std::io::{BufRead, BufReader};
 use std::path::{Path, PathBuf};
-use std::process::{Command, Output};
+use std::process::{Command, Output, Stdio};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 const BIN: &str = env!("CARGO_BIN_EXE_parbor");
@@ -77,6 +79,72 @@ fn removed_mode_flags_are_rejected_by_name() {
             "{args:?}: {err}"
         );
     }
+}
+
+#[test]
+fn misspelt_flags_are_rejected_by_name() {
+    for (args, message) in [
+        (
+            &["detect", "--vendor", "B", "--chips", "1", "--rowz", "32"][..],
+            "unknown flag --rowz for detect",
+        ),
+        (
+            &["serve", "--sconds", "0.1"],
+            "unknown flag --sconds for serve",
+        ),
+        (
+            &["fleet", "status", "--dri", "x"],
+            "unknown flag --dri for fleet status",
+        ),
+        (
+            &["store", "stats", "--dir", "x", "--out", "y"],
+            "unknown flag --out for store stats",
+        ),
+    ] {
+        let out = run(args);
+        assert!(!out.status.success(), "{args:?} must fail");
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert!(err.contains(message), "{args:?}: {err}");
+    }
+}
+
+#[test]
+fn a_closed_stdout_is_not_a_crash() {
+    // `fleet run` prints its header line before the scan and its report
+    // after it, so the reader is gone by the time the report is written.
+    let cwd = scratch_cwd("closed-pipe");
+    let mut child = Command::new(BIN)
+        .args([
+            "fleet",
+            "run",
+            "--dir",
+            "fleet",
+            "--vendors",
+            "A",
+            "--rows",
+            "32",
+            "--workers",
+            "1",
+        ])
+        .current_dir(&cwd)
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("spawn parbor binary");
+    let mut first = String::new();
+    BufReader::new(child.stdout.take().expect("piped stdout"))
+        .read_line(&mut first)
+        .expect("read one line");
+    assert!(first.starts_with("fleet run:"), "{first}");
+    // The reader was dropped above, closing the pipe.
+    let out = child.wait_with_output().expect("wait for parbor");
+    assert!(
+        out.status.success(),
+        "exit {:?}: {}",
+        out.status.code(),
+        String::from_utf8_lossy(&out.stderr)
+    );
+    fs::remove_dir_all(&cwd).ok();
 }
 
 /// A scratch working directory with a `results/` subdir so `detect` can

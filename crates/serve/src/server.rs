@@ -149,7 +149,7 @@ impl Connection {
     }
 
     /// The worker that owns `module`.
-    pub fn worker_of(&self, module: u32) -> usize {
+    fn worker_of(&self, module: u32) -> usize {
         module as usize % self.channels.len()
     }
 
@@ -326,7 +326,7 @@ impl ServeReport {
     /// Flushes the report to a recorder as `serve.*` metrics: counters
     /// for the ledgers, gauges for the latency percentiles, and a
     /// `serve.run` span carrying the run's wall-clock milliseconds.
-    pub fn record_to(&self, rec: &RecorderHandle) {
+    fn record_to(&self, rec: &RecorderHandle) {
         let _run = span!(*rec, metrics::serve::RUN, (self.elapsed_s * 1e3) as u64);
         rec.incr(metrics::serve::ANSWERED, self.answered);
         rec.incr(metrics::serve::CONTENT_CHECKS, self.content_checks);

@@ -7,7 +7,7 @@ use serde::{Deserialize, Serialize};
 use crate::profiles::AppProfile;
 
 /// Size of one memory access (a cache line).
-pub const LINE_BYTES: u64 = 64;
+const LINE_BYTES: u64 = 64;
 
 /// One post-LLC trace entry: `nonmem_insts` non-memory instructions followed
 /// by a single memory access. This is the format Ramulator's standalone CPU
@@ -77,7 +77,8 @@ impl TraceGenerator {
     }
 
     /// Generates a batch of `n` entries.
-    pub fn take_ops(&mut self, n: usize) -> Vec<TraceOp> {
+    #[cfg(test)]
+    fn take_ops(&mut self, n: usize) -> Vec<TraceOp> {
         (0..n).map(|_| self.next_op()).collect()
     }
 }

@@ -27,12 +27,8 @@
 
 mod generator;
 mod mixes;
-mod phases;
 mod profiles;
-mod trace_io;
 
 pub use generator::{TraceGenerator, TraceOp};
 pub use mixes::{paper_mixes, WorkloadMix};
-pub use phases::{Phase, PhasedGenerator};
 pub use profiles::AppProfile;
-pub use trace_io::{read_ramulator_trace, write_ramulator_trace};

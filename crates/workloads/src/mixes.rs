@@ -23,11 +23,6 @@ impl WorkloadMix {
         let names: Vec<&str> = self.apps.iter().map(|a| a.name).collect();
         format!("mix{:02}[{}]", self.id + 1, names.join(","))
     }
-
-    /// Average MPKI across the mix's applications.
-    pub fn mean_mpki(&self) -> f64 {
-        self.apps.iter().map(|a| a.mpki).sum::<f64>() / self.apps.len() as f64
-    }
 }
 
 /// Generates `count` random mixes of `cores` applications each, drawn
@@ -70,7 +65,10 @@ mod tests {
         let mixes = paper_mixes(32, 8, 1);
         let mean_mpkis: std::collections::BTreeSet<u64> = mixes
             .iter()
-            .map(|m| (m.mean_mpki() * 100.0) as u64)
+            .map(|m| {
+                let mean = m.apps.iter().map(|a| a.mpki).sum::<f64>() / m.apps.len() as f64;
+                (mean * 100.0) as u64
+            })
             .collect();
         assert!(mean_mpkis.len() > 20, "mixes too uniform");
     }

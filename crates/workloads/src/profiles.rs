@@ -77,12 +77,6 @@ impl AppProfile {
     pub fn mean_gap(&self) -> f64 {
         1000.0 / self.mpki
     }
-
-    /// Whether the application is memory-intensive (MPKI ≥ 10), the usual
-    /// SPEC categorization.
-    pub fn is_memory_intensive(&self) -> bool {
-        self.mpki >= 10.0
-    }
 }
 
 #[cfg(test)]
@@ -130,6 +124,6 @@ mod tests {
             .max_by(|a, b| a.mpki.total_cmp(&b.mpki))
             .unwrap();
         assert_eq!(max.name, "mcf");
-        assert!(max.is_memory_intensive());
+        assert!(max.mpki >= 10.0, "memory-intensive by the usual SPEC cut");
     }
 }

@@ -1,4 +1,5 @@
-//! Redundant-column remapping (the paper's §7.3 limitation).
+//! Redundant-column remapping (the paper's §7.3 limitation), as a test
+//! scrambler.
 //!
 //! Manufacturers repair faulty columns by steering them to spare columns
 //! elsewhere in the array. A remapped cell's *physical* neighbors are the
@@ -7,29 +8,17 @@
 //! ranking discards them as infrequent, which is exactly the paper's
 //! coverage limitation. This module models remapping as a wrapper scrambler
 //! that swaps pairs of physical positions.
+//!
+//! The property it exercises: discovery, neighbor location and the
+//! Hamiltonian walks still work, and still find the regular population's
+//! distances, on a scrambler with spare-column swaps. `properties.rs` and
+//! `sensitivity.rs` include it with `#[path]`.
 
 use std::sync::Arc;
 
-use crate::scrambler::Scrambler;
-use parbor_hal::DramError;
+use parbor_dram::{DramError, Scrambler};
 
 /// A set of physical position swaps applied on top of a base scrambler.
-///
-/// # Examples
-///
-/// ```
-/// use parbor_dram::{RemapTable, IdentityScrambler, Scrambler};
-/// use std::sync::Arc;
-///
-/// # fn main() -> Result<(), parbor_dram::DramError> {
-/// let base = Arc::new(IdentityScrambler::new(128));
-/// let remapped = RemapTable::new(vec![(3, 120)])?.apply(base)?;
-/// // System column 3 now physically sits at position 120 and vice versa.
-/// assert_eq!(remapped.system_to_physical(3), 120);
-/// assert_eq!(remapped.system_to_physical(120), 3);
-/// # Ok(())
-/// # }
-/// ```
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RemapTable {
     swaps: Vec<(usize, usize)>,
@@ -37,11 +26,7 @@ pub struct RemapTable {
 
 impl RemapTable {
     /// Creates a remap table from `(faulty, spare)` physical position pairs.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`DramError::InvalidConfig`] if any position appears twice or
-    /// a pair is degenerate.
+    /// Fails if any position appears twice or a pair is degenerate.
     pub fn new(swaps: Vec<(usize, usize)>) -> Result<Self, DramError> {
         let mut seen = std::collections::HashSet::new();
         for &(a, b) in &swaps {
@@ -59,18 +44,8 @@ impl RemapTable {
         Ok(RemapTable { swaps })
     }
 
-    /// The `(faulty, spare)` pairs.
-    pub fn swaps(&self) -> &[(usize, usize)] {
-        &self.swaps
-    }
-
     /// Wraps a scrambler so the swapped physical positions exchange their
-    /// system columns.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`DramError::AddressOutOfRange`] if any position exceeds the
-    /// scrambler's row width.
+    /// system columns. Fails if any position exceeds the row width.
     pub fn apply(&self, base: Arc<dyn Scrambler>) -> Result<RemappedScrambler, DramError> {
         let n = base.row_bits();
         for &(a, b) in &self.swaps {
@@ -117,11 +92,9 @@ impl Scrambler for RemappedScrambler {
     }
 }
 
-#[cfg(test)]
 mod tests {
     use super::*;
-    use crate::scrambler::IdentityScrambler;
-    use crate::vendor::Vendor;
+    use parbor_dram::{IdentityScrambler, Vendor};
 
     #[test]
     fn swap_is_involution() {

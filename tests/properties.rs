@@ -6,9 +6,13 @@ use proptest::prelude::*;
 
 use parbor_core::{LevelPlan, Parbor, ParborConfig, RoundSchedule};
 use parbor_dram::{
-    hamiltonian_walk, walk_distance_set, IdentityScrambler, PatternKind, RemapTable, RowBits,
-    Scrambler, TileWalkScrambler, Vendor,
+    hamiltonian_walk, walk_distance_set, IdentityScrambler, PatternKind, RowBits, Scrambler,
+    TileWalkScrambler, Vendor,
 };
+
+#[path = "common/remap.rs"]
+mod remap;
+use remap::RemapTable;
 
 proptest! {
     #[test]

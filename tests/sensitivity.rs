@@ -6,9 +6,13 @@ use std::sync::Arc;
 
 use parbor_core::{Parbor, ParborConfig};
 use parbor_dram::{
-    Celsius, ChipGeometry, DramChip, FaultRates, ModuleConfig, RemapTable, RetentionModel, RowId,
-    Seconds, Vendor,
+    Celsius, ChipGeometry, DramChip, FaultRates, ModuleConfig, RetentionModel, RowId, Seconds,
+    Vendor,
 };
+
+#[path = "common/remap.rs"]
+mod remap;
+use remap::RemapTable;
 
 fn run_at(temp: f64, interval: f64, seed: u64) -> Vec<i64> {
     let mut module = ModuleConfig::new(Vendor::A)
