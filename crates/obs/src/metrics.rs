@@ -40,6 +40,9 @@ pub mod discover {
 pub mod recursion {
     /// Span: one recursion level; the payload is the region size.
     pub const LEVEL: &str = "recursion.level";
+    /// Counter: row images built for the recursion's round plans; below
+    /// the row writes by as much as the images are shared.
+    pub const IMAGES_BUILT: &str = "recursion.images_built";
     /// Counter: neighborhood tests executed (the paper's Table 1 count).
     pub const TESTS: &str = "recursion.tests";
     /// Counter: candidate victims discarded as non-reproducing.
@@ -332,6 +335,7 @@ pub const ALL: &[&str] = &[
     pipeline::DISCOVER,
     pipeline::RECURSION,
     pipeline::RUN,
+    recursion::IMAGES_BUILT,
     recursion::LEVEL,
     recursion::TESTS,
     recursion::VICTIMS_DISCARDED,

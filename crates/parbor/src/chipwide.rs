@@ -16,19 +16,20 @@
 //! inverses) and often fewer; coverage is equivalent — every cell is a
 //! victim exactly once per polarity.
 
-use std::collections::{BTreeMap, HashMap, HashSet};
+use std::collections::{BTreeMap, HashSet};
 use std::sync::Arc;
 
 use serde::{Deserialize, Serialize};
 
 use parbor_dram::{BitAddr, RowBits, RowId};
+use parbor_hal::hash::Mix64Map;
 use parbor_hal::{RoundExecutor, RoundPlan, TestPort};
 use parbor_obs::metrics;
 use parbor_obs::{span, RecorderHandle};
 
 use crate::error::{check_round, ParborError};
 use crate::pipeline::Parbor;
-use crate::victim::CellKey;
+use crate::victim::{merge_sorted, CellKey};
 
 /// A schedule of parallel-victim rounds with a repeating chunk period.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
@@ -257,9 +258,10 @@ impl ChipwideTest {
 #[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct ChipwideState {
     next_round: usize,
-    /// First-failure polarity per failing cell. Only rounds executed so far
-    /// contribute, and stepping preserves round order, so the "first
-    /// failure wins" rule matches the batched run exactly.
+    /// First-failure polarity per failing cell of the rounds run so far.
+    /// Each step keeps the first flip of each cell in round order before it
+    /// enters the map, and a cell already in the map keeps its value, so
+    /// any split of the rounds into steps gives the same map.
     failing: BTreeMap<CellKey, bool>,
 }
 
@@ -290,20 +292,23 @@ impl ChipwideState {
         let batch: Vec<RoundPlan> = (self.next_round..end)
             .map(|i| test.round_plan(i, units, &rows, width))
             .collect();
+        let mut step: Mix64Map<CellKey, bool> = Mix64Map::default();
         for flips in exec.run_batch(batch)? {
             for flip in flips {
-                self.failing
-                    .entry(CellKey::new(flip.unit, flip.flip.addr))
+                step.entry(CellKey::new(flip.unit, flip.flip.addr))
                     .or_insert(flip.flip.expected);
             }
         }
+        // An earlier step's entry holds the earlier first failure.
+        merge_sorted(&mut self.failing, step, |_, _| {});
         let executed = end - self.next_round;
         self.next_round = end;
         let outcome = (end == total).then(|| std::mem::take(self).into_outcome(&parbor.rec));
         Ok((executed, outcome))
     }
 
-    /// The finished outcome; records the failure count on `rec`.
+    /// The finished outcome; records the failure count on `rec`. The two
+    /// keys order alike, so the map is rebuilt from an already sorted run.
     fn into_outcome(self, rec: &RecorderHandle) -> ChipwideOutcome {
         rec.incr(metrics::chipwide::FAILURES, self.failing.len() as u64);
         ChipwideOutcome {
@@ -323,10 +328,10 @@ impl ChipwideState {
 pub struct ChipwideOutcome {
     /// Test rounds executed (including inverse passes).
     pub rounds: usize,
-    /// Distinct failing bits, keyed by (unit, address); the value is the
-    /// data the cell held when it failed (its charged polarity) — the input
-    /// DC-REF's content check needs.
-    pub failing: HashMap<(u32, BitAddr), bool>,
+    /// Distinct failing bits, keyed and ordered by (unit, address); the
+    /// value is the data the cell held when it failed (its charged
+    /// polarity) — the input DC-REF's content check needs.
+    pub failing: BTreeMap<(u32, BitAddr), bool>,
 }
 
 impl ChipwideOutcome {

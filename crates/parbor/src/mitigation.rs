@@ -52,7 +52,9 @@ mod rows_as_seq {
 }
 
 impl FailureDirectory {
-    /// Builds the directory from a chip-wide test outcome.
+    /// Builds the directory from a chip-wide test outcome. The outcome's
+    /// map is ordered by (unit, address), so each row's cells arrive sorted
+    /// by column.
     pub fn from_chipwide(outcome: &ChipwideOutcome, distances: &[i64]) -> Self {
         let mut rows: BTreeMap<(u32, u32, u32), Vec<VulnerableCell>> = BTreeMap::new();
         for (&(unit, addr), &fail_value) in &outcome.failing {
@@ -62,9 +64,6 @@ impl FailureDirectory {
                     col: addr.col,
                     fail_value,
                 });
-        }
-        for cells in rows.values_mut() {
-            cells.sort_by_key(|c| c.col);
         }
         FailureDirectory {
             distances: distances.to_vec(),

@@ -11,6 +11,8 @@
 //! region*, which is what makes rows testable in parallel and results
 //! aggregatable across the whole chip (§5.2.2).
 
+use std::sync::Arc;
+
 use serde::{Deserialize, Serialize};
 
 use parbor_hal::hash::Mix64Map;
@@ -254,26 +256,56 @@ impl RecursionState {
             .collect()
     }
 
-    /// Materializes the row images of one round from its victim regions.
-    fn build_round(
+    /// Materializes the row images of a batch of rounds from their victim
+    /// regions; returns the plans and the number of images built.
+    ///
+    /// A victim's image is its failing value everywhere except the
+    /// candidate region `[lo, hi)`, which gets the opposite value, and then
+    /// its own cell set back to the failing value. When the victim's column
+    /// lies outside the region that last write changes nothing, so the
+    /// image depends only on (fail value, region): the batch builds it on
+    /// first use and every such victim row of every round shares it. A
+    /// victim tested in its own region gets an image of its own.
+    fn build_batch(
         plan: &LevelPlan,
         level: usize,
         width: usize,
         victims: &[Victim],
-        regions: &[Option<usize>],
-    ) -> RoundPlan {
-        let mut round = RoundPlan::new();
-        for (i, v) in victims.iter().enumerate() {
-            let Some(region) = regions[i] else { continue };
-            let (lo, hi) = plan
-                .region_range(region, level)
-                .expect("region index validated during geometry");
-            let mut data = RowBits::filled(width, v.fail_value);
-            data.set_range(lo, hi, !v.fail_value);
-            data.set(v.col as usize, v.fail_value);
-            round.write(v.unit, v.row, data);
-        }
-        round
+        round_regions: &[Vec<Option<usize>>],
+    ) -> (Vec<RoundPlan>, usize) {
+        let region_image = |fail_value: bool, lo: usize, hi: usize| {
+            let mut data = RowBits::filled(width, fail_value);
+            data.set_range(lo, hi, !fail_value);
+            data
+        };
+        let mut shared: Mix64Map<(bool, usize), Arc<RowBits>> = Mix64Map::default();
+        let mut own = 0usize;
+        let plans = round_regions
+            .iter()
+            .map(|regions| {
+                let mut round = RoundPlan::with_capacity(victims.len());
+                for (v, &region) in victims.iter().zip(regions) {
+                    let Some(region) = region else { continue };
+                    let (lo, hi) = plan
+                        .region_range(region, level)
+                        .expect("region index validated during geometry");
+                    let col = v.col as usize;
+                    if (lo..hi).contains(&col) {
+                        let mut data = region_image(v.fail_value, lo, hi);
+                        data.set(col, v.fail_value);
+                        own += 1;
+                        round.write(v.unit, v.row, data);
+                    } else {
+                        let data = shared
+                            .entry((v.fail_value, region))
+                            .or_insert_with(|| Arc::new(region_image(v.fail_value, lo, hi)));
+                        round.write(v.unit, v.row, Arc::clone(data));
+                    }
+                }
+                round
+            })
+            .collect();
+        (plans, own + shared.len())
     }
 
     /// Executes up to `budget` rounds of the current level in one
@@ -321,10 +353,14 @@ impl RecursionState {
             .with_recorder(rec.clone())
             .with_arena(parbor.arena.clone())
             .count_rounds_as(metrics::recursion::TESTS);
-        let plans: Vec<RoundPlan> = geometry.round_regions[self.next_round..end]
-            .iter()
-            .map(|regions| Self::build_round(&plan, level, width, victims, regions))
-            .collect();
+        let (plans, images) = Self::build_batch(
+            &plan,
+            level,
+            width,
+            victims,
+            &geometry.round_regions[self.next_round..end],
+        );
+        rec.incr(metrics::recursion::IMAGES_BUILT, images as u64);
         for (flips, regions) in exec
             .run_batch(plans)?
             .into_iter()
@@ -511,6 +547,116 @@ mod tests {
         let err =
             RecursionState::start(&RecursionConfig::default(), 8192, &[v(1), v(2)]).unwrap_err();
         assert!(matches!(err, ParborError::InvalidConfig(_)));
+    }
+
+    /// The per-victim construction that [`RecursionState::build_batch`]
+    /// replaced, kept as the oracle of its images.
+    fn per_victim_image(
+        plan: &LevelPlan,
+        level: usize,
+        width: usize,
+        v: &Victim,
+        region: usize,
+    ) -> RowBits {
+        let (lo, hi) = plan.region_range(region, level).unwrap();
+        let mut data = RowBits::filled(width, v.fail_value);
+        data.set_range(lo, hi, !v.fail_value);
+        data.set(v.col as usize, v.fail_value);
+        data
+    }
+
+    #[test]
+    fn recursion_images_match_the_per_victim_build() {
+        use std::collections::HashMap;
+        for (vendor, seed) in [(Vendor::A, 11), (Vendor::B, 12), (Vendor::C, 13)] {
+            let mut chip =
+                DramChip::new(ChipGeometry::new(1, 256, 8192).unwrap(), vendor, seed).unwrap();
+            let parbor = Parbor::new(ParborConfig {
+                discovery_seed: 3,
+                ..ParborConfig::default()
+            });
+            let found = parbor.discover(&mut chip).unwrap();
+            let (victims, mut state, lookup) = parbor.start_recursion(&chip, &found).unwrap();
+            let plan = RecursionState::resolve_plan(&parbor.config().recursion, 8192).unwrap();
+            for level in 0..plan.levels() {
+                assert_eq!(state.level, level, "{vendor:?}");
+                let geometry = state.level_geometry(&plan, &victims);
+                let (plans, built) = RecursionState::build_batch(
+                    &plan,
+                    level,
+                    8192,
+                    &victims,
+                    &geometry.round_regions,
+                );
+                let mut shared: HashMap<(bool, usize), Arc<RowBits>> = HashMap::new();
+                let mut own = 0usize;
+                for (round, regions) in plans.iter().zip(&geometry.round_regions) {
+                    let tested: Vec<(&Victim, usize)> = victims
+                        .iter()
+                        .zip(regions)
+                        .filter_map(|(v, r)| r.map(|r| (v, r)))
+                        .collect();
+                    assert_eq!(round.len(), tested.len(), "{vendor:?} level {level}");
+                    for (write, (v, region)) in round.writes().iter().zip(tested) {
+                        assert_eq!((write.unit, write.row), (v.unit, v.row));
+                        assert_eq!(
+                            *write.data,
+                            per_victim_image(&plan, level, 8192, v, region),
+                            "{vendor:?} level {level} region {region}"
+                        );
+                        let (lo, hi) = plan.region_range(region, level).unwrap();
+                        if (lo..hi).contains(&(v.col as usize)) {
+                            own += 1;
+                            continue;
+                        }
+                        let first = shared
+                            .entry((v.fail_value, region))
+                            .or_insert_with(|| Arc::clone(&write.data));
+                        assert!(
+                            Arc::ptr_eq(first, &write.data),
+                            "{vendor:?} level {level}: two images of region {region}"
+                        );
+                    }
+                }
+                assert_eq!(built, own + shared.len(), "{vendor:?} level {level}");
+                state
+                    .step(&parbor, &mut chip, &victims, &lookup, usize::MAX)
+                    .unwrap();
+            }
+            assert!(state.done, "{vendor:?}");
+        }
+    }
+
+    #[test]
+    fn images_built_stay_below_the_row_writes() {
+        use parbor_obs::ShardedRecorder;
+        let recorder = ShardedRecorder::handle();
+        let rec = RecorderHandle::from(recorder.clone());
+        let mut chip = DramChip::new(ChipGeometry::new(1, 64, 8192).unwrap(), Vendor::A, 1)
+            .unwrap()
+            .with_recorder(rec.clone());
+        let parbor = Parbor::new(ParborConfig::default()).with_recorder(rec);
+        let found = parbor.discover(&mut chip).unwrap();
+        let (victims, mut state, lookup) = parbor.start_recursion(&chip, &found).unwrap();
+        let counts = || {
+            let snap = recorder.snapshot();
+            (
+                snap.counter(metrics::recursion::IMAGES_BUILT),
+                snap.counter(metrics::dram::ROW_WRITES),
+            )
+        };
+        while !state.done {
+            let (images_before, writes_before) = counts();
+            state
+                .step(&parbor, &mut chip, &victims, &lookup, 4)
+                .unwrap();
+            let (images, writes) = counts();
+            let (images, writes) = (images - images_before, writes - writes_before);
+            assert!(
+                images > 0 && images < writes,
+                "{images} images for {writes} row writes"
+            );
+        }
     }
 
     #[test]

@@ -69,9 +69,9 @@ pub struct FailingCell {
 /// The serializable end product of one scan — what the fleet's profile
 /// store persists and the DC-REF/mitigation path reads back.
 ///
-/// Equivalent to a [`ParborReport`] with the failing set flattened into a
-/// deterministically sorted list (reports hold a hash map, which neither
-/// serializes nor compares bytewise).
+/// Equivalent to a [`ParborReport`] with the failing map flattened into a
+/// list of cells in the map's (unit, bank, row, col) order (the report's
+/// map is keyed by tuples, which do not serialize as JSON object keys).
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct FailureProfile {
     /// Victims found by discovery.
@@ -91,9 +91,10 @@ pub struct FailureProfile {
 }
 
 impl FailureProfile {
-    /// Flattens a pipeline report into a profile.
+    /// Flattens a pipeline report into a profile. The report's failing map
+    /// is already in (unit, bank, row, col) order.
     pub fn from_report(report: &ParborReport) -> Self {
-        let mut failures: Vec<FailingCell> = report
+        let failures = report
             .chipwide
             .failing
             .iter()
@@ -105,7 +106,6 @@ impl FailureProfile {
                 value,
             })
             .collect();
-        failures.sort();
         FailureProfile {
             victim_count: report.victim_count,
             discovery_rounds: report.discovery_rounds,
@@ -460,6 +460,55 @@ mod tests {
         assert_eq!(stepped.rounds_done(), rounds);
         assert_eq!(chip.rounds_run(), rounds);
         assert_eq!(stepped.profile().unwrap(), &batched);
+    }
+
+    #[test]
+    fn any_step_budget_gives_the_same_stage_boundaries() {
+        // Budgets of 1 and 3 rounds merge most steps' flips into a
+        // non-empty discovery or chip-wide map; whole stages bulk-build
+        // each map from one step.
+        use std::collections::BTreeMap;
+        let spec = ModuleSpec {
+            chips: 2,
+            geometry: ChipGeometry::new(1, 48, 8192).unwrap(),
+            seed: 5,
+            ..ModuleSpec::new(Vendor::A)
+        };
+        // The state JSON at every stage boundary, the digest of the state
+        // JSON after every step (by rounds run), and the profile.
+        let run = |budget: usize| {
+            let mut machine = ScanMachine::new(ParborConfig::default());
+            let mut module = spec.build().unwrap();
+            let mut boundaries = Vec::new();
+            let mut digests = BTreeMap::new();
+            while !machine.is_done() {
+                let stage = machine.state().stage_name();
+                machine.advance(&mut module, budget).unwrap();
+                let json = serde_json::to_string(machine.state()).unwrap();
+                digests.insert(
+                    machine.rounds_done(),
+                    parbor_hal::hash::fnv1a64(json.as_bytes()),
+                );
+                if machine.state().stage_name() != stage {
+                    boundaries.push(json);
+                }
+            }
+            let profile = machine.profile().unwrap().clone();
+            (boundaries, digests, profile)
+        };
+        let (whole, _, profile) = run(usize::MAX);
+        assert_eq!(whole.len(), 3, "discover, recursion and chip-wide end");
+        let (single, every_round, single_profile) = run(1);
+        assert_eq!(single, whole, "budget 1");
+        assert_eq!(single_profile, profile, "budget 1");
+        let (triple, digests, triple_profile) = run(3);
+        assert_eq!(triple, whole, "budget 3");
+        assert_eq!(triple_profile, profile, "budget 3");
+        // Mid-stage too: every state of the 3-round steps is the state the
+        // 1-round steps reached after as many rounds.
+        for (rounds, digest) in digests {
+            assert_eq!(every_round[&rounds], digest, "after {rounds} rounds");
+        }
     }
 
     #[test]

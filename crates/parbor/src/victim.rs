@@ -8,11 +8,13 @@
 //! Such cells are *likely* data-dependent; cells that are actually marginal
 //! or VRT sneak in and are filtered later (§5.2.4).
 
+use std::collections::btree_map::Entry;
 use std::collections::BTreeMap;
 
 use serde::{Deserialize, Serialize};
 
 use parbor_dram::{BitAddr, PatternSet, RowId};
+use parbor_hal::hash::Mix64Map;
 use parbor_hal::{RoundExecutor, RoundPlan, TestPort};
 use parbor_obs::metrics;
 use parbor_obs::{span, RecorderHandle};
@@ -209,6 +211,31 @@ impl serde::MapKey for CellKey {
     }
 }
 
+/// Merges one step's per-cell accumulation into a stage's checkpointed
+/// map: each distinct cell enters the map once, in key order, and an empty
+/// map is bulk-built. For a cell already in the map, `fold` merges the
+/// step's entry into the earlier one.
+pub(crate) fn merge_sorted<V>(
+    map: &mut BTreeMap<CellKey, V>,
+    step: Mix64Map<CellKey, V>,
+    mut fold: impl FnMut(&mut V, V),
+) {
+    let mut cells: Vec<(CellKey, V)> = step.into_iter().collect();
+    cells.sort_unstable_by_key(|&(key, _)| key);
+    if map.is_empty() {
+        *map = cells.into_iter().collect();
+        return;
+    }
+    for (key, value) in cells {
+        match map.entry(key) {
+            Entry::Occupied(mut earlier) => fold(earlier.get_mut(), value),
+            Entry::Vacant(slot) => {
+                slot.insert(value);
+            }
+        }
+    }
+}
+
 /// Per-cell accumulation of the discovery stage: how often the cell failed
 /// and the value written at its first failure.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -227,6 +254,10 @@ pub struct SeenCell {
 #[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct DiscoverState {
     next_round: usize,
+    /// Every cell that flipped in the rounds run so far: its fail count and
+    /// the value written at its first failure. Each step folds its flips
+    /// per cell before they enter the map, and steps run in round order, so
+    /// any split of the rounds into steps gives the same map.
     seen: BTreeMap<CellKey, SeenCell>,
 }
 
@@ -257,10 +288,10 @@ impl DiscoverState {
         let batch: Vec<RoundPlan> = (self.next_round..end)
             .map(|i| scout.round_plan(i, units, &rows, width))
             .collect();
+        let mut step: Mix64Map<CellKey, SeenCell> = Mix64Map::default();
         for flips in exec.run_batch(batch)? {
             for flip in flips {
-                self.seen
-                    .entry(CellKey::new(flip.unit, flip.flip.addr))
+                step.entry(CellKey::new(flip.unit, flip.flip.addr))
                     .or_insert(SeenCell {
                         fails: 0,
                         value: flip.flip.expected,
@@ -268,6 +299,8 @@ impl DiscoverState {
                     .fails += 1;
             }
         }
+        // An earlier step's entry holds the earlier first failure.
+        merge_sorted(&mut self.seen, step, |seen, cell| seen.fails += cell.fails);
         let executed = end - self.next_round;
         self.next_round = end;
         let victims = (end == total).then(|| self.finish(total, &parbor.rec));
@@ -309,6 +342,27 @@ mod tests {
         })
         .discover(chip)
         .unwrap()
+    }
+
+    #[test]
+    fn merge_sorted_keeps_the_earlier_entry_of_a_cell() {
+        // A cell fails only in its charged polarity, so the stepping test
+        // in `scan.rs` cannot tell which value a merge keeps; pin it here.
+        let key = |col| CellKey::new(0, BitAddr::new(0, 0, col));
+        let step = |cells: &[(u32, usize)]| -> Mix64Map<CellKey, usize> {
+            cells.iter().map(|&(col, v)| (key(col), v)).collect()
+        };
+        let mut first = BTreeMap::new();
+        merge_sorted(&mut first, step(&[(5, 1), (1, 2)]), |_, _| {});
+        merge_sorted(&mut first, step(&[(1, 3), (3, 4)]), |_, _| {});
+        let mut summed = BTreeMap::new();
+        merge_sorted(&mut summed, step(&[(5, 1), (1, 2)]), |a, b| *a += b);
+        merge_sorted(&mut summed, step(&[(1, 3), (3, 4)]), |a, b| *a += b);
+        let entries = |map: BTreeMap<CellKey, usize>| -> Vec<(u32, usize)> {
+            map.into_iter().map(|(k, v)| (k.col, v)).collect()
+        };
+        assert_eq!(entries(first), [(1, 2), (3, 4), (5, 1)]);
+        assert_eq!(entries(summed), [(1, 5), (3, 4), (5, 1)]);
     }
 
     #[test]

@@ -361,7 +361,8 @@ fn cmd_census(args: &Args, out: &mut dyn Write) -> CmdResult {
     for chip in module.chips_mut() {
         census.merge(&CellCensus::take(chip, &rows).map_err(|e| e.to_string())?);
     }
-    writeln!(out, "vendor {vendor}: {} rows x 8 chips", rows_n)?;
+    let chips = module.chips().len();
+    writeln!(out, "vendor {vendor}: {rows_n} rows x {chips} chips")?;
     writeln!(out, "  retention-weak  : {}", census.retention_weak)?;
     writeln!(out, "  strongly coupled: {}", census.strongly_coupled)?;
     writeln!(out, "  weakly coupled  : {}", census.weakly_coupled)?;
@@ -637,7 +638,8 @@ fn cmd_fleet(argv: &[String], out: &mut dyn Write) -> CmdResult {
             BACKEND,
             &["vendors", "modules", "chips", "rows", "cols", "seed"],
         ],
-        // `resume` takes its jobs, mechanisms included, from the journal.
+        // `resume` takes its jobs, mechanisms included, from the journal;
+        // `--mechanisms` is listed only to be rejected by name below.
         "resume" => &[FLEET, BACKEND],
         "status" => &[&["dir"]],
         "show" => &[&["dir", "module"]],
@@ -653,6 +655,14 @@ fn cmd_fleet(argv: &[String], out: &mut dyn Write) -> CmdResult {
     let dir = args.get("dir").unwrap_or("results/fleet").to_string();
     match sub.as_str() {
         "run" | "resume" => {
+            if sub == "resume" && args.get("mechanisms").is_some() {
+                args.backend()?; // a replay backend names its own conflict
+                return Err(
+                    "--mechanisms cannot be used with fleet resume (resume runs \
+                            the journaled modules, mechanisms included)"
+                        .into(),
+                );
+            }
             let jobs = if sub == "run" {
                 fleet_jobs(&args)?
             } else {

@@ -316,9 +316,31 @@ fn bad_backend_and_inject_specs_are_rejected() {
             "{line}: {err}"
         );
     }
+    // `resume` runs the journaled modules, so a mechanism stack given to
+    // it on the simulator would be silently dropped.
+    let out = run_line(&cwd, "fleet resume --dir unused --mechanisms hammer");
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert!(!out.status.success(), "resume with --mechanisms must fail");
+    assert!(
+        err.contains("--mechanisms") && err.contains("fleet resume"),
+        "{err}"
+    );
     assert!(
         !cwd.join("unused").exists(),
         "a rejected fleet touched its dir"
+    );
+    fs::remove_dir_all(&cwd).ok();
+}
+
+#[test]
+fn census_header_counts_the_chips_built() {
+    let cwd = scratch_cwd("census");
+    let out = run_line(&cwd, "census --vendor A --rows 8 --chips 2");
+    assert!(out.status.success(), "{out:?}");
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert!(
+        stdout.starts_with("vendor A: 8 rows x 2 chips\n"),
+        "{stdout}"
     );
     fs::remove_dir_all(&cwd).ok();
 }
