@@ -370,7 +370,7 @@ impl DramChip {
     /// an address error if the row is out of range.
     #[cfg(test)]
     fn read_row(&mut self, row: RowId) -> Result<RowBits, DramError> {
-        let flips = self.eval_rows(&[row], 1)?;
+        let flips = self.eval_rows(&[row])?;
         let mut out = self.written_row(row).expect("checked by eval_rows").clone();
         for f in flips {
             out.flip(f.addr.col as usize);
@@ -392,32 +392,15 @@ impl DramChip {
         &mut self,
         writes: Vec<(RowId, D)>,
     ) -> Result<Vec<BitFlip>, DramError> {
-        let writes = writes
-            .into_iter()
-            .map(|(row, data)| (row, data.into()))
-            .collect();
-        self.run_round_split(writes, 1)
-    }
-
-    /// [`run_round`](DramChip::run_round) with the read-back evaluation split
-    /// across `row_threads` scoped threads; see
-    /// [`eval_rows`](DramChip::eval_rows). Flips come back in write order,
-    /// bit-identical for any `row_threads`.
-    pub(crate) fn run_round_split(
-        &mut self,
-        writes: Vec<(RowId, Arc<RowBits>)>,
-        row_threads: usize,
-    ) -> Result<Vec<BitFlip>, DramError> {
         let rows: Vec<RowId> = writes.iter().map(|(row, _)| *row).collect();
         for (row, data) in writes {
             self.write_row(row, data)?;
         }
         self.advance_round();
-        let mut flips = self.eval_rows(&rows, row_threads)?;
+        let mut flips = self.eval_rows(&rows)?;
         // Extra mechanisms observe the round's write set as a whole (they
         // need neighbor activations, not just this row), so they evaluate
-        // once per round after the base model — serially, in stack order,
-        // identically under any `row_threads`.
+        // once per round after the base model, in stack order.
         if !self.extras.is_empty() {
             self.merge_extra_flips(&mut flips, &rows);
         }
@@ -500,18 +483,15 @@ impl DramChip {
     }
 
     /// Computes the flips a read of each of `rows` observes at the current
-    /// round, in `rows` order, splitting the work across `row_threads`
-    /// scoped threads (with one thread it runs inline and spawns nothing).
+    /// round, in `rows` order.
     ///
-    /// Per-row evaluation is pure in the chip's state as of the call (row
-    /// slots, round counter), so unique rows evaluate concurrently in
-    /// first-occurrence order; a duplicate re-reads the same final content
-    /// and repeats its first occurrence's flips. Fault maps and stencils a
-    /// row lacks are built on its evaluating thread and installed serially
-    /// afterwards in first-occurrence order, so FIFO eviction and counters
-    /// do not depend on `row_threads`, and no install can evict a map the
-    /// round still reads.
-    fn eval_rows(&mut self, rows: &[RowId], row_threads: usize) -> Result<Vec<BitFlip>, DramError> {
+    /// Unique rows evaluate in first-occurrence order against the chip's
+    /// state as of the call (row slots, round counter); a duplicate re-reads
+    /// the same final content and repeats its first occurrence's flips.
+    /// Fault maps and stencils a row lacks are built during evaluation and
+    /// installed afterwards in first-occurrence order, so no install can
+    /// evict a map the round still reads.
+    fn eval_rows(&mut self, rows: &[RowId]) -> Result<Vec<BitFlip>, DramError> {
         let mut unique: Vec<(RowId, &RowSlot)> = Vec::with_capacity(rows.len());
         let mut first: Mix64Map<RowId, usize> =
             Mix64Map::with_capacity_and_hasher(rows.len(), Default::default());
@@ -531,34 +511,12 @@ impl DramChip {
             unique.push((row, slot));
         }
 
-        let results: Vec<RowEval> = {
-            let this: &DramChip = self;
-            let eval_chunk = move |rows: &[(RowId, &RowSlot)]| -> Vec<RowEval> {
-                let mut coupled = this.arena.indices();
-                let out = rows
-                    .iter()
-                    .map(|&(row, slot)| this.eval_row(row, slot, &mut coupled))
-                    .collect();
-                this.arena.recycle_indices(coupled);
-                out
-            };
-            if row_threads <= 1 || unique.len() <= 1 {
-                eval_chunk(&unique)
-            } else {
-                let chunk = unique.len().div_ceil(row_threads);
-                crossbeam::thread::scope(|scope| {
-                    let handles: Vec<_> = unique
-                        .chunks(chunk)
-                        .map(|rows| scope.spawn(move |_| eval_chunk(rows)))
-                        .collect();
-                    handles
-                        .into_iter()
-                        .flat_map(|h| h.join().expect("row eval thread panicked"))
-                        .collect()
-                })
-                .expect("scoped execution cannot fail to join")
-            }
-        };
+        let mut coupled = self.arena.indices();
+        let results: Vec<RowEval> = unique
+            .iter()
+            .map(|&(row, slot)| self.eval_row(row, slot, &mut coupled))
+            .collect();
+        self.arena.recycle_indices(coupled);
         let unique: Vec<RowId> = unique.into_iter().map(|(row, _)| row).collect();
 
         self.rec.incr(metrics::dram::ROW_READS, rows.len() as u64);
@@ -586,8 +544,7 @@ impl DramChip {
 
     /// Pure per-row evaluation: the row's flips, plus the fault map and
     /// stencil it had to build because none was cached. `coupled` is
-    /// scratch for the failing coupling indices. Takes `&self` so a round's
-    /// rows can evaluate on concurrent threads.
+    /// scratch for the failing coupling indices.
     fn eval_row(&self, row: RowId, slot: &RowSlot, coupled: &mut Vec<u32>) -> RowEval {
         let data = slot.image.as_deref().expect("checked by eval_rows");
         let cached = slot.derived.as_deref();
@@ -972,22 +929,19 @@ mod tests {
     }
 
     #[test]
-    fn threaded_eval_matches_inline_with_duplicate_rows() {
+    fn duplicate_rows_repeat_the_final_contents_flips() {
         // Row 3 is written twice: both reads see its final content.
         let mut writes = stripe_writes(16);
         writes.push((
             RowId::new(0, 3),
             PatternKind::Random { seed: 9 }.row_bits(3, 8192).into(),
         ));
-        let mut inline = test_chip(31);
-        let mut threaded = test_chip(31);
+        let mut chip = test_chip(31);
         for _ in 0..3 {
-            let a = inline.run_round_split(writes.clone(), 1).unwrap();
-            let b = threaded.run_round_split(writes.clone(), 4).unwrap();
-            assert_eq!(a, b);
+            let a = chip.run_round(writes.clone()).unwrap();
             let row = RowId::new(0, 3);
-            let written = inline.written_row(row).unwrap().clone();
-            let once = written.diff_indices(&inline.read_row(row).unwrap());
+            let written = chip.written_row(row).unwrap().clone();
+            let once = written.diff_indices(&chip.read_row(row).unwrap());
             assert!(!once.is_empty());
             let mut got: Vec<usize> = a
                 .iter()

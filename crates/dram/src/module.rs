@@ -63,8 +63,7 @@ impl TestPort for DramChip {
             plain.push((w.row, w.data));
         }
         let n_writes = plain.len();
-        let flips: Vec<Flip> = self
-            .run_round_split(plain, 1)?
+        let flips: Vec<Flip> = DramChip::run_round(self, plain)?
             .into_iter()
             .map(|flip| Flip { unit: 0, flip })
             .collect();
@@ -101,12 +100,11 @@ type ChipWrites = Vec<(RowId, Arc<RowBits>)>;
 
 /// Runs one chip's slice of a round batch: each round either writes + waits +
 /// reads back, or — when the chip is untouched that round — just waits, so
-/// module time stays coherent across chips. `row_threads > 1` additionally
-/// splits each round's read set across scoped threads inside the chip.
+/// module time stays coherent across chips. Stops at the chip's first
+/// failing round.
 fn chip_rounds(
     chip: &mut DramChip,
     rounds: Vec<ChipWrites>,
-    row_threads: usize,
 ) -> Result<Vec<Vec<BitFlip>>, DramError> {
     rounds
         .into_iter()
@@ -115,7 +113,7 @@ fn chip_rounds(
                 chip.advance_round();
                 Ok(Vec::new())
             } else {
-                chip.run_round_split(writes, row_threads)
+                chip.run_round(writes)
             }
         })
         .collect()
@@ -125,9 +123,10 @@ fn chip_rounds(
 /// scrambler but with independent fault seeds (process variation).
 ///
 /// Because the chips are independent (separate fault seeds, separate row
-/// contents), the module executes them on scoped threads by default; results
-/// are bit-identical to serial execution, since every fault is drawn by
-/// stateless per-cell hashing. Use
+/// contents), the module splits them into contiguous groups, one per
+/// hardware thread at most, and runs every group but the first on a scoped
+/// thread; results are bit-identical to serial execution, since every fault
+/// is drawn by stateless per-cell hashing. Use
 /// [`set_parallel_mode`](DramModule::set_parallel_mode) with
 /// [`ParallelMode::Never`] to force the serial path.
 ///
@@ -241,11 +240,6 @@ impl DramModule {
         &mut self.chips
     }
 
-    /// Whether rounds may execute the chips on scoped threads.
-    pub fn parallel(&self) -> bool {
-        self.parallel != ParallelMode::Never
-    }
-
     /// The current chip-scheduling mode.
     pub fn parallel_mode(&self) -> ParallelMode {
         self.parallel
@@ -294,7 +288,7 @@ impl DramModule {
     }
 
     /// Hands every chip the same index scratch pool; the arena handle is
-    /// thread-safe, so chips evaluating on scoped threads share it.
+    /// thread-safe, so chip groups on scoped threads share it.
     pub fn set_arena(&mut self, arena: RoundArena) {
         for c in &mut self.chips {
             c.set_arena(arena.clone());
@@ -334,8 +328,8 @@ impl DramModule {
 
     /// Shared core of [`TestPort::run_round`] and [`TestPort::run_rounds`]:
     /// splits each plan's writes per chip, executes every chip's slice of
-    /// the batch (on scoped threads when parallelism is enabled), and merges
-    /// flips back in unit order per round.
+    /// the batch (chip groups on scoped threads when parallelism is
+    /// enabled), and merges flips back in unit order per round.
     fn execute_rounds(&mut self, plans: Vec<RoundPlan>) -> Result<Vec<Vec<Flip>>, DramError> {
         let n_rounds = plans.len();
         if n_rounds == 0 {
@@ -359,48 +353,43 @@ impl DramModule {
                 per_chip[unit][round].push((w.row, w.data));
             }
         }
-        // Two parallelism levels share the hardware-thread budget: one
-        // scoped thread per chip, and within each chip a split of the
-        // round's read set across `row_threads` more scoped threads (row
-        // evaluation is pure; see `DramChip::run_round_split`). In Auto mode
-        // threads only pay off when the host can actually run them
-        // concurrently; on a single hardware thread the serial path wins
-        // (the bit-identical results make the choice invisible).
+        // One parallelism level: the chips, in at most one contiguous group
+        // per hardware thread (DESIGN.md §3c). The calling thread runs
+        // group 0, so a serial run spawns nothing.
         let hw = std::thread::available_parallelism().map_or(1, |n| n.get());
-        let (use_threads, row_threads) = match self.parallel {
-            ParallelMode::Never => (false, 1),
-            // Always forces both levels on, so tests exercise the threaded
-            // merge paths even on single-core hosts.
-            ParallelMode::Always => (n_chips > 1, (hw / n_chips.max(1)).max(2)),
-            ParallelMode::Auto => {
-                if hw > 1 {
-                    (n_chips > 1, (hw / n_chips.max(1)).max(1))
-                } else {
-                    (false, 1)
-                }
-            }
-        };
-        let results: Vec<Result<Vec<Vec<BitFlip>>, DramError>> = if use_threads {
-            crossbeam::thread::scope(|scope| {
-                let handles: Vec<_> = self
-                    .chips
-                    .iter_mut()
-                    .zip(per_chip)
-                    .map(|(chip, work)| scope.spawn(move |_| chip_rounds(chip, work, row_threads)))
-                    .collect();
-                handles
-                    .into_iter()
-                    .map(|h| h.join().expect("chip round thread panicked"))
-                    .collect()
+        let threads = match self.parallel {
+            ParallelMode::Never => 1,
+            ParallelMode::Auto => hw,
+            // Always forces two groups, so tests exercise the threaded
+            // merge even on single-core hosts.
+            ParallelMode::Always => hw.max(2),
+        }
+        .min(n_chips);
+        let mut jobs = self.chips.iter_mut().zip(per_chip);
+        let mut groups: Vec<Vec<_>> = (0..threads)
+            .map(|g| {
+                let size = n_chips / threads + usize::from(g < n_chips % threads);
+                jobs.by_ref().take(size).collect()
             })
-            .expect("scoped execution cannot fail to join")
-        } else {
-            self.chips
-                .iter_mut()
-                .zip(per_chip)
-                .map(|(chip, work)| chip_rounds(chip, work, row_threads))
+            .collect();
+        let run_group = |group: Vec<(&mut DramChip, Vec<ChipWrites>)>| -> Vec<_> {
+            group
+                .into_iter()
+                .map(|(chip, work)| chip_rounds(chip, work))
                 .collect()
         };
+        let results: Vec<Result<Vec<Vec<BitFlip>>, DramError>> = std::thread::scope(|scope| {
+            let spawned: Vec<_> = groups
+                .split_off(1)
+                .into_iter()
+                .map(|group| scope.spawn(move || run_group(group)))
+                .collect();
+            let mut results = run_group(groups.pop().expect("at least one group"));
+            for handle in spawned {
+                results.extend(handle.join().expect("chip group thread panicked"));
+            }
+            results
+        });
         let mut merged: Vec<Vec<Flip>> = (0..n_rounds).map(|_| Vec::new()).collect();
         for (unit, chip_result) in results.into_iter().enumerate() {
             // On error, report the lowest failing unit (matching the old
@@ -604,8 +593,7 @@ mod tests {
         // single-core CI hosts where Auto would degrade to serial.
         par.set_parallel_mode(ParallelMode::Always);
         ser.set_parallel_mode(ParallelMode::Never);
-        assert!(par.parallel());
-        assert!(!ser.parallel());
+        assert_eq!(par.parallel_mode(), ParallelMode::Always);
         assert_eq!(ser.parallel_mode(), ParallelMode::Never);
         let plans = stripe_plans(2, 4);
         let a = par.run_rounds(plans.clone()).unwrap();
@@ -613,6 +601,33 @@ mod tests {
         assert_eq!(a, b);
         assert_eq!(par.rounds_run(), 4);
         assert_eq!(ser.rounds_run(), 4);
+    }
+
+    #[test]
+    fn chip_group_errors_merge_in_unit_order() {
+        // Out-of-range rows on units 2 (round 1) and 4 (round 0) of five:
+        // the lowest failing unit's error wins, and every other chip still
+        // runs its whole slice, however the chips are grouped.
+        let run = |mode| {
+            let mut m = ModuleConfig::new(Vendor::A)
+                .geometry(ChipGeometry::new(1, 16, 8192).unwrap())
+                .chips(5)
+                .seed(4)
+                .build()
+                .unwrap();
+            m.set_parallel_mode(mode);
+            let mut plans = stripe_plans(5, 3);
+            plans[1].write(2, RowId::new(0, 99), RowBits::zeros(8192));
+            plans[0].write(4, RowId::new(0, 77), RowBits::zeros(8192));
+            let err = m.run_rounds(plans).unwrap_err();
+            let rounds: Vec<u64> = m.chips().iter().map(DramChip::rounds_run).collect();
+            (err, rounds)
+        };
+        let (err, rounds) = run(ParallelMode::Never);
+        assert!(err.to_string().contains("99"), "{err}");
+        assert_eq!(rounds, [3, 3, 1, 3, 0]);
+        assert_eq!(run(ParallelMode::Always), (err.clone(), rounds.clone()));
+        assert_eq!(run(ParallelMode::Auto), (err, rounds));
     }
 
     #[test]

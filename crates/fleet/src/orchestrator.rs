@@ -17,9 +17,9 @@ use std::collections::{BTreeSet, VecDeque};
 use std::fs;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicI64, AtomicU64, Ordering};
+use std::sync::{Mutex, MutexGuard, PoisonError};
 use std::time::Instant;
 
-use parking_lot::Mutex;
 use serde::{Deserialize, Serialize};
 
 use parbor_core::ScanMachine;
@@ -467,13 +467,13 @@ impl Fleet {
         let halt = AtomicBool::new(false);
         let running = AtomicI64::new(0);
 
-        crossbeam::thread::scope(|s| {
+        std::thread::scope(|s| {
             for _ in 0..workers {
-                s.spawn(|_| loop {
+                s.spawn(|| loop {
                     if halt.load(Ordering::SeqCst) {
                         break;
                     }
-                    let Some(job) = queue.lock().pop_front() else {
+                    let Some(job) = lock(&queue).pop_front() else {
                         break;
                     };
                     self.rec.gauge(
@@ -491,17 +491,20 @@ impl Fleet {
                             }
                         });
                     board.finished(&report);
-                    done_reports.lock().push(report);
+                    lock(&done_reports).push(report);
                     self.rec.gauge(
                         metrics::fleet::JOBS_RUNNING,
                         running.fetch_sub(1, Ordering::SeqCst) - 1,
                     );
                 });
             }
-        })
-        .expect("fleet worker scope");
+        });
 
-        reports.append(&mut done_reports.into_inner());
+        reports.append(
+            &mut done_reports
+                .into_inner()
+                .unwrap_or_else(PoisonError::into_inner),
+        );
         reports.sort_by(|a, b| a.name.cmp(&b.name));
         let report = FleetReport { jobs: reports };
         board.publish(if report.halted() > 0 {
@@ -613,10 +616,10 @@ impl Fleet {
         let mut resumed = false;
         let (mut journal, machine) = if wal.exists() {
             let recovered = Journal::recover(&wal, &self.rec)?;
-            if recovered.is_done() && store.lock().contains(&job.name) {
+            if recovered.is_done() && lock(store).contains(&job.name) {
                 // Crashed between store publication and journal removal:
                 // the profile is safe, just finish the cleanup.
-                let guard = store.lock();
+                let guard = lock(store);
                 let meta = guard.meta(&job.name)?.expect("store contains job");
                 let report = JobReport {
                     resumed: true,
@@ -706,7 +709,7 @@ impl Fleet {
         }
 
         let profile = machine.profile().expect("machine is done").clone();
-        let meta = store.lock().put(&job.name, &profile)?;
+        let meta = lock(store).put(&job.name, &profile)?;
         journal.append(&JournalRecord::Done {
             profile_hash: meta.hash.clone(),
         })?;
@@ -727,4 +730,12 @@ impl Fleet {
             ..JobReport::empty(&job.name)
         })
     }
+}
+
+/// Locks a mutex the workers share, recovering it if a worker panicked
+/// while holding it. The panic still fails the run when the worker scope
+/// joins; until then the other workers finish their jobs, publishing to
+/// the store and journaling as usual, instead of panicking in turn.
+fn lock<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
+    mutex.lock().unwrap_or_else(PoisonError::into_inner)
 }

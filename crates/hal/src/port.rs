@@ -60,13 +60,14 @@ pub struct RowWrite {
 /// results. Backends without internal parallelism ignore it.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub enum ParallelMode {
-    /// Scoped threads when the host has more than one hardware thread (the
-    /// default): parallel where it helps, serial where it would only add
-    /// spawn overhead.
+    /// Units split into at most one group per hardware thread, each group
+    /// but the first on a scoped thread (the default): serial on a
+    /// single-core host, where threads would only add spawn overhead.
     #[default]
     Auto,
-    /// Always spawn scoped threads, even on a single-core host. Exists so
-    /// tests can exercise the threaded merge path deterministically.
+    /// At least two unit groups, even on a single-core host. Exists so
+    /// tests can exercise the threaded merge path deterministically. A
+    /// one-unit backend still runs inline.
     Always,
     /// Always run units serially (for measurement baselines).
     Never,

@@ -5,6 +5,8 @@
 //! Paper: 1 K–45 K extra failures per module, a 2–55 % increase, ≈ +21.9 %
 //! on average; vendor C modules are the most vulnerable.
 
+use std::sync::{Mutex, PoisonError};
+
 use parbor_dram::{ChipGeometry, Vendor};
 use parbor_repro::{compare_parbor_vs_random, table_row};
 
@@ -35,24 +37,26 @@ fn main() {
         .into_iter()
         .flat_map(|v| (1..=v.paper_module_count() as u32).map(move |i| (v, i)))
         .collect();
-    let results = parking_lot::Mutex::new(Vec::new());
+    let results = Mutex::new(Vec::new());
     let workers = std::thread::available_parallelism()
         .map(|n| n.get().min(6))
         .unwrap_or(2);
-    crossbeam::thread::scope(|scope| {
+    std::thread::scope(|scope| {
         for chunk in jobs.chunks(jobs.len().div_ceil(workers)) {
             let results = &results;
-            scope.spawn(move |_| {
+            scope.spawn(move || {
                 for &(vendor, idx) in chunk {
                     let cmp =
                         compare_parbor_vs_random(vendor, idx, geometry).expect("comparison runs");
-                    results.lock().push(cmp);
+                    results
+                        .lock()
+                        .unwrap_or_else(PoisonError::into_inner)
+                        .push(cmp);
                 }
             });
         }
-    })
-    .expect("comparison threads join");
-    let mut results = results.into_inner();
+    });
+    let mut results = results.into_inner().unwrap_or_else(PoisonError::into_inner);
     results.sort_by(|a, b| a.module.cmp(&b.module));
 
     let mut increases = Vec::new();
