@@ -346,7 +346,7 @@ impl RowFaultMap {
                 };
                 let left = (phys > lo).then(|| cell_ref(phys - 1));
                 let right = (phys + 1 < hi).then(|| cell_ref(phys + 1));
-                let mut window = Vec::new();
+                let mut window = Vec::with_capacity(2 * (rates.window_radius - 1));
                 for d in 2..=rates.window_radius {
                     if phys >= lo + d {
                         window.push(cell_ref(phys - d));
@@ -403,6 +403,8 @@ impl RowFaultMap {
                 });
             }
         }
+        // Cached maps live as long as their rows: drop the growth slack.
+        entries.shrink_to_fit();
         RowFaultMap { entries }
     }
 
@@ -444,7 +446,7 @@ impl RowFaultMap {
                 };
                 let left = (phys > lo).then(|| cell_ref(phys - 1));
                 let right = (phys + 1 < hi).then(|| cell_ref(phys + 1));
-                let mut window = Vec::new();
+                let mut window = Vec::with_capacity(2 * (rates.window_radius - 1));
                 for d in 2..=rates.window_radius {
                     if phys >= lo + d {
                         window.push(cell_ref(phys - d));
@@ -498,7 +500,31 @@ impl RowFaultMap {
                 });
             }
         }
+        // Cached maps live as long as their rows: drop the growth slack.
+        entries.shrink_to_fit();
         RowFaultMap { entries }
+    }
+
+    /// The scrambler translations [`build`](RowFaultMap::build) and
+    /// [`build_reference`](RowFaultMap::build_reference) made for this map:
+    /// one per screened survivor, plus one per neighbor and window cell of
+    /// each coupling cell. A survivor's entries are adjacent and share its
+    /// column, so survivors are where the column changes.
+    pub(crate) fn translations(&self) -> u64 {
+        let mut prev = None;
+        self.entries
+            .iter()
+            .map(|e| {
+                let survivor = u64::from(prev.replace(e.sys) != Some(e.sys));
+                let refs = match &e.kind {
+                    FaultKind::Coupling(p) => {
+                        p.left.iter().chain(&p.right).chain(&p.window).count() as u64
+                    }
+                    _ => 0,
+                };
+                survivor + refs
+            })
+            .sum()
     }
 
     /// Scalar reference evaluation of the coupling model: indices (into
@@ -827,6 +853,55 @@ mod tests {
                 self.saw_true = true;
             } else {
                 self.saw_false = true;
+            }
+        }
+    }
+
+    /// A scrambler that counts the `physical_to_system` calls it serves.
+    #[derive(Debug)]
+    struct CountingScrambler {
+        inner: std::sync::Arc<dyn Scrambler>,
+        calls: std::sync::atomic::AtomicU64,
+    }
+
+    impl Scrambler for CountingScrambler {
+        fn row_bits(&self) -> usize {
+            self.inner.row_bits()
+        }
+        fn system_to_physical(&self, col: usize) -> usize {
+            self.inner.system_to_physical(col)
+        }
+        fn physical_to_system(&self, pos: usize) -> usize {
+            self.calls
+                .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+            self.inner.physical_to_system(pos)
+        }
+        fn tile_bounds(&self, pos: usize) -> (usize, usize) {
+            self.inner.tile_bounds(pos)
+        }
+    }
+
+    #[test]
+    fn translations_count_the_builds_scrambler_calls() {
+        // Raised marginal and VRT rates put cells that are both coupling
+        // and marginal/VRT at one position, which translates once.
+        let rates = FaultRates {
+            interesting: 0.02,
+            marginal: 0.01,
+            vrt: 0.01,
+            ..FaultRates::default()
+        };
+        for vendor in Vendor::ALL {
+            for build in [RowFaultMap::build, RowFaultMap::build_reference] {
+                let counting = CountingScrambler {
+                    inner: vendor.scrambler(8192),
+                    calls: Default::default(),
+                };
+                let row = RowId::new(0, 5);
+                let map = build(9, row, &counting, &rates, &RetentionModel::default());
+                let calls = counting.calls.into_inner();
+                assert_eq!(map.translations(), calls, "{vendor:?}");
+                assert!(calls < 8192 / 4, "{vendor:?}: {calls} translations");
             }
         }
     }

@@ -15,16 +15,17 @@ use crate::retention::RetentionModel;
 use crate::scrambler::{Scrambler, ScramblerLut};
 use parbor_hal::hash::{Mix64Map, Mix64Set};
 use parbor_hal::{row_populations, unit_stack_flips, FailureMechanism, StackWrite};
-use parbor_hal::{BitAddr, BitFlip, ChipGeometry, DramError, RowBits, RowId};
+use parbor_hal::{BitAddr, BitFlip, ChipGeometry, DramError, RowBits, RowId, RowWrite};
 use parbor_hal::{KernelMode, RoundArena};
 
 use crate::stencil::CouplingStencil;
 
 /// Default bound on the per-chip fault-map cache (entries, i.e. rows).
 ///
-/// A fault map costs one scrambler translation per column to build and is
-/// fully deterministic, so eviction only trades CPU for memory; 8192 rows
-/// covers an entire bank of the paper-scale geometry.
+/// A fault map costs one hash screen per column to build (plus one
+/// scrambler translation per faulty cell and per neighbor it references)
+/// and is fully deterministic, so eviction only trades CPU for memory; 8192
+/// rows covers an entire bank of the paper-scale geometry.
 pub const DEFAULT_FAULT_MAP_CAPACITY: usize = 8192;
 
 /// One simulated DRAM chip.
@@ -86,8 +87,11 @@ pub struct DramChip {
     fault_map_cap: usize,
     kernel: KernelMode,
     round: u64,
+    // Read calls so far: the stamp that tells a row's first read in a
+    // call from a duplicate.
+    reads: u64,
     rec: RecorderHandle,
-    // Scratch pool for the coupling evaluation's failing-index lists.
+    // Scratch pool for the coupling evaluation's failing-lane lists.
     // Swapped for a shared handle by `set_arena`.
     arena: RoundArena,
 }
@@ -162,6 +166,7 @@ impl DramChip {
             fault_map_cap: DEFAULT_FAULT_MAP_CAPACITY,
             kernel: KernelMode::default(),
             round: 0,
+            reads: 0,
             rec: RecorderHandle::null(),
             arena: RoundArena::new(),
         })
@@ -306,15 +311,17 @@ impl DramChip {
         self.drop_stencils();
     }
 
-    /// Writes a full row (system bit order). A shared image is kept as the
-    /// row's content without copying: the chip only ever reads it.
+    /// Writes a full row (system bit order). The image is kept as the row's
+    /// content without copying: the chip only ever reads it. It is swapped
+    /// into the row's slot, so `data` comes back holding the image it
+    /// replaced (or still its own, shared, on a row's first write), and the
+    /// caller drops the old image.
     ///
     /// # Errors
     ///
     /// Returns an error if the row is out of range or the data width does not
     /// match the geometry.
-    fn write_row(&mut self, row: RowId, data: impl Into<Arc<RowBits>>) -> Result<(), DramError> {
-        let data = data.into();
+    fn write_row(&mut self, row: RowId, data: &mut Arc<RowBits>) -> Result<(), DramError> {
         self.geometry.check_row(row)?;
         if data.len() != self.geometry.cols_per_row as usize {
             return Err(DramError::WidthMismatch {
@@ -322,8 +329,10 @@ impl DramChip {
                 expected: self.geometry.cols_per_row as usize,
             });
         }
-        self.slots.entry(row).or_default().image = Some(data);
-        self.rec.incr(metrics::dram::ROW_WRITES, 1);
+        match &mut self.slots.entry(row).or_default().image {
+            Some(image) => std::mem::swap(image, data),
+            empty => *empty = Some(Arc::clone(data)),
+        }
         Ok(())
     }
 
@@ -370,7 +379,8 @@ impl DramChip {
     /// an address error if the row is out of range.
     #[cfg(test)]
     fn read_row(&mut self, row: RowId) -> Result<RowBits, DramError> {
-        let flips = self.eval_rows(&[row])?;
+        let mut flips = Vec::new();
+        self.eval_rows([row], &mut flips)?;
         let mut out = self.written_row(row).expect("checked by eval_rows").clone();
         for f in flips {
             out.flip(f.addr.col as usize);
@@ -392,19 +402,47 @@ impl DramChip {
         &mut self,
         writes: Vec<(RowId, D)>,
     ) -> Result<Vec<BitFlip>, DramError> {
-        let rows: Vec<RowId> = writes.iter().map(|(row, _)| *row).collect();
-        for (row, data) in writes {
-            self.write_row(row, data)?;
-        }
+        let mut writes: Vec<RowWrite> = writes
+            .into_iter()
+            .map(|(row, data)| RowWrite {
+                unit: 0,
+                row,
+                data: data.into(),
+            })
+            .collect();
+        let mut flips = Vec::new();
+        self.round_into(&mut writes, &mut flips)?;
+        Ok(flips)
+    }
+
+    /// [`run_round`](DramChip::run_round) in place: writes each image (each
+    /// write comes back holding the image it replaced, see `write_row`),
+    /// waits one refresh interval and appends the round's flips to `flips`
+    /// in write order. Units are the caller's business.
+    pub(crate) fn round_into(
+        &mut self,
+        writes: &mut [RowWrite],
+        flips: &mut Vec<BitFlip>,
+    ) -> Result<(), DramError> {
+        let mut written = 0;
+        let result = writes.iter_mut().try_for_each(|w| {
+            self.write_row(w.row, &mut w.data)?;
+            written += 1;
+            Ok(())
+        });
+        self.rec.incr(metrics::dram::ROW_WRITES, written);
+        result?;
         self.advance_round();
-        let mut flips = self.eval_rows(&rows)?;
+        let start = flips.len();
+        let rows = writes.iter().map(|w| w.row);
+        self.eval_rows(rows.clone(), flips)?;
         // Extra mechanisms observe the round's write set as a whole (they
         // need neighbor activations, not just this row), so they evaluate
         // once per round after the base model, in stack order.
         if !self.extras.is_empty() {
-            self.merge_extra_flips(&mut flips, &rows);
+            self.merge_extra_flips(flips, start, rows);
         }
-        Ok(flips)
+        Ok(())
     }
 
     /// Evaluates the extra-mechanism stack over the round's write set and
@@ -416,10 +454,15 @@ impl DramChip {
     /// sees the row and kept in its slot beside the fault map. A row whose
     /// derived state was already evicted (a cache smaller than the round)
     /// draws them for this round only.
-    fn merge_extra_flips(&mut self, flips: &mut Vec<BitFlip>, rows: &[RowId]) {
+    fn merge_extra_flips(
+        &mut self,
+        flips: &mut Vec<BitFlip>,
+        start: usize,
+        rows: impl Iterator<Item = RowId> + Clone,
+    ) {
         let width = self.geometry.cols_per_row;
         let mut uncached: Mix64Map<RowId, Vec<Vec<u32>>> = Mix64Map::default();
-        for &row in rows {
+        for row in rows.clone() {
             let slot = self.slots.get_mut(&row).expect("written this round");
             match slot.derived.as_deref_mut() {
                 Some(derived) => {
@@ -436,8 +479,7 @@ impl DramChip {
         }
         let extra = {
             let writes: Vec<StackWrite<'_>> = rows
-                .iter()
-                .map(|&row| {
+                .map(|row| {
                     let slot = &self.slots[&row];
                     StackWrite {
                         row,
@@ -463,7 +505,7 @@ impl DramChip {
         self.rec.incr(metrics::mech::ROUNDS, 1);
         // The stack already deduplicates its own flips by address, so only
         // the base flips can suppress one.
-        let base: Mix64Set<BitAddr> = flips.iter().map(|f| f.addr).collect();
+        let base: Mix64Set<BitAddr> = flips[start..].iter().map(|f| f.addr).collect();
         let mut added = 0u64;
         let mut suppressed = 0u64;
         for flip in extra {
@@ -482,156 +524,125 @@ impl DramChip {
         }
     }
 
-    /// Computes the flips a read of each of `rows` observes at the current
-    /// round, in `rows` order.
+    /// Appends the flips a read of each of `rows` observes at the current
+    /// round to `flips`, in `rows` order, in one pass with one slot lookup
+    /// per row.
     ///
-    /// Unique rows evaluate in first-occurrence order against the chip's
-    /// state as of the call (row slots, round counter); a duplicate re-reads
-    /// the same final content and repeats its first occurrence's flips.
-    /// Fault maps and stencils a row lacks are built during evaluation and
-    /// installed afterwards in first-occurrence order, so no install can
-    /// evict a map the round still reads.
-    fn eval_rows(&mut self, rows: &[RowId]) -> Result<Vec<BitFlip>, DramError> {
-        let mut unique: Vec<(RowId, &RowSlot)> = Vec::with_capacity(rows.len());
-        let mut first: Mix64Map<RowId, usize> =
-            Mix64Map::with_capacity_and_hasher(rows.len(), Default::default());
-        for &row in rows {
-            let Entry::Vacant(vacant) = first.entry(row) else {
-                continue;
-            };
-            self.geometry.check_row(row)?;
-            let slot = self
-                .slots
-                .get(&row)
-                .filter(|slot| slot.image.is_some())
-                .ok_or_else(|| DramError::RowNeverWritten {
-                    row: row.to_string(),
-                })?;
-            vacant.insert(unique.len());
-            unique.push((row, slot));
-        }
-
+    /// A row's first read in the call evaluates its final content; a
+    /// duplicate copies that read's flips. A row without a cached fault map
+    /// or stencil builds it and installs it in place. FIFO eviction waits
+    /// for the end of the call, so no row loses state a later row of the
+    /// call reads, and the cache ends as if each build had been installed
+    /// in first-occurrence order. On error, the rows before the failing one
+    /// keep what they built; results never depend on the cache.
+    fn eval_rows(
+        &mut self,
+        rows: impl IntoIterator<Item = RowId>,
+        flips: &mut Vec<BitFlip>,
+    ) -> Result<(), DramError> {
+        self.reads += 1;
+        let mut tally = ReadTally::default();
         let mut coupled = self.arena.indices();
-        let results: Vec<RowEval> = unique
-            .iter()
-            .map(|&(row, slot)| self.eval_row(row, slot, &mut coupled))
-            .collect();
+        let result = rows
+            .into_iter()
+            .try_for_each(|row| self.read_into(row, &mut tally, &mut coupled, flips));
         self.arena.recycle_indices(coupled);
-        let unique: Vec<RowId> = unique.into_iter().map(|(row, _)| row).collect();
-
-        self.rec.incr(metrics::dram::ROW_READS, rows.len() as u64);
-        let mut flips: Vec<Vec<BitFlip>> = Vec::with_capacity(results.len());
-        for (&row, eval) in unique.iter().zip(results) {
-            match (eval.map, eval.stencil) {
-                (Some(map), stencil) => self.install_fault_map(row, map, stencil),
-                // An earlier install in this loop may have evicted this
-                // row's derived state; a stencil is only kept beside its map.
-                (None, Some(stencil)) => {
-                    if let Some(derived) = self.slots.get_mut(&row).and_then(|s| s.derived.as_mut())
-                    {
-                        derived.stencil = Some(stencil);
-                    }
-                }
-                (None, None) => {}
-            }
-            flips.push(eval.flips);
+        self.rec.incr(metrics::dram::ROW_READS, tally.rows);
+        if tally.built > 0 {
+            self.count_builds(tally.built, tally.translations);
+            self.evict_fault_maps();
         }
-        Ok(rows
-            .iter()
-            .flat_map(|row| flips[first[row]].iter().copied())
-            .collect())
+        result
     }
 
-    /// Pure per-row evaluation: the row's flips, plus the fault map and
-    /// stencil it had to build because none was cached. `coupled` is
-    /// scratch for the failing coupling indices.
-    fn eval_row(&self, row: RowId, slot: &RowSlot, coupled: &mut Vec<u32>) -> RowEval {
-        let data = slot.image.as_deref().expect("checked by eval_rows");
-        let cached = slot.derived.as_deref();
-        let built_map = cached.is_none().then(|| self.build_fault_map(row));
-        let map = built_map
-            .as_ref()
-            .unwrap_or_else(|| &cached.expect("built when none is cached").map);
-        let shift = self.coupling.theta_shift();
-        let mut built_stencil = None;
-        match self.kernel {
-            KernelMode::Stencil => {
-                let stencil = match cached.and_then(|derived| derived.stencil.as_ref()) {
-                    Some(st) => st,
-                    None => built_stencil.insert(CouplingStencil::compile(map, shift)),
-                };
-                stencil.eval_into(data, coupled);
-            }
-            KernelMode::Reference => *coupled = map.coupling_fail_indices(data, shift),
-        }
-        RowEval {
-            flips: self.assemble_flips(map, data, coupled, row),
-            map: built_map,
-            stencil: built_stencil,
-        }
-    }
-
-    /// Expands failing coupling indices plus the round-dependent populations
-    /// (marginal, VRT, soft noise) into the row's flip list.
-    ///
-    /// Single pass over the entries, walking the sorted failing-index list
-    /// in lockstep, so flip order is identical to direct evaluation.
-    fn assemble_flips(
-        &self,
-        map: &RowFaultMap,
-        data: &RowBits,
-        coupled: &[u32],
+    /// One row of [`eval_rows`](DramChip::eval_rows). `coupled` is scratch
+    /// for the failing coupling cells as `(entry, column)` pairs.
+    fn read_into(
+        &mut self,
         row: RowId,
-    ) -> Vec<BitFlip> {
-        let mut flips = Vec::new();
-        let mut ci = 0usize;
-        for (idx, e) in map.entries.iter().enumerate() {
-            let fails = match &e.kind {
-                FaultKind::Coupling(_) => {
-                    if coupled.get(ci) == Some(&(idx as u32)) {
-                        ci += 1;
-                        true
-                    } else {
-                        false
-                    }
+        tally: &mut ReadTally,
+        coupled: &mut Vec<u32>,
+        flips: &mut Vec<BitFlip>,
+    ) -> Result<(), DramError> {
+        self.geometry.check_row(row)?;
+        let slot = self
+            .slots
+            .get_mut(&row)
+            .filter(|slot| slot.image.is_some())
+            .ok_or_else(|| DramError::RowNeverWritten {
+                row: row.to_string(),
+            })?;
+        tally.rows += 1;
+        if slot.read_call == self.reads {
+            let (start, end) = slot.read_flips;
+            flips.extend_from_within(start as usize..end as usize);
+            return Ok(());
+        }
+        if slot.derived.is_none() {
+            let map = self.coupling.build_fault_map(row, self.kernel);
+            tally.built += 1;
+            tally.translations += map.translations();
+            slot.derived = Some(RowDerived::new(map));
+            self.fault_map_order.push_back(row);
+        }
+        let data = slot.image.as_deref().expect("filtered above");
+        let RowDerived {
+            map,
+            round_cells,
+            stencil,
+            ..
+        } = slot.derived.as_deref_mut().expect("built above");
+        let shift = self.coupling.theta_shift();
+        coupled.clear();
+        match self.kernel {
+            KernelMode::Stencil => stencil
+                .get_or_insert_with(|| CouplingStencil::compile(map, shift))
+                .for_each_fail(data, |entry, col| coupled.extend([entry, col])),
+            KernelMode::Reference => {
+                for entry in map.coupling_fail_indices(data, shift) {
+                    coupled.extend([entry, map.entries[entry as usize].sys]);
                 }
-                FaultKind::Marginal { fail_prob } => {
-                    data.get(e.sys as usize) != e.anti
-                        && marginal_fails(self.coupling.seed(), row, e.sys, self.round, *fail_prob)
-                }
-                FaultKind::Vrt => {
-                    data.get(e.sys as usize) != e.anti
-                        && vrt_leaky(
-                            self.coupling.seed(),
-                            row,
-                            e.sys,
-                            self.round,
-                            self.coupling.rates().vrt_epoch_rounds,
-                        )
-                }
+            }
+        }
+
+        // Merge the failing coupling cells with the round-dependent cells
+        // that fail this round, in entry order.
+        let start = flips.len();
+        let flip = |col: u32| BitFlip {
+            addr: BitAddr::new(row.bank, row.row, col),
+            expected: data.get(col as usize),
+        };
+        let (seed, round) = (self.coupling.seed(), self.round);
+        let epoch = self.coupling.rates().vrt_epoch_rounds;
+        let mut fails = coupled
+            .chunks_exact(2)
+            .map(|pair| (pair[0], pair[1]))
+            .peekable();
+        let mut cells = round_cells
+            .iter()
+            .filter(|cell| cell.fails(seed, row, round, epoch, data))
+            .map(|cell| (cell.entry, cell.col))
+            .peekable();
+        loop {
+            let next = match (fails.peek(), cells.peek()) {
+                (Some(f), Some(c)) if c.0 < f.0 => cells.next(),
+                (Some(_), _) => fails.next(),
+                (None, _) => cells.next(),
             };
-            if fails {
-                flips.push(BitFlip {
-                    addr: BitAddr::new(row.bank, row.row, e.sys),
-                    expected: data.get(e.sys as usize),
-                });
+            let Some((_, col)) = next else { break };
+            flips.push(flip(col));
+        }
+        let width = self.geometry.cols_per_row as usize;
+        if let Some(col) = self.noise.soft_flip(seed, row, round, width) {
+            let col = col as u32;
+            if !flips[start..].iter().any(|f| f.addr.col == col) {
+                flips.push(flip(col));
             }
         }
-        if let Some(col) = self.noise.soft_flip(
-            self.coupling.seed(),
-            row,
-            self.round,
-            self.geometry.cols_per_row as usize,
-        ) {
-            let addr = BitAddr::new(row.bank, row.row, col as u32);
-            if !flips.iter().any(|f| f.addr == addr) {
-                flips.push(BitFlip {
-                    addr,
-                    expected: data.get(col),
-                });
-            }
-        }
-        flips
+        let offset = |at: usize| u32::try_from(at).expect("a chip-round holds under 2^32 flips");
+        slot.read_call = self.reads;
+        slot.read_flips = (offset(start), offset(flips.len()));
+        Ok(())
     }
 
     /// The fault map of a row (built lazily, cached with FIFO eviction).
@@ -666,57 +677,29 @@ impl DramChip {
         {
             return;
         }
-        let map = self.build_fault_map(row);
-        self.install_fault_map(row, map, None);
+        let map = self.coupling.build_fault_map(row, self.kernel);
+        self.count_builds(1, map.translations());
+        self.slots.entry(row).or_default().derived = Some(RowDerived::new(map));
+        self.fault_map_order.push_back(row);
+        self.evict_fault_maps();
     }
 
-    /// Builds a row's fault map with the sampler matching the kernel mode.
-    /// Pure (`&self`): safe to run for many rows on concurrent threads.
-    ///
-    /// The stencil (shipped) path translates through the compiled LUT —
-    /// indexed loads instead of the div/mod chains — while the reference
-    /// path keeps the arithmetic scrambler as the measurement baseline.
-    /// Both produce identical maps: the LUT's tables are filled from the
-    /// same scrambler.
-    fn build_fault_map(&self, row: RowId) -> RowFaultMap {
-        self.coupling.build_fault_map(row, self.kernel)
-    }
-
-    /// Caches a built fault map (and its stencil, when one was compiled
-    /// with it) in the row's slot, with FIFO eviction and build accounting.
-    fn install_fault_map(
-        &mut self,
-        row: RowId,
-        map: RowFaultMap,
-        stencil: Option<CouplingStencil>,
-    ) {
-        // Building a fault map translates every system column once — through
-        // the LUT on the stencil path, through the arithmetic scrambler on
-        // the reference path. The split counters are what lets bench_report
-        // show the per-call translations collapsing into table lookups.
-        let translations = match self.kernel {
+    /// Counts fault-map builds and the scrambler translations they made:
+    /// a build screens every column but translates only the cells it keeps,
+    /// through the LUT on the stencil path and through the arithmetic
+    /// scrambler on the reference path.
+    fn count_builds(&self, built: u64, translations: u64) {
+        let counter = match self.kernel {
             KernelMode::Stencil => metrics::dram::SCRAMBLER_LUT_LOOKUPS,
             KernelMode::Reference => metrics::dram::SCRAMBLER_TRANSLATIONS,
         };
-        self.rec
-            .incr(translations, u64::from(self.geometry.cols_per_row));
-        self.rec.incr(metrics::dram::FAULT_MAPS_BUILT, 1);
-        self.slots.entry(row).or_default().derived = Some(Box::new(RowDerived {
-            map,
-            stencil,
-            populations: None,
-        }));
-        self.fault_map_order.push_back(row);
-        self.evict_fault_maps();
-        self.rec.gauge(
-            metrics::dram::FAULT_MAP_CACHE,
-            self.fault_map_cache_len() as i64,
-        );
+        self.rec.incr(counter, translations);
+        self.rec.incr(metrics::dram::FAULT_MAPS_BUILT, built);
     }
 
     /// Drops the oldest rows' derived state (map, stencil and populations
-    /// together) until the cache fits its capacity. A slot left with no
-    /// written image goes with it.
+    /// together) until the cache fits its capacity, and publishes the cache
+    /// size. A slot left with no written image goes with it.
     fn evict_fault_maps(&mut self) {
         while self.fault_map_order.len() > self.fault_map_cap {
             let Some(old) = self.fault_map_order.pop_front() else {
@@ -730,6 +713,10 @@ impl DramChip {
             }
             self.rec.incr(metrics::dram::FAULT_MAPS_EVICTED, 1);
         }
+        self.rec.gauge(
+            metrics::dram::FAULT_MAP_CACHE,
+            self.fault_map_cache_len() as i64,
+        );
     }
 }
 
@@ -743,6 +730,10 @@ struct RowSlot {
     /// the fault-map capacity (boxed: the stencil is large, and the slot
     /// table stays compact).
     derived: Option<Box<RowDerived>>,
+    /// The read call that last evaluated the row, and the range of that
+    /// call's flips the read appended: a duplicate in the call copies them.
+    read_call: u64,
+    read_flips: (u32, u32),
 }
 
 /// A row's derived state; all of it is a pure function of the chip's
@@ -750,6 +741,9 @@ struct RowSlot {
 #[derive(Debug)]
 struct RowDerived {
     map: RowFaultMap,
+    /// The map's marginal and VRT cells, in entry order, so a read never
+    /// walks the map's entries.
+    round_cells: Vec<RoundCell>,
     /// Compiled lazily in stencil mode; dropped on kernel-mode and
     /// margin-shift changes, since θ is compiled in.
     stencil: Option<CouplingStencil>,
@@ -759,13 +753,71 @@ struct RowDerived {
     populations: Option<Vec<Vec<u32>>>,
 }
 
-/// One row's evaluation, plus the fault map and stencil it built because
-/// none was cached (installed by the serial merge in
-/// [`eval_rows`](DramChip::eval_rows)).
-struct RowEval {
-    flips: Vec<BitFlip>,
-    map: Option<RowFaultMap>,
-    stencil: Option<CouplingStencil>,
+impl RowDerived {
+    fn new(map: RowFaultMap) -> Box<Self> {
+        let round_cells = map
+            .entries
+            .iter()
+            .enumerate()
+            .filter_map(|(entry, e)| {
+                let kind = match e.kind {
+                    FaultKind::Coupling(_) => return None,
+                    FaultKind::Marginal { fail_prob } => RoundKind::Marginal(fail_prob),
+                    FaultKind::Vrt => RoundKind::Vrt,
+                };
+                Some(RoundCell {
+                    entry: entry as u32,
+                    col: e.sys,
+                    anti: e.anti,
+                    kind,
+                })
+            })
+            .collect();
+        Box::new(RowDerived {
+            map,
+            round_cells,
+            stencil: None,
+            populations: None,
+        })
+    }
+}
+
+/// A fault-map cell whose failure depends on the round: its entry index
+/// (the merge key against the stencil's failing lanes), system column and
+/// polarity.
+#[derive(Debug)]
+struct RoundCell {
+    entry: u32,
+    col: u32,
+    anti: bool,
+    kind: RoundKind,
+}
+
+#[derive(Debug)]
+enum RoundKind {
+    /// Fails with this probability in each round it is charged.
+    Marginal(f64),
+    /// Fails while charged during its leaky VRT epochs.
+    Vrt,
+}
+
+impl RoundCell {
+    /// Whether the cell fails a read of `data` at `round`.
+    fn fails(&self, seed: u64, row: RowId, round: u64, epoch_rounds: u64, data: &RowBits) -> bool {
+        data.get(self.col as usize) != self.anti
+            && match self.kind {
+                RoundKind::Marginal(p) => marginal_fails(seed, row, self.col, round, p),
+                RoundKind::Vrt => vrt_leaky(seed, row, self.col, round, epoch_rounds),
+            }
+    }
+}
+
+/// What one read call did, counted once at its end.
+#[derive(Debug, Default)]
+struct ReadTally {
+    rows: u64,
+    built: u64,
+    translations: u64,
 }
 
 #[cfg(test)]
@@ -805,7 +857,7 @@ mod tests {
     fn width_mismatch_rejected() {
         let mut chip = test_chip(1);
         let err = chip
-            .write_row(RowId::new(0, 0), RowBits::zeros(100))
+            .write_row(RowId::new(0, 0), &mut Arc::new(RowBits::zeros(100)))
             .unwrap_err();
         assert!(matches!(err, DramError::WidthMismatch { .. }));
     }
@@ -814,7 +866,7 @@ mod tests {
     fn out_of_range_row_rejected() {
         let mut chip = test_chip(1);
         let err = chip
-            .write_row(RowId::new(0, 99), RowBits::zeros(8192))
+            .write_row(RowId::new(0, 99), &mut Arc::new(RowBits::zeros(8192)))
             .unwrap_err();
         assert!(matches!(err, DramError::AddressOutOfRange { .. }));
     }
@@ -895,7 +947,7 @@ mod tests {
         let mut chip = test_chip(5);
         let row = RowId::new(0, 3);
         let data = PatternKind::ColStripe { period: 1 }.row_bits(3, 8192);
-        chip.write_row(row, data.clone()).unwrap();
+        chip.write_row(row, &mut Arc::new(data.clone())).unwrap();
         chip.advance_round();
         let read = chip.read_row(row).unwrap();
         let diffs = data.diff_indices(&read);
@@ -1028,7 +1080,9 @@ mod tests {
         let mut chip = test_chip(6).with_recorder(RecorderHandle::from(lut_rec.clone()));
         chip.fault_map(RowId::new(0, 0));
         let lut = lut_rec.snapshot();
-        assert_eq!(lut.counter("dram.scrambler_lut_lookups"), 8192);
+        // One translation per faulty cell and per neighbor it references,
+        // not one per column.
+        assert_eq!(lut.counter("dram.scrambler_lut_lookups"), 103);
         assert_eq!(lut.counter("dram.scrambler_translations"), 0);
 
         let ref_rec = ShardedRecorder::handle();
@@ -1037,7 +1091,7 @@ mod tests {
         chip.fault_map(RowId::new(0, 0));
         let reference = ref_rec.snapshot();
         assert_eq!(reference.counter("dram.scrambler_lut_lookups"), 0);
-        assert_eq!(reference.counter("dram.scrambler_translations"), 8192);
+        assert_eq!(reference.counter("dram.scrambler_translations"), 103);
     }
 
     #[test]
@@ -1054,7 +1108,7 @@ mod tests {
             assert!(std::ptr::eq(stored, &*image), "row {r} copied its image");
         }
         // Rewriting a row drops the chip's reference to the old image.
-        chip.write_row(RowId::new(0, 0), RowBits::zeros(8192))
+        chip.write_row(RowId::new(0, 0), &mut Arc::new(RowBits::zeros(8192)))
             .unwrap();
         assert_eq!(Arc::strong_count(&image), 2);
     }
@@ -1138,5 +1192,164 @@ mod tests {
             .map(|_| plain.run_round(stripe_writes(16)).unwrap().len())
             .sum();
         assert!(stack_flips > bare, "the hammer stack added no flips");
+    }
+
+    #[test]
+    fn a_read_that_fails_midway_leaves_later_rounds_unchanged() {
+        let mut failed = test_chip(29);
+        let mut clean = test_chip(29);
+        for chip in [&mut failed, &mut clean] {
+            chip.set_fault_map_capacity(2);
+        }
+        // Four fresh rows build their maps before the read reaches a row
+        // that was never written.
+        for (row, mut data) in stripe_writes(4) {
+            failed.write_row(row, &mut data).unwrap();
+        }
+        failed.advance_round();
+        clean.advance_round();
+        let rows = (0..4).map(|r| RowId::new(0, r)).chain([RowId::new(0, 12)]);
+        let mut flips = Vec::new();
+        assert!(matches!(
+            failed.eval_rows(rows, &mut flips),
+            Err(DramError::RowNeverWritten { .. })
+        ));
+        assert_eq!(failed.fault_map_cache_len(), 2);
+        for _ in 0..2 {
+            assert_eq!(
+                failed.run_round(stripe_writes(16)).unwrap(),
+                clean.run_round(stripe_writes(16)).unwrap()
+            );
+        }
+    }
+
+    /// The read the chip made before its one-pass read, kept as the
+    /// oracle: walk every entry of the row's fault map in order, coupling
+    /// cells from the scalar kernel, then add the soft error.
+    fn walk_flips(chip: &DramChip, row: RowId) -> Vec<BitFlip> {
+        let data = chip.written_row(row).unwrap();
+        let map = chip.coupling.build_fault_map(row, KernelMode::Stencil);
+        let coupled = map.coupling_fail_indices(data, chip.theta_shift());
+        let (seed, round) = (chip.seed(), chip.round);
+        let mut flips = Vec::new();
+        let mut ci = 0usize;
+        for (idx, e) in map.entries.iter().enumerate() {
+            let fails = match &e.kind {
+                FaultKind::Coupling(_) => {
+                    if coupled.get(ci) == Some(&(idx as u32)) {
+                        ci += 1;
+                        true
+                    } else {
+                        false
+                    }
+                }
+                FaultKind::Marginal { fail_prob } => {
+                    data.get(e.sys as usize) != e.anti
+                        && marginal_fails(seed, row, e.sys, round, *fail_prob)
+                }
+                FaultKind::Vrt => {
+                    data.get(e.sys as usize) != e.anti
+                        && vrt_leaky(
+                            seed,
+                            row,
+                            e.sys,
+                            round,
+                            chip.coupling.rates().vrt_epoch_rounds,
+                        )
+                }
+            };
+            if fails {
+                flips.push(BitFlip {
+                    addr: BitAddr::new(row.bank, row.row, e.sys),
+                    expected: data.get(e.sys as usize),
+                });
+            }
+        }
+        let width = chip.geometry.cols_per_row as usize;
+        if let Some(col) = chip.noise.soft_flip(seed, row, round, width) {
+            let addr = BitAddr::new(row.bank, row.row, col as u32);
+            if !flips.iter().any(|f| f.addr == addr) {
+                flips.push(BitFlip {
+                    addr,
+                    expected: data.get(col),
+                });
+            }
+        }
+        flips
+    }
+
+    mod one_pass {
+        use super::*;
+        use proptest::prelude::*;
+
+        proptest! {
+            #[test]
+            fn chip_reads_match_the_fault_map_walk(
+                vendor in 0usize..3,
+                seed in any::<u64>(),
+                contents in any::<u64>(),
+                structured in any::<bool>(),
+                reference in any::<bool>(),
+                cap in 1usize..12,
+                rounds in 2u32..6,
+                every_read_soft in any::<bool>(),
+            ) {
+                // Raised rates: most rows carry marginal and VRT cells, VRT
+                // epochs turn over every two rounds, and soft errors land
+                // on about one read in ten, or on every read (some on a
+                // cell that already failed).
+                let vendor = Vendor::ALL[vendor];
+                let rates = FaultRates {
+                    interesting: 0.02,
+                    marginal: 0.004,
+                    vrt: 0.004,
+                    vrt_epoch_rounds: 2,
+                    soft_per_bit_per_round: if every_read_soft { 1e-3 } else { 1e-4 },
+                    ..vendor.default_rates()
+                };
+                let mut chip = DramChip::with_parts(
+                    ChipGeometry::new(1, 16, 1024).unwrap(),
+                    vendor.scrambler(1024),
+                    seed,
+                    rates,
+                    RetentionModel::default(),
+                    Celsius(45.0),
+                    Seconds(4.0),
+                )
+                .unwrap();
+                // Mostly smaller than a round's nine reads.
+                chip.set_fault_map_capacity(cap);
+                if reference {
+                    chip.set_kernel_mode(KernelMode::Reference);
+                }
+                for round in 0..rounds {
+                    let mix = crate::hash::mix64(contents ^ u64::from(round));
+                    let mut rows: Vec<RowId> =
+                        (0..8).map(|i| RowId::new(0, (mix >> (4 * i)) as u32 % 16)).collect();
+                    // At least one duplicate, written twice with different
+                    // contents: both reads see the final one.
+                    rows.push(rows[0]);
+                    let writes: Vec<(RowId, RowBits)> = rows
+                        .iter()
+                        .enumerate()
+                        .map(|(i, &row)| {
+                            let pick = mix.rotate_left(i as u32 * 7);
+                            let pattern = match (structured, pick % 4) {
+                                (false, _) => PatternKind::Random { seed: pick },
+                                (true, 0) => PatternKind::Solid(pick & 4 != 0),
+                                (true, 1) => PatternKind::Checkerboard,
+                                (true, _) => PatternKind::ColStripe { period: 1 + (pick >> 8) as u32 % 4 },
+                            };
+                            (row, pattern.row_bits(row.row, 1024))
+                        })
+                        .collect();
+                    let got = chip.run_round(writes).unwrap();
+                    let want: Vec<BitFlip> =
+                        rows.iter().flat_map(|&row| walk_flips(&chip, row)).collect();
+                    prop_assert_eq!(got, want);
+                    prop_assert!(chip.fault_map_cache_len() <= cap);
+                }
+            }
+        }
     }
 }

@@ -13,8 +13,8 @@ use parbor_obs::RecorderHandle;
 use serde::{Deserialize, Serialize};
 
 use parbor_hal::{
-    BitFlip, ChipGeometry, DramError, Flip, KernelMode, ParallelMode, RoundArena, RoundPlan,
-    RowBits, RowId, RowWrite, TestPort,
+    BitFlip, ChipGeometry, DramError, Flip, KernelMode, ParallelMode, RoundArena, RoundPlan, RowId,
+    RowWrite, TestPort,
 };
 
 use crate::cell::FaultRates;
@@ -51,19 +51,17 @@ impl TestPort for DramChip {
         1
     }
 
-    fn run_round(&mut self, writes: Vec<RowWrite>) -> Result<Vec<Flip>, DramError> {
-        let mut plain = Vec::with_capacity(writes.len());
-        for w in writes {
-            if w.unit != 0 {
-                return Err(DramError::AddressOutOfRange {
-                    what: format!("unit {}", w.unit),
-                    limit: "1 unit".into(),
-                });
-            }
-            plain.push((w.row, w.data));
+    fn run_round(&mut self, mut writes: Vec<RowWrite>) -> Result<Vec<Flip>, DramError> {
+        if let Some(w) = writes.iter().find(|w| w.unit != 0) {
+            return Err(DramError::AddressOutOfRange {
+                what: format!("unit {}", w.unit),
+                limit: "1 unit".into(),
+            });
         }
-        let n_writes = plain.len();
-        let flips: Vec<Flip> = DramChip::run_round(self, plain)?
+        let n_writes = writes.len();
+        let mut flips = Vec::new();
+        self.round_into(&mut writes, &mut flips)?;
+        let flips: Vec<Flip> = flips
             .into_iter()
             .map(|flip| Flip { unit: 0, flip })
             .collect();
@@ -95,26 +93,24 @@ impl TestPort for DramChip {
     }
 }
 
-/// One chip's writes in one round: each row with its shared image.
-type ChipWrites = Vec<(RowId, Arc<RowBits>)>;
-
 /// Runs one chip's slice of a round batch: each round either writes + waits +
 /// reads back, or — when the chip is untouched that round — just waits, so
 /// module time stays coherent across chips. Stops at the chip's first
 /// failing round.
 fn chip_rounds(
     chip: &mut DramChip,
-    rounds: Vec<ChipWrites>,
+    rounds: &mut [&mut [RowWrite]],
 ) -> Result<Vec<Vec<BitFlip>>, DramError> {
     rounds
-        .into_iter()
+        .iter_mut()
         .map(|writes| {
+            let mut flips = Vec::new();
             if writes.is_empty() {
                 chip.advance_round();
-                Ok(Vec::new())
             } else {
-                chip.run_round(writes)
+                chip.round_into(writes, &mut flips)?;
             }
+            Ok(flips)
         })
         .collect()
 }
@@ -336,23 +332,34 @@ impl DramModule {
             return Ok(Vec::new());
         }
         let n_chips = self.chips.len();
-        let mut per_chip: Vec<Vec<ChipWrites>> = (0..n_chips)
-            .map(|_| (0..n_rounds).map(|_| Vec::new()).collect())
-            .collect();
-        let mut write_counts = vec![0u64; n_rounds];
-        for (round, plan) in plans.into_iter().enumerate() {
-            for w in plan.into_writes() {
-                let unit = w.unit as usize;
-                if unit >= n_chips {
-                    return Err(DramError::AddressOutOfRange {
-                        what: format!("unit {}", w.unit),
-                        limit: format!("{n_chips} units"),
-                    });
-                }
-                write_counts[round] += 1;
-                per_chip[unit][round].push((w.row, w.data));
+        let mut rounds: Vec<Vec<RowWrite>> =
+            plans.into_iter().map(RoundPlan::into_writes).collect();
+        let write_counts: Vec<u64> = rounds.iter().map(|writes| writes.len() as u64).collect();
+        // Each chip runs its writes in place: with a round's writes in unit
+        // order (a stable sort when a plan interleaves units), every chip's
+        // share is one sub-slice. `shares[unit * n_rounds + round]` is that
+        // sub-slice.
+        let mut shares: Vec<&mut [RowWrite]> = Vec::with_capacity(n_chips * n_rounds);
+        shares.resize_with(n_chips * n_rounds, Default::default);
+        for (round, writes) in rounds.iter_mut().enumerate() {
+            if !writes.is_sorted_by_key(|w| w.unit) {
+                writes.sort_by_key(|w| w.unit);
+            }
+            if let Some(w) = writes.last().filter(|w| w.unit as usize >= n_chips) {
+                return Err(DramError::AddressOutOfRange {
+                    what: format!("unit {}", w.unit),
+                    limit: format!("{n_chips} units"),
+                });
+            }
+            let mut rest = writes.as_mut_slice();
+            while let Some(unit) = rest.first().map(|w| w.unit as usize) {
+                let len = rest.partition_point(|w| w.unit as usize == unit);
+                let (share, tail) = std::mem::take(&mut rest).split_at_mut(len);
+                shares[unit * n_rounds + round] = share;
+                rest = tail;
             }
         }
+        let mut jobs = self.chips.iter_mut().zip(shares.chunks_mut(n_rounds));
         // One parallelism level: the chips, in at most one contiguous group
         // per hardware thread (DESIGN.md §3c). The calling thread runs
         // group 0, so a serial run spawns nothing.
@@ -365,20 +372,19 @@ impl DramModule {
             ParallelMode::Always => hw.max(2),
         }
         .min(n_chips);
-        let mut jobs = self.chips.iter_mut().zip(per_chip);
         let mut groups: Vec<Vec<_>> = (0..threads)
             .map(|g| {
                 let size = n_chips / threads + usize::from(g < n_chips % threads);
                 jobs.by_ref().take(size).collect()
             })
             .collect();
-        let run_group = |group: Vec<(&mut DramChip, Vec<ChipWrites>)>| -> Vec<_> {
+        let run_group = |group: Vec<(&mut DramChip, &mut [&mut [RowWrite]])>| -> Vec<_> {
             group
                 .into_iter()
-                .map(|(chip, work)| chip_rounds(chip, work))
+                .map(|(chip, rounds)| chip_rounds(chip, rounds))
                 .collect()
         };
-        let results: Vec<Result<Vec<Vec<BitFlip>>, DramError>> = std::thread::scope(|scope| {
+        let results: Vec<_> = std::thread::scope(|scope| {
             let spawned: Vec<_> = groups
                 .split_off(1)
                 .into_iter()
@@ -390,12 +396,19 @@ impl DramModule {
             }
             results
         });
-        let mut merged: Vec<Vec<Flip>> = (0..n_rounds).map(|_| Vec::new()).collect();
-        for (unit, chip_result) in results.into_iter().enumerate() {
-            // On error, report the lowest failing unit (matching the old
-            // serial order); completed chips keep their state.
-            for (round, flips) in chip_result?.into_iter().enumerate() {
-                merged[round].extend(flips.into_iter().map(|flip| Flip {
+        // The writes now hold the images the chips replaced; free them
+        // before the merge allocates.
+        drop(shares);
+        drop(rounds);
+        // On error, report the lowest failing unit (matching the old serial
+        // order); completed chips keep their state.
+        let chips = results.into_iter().collect::<Result<Vec<_>, _>>()?;
+        let mut merged: Vec<Vec<Flip>> = (0..n_rounds)
+            .map(|round| Vec::with_capacity(chips.iter().map(|flips| flips[round].len()).sum()))
+            .collect();
+        for (unit, rounds) in chips.into_iter().enumerate() {
+            for (merged, flips) in merged.iter_mut().zip(rounds) {
+                merged.extend(flips.into_iter().map(|flip| Flip {
                     unit: unit as u32,
                     flip,
                 }));
@@ -459,7 +472,7 @@ impl TestPort for DramModule {
 mod tests {
     use super::*;
     use crate::config::ModuleConfig;
-    use parbor_hal::RoundPlan;
+    use parbor_hal::{RoundPlan, RowBits};
 
     fn small_module(seed: u64) -> DramModule {
         ModuleConfig::new(Vendor::A)
@@ -642,6 +655,45 @@ mod tests {
             .collect();
         assert_eq!(a, b);
         assert_eq!(batched.rounds_run(), looped.rounds_run());
+    }
+
+    #[test]
+    fn interleaved_units_run_in_plan_order_per_chip() {
+        // The plan interleaves units, and unit 0 writes row 1 twice: each
+        // chip runs its own writes in plan order, and the flips come back
+        // unit-major.
+        let module = || {
+            ModuleConfig::new(Vendor::A)
+                .geometry(ChipGeometry::new(1, 16, 8192).unwrap())
+                .chips(3)
+                .seed(12)
+                .build()
+                .unwrap()
+        };
+        let writes: Vec<RowWrite> = [(2, 0), (0, 1), (1, 0), (0, 2), (2, 1), (0, 1), (1, 3)]
+            .into_iter()
+            .enumerate()
+            .map(|(i, (unit, row))| RowWrite {
+                unit,
+                row: RowId::new(0, row),
+                data: PatternKind::Random { seed: i as u64 }
+                    .row_bits(row, 8192)
+                    .into(),
+            })
+            .collect();
+        let mut chips = module();
+        let mut want = Vec::new();
+        for unit in 0..3 {
+            let own: Vec<_> = writes
+                .iter()
+                .filter(|w| w.unit == unit)
+                .map(|w| (w.row, Arc::clone(&w.data)))
+                .collect();
+            let flips = chips.chips_mut()[unit as usize].run_round(own).unwrap();
+            want.extend(flips.into_iter().map(|flip| Flip { unit, flip }));
+        }
+        assert!(!want.is_empty());
+        assert_eq!(module().run_round(writes).unwrap(), want);
     }
 
     #[test]

@@ -6,12 +6,14 @@
 //! though the fault map and margin shift are fixed across thousands of reads.
 //! [`CouplingStencil`] moves that work to compile time:
 //!
-//! * **Gather planes.** The victims' system columns and polarities, and the
-//!   left/right neighbors' columns/polarities/existence, are packed into
-//!   parallel arrays with one *bit lane per victim* (64 victims per `u64`
-//!   word). Evaluation gathers three data bits per victim and then resolves
-//!   charge state, neighbor opposition, and neighbor existence with pure
-//!   AND/XOR word operations — no branches, no `Option`s, no floats.
+//! * **Gather planes.** Each victim is one *bit lane* (64 victims per `u64`
+//!   word). Its victim, left and right system columns sit side by side; the
+//!   polarities and neighbor existence are packed into per-word planes.
+//!   Evaluation gathers three data bits per victim straight from the row's
+//!   words (an absent neighbor gathers column 0, which its existence bit
+//!   then discards) and resolves charge state, neighbor opposition, and
+//!   neighbor existence with pure AND/XOR word operations — no branches, no
+//!   `Option`s, no floats.
 //! * **Threshold buckets.** For each victim there are only four possible
 //!   immediate-neighbor outcomes (left/right opposite or not) and at most
 //!   `window.len() + 1` possible window counts. The compiler evaluates the
@@ -34,8 +36,6 @@ use parbor_hal::RowBits;
 
 use crate::cell::{FaultKind, RowFaultMap};
 
-/// Sentinel in the neighbor gather arrays for "no neighbor on this side".
-const NO_NEIGHBOR: u32 = u32::MAX;
 /// High bit of a packed window reference marks an anti-cell.
 const WINDOW_ANTI: u32 = 1 << 31;
 
@@ -45,42 +45,56 @@ const WINDOW_ANTI: u32 = 1 << 31;
 /// [`CouplingStencil::compile`] and evaluated against arbitrary row contents
 /// with [`CouplingStencil::eval`], which returns exactly what
 /// [`RowFaultMap::coupling_fail_indices`] would. See the module docs for the
-/// plane layout.
+/// plane layout. Four allocations hold it all: the gather columns, the
+/// per-lane verdicts, the per-word planes and the window cells.
 #[derive(Debug, Clone, PartialEq)]
 pub struct CouplingStencil {
-    /// Number of coupling entries (one bit lane each).
-    slots: usize,
-    /// `entries` index of each lane, ascending.
-    entry_idx: Vec<u32>,
-    /// Per-lane victim system column.
-    victim_sys: Vec<u32>,
-    /// Lane-packed victim polarity (bit set = anti-cell).
-    victim_anti: Vec<u64>,
-    /// Per-lane left-neighbor system column ([`NO_NEIGHBOR`] when absent).
-    left_sys: Vec<u32>,
-    /// Lane-packed left-neighbor polarity.
-    left_anti: Vec<u64>,
-    /// Lane-packed left-neighbor existence.
-    left_exists: Vec<u64>,
-    /// Per-lane right-neighbor system column ([`NO_NEIGHBOR`] when absent).
-    right_sys: Vec<u32>,
-    /// Lane-packed right-neighbor polarity.
-    right_anti: Vec<u64>,
-    /// Lane-packed right-neighbor existence.
-    right_exists: Vec<u64>,
-    /// Per neighbor combo (bit 0 = left opposite, bit 1 = right opposite):
-    /// lanes that fail regardless of the window count.
-    all_fail: [Vec<u64>; 4],
-    /// Per combo: lanes whose outcome depends on the window count.
-    window_need: [Vec<u64>; 4],
-    /// Per lane, per combo: bit `c` set iff exactly `c` opposite window
+    /// Per lane, the system columns gathered for it: victim, left and right
+    /// neighbor (0 for an absent neighbor).
+    gather: Vec<[u32; 3]>,
+    /// Per lane, ascending in entry order: what the word planes leave open.
+    lanes: Vec<Lane>,
+    /// Per 64 lanes: polarity, existence and verdict planes.
+    words: Vec<LaneWord>,
+    /// Packed window cells of every lane: low 31 bits system column, high
+    /// bit anti flag.
+    window_refs: Vec<u32>,
+    /// One past the highest column the stencil reads: the shortest row
+    /// image it can evaluate.
+    min_width: usize,
+}
+
+/// One coupling entry's lane, beyond its gather columns.
+#[derive(Debug, Clone, PartialEq)]
+struct Lane {
+    /// Index of the entry in the fault map.
+    entry: u32,
+    /// The lane's cells in `window_refs`.
+    window: (u32, u32),
+    /// Per neighbor combo: bit `c` set iff exactly `c` opposite window
     /// cells fail the victim. Windows hold at most 62 cells
     /// (`window_radius ≤ 32`, enforced by `FaultRates::validate`).
-    count_fail: Vec<[u64; 4]>,
-    /// CSR offsets into `window_refs`, length `slots + 1`.
-    window_off: Vec<u32>,
-    /// Packed window cells: low 31 bits system column, high bit anti flag.
-    window_refs: Vec<u32>,
+    count_fail: [u64; 4],
+}
+
+/// The bit planes of 64 lanes (bit `k` is lane `64·w + k`).
+#[derive(Debug, Clone, PartialEq, Default)]
+struct LaneWord {
+    /// Victim polarity (bit set = anti-cell).
+    victim_anti: u64,
+    /// Left-neighbor polarity.
+    left_anti: u64,
+    /// Left-neighbor existence.
+    left_exists: u64,
+    /// Right-neighbor polarity.
+    right_anti: u64,
+    /// Right-neighbor existence.
+    right_exists: u64,
+    /// Per neighbor combo (bit 0 = left opposite, bit 1 = right opposite):
+    /// lanes that fail regardless of the window count.
+    all_fail: [u64; 4],
+    /// Per combo: lanes whose outcome depends on the window count.
+    window_need: [u64; 4],
 }
 
 impl CouplingStencil {
@@ -89,62 +103,45 @@ impl CouplingStencil {
     /// Cost is proportional to the number of coupling entries (typically a
     /// few per row), so compiling piggybacks cheaply on fault-map builds.
     pub fn compile(map: &RowFaultMap, theta_shift: f64) -> CouplingStencil {
-        let lanes: Vec<(usize, &crate::cell::CellFault)> = map
+        let slots = map
             .entries
             .iter()
-            .enumerate()
-            .filter(|(_, e)| matches!(e.kind, FaultKind::Coupling(_)))
-            .collect();
-        let slots = lanes.len();
-        let words = slots.div_ceil(64);
+            .filter(|e| matches!(e.kind, FaultKind::Coupling(_)))
+            .count();
         let mut st = CouplingStencil {
-            slots,
-            entry_idx: Vec::with_capacity(slots),
-            victim_sys: Vec::with_capacity(slots),
-            victim_anti: vec![0; words],
-            left_sys: Vec::with_capacity(slots),
-            left_anti: vec![0; words],
-            left_exists: vec![0; words],
-            right_sys: Vec::with_capacity(slots),
-            right_anti: vec![0; words],
-            right_exists: vec![0; words],
-            all_fail: std::array::from_fn(|_| vec![0; words]),
-            window_need: std::array::from_fn(|_| vec![0; words]),
-            count_fail: Vec::with_capacity(slots),
-            window_off: Vec::with_capacity(slots + 1),
+            gather: Vec::with_capacity(slots),
+            lanes: Vec::with_capacity(slots),
+            words: vec![LaneWord::default(); slots.div_ceil(64)],
             window_refs: Vec::new(),
+            min_width: 0,
         };
-        for (slot, (idx, e)) in lanes.into_iter().enumerate() {
+        for (idx, e) in map.entries.iter().enumerate() {
             let FaultKind::Coupling(p) = &e.kind else {
-                unreachable!("filtered to coupling entries");
+                continue;
             };
-            let (w, bit) = (slot / 64, 1u64 << (slot % 64));
-            st.entry_idx.push(idx as u32);
-            st.victim_sys.push(e.sys);
+            let slot = st.lanes.len();
+            let (word, bit) = (&mut st.words[slot / 64], 1u64 << (slot % 64));
             if e.anti {
-                st.victim_anti[w] |= bit;
+                word.victim_anti |= bit;
             }
-            match &p.left {
-                Some(l) => {
-                    st.left_sys.push(l.sys);
-                    st.left_exists[w] |= bit;
-                    if l.anti {
-                        st.left_anti[w] |= bit;
-                    }
+            if let Some(l) = &p.left {
+                word.left_exists |= bit;
+                if l.anti {
+                    word.left_anti |= bit;
                 }
-                None => st.left_sys.push(NO_NEIGHBOR),
             }
-            match &p.right {
-                Some(r) => {
-                    st.right_sys.push(r.sys);
-                    st.right_exists[w] |= bit;
-                    if r.anti {
-                        st.right_anti[w] |= bit;
-                    }
+            if let Some(r) = &p.right {
+                word.right_exists |= bit;
+                if r.anti {
+                    word.right_anti |= bit;
                 }
-                None => st.right_sys.push(NO_NEIGHBOR),
             }
-            st.window_off.push(st.window_refs.len() as u32);
+            st.gather.push([
+                e.sys,
+                p.left.map_or(0, |l| l.sys),
+                p.right.map_or(0, |r| r.sys),
+            ]);
+            let start = st.window_refs.len() as u32;
             for c in &p.window {
                 debug_assert_eq!(c.sys & WINDOW_ANTI, 0, "system column overflows packing");
                 st.window_refs
@@ -189,20 +186,31 @@ impl CouplingStencil {
                     (1u64 << (wlen + 1)) - 1
                 };
                 if *mask == full {
-                    st.all_fail[combo][w] |= bit;
+                    word.all_fail[combo] |= bit;
                 } else if *mask != 0 {
-                    st.window_need[combo][w] |= bit;
+                    word.window_need[combo] |= bit;
                 }
             }
-            st.count_fail.push(masks);
+            st.lanes.push(Lane {
+                entry: idx as u32,
+                window: (start, st.window_refs.len() as u32),
+                count_fail: masks,
+            });
         }
-        st.window_off.push(st.window_refs.len() as u32);
+        st.min_width = st
+            .gather
+            .iter()
+            .flatten()
+            .chain(&st.window_refs)
+            .map(|&c| (c & !WINDOW_ANTI) as usize + 1)
+            .max()
+            .unwrap_or(0);
         st
     }
 
     /// Number of coupling entries compiled into the stencil.
     pub fn lanes(&self) -> usize {
-        self.slots
+        self.lanes.len()
     }
 
     /// Evaluates the stencil against one row image.
@@ -217,65 +225,72 @@ impl CouplingStencil {
     }
 
     /// [`eval`](CouplingStencil::eval) into a caller-supplied buffer
-    /// (cleared first) — the arena-pooled form the chip's hot path uses.
+    /// (cleared first) — the arena-pooled form `parbor-serve` uses.
     pub fn eval_into(&self, data: &RowBits, out: &mut Vec<u32>) {
         out.clear();
-        for w in 0..self.victim_anti.len() {
+        self.for_each_fail(data, |entry, _| out.push(entry));
+    }
+
+    /// Calls `fail(entry, column)` for every failing lane, in ascending
+    /// entry order: the lane's `entries` index and its victim's system
+    /// column, so a reader never goes back to the fault map.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `data` is shorter than a column the stencil reads.
+    pub(crate) fn for_each_fail(&self, data: &RowBits, mut fail: impl FnMut(u32, u32)) {
+        assert!(
+            data.len() >= self.min_width,
+            "row of {} bits is shorter than the stencil's {} columns",
+            data.len(),
+            self.min_width
+        );
+        let words = data.words();
+        let bit = |col: u32| (words[col as usize / 64] >> (col % 64)) & 1;
+        for (w, word) in self.words.iter().enumerate() {
             let lo = w * 64;
-            let hi = (lo + 64).min(self.slots);
-            // Gather the three data bits of each lane into word lanes.
+            // Gather the three data bits of each lane into word lanes; the
+            // existence masks below discard an absent neighbor's column 0.
             let (mut v, mut l, mut r) = (0u64, 0u64, 0u64);
-            for j in lo..hi {
-                let bit = 1u64 << (j - lo);
-                if data.get(self.victim_sys[j] as usize) {
-                    v |= bit;
-                }
-                let ls = self.left_sys[j];
-                if ls != NO_NEIGHBOR && data.get(ls as usize) {
-                    l |= bit;
-                }
-                let rs = self.right_sys[j];
-                if rs != NO_NEIGHBOR && data.get(rs as usize) {
-                    r |= bit;
-                }
+            for (k, &[victim, left, right]) in self.gather[lo..].iter().take(64).enumerate() {
+                v |= bit(victim) << k;
+                l |= bit(left) << k;
+                r |= bit(right) << k;
             }
             // Word-parallel classification: charge state, opposition, combo.
-            let charged = v ^ self.victim_anti[w];
-            let lop = !(l ^ self.left_anti[w]) & self.left_exists[w];
-            let rop = !(r ^ self.right_anti[w]) & self.right_exists[w];
+            let charged = v ^ word.victim_anti;
+            let lop = !(l ^ word.left_anti) & word.left_exists;
+            let rop = !(r ^ word.right_anti) & word.right_exists;
             let combos = [!lop & !rop, lop & !rop, !lop & rop, lop & rop];
-            let mut fail = 0u64;
+            let mut fails = 0u64;
             let mut need = 0u64;
             for (c, &combo) in combos.iter().enumerate() {
-                fail |= combo & self.all_fail[c][w];
-                need |= combo & self.window_need[c][w];
+                fails |= combo & word.all_fail[c];
+                need |= combo & word.window_need[c];
             }
-            fail &= charged;
+            fails &= charged;
             need &= charged;
             // Only count-dependent lanes gather their window cells.
             while need != 0 {
                 let b = need.trailing_zeros() as usize;
                 need &= need - 1;
-                let j = lo + b;
+                let lane = &self.lanes[lo + b];
                 let combo = (((lop >> b) & 1) | (((rop >> b) & 1) << 1)) as usize;
-                let (s, e) = (self.window_off[j] as usize, self.window_off[j + 1] as usize);
-                let mut cnt = 0usize;
-                for &wref in &self.window_refs[s..e] {
-                    let anti = wref & WINDOW_ANTI != 0;
-                    // Opposite means discharged: stored bit equals polarity.
-                    if data.get((wref & !WINDOW_ANTI) as usize) == anti {
-                        cnt += 1;
-                    }
-                }
-                if (self.count_fail[j][combo] >> cnt) & 1 == 1 {
-                    fail |= 1u64 << b;
+                let (s, e) = (lane.window.0 as usize, lane.window.1 as usize);
+                // Opposite means discharged: stored bit equals polarity.
+                let cnt = self.window_refs[s..e]
+                    .iter()
+                    .filter(|&&wref| bit(wref & !WINDOW_ANTI) == u64::from(wref >> 31))
+                    .count();
+                if (lane.count_fail[combo] >> cnt) & 1 == 1 {
+                    fails |= 1u64 << b;
                 }
             }
             // Emit in ascending lane order = ascending entry order.
-            while fail != 0 {
-                let b = fail.trailing_zeros() as usize;
-                fail &= fail - 1;
-                out.push(self.entry_idx[lo + b]);
+            while fails != 0 {
+                let j = lo + fails.trailing_zeros() as usize;
+                fails &= fails - 1;
+                fail(self.lanes[j].entry, self.gather[j][0]);
             }
         }
     }
@@ -338,6 +353,13 @@ mod tests {
         let st = CouplingStencil::compile(&RowFaultMap::default(), 0.0);
         assert_eq!(st.lanes(), 0);
         assert!(st.eval(&RowBits::ones(8192)).is_empty());
+    }
+
+    #[test]
+    #[should_panic(expected = "shorter than the stencil")]
+    fn stencil_rejects_a_row_shorter_than_its_columns() {
+        let st = CouplingStencil::compile(&dense_map(Vendor::A, 11, 0), 0.0);
+        st.eval(&RowBits::zeros(100));
     }
 
     #[test]
