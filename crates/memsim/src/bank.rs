@@ -45,9 +45,9 @@ impl Bank {
         self.state == BankState::Open(row)
     }
 
-    /// Whether the bank can accept a command at `now`.
-    pub fn is_ready(&self, now: u64) -> bool {
-        now >= self.ready_at
+    /// The first cycle at which the bank can accept a command.
+    pub fn ready_at(&self) -> u64 {
+        self.ready_at
     }
 
     /// Services an access to `row` starting at `start`, returning the cycle
@@ -107,8 +107,7 @@ mod tests {
         let mut b = Bank::new();
         b.service(5, 0, &t());
         b.block_until(500);
-        assert!(!b.is_ready(499));
-        assert!(b.is_ready(500));
+        assert_eq!(b.ready_at(), 500);
         assert_eq!(b.state(), BankState::Precharged);
         assert!(!b.is_hit(5));
     }

@@ -55,6 +55,11 @@ pub struct MemoryController {
     rank_blocked_until: Vec<u64>,
     /// Reads in flight: (data-ready cycle, core, request id).
     pending_completions: Vec<(u64, u32, u64)>,
+    /// Lower bound on the first cycle at which a queued request can be
+    /// ready; the FR-FCFS scan is skipped before it.
+    scan_after: u64,
+    /// The earliest data-ready cycle in `pending_completions`.
+    deliver_after: u64,
     /// Maximum refresh windows that may be postponed per rank while demand
     /// requests are pending (DDR3 allows up to 8); 0 disables postponement.
     postpone_limit: u64,
@@ -91,6 +96,8 @@ impl MemoryController {
                 .collect(),
             rank_blocked_until: vec![0; ranks as usize],
             pending_completions: Vec::new(),
+            scan_after: u64::MAX,
+            deliver_after: u64::MAX,
             postpone_limit: 0,
             rec: RecorderHandle::null(),
             reads_done: 0,
@@ -139,6 +146,7 @@ impl MemoryController {
             self.refresh
                 .observe_write(req.addr.rank, req.addr.bank, req.addr.row, content_matches);
         }
+        self.scan_after = self.scan_after.min(self.ready_at(&req));
         self.queue.push_back(req);
         true
     }
@@ -147,80 +155,129 @@ impl MemoryController {
         (addr.rank * self.banks_per_rank + addr.bank) as usize
     }
 
-    /// Advances the controller by one memory cycle; returns the ids of reads
-    /// whose data completed at this cycle.
-    pub fn tick(&mut self, now: u64) -> Vec<(u32, u64)> {
+    /// The first cycle at which `req`'s bank and rank can take a command.
+    fn ready_at(&self, req: &MemRequest) -> u64 {
+        self.banks[self.bank_index(req.addr)]
+            .ready_at()
+            .max(self.rank_blocked_until[req.addr.rank as usize])
+    }
+
+    /// Drops the `scan_after` and `deliver_after` bounds, so the next tick
+    /// scans the queue and the in-flight reads in full, as a controller
+    /// without them would.
+    #[cfg(test)]
+    pub(crate) fn forget_bounds(&mut self) {
+        self.scan_after = 0;
+        self.deliver_after = 0;
+    }
+
+    /// The earliest cycle at which a [`tick`](Self::tick) can change
+    /// anything: issue a queued request, deliver a read, or fire a refresh
+    /// window. While a rank owes a postponed window this is at or before
+    /// the last tick, so the caller ticks every cycle. Ticks between two
+    /// events may be skipped without changing any result.
+    pub fn next_event(&self) -> u64 {
+        self.next_refresh_at
+            .iter()
+            .copied()
+            .fold(self.scan_after.min(self.deliver_after), u64::min)
+    }
+
+    /// Advances the controller to memory cycle `now`: fires due refresh
+    /// windows, issues at most one request (FR-FCFS), and appends to
+    /// `completed` the `(core, request id)` of every read whose data
+    /// arrives by `now`. `completed` is not cleared, so the caller can
+    /// reuse one buffer across ticks.
+    pub fn tick(&mut self, now: u64, completed: &mut Vec<(u32, u64)>) {
         self.schedule_refresh(now);
-        let mut completed = Vec::new();
+        if now >= self.scan_after {
+            self.issue_one(now);
+        } else {
+            debug_assert!(
+                self.queue.iter().all(|r| self.ready_at(r) > now),
+                "scan_after {} skips a ready request at {now}",
+                self.scan_after
+            );
+        }
+        if now >= self.deliver_after {
+            self.deliver(now, completed);
+        } else {
+            debug_assert!(self.pending_completions.iter().all(|p| p.0 > now));
+        }
+    }
 
-        // FR-FCFS: first ready row-hit, else oldest ready request. The data
-        // bus is not a readiness condition — bank access latencies overlap;
-        // only the 4-cycle data bursts serialize (handled at issue below).
-        let pick = {
-            let ready = |req: &MemRequest| {
-                let b = &self.banks[(req.addr.rank * self.banks_per_rank + req.addr.bank) as usize];
-                b.is_ready(now) && now >= self.rank_blocked_until[req.addr.rank as usize]
-            };
-            let mut choice: Option<usize> = None;
-            for (i, req) in self.queue.iter().enumerate() {
-                if !ready(req) {
-                    continue;
-                }
-                let hit = self.banks
-                    [(req.addr.rank * self.banks_per_rank + req.addr.bank) as usize]
-                    .is_hit(req.addr.row);
-                if hit {
-                    choice = Some(i);
-                    break; // oldest row-hit wins
-                }
-                if choice.is_none() {
-                    choice = Some(i); // remember the oldest ready request
-                }
+    /// FR-FCFS: first ready row-hit, else oldest ready request. The data
+    /// bus is not a readiness condition — bank access latencies overlap;
+    /// only the 4-cycle data bursts serialize (handled at issue below).
+    fn issue_one(&mut self, now: u64) {
+        let mut choice: Option<usize> = None;
+        // Earliest ready cycle among the requests not ready yet; exact
+        // whenever no request is picked, because then the scan is complete.
+        let mut earliest = u64::MAX;
+        for (i, req) in self.queue.iter().enumerate() {
+            let at = self.ready_at(req);
+            if at > now {
+                earliest = earliest.min(at);
+                continue;
             }
-            choice
-        };
-
-        if let Some(i) = pick {
-            let req = self.queue.remove(i).expect("index valid");
-            let bank = self.bank_index(req.addr);
-            if self.banks[bank].is_hit(req.addr.row) {
-                self.row_hits += 1;
-                self.rec.incr(metrics::memsim::ROW_HITS, 1);
-            } else {
-                self.rec.incr(metrics::memsim::ROW_MISSES, 1);
+            if self.banks[self.bank_index(req.addr)].is_hit(req.addr.row) {
+                choice = Some(i);
+                break; // oldest row-hit wins
             }
-            let mut done = self.banks[bank].service(req.addr.row, now, &self.timing);
-            // Serialize only the data burst on the shared bus: if this
-            // access's burst window collides with the previous one, the data
-            // transfer (and completion) slips.
-            if done < self.bus_free_at + self.timing.t_burst {
-                done = self.bus_free_at + self.timing.t_burst;
-            }
-            self.bus_free_at = done;
-            match req.kind {
-                ReqKind::Read => {
-                    self.reads_done += 1;
-                    self.read_latency_sum += done - req.arrived;
-                    // Data arrives at `done`; delivered once `now` reaches it.
-                    self.pending_completions.push((done, req.core, req.id));
-                }
-                ReqKind::Write { .. } => {
-                    self.writes_done += 1;
-                }
+            if choice.is_none() {
+                choice = Some(i); // remember the oldest ready request
             }
         }
+        let Some(i) = choice else {
+            self.scan_after = earliest;
+            return;
+        };
+        self.scan_after = now + 1;
+        let req = self.queue.remove(i).expect("index valid");
+        let bank = self.bank_index(req.addr);
+        if self.banks[bank].is_hit(req.addr.row) {
+            self.row_hits += 1;
+            self.rec.incr(metrics::memsim::ROW_HITS, 1);
+        } else {
+            self.rec.incr(metrics::memsim::ROW_MISSES, 1);
+        }
+        let mut done = self.banks[bank].service(req.addr.row, now, &self.timing);
+        // Serialize only the data burst on the shared bus: if this access's
+        // burst window collides with the previous one, the data transfer
+        // (and completion) slips.
+        if done < self.bus_free_at + self.timing.t_burst {
+            done = self.bus_free_at + self.timing.t_burst;
+        }
+        self.bus_free_at = done;
+        match req.kind {
+            ReqKind::Read => {
+                self.reads_done += 1;
+                self.read_latency_sum += done - req.arrived;
+                // Data arrives at `done`; delivered once `now` reaches it.
+                self.pending_completions.push((done, req.core, req.id));
+                self.deliver_after = self.deliver_after.min(done);
+            }
+            ReqKind::Write { .. } => {
+                self.writes_done += 1;
+            }
+        }
+    }
 
-        // Deliver reads whose data burst has finished.
+    /// Delivers reads whose data burst has finished by `now`.
+    fn deliver(&mut self, now: u64, completed: &mut Vec<(u32, u64)>) {
+        let mut earliest = u64::MAX;
         let mut i = 0;
         while i < self.pending_completions.len() {
-            if self.pending_completions[i].0 <= now {
-                let (_, core, id) = self.pending_completions.swap_remove(i);
+            let (at, core, id) = self.pending_completions[i];
+            if at <= now {
+                self.pending_completions.swap_remove(i);
                 completed.push((core, id));
             } else {
+                earliest = earliest.min(at);
                 i += 1;
             }
         }
-        completed
+        self.deliver_after = earliest;
     }
 
     fn schedule_refresh(&mut self, now: u64) {
@@ -288,6 +345,7 @@ mod tests {
     use super::*;
     use crate::refresh::{RefreshPolicyKind, RowClassifier};
     use crate::timing::{Density, DramTiming};
+    use parbor_hal::hash::mix64;
 
     fn controller(kind: RefreshPolicyKind) -> MemoryController {
         let timing = DramTiming::ddr3_1600(Density::Gb16);
@@ -313,12 +371,95 @@ mod tests {
 
     fn drain(c: &mut MemoryController, upto: u64) -> Vec<(u64, u64)> {
         let mut done = Vec::new();
+        let mut completed = Vec::new();
         for now in 0..upto {
-            for (_, id) in c.tick(now) {
-                done.push((id, now));
-            }
+            c.tick(now, &mut completed);
+            done.extend(completed.drain(..).map(|(_, id)| (id, now)));
         }
         done
+    }
+
+    /// Feeds one scripted request stream (sparse traffic plus bursts that
+    /// overflow an 8-entry queue) to two controllers: one ticked every
+    /// cycle with its scan bounds dropped before each tick, the other only
+    /// at `next_event()` and the script's cycles.
+    #[test]
+    fn ticking_at_next_event_matches_ticking_every_cycle() {
+        let t_refi = DramTiming::ddr3_1600(Density::Gb16).t_refi;
+        let horizon = 5 * t_refi;
+        let script: Vec<(u64, MemRequest)> = (0..horizon)
+            .filter(|&t| mix64(t).is_multiple_of(11) || t % 4000 < 40)
+            .map(|t| {
+                let h = mix64(t ^ 0x5EED);
+                let kind = if h.is_multiple_of(4) {
+                    ReqKind::Write {
+                        content_matches: h & 16 == 0,
+                    }
+                } else {
+                    ReqKind::Read
+                };
+                let addr = DramAddress {
+                    channel: 0,
+                    rank: (h >> 8) as u32 % 2,
+                    bank: (h >> 16) as u32 % 8,
+                    row: (h >> 24) as u32 % 16,
+                    col: 0,
+                };
+                let req = MemRequest {
+                    id: t,
+                    core: 0,
+                    addr,
+                    kind,
+                    arrived: t,
+                };
+                (t, req)
+            })
+            .collect();
+        for postpone in [0, 2, 8] {
+            for kind in [RefreshPolicyKind::Uniform64, RefreshPolicyKind::DcRef] {
+                let make = || {
+                    let timing = DramTiming::ddr3_1600(Density::Gb16);
+                    let policy = RefreshPolicy::new(kind, RowClassifier::paper(1), 0.027, 1 << 20);
+                    let mut c = MemoryController::new(timing, 2, 8, 8, policy);
+                    c.set_refresh_postponement(postpone);
+                    c
+                };
+                // Runs the script, ticking at the cycles `next` picks;
+                // returns (request id, cycle) per completion and the
+                // accept verdict per scripted request.
+                let drive = |next: &dyn Fn(&mut MemoryController, u64) -> u64| {
+                    let mut c = make();
+                    let (mut done, mut accepted, mut completed) =
+                        (Vec::new(), Vec::new(), Vec::new());
+                    let mut pending = script.iter().peekable();
+                    let (mut now, mut ticks) = (0, 0u64);
+                    while now < horizon {
+                        ticks += 1;
+                        c.tick(now, &mut completed);
+                        done.extend(completed.drain(..).map(|(_, id)| (id, now)));
+                        while let Some((_, req)) = pending.next_if(|(t, _)| *t == now) {
+                            accepted.push(c.enqueue(*req));
+                        }
+                        let next_script = pending.peek().map_or(u64::MAX, |(t, _)| *t);
+                        now = next(&mut c, now).min(next_script).min(horizon);
+                    }
+                    let stats = (c.ops_done(), c.row_hits(), c.refresh_stats());
+                    ((done, accepted, stats, c.avg_read_latency()), ticks)
+                };
+                let (every, _) = drive(&|c, now| {
+                    c.forget_bounds();
+                    now + 1
+                });
+                let (events, ticks) = drive(&|c, now| c.next_event().max(now + 1));
+                assert!(
+                    every.0.len() > 1000,
+                    "only {} reads completed",
+                    every.0.len()
+                );
+                assert_eq!(every, events, "postpone {postpone}, {kind:?}");
+                assert!(ticks < horizon / 2, "ticked {ticks} of {horizon} cycles");
+            }
+        }
     }
 
     #[test]
@@ -381,7 +522,7 @@ mod tests {
                         arrived: now,
                     });
                 }
-                c.tick(now);
+                c.tick(now, &mut Vec::new());
             }
             issued += 1;
         }
@@ -408,12 +549,12 @@ mod tests {
                 c.enqueue(read(id, (id % 8) as u32, (id % 32) as u32, 0));
                 id += 1;
             }
-            c.tick(now);
+            c.tick(now, &mut Vec::new());
         }
         let (windows_busy_phase, _) = c.refresh_stats();
         // Go idle: owed windows must fire.
         for now in (3 * t_refi)..(4 * t_refi) {
-            c.tick(now);
+            c.tick(now, &mut Vec::new());
         }
         let (windows_after, _) = c.refresh_stats();
         assert!(
@@ -437,7 +578,7 @@ mod tests {
                 c.enqueue(read(id, (id % 8) as u32, (id % 64) as u32, 0));
                 id += 1;
             }
-            c.tick(now);
+            c.tick(now, &mut Vec::new());
         }
         let (windows, _) = c.refresh_stats();
         assert!(windows >= 6, "windows = {windows} despite cap");
@@ -464,7 +605,7 @@ mod tests {
                 },
                 arrived: 0,
             });
-            c.tick(u64::from(row));
+            c.tick(u64::from(row), &mut Vec::new());
         }
         assert!(c.refresh_policy().hot_fraction() < before);
     }

@@ -113,8 +113,13 @@ impl TraceCore {
         self.gen.profile()
     }
 
-    /// Marks a previously issued load complete.
-    pub fn complete_load(&mut self, req_id: u64) {
+    /// Marks a previously issued load complete at core cycle `now`: the
+    /// core first runs its quiet cycles up to `now` (see
+    /// [`run_until`](Self::run_until)), which happened before the data
+    /// arrived, then the load is done.
+    pub fn complete_load(&mut self, req_id: u64, now: u64) {
+        let synced = self.skip_quiet(now);
+        debug_assert!(synced, "core {} owes a full step before {now}", self.id);
         for slot in self.window.iter_mut() {
             if let Slot::Load { id, done } = slot {
                 if *id == req_id {
@@ -122,6 +127,87 @@ impl TraceCore {
                     return;
                 }
             }
+        }
+    }
+
+    /// Credits the quiet cycles left before core cycle `end`, the end of
+    /// the run.
+    pub fn finish(&mut self, end: u64) {
+        let synced = self.skip_quiet(end);
+        debug_assert!(synced, "core {} owes a full step before {end}", self.id);
+    }
+
+    /// How many of the coming cycles are quiet: they call no `issue` and
+    /// wait on no load, so their effect follows from the state alone.
+    /// `None` is a stall (window full, oldest load outstanding), quiet until
+    /// that load completes; `Some(k)` is `k` cycles that only retire
+    /// `issue_width` instructions each from the non-memory batch at the
+    /// window's head; `Some(0)` means the next cycle needs a full step.
+    fn quiet_cycles(&self) -> Option<u64> {
+        let cap = self.window_cap as u64;
+        if self.window_insts < cap {
+            return Some(0); // the window fills, and may issue
+        }
+        let width = u64::from(self.issue_width);
+        match self.window.front() {
+            Some(Slot::Load { done: false, .. }) => None,
+            Some(&Slot::NonMem(m)) => {
+                Some((u64::from(m) / width).min((self.window_insts - cap) / width + 1))
+            }
+            _ => Some(0),
+        }
+    }
+
+    /// Applies quiet cycles until core cycle `target` or the first cycle
+    /// that needs a full step; returns whether `target` was reached.
+    fn skip_quiet(&mut self, target: u64) -> bool {
+        while self.stats.cycles < target {
+            match self.quiet_cycles() {
+                None => self.stats.cycles = target,
+                Some(0) => return false,
+                Some(k) => {
+                    let k = k.min(target - self.stats.cycles);
+                    let n = k * u64::from(self.issue_width);
+                    if let Some(Slot::NonMem(m)) = self.window.front_mut() {
+                        *m -= n as u32;
+                        if *m == 0 {
+                            self.window.pop_front();
+                        }
+                    }
+                    self.window_insts -= n;
+                    self.stats.retired += n;
+                    self.stats.cycles += k;
+                }
+            }
+        }
+        true
+    }
+
+    /// Runs the core up to core cycle `target`, the end of the memory
+    /// cycle being simulated (`ratio` core cycles per memory cycle): quiet
+    /// cycles in closed form, the others through [`cycle`](Self::cycle).
+    ///
+    /// Returns the memory cycle at which the core next needs a full step,
+    /// or `u64::MAX` while it is stalled on its oldest load. The core may
+    /// be left alone until then, or until one of its loads completes.
+    pub fn run_until(
+        &mut self,
+        target: u64,
+        ratio: u32,
+        mut issue: impl FnMut(u32, CoreIssue) -> bool,
+    ) -> u64 {
+        while !self.skip_quiet(target) {
+            debug_assert!(
+                self.stats.cycles + u64::from(ratio) >= target,
+                "core {} woke after its full step at {}",
+                self.id,
+                self.stats.cycles
+            );
+            self.cycle(&mut issue);
+        }
+        match self.quiet_cycles() {
+            None => u64::MAX,
+            Some(k) => (target + k) / u64::from(ratio),
         }
     }
 
@@ -238,11 +324,94 @@ mod tests {
                 true
             });
             for id in pending.drain(..) {
-                core.complete_load(id);
+                core.complete_load(id, core.stats().cycles);
             }
         }
         let ipc = core.stats().ipc();
         assert!(ipc > 2.5, "ipc = {ipc}");
+    }
+
+    /// A memory that refuses every access on cycles `≡ 3 (mod 7)` and
+    /// returns load `id` `1 + id % 53` memory cycles after issue.
+    #[derive(Default)]
+    struct ScriptedMemory {
+        issued: Vec<(u64, CoreIssue)>,
+        inflight: Vec<(u64, u64)>,
+    }
+
+    impl ScriptedMemory {
+        fn offer(&mut self, now: u64, req: CoreIssue) -> bool {
+            if now % 7 == 3 {
+                return false;
+            }
+            self.issued.push((now, req));
+            if !req.is_write {
+                self.inflight.push((now + 1 + req.id % 53, req.id));
+            }
+            true
+        }
+
+        /// Completes the loads arriving at `now`; returns whether any did.
+        fn deliver(&mut self, now: u64, core: &mut TraceCore, ratio: u64) -> bool {
+            let before = self.inflight.len();
+            self.inflight.retain(|&(at, id)| {
+                if at == now {
+                    core.complete_load(id, now * ratio);
+                }
+                at != now
+            });
+            self.inflight.len() != before
+        }
+    }
+
+    /// One core stepped every core cycle against a copy stepped through
+    /// `run_until` at its wake cycles only.
+    #[test]
+    fn run_until_matches_every_cycle_stepping() {
+        for (name, ratio, width, window) in [
+            ("mcf", 4, 3, 128),
+            ("sjeng", 4, 3, 128),
+            ("lbm", 2, 1, 8),
+            ("hmmer", 3, 4, 32),
+            ("libquantum", 1, 2, 16),
+        ] {
+            let app = AppProfile::spec2006()
+                .into_iter()
+                .find(|a| a.name == name)
+                .unwrap();
+            let mut every = TraceCore::new(0, TraceGenerator::new(&app, 5), window, width);
+            let mut event = TraceCore::new(0, TraceGenerator::new(&app, 5), window, width);
+            let (mut mem_every, mut mem_event) =
+                (ScriptedMemory::default(), ScriptedMemory::default());
+            let r = u64::from(ratio);
+            let mut wake = 0;
+            let mut steps = 0;
+            let end = 20_000u64;
+            for now in 0..end {
+                mem_every.deliver(now, &mut every, r);
+                if mem_event.deliver(now, &mut event, r) {
+                    wake = now;
+                }
+                let mut full_step = false;
+                for _ in 0..ratio {
+                    full_step |= every.quiet_cycles() == Some(0);
+                    every.cycle(|_, req| mem_every.offer(now, req));
+                }
+                assert!(
+                    !full_step || wake <= now,
+                    "{name}: full step at memory cycle {now}, wake at {wake}"
+                );
+                if wake <= now {
+                    steps += 1;
+                    wake =
+                        event.run_until((now + 1) * r, ratio, |_, req| mem_event.offer(now, req));
+                }
+            }
+            event.finish(end * r);
+            assert!(steps < end, "{name}: stepped on all {end} cycles");
+            assert_eq!(every.stats(), event.stats(), "{name}");
+            assert_eq!(mem_every.issued, mem_event.issued, "{name}");
+        }
     }
 
     #[test]
@@ -270,7 +439,7 @@ mod tests {
                 });
                 inflight.retain(|&(done, id)| {
                     if done <= now {
-                        core.complete_load(id);
+                        core.complete_load(id, now + 1);
                         false
                     } else {
                         true

@@ -17,7 +17,9 @@
 //! * [`TraceCore`] — a 3-wide, 128-entry-window trace-driven core model
 //!   consuming [`parbor_workloads`] streams;
 //! * [`Simulation`] — the 8-core multiprogrammed harness and
-//!   weighted-speedup metrics.
+//!   weighted-speedup metrics. Its loop is event-driven: it visits only
+//!   the memory cycles at which a controller or a core can act, with the
+//!   same results as stepping every cycle.
 //!
 //! ## Example
 //!

@@ -15,9 +15,7 @@
 //! row-refresh operations relative to the 64 ms-everything baseline:
 //! `hot + (1 − hot)/4`.
 
-use std::collections::HashMap;
-
-use parbor_hal::hash::{hash01, mix64};
+use parbor_hal::hash::{hash01, mix64, Mix64Map};
 use parbor_obs::metrics;
 use parbor_obs::RecorderHandle;
 use serde::{Deserialize, Serialize};
@@ -78,8 +76,9 @@ pub struct RefreshPolicy {
     /// write is observed (DC-REF: weak_fraction × mean content-match).
     prior_hot_fraction: f64,
     /// Content-tracking overrides for rows written during simulation
-    /// (DC-REF only): `true` = fast group.
-    overrides: HashMap<(u32, u32, u32), bool>,
+    /// (DC-REF only): `true` = fast group. Looked up on every weak-row
+    /// write and never iterated, so the keyless hasher cannot move a result.
+    overrides: Mix64Map<(u32, u32, u32), bool>,
     total_rows: u64,
     /// Net fast-group membership change from overrides.
     delta_hot: i64,
@@ -101,7 +100,7 @@ impl RefreshPolicy {
             kind,
             classifier,
             prior_hot_fraction,
-            overrides: HashMap::new(),
+            overrides: Mix64Map::default(),
             total_rows: total_rows.max(1),
             delta_hot: 0,
             rec: RecorderHandle::null(),

@@ -10,7 +10,7 @@ use parbor_workloads::{TraceGenerator, WorkloadMix};
 use crate::address::{AddressMapping, DramAddress};
 use crate::cache::{Cache, CacheOutcome};
 use crate::controller::{MemRequest, MemoryController, ReqKind};
-use crate::core_model::TraceCore;
+use crate::core_model::{CoreIssue, TraceCore};
 use crate::metrics::SimReport;
 use crate::refresh::{RefreshPolicy, RefreshPolicyKind, RowClassifier};
 use crate::timing::{Density, DramTiming};
@@ -126,12 +126,84 @@ fn content_matches(match_prob: f64, core: u32, addr: DramAddress) -> bool {
 /// One multiprogrammed simulation run.
 #[derive(Debug)]
 pub struct Simulation {
-    config: SystemConfig,
     policy_kind: RefreshPolicyKind,
     cores: Vec<TraceCore>,
+    mem: MemorySystem,
+}
+
+/// Everything behind the cores: per-core LLC slices and channel
+/// controllers.
+#[derive(Debug)]
+struct MemorySystem {
+    config: SystemConfig,
     controllers: Vec<MemoryController>,
     llcs: Vec<Option<Cache>>,
     wc_match_probs: Vec<f64>,
+}
+
+impl MemorySystem {
+    /// Offers core `cid`'s access `req` to memory at memory cycle `now`.
+    /// Returns `false` when its channel's queue is full (the core retries
+    /// next cycle, the LLC untouched). A read that hits the LLC is pushed
+    /// onto `llc_hits`, for the caller to complete once the core's cycles
+    /// of this memory cycle have run.
+    fn issue(&mut self, now: u64, cid: u32, req: CoreIssue, llc_hits: &mut Vec<u64>) -> bool {
+        let config = self.config;
+        let addr = decode_addr(&config, cid, req.addr);
+        let ch = addr.channel as usize;
+        if !self.controllers[ch].can_accept() {
+            return false;
+        }
+        let wc_prob = self.wc_match_probs[cid as usize];
+        let write = |addr: DramAddress| ReqKind::Write {
+            content_matches: content_matches(wc_prob, cid, addr),
+        };
+        let Some(cache) = self.llcs[cid as usize].as_mut() else {
+            return self.controllers[ch].enqueue(MemRequest {
+                id: req.id,
+                core: cid,
+                addr,
+                kind: if req.is_write {
+                    write(addr)
+                } else {
+                    ReqKind::Read
+                },
+                arrived: now,
+            });
+        };
+        match cache.access(req.addr, req.is_write) {
+            CacheOutcome::Hit => {
+                // Hit latency is folded into instruction gaps; the load
+                // completes this cycle.
+                if !req.is_write {
+                    llc_hits.push(req.id);
+                }
+                true
+            }
+            CacheOutcome::Miss { writeback } => {
+                // The demand fill always reaches memory as a read; the
+                // dirty victim (if any) follows as a best-effort write.
+                let ok = self.controllers[ch].enqueue(MemRequest {
+                    id: req.id,
+                    core: cid,
+                    addr,
+                    kind: ReqKind::Read,
+                    arrived: now,
+                });
+                if let (true, Some(wb)) = (ok, writeback) {
+                    let wb_addr = decode_addr(&config, cid, wb);
+                    let _ = self.controllers[wb_addr.channel as usize].enqueue(MemRequest {
+                        id: u64::MAX,
+                        core: cid,
+                        addr: wb_addr,
+                        kind: write(wb_addr),
+                        arrived: now,
+                    });
+                }
+                ok
+            }
+        }
+    }
 }
 
 impl Simulation {
@@ -207,115 +279,112 @@ impl Simulation {
             })
             .collect();
         Simulation {
-            config,
             policy_kind,
             cores,
-            controllers,
-            llcs,
-            wc_match_probs,
+            mem: MemorySystem {
+                config,
+                controllers,
+                llcs,
+                wc_match_probs,
+            },
         }
     }
 
     /// Attaches a metrics recorder to every channel controller (and through
     /// them the refresh policies).
     pub fn with_recorder(mut self, rec: RecorderHandle) -> Self {
-        for ctrl in &mut self.controllers {
+        for ctrl in &mut self.mem.controllers {
             ctrl.set_recorder(rec.clone());
         }
         self
     }
 
     /// Runs for `mem_cycles` memory cycles and reports the results.
+    ///
+    /// The loop visits only the memory cycles at which a controller or a
+    /// core can act, and steps only the cores that can: a stalled core
+    /// sleeps until one of its loads completes, and a core that only
+    /// retires non-memory instructions sleeps through those cycles (see
+    /// [`TraceCore::run_until`]). The report is the one ticking every
+    /// controller and core on every cycle gives.
     pub fn run(mut self, mem_cycles: u64) -> SimReport {
-        let config = self.config;
-        let wc_probs = self.wc_match_probs.clone();
-        for now in 0..mem_cycles {
+        let ratio = self.mem.config.core_ratio;
+        let core_cycles = |mem_cycle: u64| mem_cycle * u64::from(ratio);
+        // The memory cycle at which each core must next be stepped.
+        let mut wake = vec![0u64; self.cores.len()];
+        let mut completed = Vec::new();
+        let mut llc_hits = Vec::new();
+        let mut now = 0;
+        while now < mem_cycles {
             // Memory side first, so completions unblock cores this cycle.
-            for ch in self.controllers.iter_mut() {
-                for (core, id) in ch.tick(now) {
-                    self.cores[core as usize].complete_load(id);
+            for ch in &mut self.mem.controllers {
+                ch.tick(now, &mut completed);
+                for (core, id) in completed.drain(..) {
+                    self.cores[core as usize].complete_load(id, core_cycles(now));
+                    wake[core as usize] = now;
                 }
             }
             // Core side: `core_ratio` core cycles per memory cycle.
-            let controllers = &mut self.controllers;
-            let llcs = &mut self.llcs;
-            for core in self.cores.iter_mut() {
-                let mut llc_hits: Vec<u64> = Vec::new();
-                for _ in 0..config.core_ratio {
-                    core.cycle(|cid, req| {
-                        let addr = decode_addr(&config, cid, req.addr);
-                        let ch = addr.channel as usize;
-                        if !controllers[ch].can_accept() {
-                            return false; // retry next cycle, LLC untouched
-                        }
-                        let make_kind = |is_write: bool, addr: DramAddress| {
-                            if is_write {
-                                ReqKind::Write {
-                                    content_matches: content_matches(
-                                        wc_probs[cid as usize],
-                                        cid,
-                                        addr,
-                                    ),
-                                }
-                            } else {
-                                ReqKind::Read
-                            }
-                        };
-                        if let Some(cache) = llcs[cid as usize].as_mut() {
-                            match cache.access(req.addr, req.is_write) {
-                                CacheOutcome::Hit => {
-                                    // Hit latency is folded into instruction
-                                    // gaps; the load completes this cycle.
-                                    if !req.is_write {
-                                        llc_hits.push(req.id);
-                                    }
-                                    true
-                                }
-                                CacheOutcome::Miss { writeback } => {
-                                    // The demand fill always reaches memory
-                                    // as a read; the dirty victim (if any)
-                                    // follows as a best-effort write.
-                                    let ok = controllers[ch].enqueue(MemRequest {
-                                        id: req.id,
-                                        core: cid,
-                                        addr,
-                                        kind: ReqKind::Read,
-                                        arrived: now,
-                                    });
-                                    if ok {
-                                        if let Some(wb) = writeback {
-                                            let wb_addr = decode_addr(&config, cid, wb);
-                                            let _ = controllers[wb_addr.channel as usize].enqueue(
-                                                MemRequest {
-                                                    id: u64::MAX,
-                                                    core: cid,
-                                                    addr: wb_addr,
-                                                    kind: make_kind(true, wb_addr),
-                                                    arrived: now,
-                                                },
-                                            );
-                                        }
-                                    }
-                                    ok
-                                }
-                            }
-                        } else {
-                            controllers[ch].enqueue(MemRequest {
-                                id: req.id,
-                                core: cid,
-                                addr,
-                                kind: make_kind(req.is_write, addr),
-                                arrived: now,
-                            })
-                        }
-                    });
+            for (core, wake) in self.cores.iter_mut().zip(&mut wake) {
+                if *wake > now {
+                    continue;
                 }
-                for id in llc_hits {
-                    core.complete_load(id);
+                let mem = &mut self.mem;
+                *wake = core.run_until(core_cycles(now + 1), ratio, |cid, req| {
+                    mem.issue(now, cid, req, &mut llc_hits)
+                });
+                if !llc_hits.is_empty() {
+                    for id in llc_hits.drain(..) {
+                        core.complete_load(id, core_cycles(now + 1));
+                    }
+                    *wake = now + 1;
+                }
+            }
+            let next = self
+                .mem
+                .controllers
+                .iter()
+                .map(MemoryController::next_event)
+                .chain(wake.iter().copied())
+                .min()
+                .unwrap_or(u64::MAX);
+            now = next.max(now + 1).min(mem_cycles);
+        }
+        for core in &mut self.cores {
+            core.finish(core_cycles(mem_cycles));
+        }
+        self.report(mem_cycles)
+    }
+
+    /// The reference loop [`run`](Self::run) must match: every controller
+    /// and every core cycle stepped on every memory cycle, and every tick
+    /// scanning the whole request queue.
+    #[cfg(test)]
+    fn run_every_cycle(mut self, mem_cycles: u64) -> SimReport {
+        let ratio = u64::from(self.mem.config.core_ratio);
+        let mut completed = Vec::new();
+        let mut llc_hits = Vec::new();
+        for now in 0..mem_cycles {
+            for ch in &mut self.mem.controllers {
+                ch.forget_bounds();
+                ch.tick(now, &mut completed);
+                for (core, id) in completed.drain(..) {
+                    self.cores[core as usize].complete_load(id, now * ratio);
+                }
+            }
+            for core in &mut self.cores {
+                for _ in 0..ratio {
+                    core.cycle(|cid, req| self.mem.issue(now, cid, req, &mut llc_hits));
+                }
+                for id in llc_hits.drain(..) {
+                    core.complete_load(id, (now + 1) * ratio);
                 }
             }
         }
+        self.report(mem_cycles)
+    }
 
+    fn report(self, mem_cycles: u64) -> SimReport {
         let mut reads = 0;
         let mut writes = 0;
         let mut row_hits = 0;
@@ -324,7 +393,7 @@ impl Simulation {
         let mut work_fraction = 0.0;
         let mut hot = 0.0;
         let mut latency = 0.0;
-        for ch in &self.controllers {
+        for ch in &self.mem.controllers {
             let (r, w) = ch.ops_done();
             reads += r;
             writes += w;
@@ -336,7 +405,7 @@ impl Simulation {
             hot += ch.refresh_policy().hot_fraction();
             latency += ch.avg_read_latency();
         }
-        let n = self.controllers.len() as f64;
+        let n = self.mem.controllers.len() as f64;
         SimReport {
             policy: self.policy_kind,
             mem_cycles,
@@ -376,7 +445,54 @@ impl Simulation {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::address::AddressMapping;
     use parbor_workloads::paper_mixes;
+    use proptest::prelude::*;
+
+    proptest! {
+        #[test]
+        fn event_loop_matches_every_cycle_loop(
+            cores in 1u32..=8,
+            window in 8usize..=128,
+            issue_width in 1u32..=4,
+            core_ratio in 1u32..=4,
+            density in 0usize..3,
+            mapping in 0usize..2,
+            queue_cap in 0usize..3,
+            postpone in 0usize..3,
+            llc in 0usize..3,
+            policy in 0usize..4,
+            cycles in 1u64..=60_000,
+            seed in any::<u64>(),
+        ) {
+            let config = SystemConfig {
+                cores,
+                window,
+                issue_width,
+                core_ratio,
+                density: [Density::Gb8, Density::Gb16, Density::Gb32][density],
+                mapping: [AddressMapping::RoRaBaCoCh, AddressMapping::RoCoRaBaCh][mapping],
+                queue_cap: [1, 4, 32][queue_cap],
+                refresh_postpone: [0, 2, 8][postpone],
+                llc: [
+                    None,
+                    Some(LlcConfig::paper()),
+                    Some(LlcConfig { size_kib: 16, ways: 4 }),
+                ][llc],
+                ..SystemConfig::paper()
+            };
+            let policy = [
+                RefreshPolicyKind::Uniform64,
+                RefreshPolicyKind::Raidr,
+                RefreshPolicyKind::DcRef,
+                RefreshPolicyKind::NoRefresh,
+            ][policy];
+            let mix = &paper_mixes(1, cores as usize, seed)[0];
+            let event = Simulation::new(config, policy, mix, seed).run(cycles);
+            let every = Simulation::new(config, policy, mix, seed).run_every_cycle(cycles);
+            prop_assert_eq!(event, every);
+        }
+    }
 
     fn quick_config() -> SystemConfig {
         SystemConfig {

@@ -37,8 +37,8 @@ const UNTRACKED: u32 = u32::MAX;
 /// compiled [`CouplingStencil`]s plus the per-chip scrambler LUTs.
 ///
 /// Immutable after compilation and cheap to share (`Arc` it); evaluation
-/// takes `&self` and writes failing system columns into a caller-provided
-/// buffer, so the hot path allocates nothing.
+/// takes `&self` and writes the indices of the failing fault-map entries
+/// into a caller-provided buffer, so the hot path allocates nothing.
 ///
 /// # Examples
 ///
@@ -204,7 +204,9 @@ impl StencilSnapshot {
     }
 
     /// Evaluates the row's compiled stencil against `content`, writing the
-    /// failing system columns into `out` (cleared first, ascending order).
+    /// indices of the failing entries of the row's fault map into `out`
+    /// (cleared first, ascending order). They are positions in the map, not
+    /// column numbers.
     ///
     /// Returns `true` when the row is tracked. Untracked or out-of-range
     /// rows clear `out` and return `false` — the conservative "no profile,

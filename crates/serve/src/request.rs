@@ -66,14 +66,18 @@ pub enum Response {
     /// Answer to a [`Request::ContentCheck`].
     ContentCheck {
         /// Whether the row has a compiled stencil in the snapshot.
-        /// Untracked rows answer cold with no failing columns.
+        /// Untracked rows answer cold with no failing entries.
         tracked: bool,
         /// Whether at least one coupling pattern matched (the row is
         /// "hot": its content is worst-case for some cell).
         hot: bool,
-        /// Failing system columns, ascending. The buffer is pooled:
-        /// return it via `Connection::recycle` to keep the hot path
+        /// Indices of the failing entries of the row's fault map,
+        /// ascending, as [`StencilSnapshot::eval_into`] reports them; they
+        /// are positions in the map, not column numbers. The buffer is
+        /// pooled: return it via `Connection::recycle` to keep the hot path
         /// allocation-free.
+        ///
+        /// [`StencilSnapshot::eval_into`]: parbor_core::StencilSnapshot::eval_into
         fails: Vec<u32>,
     },
     /// Answer to a [`Request::RescanQuery`].
