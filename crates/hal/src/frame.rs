@@ -20,9 +20,19 @@ pub const HEADER_BYTES: usize = 12;
 #[inline]
 pub fn put(out: &mut Vec<u8>, payload: &[u8], checksum: impl Fn(&[u8]) -> u64) {
     out.reserve(HEADER_BYTES + payload.len());
-    out.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-    out.extend_from_slice(&checksum(payload).to_le_bytes());
+    out.extend_from_slice(&encode_header(payload.len(), checksum(payload)));
     out.extend_from_slice(payload);
+}
+
+/// The header bytes of a frame whose payload is `len` bytes long and
+/// checksums to `sum`: for a writer that encodes the payload in place
+/// behind a reserved header and fills the header in afterwards.
+#[inline]
+pub fn encode_header(len: usize, sum: u64) -> [u8; HEADER_BYTES] {
+    let mut hdr = [0u8; HEADER_BYTES];
+    hdr[..4].copy_from_slice(&(len as u32).to_le_bytes());
+    hdr[4..].copy_from_slice(&sum.to_le_bytes());
+    hdr
 }
 
 /// Decodes a frame header: the framed payload length and its checksum.

@@ -1,10 +1,11 @@
 //! The workspace's one home for hashing: FNV-1a (64-bit) for store segment
-//! frames, index shard routing and the fleet journal; the SplitMix64
-//! finalizer and its word fold behind every seeded per-cell draw (device
-//! fault maps, the mechanism stack, the fault injector, memsim's row
-//! classifier); the eight-lane word hasher behind the binary transcript;
-//! and [`Mix64Hasher`], the `mix64` hasher behind the simulator's in-memory
-//! maps ([`Mix64Map`], [`Mix64Set`]).
+//! frames, index shard routing and the fleet journal, one-shot
+//! ([`fnv1a64`]) or streaming over several states at once ([`Fnv1a64`]);
+//! the SplitMix64 finalizer and its word fold behind every seeded per-cell
+//! draw (device fault maps, the mechanism stack, the fault injector,
+//! memsim's row classifier); the eight-lane word hasher behind the binary
+//! transcript; and [`Mix64Hasher`], the `mix64` hasher behind the
+//! simulator's in-memory maps ([`Mix64Map`], [`Mix64Set`]).
 //!
 //! Every function here is frozen: on-disk checksums, content hashes and
 //! seeded populations are defined by these exact bit patterns, so a change
@@ -30,6 +31,59 @@ pub fn fnv1a64(bytes: &[u8]) -> u64 {
         hash = hash.wrapping_mul(FNV_PRIME);
     }
     hash
+}
+
+/// Streaming FNV-1a: the state of [`fnv1a64`] over a byte stream fed in
+/// pieces, so `finish` after `update(a)` and `update(b)` equals
+/// `fnv1a64` of `a` followed by `b`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Fnv1a64(u64);
+
+impl Fnv1a64 {
+    /// The state before any byte (the offset basis).
+    pub const fn new() -> Self {
+        Fnv1a64(FNV_OFFSET)
+    }
+
+    /// Feeds `bytes`.
+    #[inline]
+    pub fn update(&mut self, bytes: &[u8]) {
+        Self::update_all([self], bytes);
+    }
+
+    /// Feeds the same `bytes` to every state in one loop. FNV-1a is one
+    /// dependent multiply per byte, so a single chain waits on the
+    /// multiplier's latency; two or three independent chains in the same
+    /// loop run in its shadow and cost about what one does. A store record
+    /// is checksummed, content-hashed and folded into its chunk's hash in
+    /// one pass this way.
+    #[inline]
+    pub fn update_all<const N: usize>(states: [&mut Fnv1a64; N], bytes: &[u8]) {
+        let mut h = [0u64; N];
+        for (v, s) in h.iter_mut().zip(&states) {
+            *v = s.0;
+        }
+        for &b in bytes {
+            for v in &mut h {
+                *v = (*v ^ u64::from(b)).wrapping_mul(FNV_PRIME);
+            }
+        }
+        for (s, v) in states.into_iter().zip(h) {
+            s.0 = v;
+        }
+    }
+
+    /// The hash of everything fed so far.
+    #[inline]
+    pub fn finish(&self) -> u64 {
+        self.0
+    }
+}
+
+impl Default for Fnv1a64 {
+    fn default() -> Self {
+        Self::new()
+    }
 }
 
 /// SplitMix64 finalizer: a stateless 64-bit mixer, so every draw keyed off
@@ -272,6 +326,27 @@ mod tests {
         assert_eq!(fnv1a64(b""), 0xcbf2_9ce4_8422_2325);
         assert_eq!(fnv1a64(b"a"), 0xaf63_dc4c_8601_ec8c);
         assert_eq!(fnv1a64(b"foobar"), 0x8594_4171_f739_67e8);
+    }
+
+    #[test]
+    fn streaming_fnv_matches_one_shot_over_any_split() {
+        let bytes: Vec<u8> = (0..300u64).map(|i| mix64(i) as u8).collect();
+        let whole = fnv1a64(&bytes);
+        for split in [0, 1, 7, 8, 150, 299, 300] {
+            let (a, b) = bytes.split_at(split);
+            let mut one = Fnv1a64::new();
+            one.update(a);
+            one.update(b);
+            assert_eq!(one.finish(), whole, "split {split}");
+            // Three states fed different prefixes, then the rest together.
+            let (mut x, mut y, mut z) = (Fnv1a64::new(), Fnv1a64::new(), Fnv1a64::default());
+            x.update(a);
+            Fnv1a64::update_all([&mut x, &mut y, &mut z], b);
+            assert_eq!(x.finish(), whole);
+            assert_eq!(y.finish(), fnv1a64(b));
+            assert_eq!(z.finish(), fnv1a64(b));
+        }
+        assert_eq!(Fnv1a64::new().finish(), fnv1a64(b""));
     }
 
     #[test]

@@ -525,8 +525,8 @@ fn synth_profile(i: u64) -> FailureProfile {
 }
 
 /// Benchmarks the `parbor-store` engine itself, without a fleet on top:
-/// stages `MODULES` synthetic profiles into L0 segments (one durable
-/// append each) and flushes the sharded index once, compacts everything
+/// stages `MODULES` synthetic profiles into L0 segments (one atomic
+/// file write each) and flushes the sharded index once, compacts everything
 /// into generation 1, then measures cold queries — each sample opens the
 /// store fresh so nothing is warm except the page cache.
 fn store_bench() -> Result<StoreBench, String> {
@@ -537,8 +537,8 @@ fn store_bench() -> Result<StoreBench, String> {
     let root = scratch.join("store");
     let name_of = |i: usize| format!("{}{i:06}", ["A", "B", "C"][i % 3]);
 
-    // Bulk ingest: stage() writes each L0 segment durably but defers the
-    // index shards; one flush() settles all 16.
+    // Bulk ingest: stage() writes each L0 segment atomically but defers
+    // the index shards; one flush() settles all 16.
     let mut store = ProfileStore::open(&root).map_err(|e| e.to_string())?;
     let start = Instant::now();
     for i in 0..MODULES {

@@ -85,20 +85,25 @@ impl AggregateBuilder {
 
     /// Folds one module's profile in.
     pub fn add(&mut self, name: &str, profile: &FailureProfile) {
+        self.add_counts(name, &profile.distances, profile.failures.len() as u64);
+    }
+
+    /// Folds one module in from what the rollups read of its profile: its
+    /// coupling distances and its failing-cell count. The store's
+    /// aggregate reads these from a record summary without building cells.
+    pub fn add_counts(&mut self, name: &str, distances: &[i64], failures: u64) {
         self.modules += 1;
-        let failures = profile.failures.len() as u64;
         self.total_failures += failures;
         self.failures_hist.record(failures);
-        for &d in &profile.distances {
+        for &d in distances {
             *self.distance_counts.entry(d).or_insert(0) += 1;
         }
-        let vendor: String = name.chars().take_while(char::is_ascii_alphabetic).collect();
-        let vendor = if vendor.is_empty() {
-            "?".to_string()
-        } else {
-            vendor
+        let alpha = name.bytes().take_while(u8::is_ascii_alphabetic).count();
+        let vendor = if alpha == 0 { "?" } else { &name[..alpha] };
+        let slot = match self.vendors.get_mut(vendor) {
+            Some(slot) => slot,
+            None => self.vendors.entry(vendor.to_string()).or_insert((0, 0)),
         };
-        let slot = self.vendors.entry(vendor).or_insert((0, 0));
         slot.0 += 1;
         slot.1 += failures;
     }

@@ -35,11 +35,11 @@ use parbor_core::FailureProfile;
 use parbor_obs::{metrics, span, RecorderHandle};
 
 use parbor_hal::frame;
-use parbor_hal::hash::fnv1a64;
+use parbor_hal::hash::{fnv1a64, Fnv1a64};
 
 use crate::aggregate::{AggregateBuilder, FleetAggregate};
 use crate::segment::{
-    decode_payload, encode_payload, format_hash, put_frame, read_frame, walk_frames, Frame,
+    decode_payload, format_hash, put_record, read_frame, summarize_payload, walk_frames, Frame,
     FRAME_HEADER_BYTES, MAX_RECORD_BYTES, SEGMENT_MAGIC,
 };
 use crate::StoreError;
@@ -347,9 +347,12 @@ impl ProfileStore {
     }
 
     /// Writes `profile` as a new L0 record for `name` (replacing any
-    /// previous record via latest-write-wins) and durably updates the
-    /// module's index shard. Equivalent to [`stage`](ProfileStore::stage)
-    /// + [`flush`](ProfileStore::flush).
+    /// previous record via latest-write-wins) and rewrites the module's
+    /// index shard. Equivalent to [`stage`](ProfileStore::stage) +
+    /// [`flush`](ProfileStore::flush). Both files are replaced atomically
+    /// (temp file + rename), so a put survives a process kill at any
+    /// instant; nothing is synced, so it need not survive a power loss or
+    /// a kernel crash.
     ///
     /// # Errors
     ///
@@ -362,10 +365,11 @@ impl ProfileStore {
     }
 
     /// [`put`](ProfileStore::put) without the per-call index flush: the L0
-    /// segment is written durably, the index update stays in memory until
-    /// [`flush`](ProfileStore::flush). The bulk-ingest path — writing 100 k
-    /// profiles through `put` would rewrite each index shard thousands of
-    /// times; `stage` + one `flush` writes each shard once. An unflushed
+    /// segment is written atomically (temp file + rename; it survives a
+    /// process kill, not a power loss), the index update stays in memory
+    /// until [`flush`](ProfileStore::flush). The bulk-ingest path —
+    /// writing 100 k profiles through `put` would rewrite each index shard
+    /// thousands of times; `stage` + one `flush` writes each shard once. An unflushed
     /// record is invisible to a later open (its L0 file is simply
     /// re-written when the job re-runs).
     ///
@@ -382,13 +386,9 @@ impl ProfileStore {
                 "'{name}' is not a valid segment name"
             )));
         }
-        let payload = encode_payload(name, profile);
-        let body_hash = fnv1a64(payload_body(&payload));
         let file = format!("L0-{name}.pbs");
-        let mut bytes =
-            Vec::with_capacity(SEGMENT_MAGIC.len() + frame::HEADER_BYTES + payload.len());
-        bytes.extend_from_slice(SEGMENT_MAGIC);
-        put_frame(&mut bytes, &payload);
+        let mut bytes = SEGMENT_MAGIC.to_vec();
+        let body_hash = put_record(&mut bytes, name, profile);
         write_atomic(&self.root.join("segments").join(&file), &bytes)?;
         let meta = SegmentMeta {
             file,
@@ -456,9 +456,9 @@ impl ProfileStore {
         if !intact {
             self.rec.incr(metrics::store::RECOVERY, 1);
         }
-        let decoded = decode_payload(&payload, intact).map_err(|detail| StoreError::Corrupt {
+        let decoded = decode_payload(&payload, intact).map_err(|e| StoreError::Corrupt {
             path: self.root.join("segments").join(&meta.file),
-            detail,
+            detail: e.to_string(),
         })?;
         if decoded.name != name {
             return Err(StoreError::Corrupt {
@@ -561,9 +561,9 @@ impl ProfileStore {
                     corrupt += 1;
                     continue;
                 }
-                match decode_payload(frame.payload, true) {
+                match summarize_payload(frame.payload) {
                     Ok(rec) => {
-                        let current = entries.get(&rec.name);
+                        let current = entries.get(rec.name);
                         if current.is_some_and(|m| m.file == file && m.offset == frame.offset) {
                             live += 1;
                         } else {
@@ -635,10 +635,10 @@ impl ProfileStore {
                 if !frame.intact {
                     continue;
                 }
-                if let Ok(rec) = decode_payload(frame.payload, true) {
-                    let current = entries.get(&rec.name);
+                if let Ok(rec) = summarize_payload(frame.payload) {
+                    let current = entries.get(rec.name);
                     if current.is_some_and(|m| m.file == file && m.offset == frame.offset) {
-                        builder.add(&rec.name, &rec.profile);
+                        builder.add_counts(rec.name, &rec.distances, rec.cells as u64);
                         self.rec.incr(metrics::store::AGG_RECORDS, 1);
                     }
                 }
@@ -726,10 +726,16 @@ impl ProfileStore {
         let mut new_entries: BTreeMap<String, SegmentMeta> = BTreeMap::new();
         let mut gen_segments: Vec<GenSegmentMeta> = Vec::new();
         let mut chunk: Vec<u8> = Vec::new();
+        let mut chunk_hash = Fnv1a64::new();
         let mut chunk_records: Vec<(String, SegmentMeta)> = Vec::new();
-        let mut last_file: Option<(String, Vec<u8>)> = None;
+        // One cached input file per kind. Records come in name order, which
+        // visits a generation's chunks in order but interleaves them with
+        // single-record L0 files: one slot for both would re-read the
+        // current chunk after every L0 record.
+        let mut cached: [Option<(String, Vec<u8>)>; 2] = [None, None];
 
         let finalize_chunk = |chunk: &mut Vec<u8>,
+                              chunk_hash: &Fnv1a64,
                               chunk_records: &mut Vec<(String, SegmentMeta)>,
                               gen_segments: &mut Vec<GenSegmentMeta>,
                               new_entries: &mut BTreeMap<String, SegmentMeta>|
@@ -752,52 +758,63 @@ impl ProfileStore {
                 records,
                 failures,
                 bytes: chunk.len() as u64,
-                hash: format_hash(fnv1a64(chunk)),
+                hash: format_hash(chunk_hash.finish()),
             });
             chunk.clear();
             Ok(())
         };
 
         for (name, meta) in &sources {
-            let (payload, intact) = match self.read_frame_cached(meta, &mut last_file) {
-                Ok(v) => v,
-                Err(StoreError::Io(e)) if e.kind() == std::io::ErrorKind::NotFound => {
-                    (Vec::new(), false)
-                }
+            let slot = &mut cached[usize::from(is_gen_file(&meta.file))];
+            let source = match self.segment_cached(&meta.file, slot) {
+                Ok(bytes) => bytes,
+                Err(StoreError::Io(e)) if e.kind() == std::io::ErrorKind::NotFound => &[],
                 Err(e) => return Err(e),
-            };
-            let payload = if intact {
-                payload
-            } else {
-                self.rec.incr(metrics::store::RECOVERY, 1);
-                match decode_payload(&payload, false) {
-                    Ok(rec) => {
-                        report.salvaged += 1;
-                        encode_payload(name, &rec.profile)
-                    }
-                    Err(_) => {
-                        report.dropped += 1;
-                        continue;
-                    }
-                }
             };
             if chunk.is_empty() {
                 chunk.extend_from_slice(SEGMENT_MAGIC);
+                chunk_hash = Fnv1a64::new();
+                chunk_hash.update(SEGMENT_MAGIC);
             }
             let offset = chunk.len() as u64;
-            put_frame(&mut chunk, &payload);
+            // An intact record is copied verbatim; a damaged one is
+            // salvaged and re-encoded, or dropped.
+            let (hash, failures) =
+                match copy_intact_frame(source, meta.offset, &mut chunk, &mut chunk_hash) {
+                    Some((hash, payload)) => {
+                        let summary =
+                            summarize_payload(payload).map_err(|e| StoreError::Corrupt {
+                                path: self.root.join("segments").join(&meta.file),
+                                detail: e.to_string(),
+                            })?;
+                        (hash, summary.cells)
+                    }
+                    None => {
+                        self.rec.incr(metrics::store::RECOVERY, 1);
+                        let at = usize::try_from(meta.offset).unwrap_or(usize::MAX);
+                        match decode_payload(read_frame(source, at).payload, false) {
+                            Ok(rec) => {
+                                report.salvaged += 1;
+                                let start = chunk.len();
+                                let hash = put_record(&mut chunk, name, &rec.profile);
+                                chunk_hash.update(&chunk[start..]);
+                                (hash, rec.profile.failures.len())
+                            }
+                            Err(_) => {
+                                report.dropped += 1;
+                                continue;
+                            }
+                        }
+                    }
+                };
             let framed_len = chunk.len() as u64 - offset;
-            let decoded = decode_payload(&payload, true).map_err(|detail| StoreError::Corrupt {
-                path: self.root.join("segments"),
-                detail,
-            })?;
             chunk_records.push((
                 name.clone(),
                 SegmentMeta {
                     file: String::new(),
                     offset,
-                    hash: format_hash(fnv1a64(payload_body(&payload))),
-                    failures: decoded.profile.failures.len(),
+                    hash: format_hash(hash),
+                    failures,
                     bytes: framed_len,
                 },
             ));
@@ -806,6 +823,7 @@ impl ProfileStore {
             if chunk_records.len() >= CHUNK_RECORDS {
                 finalize_chunk(
                     &mut chunk,
+                    &chunk_hash,
                     &mut chunk_records,
                     &mut gen_segments,
                     &mut new_entries,
@@ -814,6 +832,7 @@ impl ProfileStore {
         }
         finalize_chunk(
             &mut chunk,
+            &chunk_hash,
             &mut chunk_records,
             &mut gen_segments,
             &mut new_entries,
@@ -937,23 +956,22 @@ impl ProfileStore {
         read_frame_from(&mut f, meta.offset, &path)
     }
 
-    /// [`read_frame`](Self::read_frame) keeping the last file handle open —
+    /// The bytes of segment `file`, keeping the last file read in `last`:
     /// compaction visits records in name order, which within a generation
-    /// is also file/offset order, so consecutive reads mostly hit the same
-    /// file.
-    fn read_frame_cached(
+    /// is also file/offset order, so consecutive reads of a generation
+    /// mostly hit the same file.
+    fn segment_cached<'a>(
         &self,
-        meta: &SegmentMeta,
-        last: &mut Option<(String, Vec<u8>)>,
-    ) -> Result<(Vec<u8>, bool), StoreError> {
-        let path = self.root.join("segments").join(&meta.file);
-        if last.as_ref().map(|(f, _)| f.as_str()) != Some(meta.file.as_str()) {
-            *last = Some((meta.file.clone(), fs::read(&path)?));
+        file: &str,
+        last: &'a mut Option<(String, Vec<u8>)>,
+    ) -> Result<&'a [u8], StoreError> {
+        if !matches!(last, Some((f, _)) if f == file) {
+            *last = Some((
+                file.to_string(),
+                fs::read(self.root.join("segments").join(file))?,
+            ));
         }
-        let bytes = &last.as_ref().unwrap().1;
-        let offset = usize::try_from(meta.offset).unwrap_or(usize::MAX);
-        let frame = read_frame(bytes, offset);
-        Ok((frame.payload.to_vec(), frame.intact))
+        Ok(last.as_ref().map_or(&[], |(_, bytes)| bytes.as_slice()))
     }
 
     /// A previous compaction died in flight (the `COMPACTING` marker is
@@ -1095,6 +1113,40 @@ fn full_rebuild(root: &Path, rec: &RecorderHandle) -> Result<ManifestDoc, StoreE
     Ok(manifest)
 }
 
+/// Appends the frame at `offset` of a segment's `bytes` to `chunk`
+/// verbatim when it is intact. One pass checks the frame's checksum,
+/// hashes the record's body and extends `chunk_hash` over the copied
+/// bytes. Returns the body's content hash and the payload, or `None`, with
+/// `chunk` and `chunk_hash` untouched, when the frame is torn, longer than
+/// [`MAX_RECORD_BYTES`] or fails its checksum.
+fn copy_intact_frame<'a>(
+    bytes: &'a [u8],
+    offset: u64,
+    chunk: &mut Vec<u8>,
+    chunk_hash: &mut Fnv1a64,
+) -> Option<(u64, &'a [u8])> {
+    let start = usize::try_from(offset).ok()?;
+    let (len, sum) = frame::header(bytes.get(start..)?)?;
+    if len > MAX_RECORD_BYTES {
+        return None;
+    }
+    let payload_at = start + frame::HEADER_BYTES;
+    let framed = bytes.get(start..payload_at.checked_add(len as usize)?)?;
+    let payload = &framed[frame::HEADER_BYTES..];
+    let body = payload_body(payload);
+    let (name, body) = payload.split_at(payload.len() - body.len());
+    let (mut frame_sum, mut content, mut extended) = (Fnv1a64::new(), Fnv1a64::new(), *chunk_hash);
+    extended.update(&framed[..frame::HEADER_BYTES]);
+    Fnv1a64::update_all([&mut frame_sum, &mut extended], name);
+    Fnv1a64::update_all([&mut frame_sum, &mut content, &mut extended], body);
+    if frame_sum.finish() != sum {
+        return None;
+    }
+    chunk.extend_from_slice(framed);
+    *chunk_hash = extended;
+    Some((content.finish(), payload))
+}
+
 /// Indexes one scanned frame (skipping torn or undecodable ones).
 fn index_frame(
     frame: &Frame<'_>,
@@ -1106,16 +1158,16 @@ fn index_frame(
     if !frame.intact {
         return;
     }
-    if let Ok(rec) = decode_payload(frame.payload, true) {
+    if let Ok(rec) = summarize_payload(frame.payload) {
         *records += 1;
-        *failures += rec.profile.failures.len();
+        *failures += rec.cells;
         entries.insert(
-            rec.name,
+            rec.name.to_string(),
             SegmentMeta {
                 file: file.to_string(),
                 offset: frame.offset,
                 hash: format_hash(fnv1a64(payload_body(frame.payload))),
-                failures: rec.profile.failures.len(),
+                failures: rec.cells,
                 bytes: FRAME_HEADER_BYTES + frame.payload.len() as u64,
             },
         );
